@@ -1,7 +1,7 @@
 //! # hics-core — the HiCS algorithm (Keller, Müller, Böhm, ICDE 2012)
 //!
 //! * [`subspace`] — the subspace type and Apriori join.
-//! * [`slice`] — adaptive subspace slices over sorted indices (Def. 4).
+//! * [`slice`](mod@slice) — adaptive subspace slices over sorted indices (Def. 4).
 //! * [`contrast`] — Monte-Carlo contrast with pluggable statistical tests
 //!   (Definition 5 / Algorithm 1): Welch (`HiCS_WT`), KS (`HiCS_KS`), plus
 //!   Mann–Whitney and KS-p-value extensions.
@@ -21,9 +21,7 @@ pub mod slice;
 pub mod subspace;
 
 pub use contrast::{ContrastEstimator, DeviationTest, StatTest};
-pub use pipeline::{
-    FitBuilder, FitSummary, Hics, HicsParams, HicsResult, ScorerConfig, ShardFitSpec,
-};
+pub use pipeline::{FitBuilder, FitSummary, Hics, HicsParams, HicsResult, ShardFitSpec};
 pub use progress::{FitMetrics, FitObserver, NoopObserver};
 pub use search::{ScoredSubspace, SearchParams, SearchReport, SubspaceSearch};
 pub use slice::{SliceSampler, SliceSizing};

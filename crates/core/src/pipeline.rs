@@ -54,23 +54,6 @@ impl HicsParams {
     }
 }
 
-/// Scoring-phase configuration of a fit: which density scorer the model is
-/// packaged for, and which neighbour-search backend serves it. With
-/// [`IndexKind::VpTree`] the fit prebuilds one VP-tree per selected
-/// subspace and stores them in the artifact (format version 2), so every
-/// later `score` / `serve` skips the `O(N log N)` construction *and* the
-/// `O(N · |S|)` per-query scan — at bit-identical scores.
-///
-/// Retained for the deprecated [`Hics::fit_with_config`] shim; new code
-/// configures fits through [`FitBuilder`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScorerConfig {
-    /// The scorer family and neighbourhood size stored in the artifact.
-    pub spec: ScorerSpec,
-    /// The neighbour-search backend to package (default brute).
-    pub index: IndexKind,
-}
-
 /// The one way to fit a servable model — search parameters plus every
 /// packaging choice (normalisation, scorer, neighbour index) behind a
 /// single builder:
@@ -88,10 +71,8 @@ pub struct ScorerConfig {
 ///     .fit(&data);
 /// ```
 ///
-/// This replaces the v1 trio `Hics::fit` / `Hics::fit_with_scorer` /
-/// `Hics::fit_with_config`, which survive as thin deprecated shims. The
-/// defaults reproduce `Hics::fit(data, NormKind::None)`: no normalisation,
-/// LOF with the pipeline's `lof_k`, brute-force neighbour search.
+/// The defaults are no normalisation, LOF with the pipeline's `lof_k`, and
+/// brute-force neighbour search.
 #[derive(Clone)]
 pub struct FitBuilder {
     params: HicsParams,
@@ -600,33 +581,6 @@ impl Hics {
         FitBuilder::new(self.params)
     }
 
-    /// Fits a servable model with the pipeline's LOF scorer.
-    #[deprecated(note = "use Hics::fitter() / FitBuilder")]
-    pub fn fit(&self, data: &Dataset, norm: NormKind) -> HicsModel {
-        self.fitter().normalize(norm).fit(data)
-    }
-
-    /// Fits with an explicit scorer configuration.
-    #[deprecated(note = "use Hics::fitter() / FitBuilder")]
-    pub fn fit_with_scorer(&self, data: &Dataset, norm: NormKind, scorer: ScorerSpec) -> HicsModel {
-        self.fitter().normalize(norm).scorer(scorer).fit(data)
-    }
-
-    /// Fits with an explicit scorer **and** neighbour-index configuration.
-    #[deprecated(note = "use Hics::fitter() / FitBuilder")]
-    pub fn fit_with_config(
-        &self,
-        data: &Dataset,
-        norm: NormKind,
-        config: ScorerConfig,
-    ) -> HicsModel {
-        self.fitter()
-            .normalize(norm)
-            .scorer(config.spec)
-            .index(config.index)
-            .fit(data)
-    }
-
     /// Ranks outliers in a caller-provided list of subspaces (skipping the
     /// search step) — useful for comparing subspace selections.
     pub fn rank_in_subspaces<S: SubspaceScorer>(
@@ -786,48 +740,6 @@ mod tests {
             let view = SubspaceView::new(indexed.dataset(), &sub.dims);
             assert_eq!(&trees[s], VpTree::build(&view).as_data(), "subspace {s}");
         }
-    }
-
-    /// The deprecated v1 fit entry points are thin shims over the builder:
-    /// byte-identical artifacts for every combination they could express.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_fit_shims_match_the_builder() {
-        let g = SyntheticConfig::new(150, 5).with_seed(36).generate();
-        let hics = Hics::new(quick());
-        let spec = ScorerSpec {
-            kind: ScorerKind::KnnMean,
-            k: 7,
-        };
-        assert_eq!(
-            hics.fit(&g.dataset, NormKind::MinMax).to_bytes(),
-            hics.fitter()
-                .normalize(NormKind::MinMax)
-                .fit(&g.dataset)
-                .to_bytes()
-        );
-        assert_eq!(
-            hics.fit_with_scorer(&g.dataset, NormKind::None, spec)
-                .to_bytes(),
-            hics.fitter().scorer(spec).fit(&g.dataset).to_bytes()
-        );
-        assert_eq!(
-            hics.fit_with_config(
-                &g.dataset,
-                NormKind::ZScore,
-                ScorerConfig {
-                    spec,
-                    index: IndexKind::VpTree,
-                },
-            )
-            .to_bytes(),
-            hics.fitter()
-                .normalize(NormKind::ZScore)
-                .scorer(spec)
-                .index(IndexKind::VpTree)
-                .fit(&g.dataset)
-                .to_bytes()
-        );
     }
 
     #[test]

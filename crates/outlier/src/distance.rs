@@ -1,6 +1,6 @@
 //! Subspace-restricted distance computation.
 //!
-//! Subspace outlier ranking "simply restrict[s] the distance computation to
+//! Subspace outlier ranking "simply restrict\[s\] the distance computation to
 //! a selected subspace S, i.e., compute dist_S" (paper Section III-A). The
 //! [`SubspaceView`] gathers the selected column slices once so that the
 //! `O(N²)` kNN kernels never re-index through the attribute list.
@@ -8,7 +8,7 @@
 use hics_data::Dataset;
 
 /// A collection of points restricted to one subspace — the metric substrate
-/// every neighbour-search backend ([`crate::index::NeighborIndex`] users,
+/// every neighbour-search backend ([`crate::index::SubspaceIndex`] users,
 /// the brute scan and the VP-tree alike) is generic over.
 ///
 /// The two implementations are the borrowed [`SubspaceView`] (batch path:

@@ -11,6 +11,7 @@
 //! round-trip form — so an `f64` crosses the wire bit-for-bit and a
 //! routed ensemble fold matches the in-process one exactly.
 
+use crate::http::MAX_BODY_BYTES;
 use crate::json;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -72,6 +73,14 @@ fn parse_response_head(head: &[u8]) -> std::io::Result<(u16, usize, bool)> {
             len = value
                 .parse()
                 .map_err(|_| other(format!("bad Content-Length {value:?}")))?;
+            // The body buffer is sized from this header, so a peer must
+            // not be able to make it unbounded.
+            if len > MAX_BODY_BYTES {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("response Content-Length {len} exceeds limit {MAX_BODY_BYTES}"),
+                ));
+            }
         } else if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
                 keep_alive = false;
@@ -357,6 +366,30 @@ mod tests {
         assert!(
             parse_response_head(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n").is_err()
         );
+    }
+
+    /// A response declaring a body past the limit is refused before any
+    /// buffer is sized from it — `u64::MAX` must not panic the caller.
+    #[test]
+    fn oversized_response_content_length_is_invalid_data() {
+        for len in [u64::MAX, MAX_BODY_BYTES as u64 + 1] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let replica = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut line = String::new();
+                while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+                    line.clear();
+                }
+                write!(stream, "HTTP/1.1 200 OK\r\nContent-Length: {len}\r\n\r\n").unwrap();
+            });
+            let t = Duration::from_secs(5);
+            let mut conn = ClientConn::connect(&addr, t).unwrap();
+            let err = conn.request("GET", "/model", None, t).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            replica.join().unwrap();
+        }
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! the completion fires back through the reactor), and drain responses from
 //! a per-connection [`OutBuf`] via vectored non-blocking writes.
 //!
-//! The wire behaviour is pinned to the blocking implementation bit for bit:
-//! the decoder mirrors [`crate::http::BodyReader`]'s framing, budgets and
-//! error strings exactly (an equivalence suite below feeds both the same
-//! bodies), and every status line / error body / timeout bound matches what
-//! `handle_connection` produced. Backpressure is explicit: when a peer
+//! This is the only request path: heads go through
+//! [`crate::http::parse_head_bytes`], classic bodies are collected here by
+//! `Content-Length`, and `/v2/score` bodies stream through the
+//! [`StreamDecoder`], whose framing, byte budget and error strings are the
+//! wire contract (the unit tests below pin them as literal expectations
+//! at every socket read granularity). Backpressure is explicit: when a peer
 //! stops reading and the outbound buffer crosses the reactor's high-water
 //! mark, the connection simply stops consuming input (interest drops to
 //! `EPOLLOUT`) until the buffer drains — no thread is pinned, nothing is
@@ -19,8 +20,7 @@
 
 use crate::http::{
     error_body, finish_chunked, parse_head_bytes, write_chunk, write_chunked_head,
-    write_response_traced, BodyError, Request, RequestError, RequestHead, MAX_BODY_BYTES,
-    MAX_HEAD_BYTES,
+    write_response_traced, BodyError, RequestError, RequestHead, MAX_BODY_BYTES, MAX_HEAD_BYTES,
 };
 use crate::metrics::{content_type_for, ReactorMetrics};
 use crate::reactor::{Notifier, EPOLLIN, EPOLLOUT};
@@ -61,8 +61,8 @@ pub(crate) enum Drive {
 // ---------------------------------------------------------------------------
 
 /// Per-connection outbound byte queue, drained by non-blocking vectored
-/// writes. Implements [`Write`] (infallibly) so the existing response
-/// renderers — [`write_response`], [`write_chunk`], … — work unchanged.
+/// writes. Implements [`Write`] (infallibly) so the response renderers —
+/// [`write_response_traced`], [`write_chunk`], … — render straight into it.
 #[derive(Default)]
 pub(crate) struct OutBuf {
     segs: VecDeque<Vec<u8>>,
@@ -160,8 +160,7 @@ pub(crate) enum StreamEvent {
     End(Vec<u8>),
 }
 
-/// Decoder sub-state (the push-parser expansion of
-/// [`crate::http::BodyReader`]'s framing).
+/// Decoder sub-state: where the push parser is in the body's framing.
 #[derive(Debug, Clone, Copy)]
 enum Dec {
     /// `Content-Length` body: bytes remaining.
@@ -179,11 +178,14 @@ enum Dec {
     Done,
 }
 
-/// Incremental, non-blocking equivalent of [`crate::http::BodyReader`]:
-/// bytes are *pushed* in as they arrive off the socket, line events come
-/// out. Framings, the per-consumed-byte budget, line-length discarding and
-/// every error string are byte-identical to the blocking reader — the
-/// equivalence tests below hold both against the same inputs.
+/// Incremental NDJSON body decoder: bytes are *pushed* in as they arrive
+/// off the socket, line events come out. Decodes both `Content-Length` and
+/// chunked framing under a byte budget charged per consumed byte (framing
+/// included), so line structure cannot bypass it. Lines longer than
+/// `max_line` are consumed to their end and discarded, keeping both the
+/// stream in sync and the buffer bounded. Events, errors and the
+/// keep-alive verdict do not depend on how the input is split across
+/// calls.
 pub(crate) struct StreamDecoder {
     state: Dec,
     consumed: usize,
@@ -224,8 +226,9 @@ impl StreamDecoder {
         matches!(self.state, Dec::Done)
     }
 
-    /// Runs one output byte through the line accumulator, mirroring
-    /// `BodyReader::read_line`'s handling exactly.
+    /// Runs one output byte through the line accumulator: `\n` ends a
+    /// line (a preceding `\r` is stripped), and a line past `max_line` is
+    /// dropped until its terminator.
     fn take_line_byte(&mut self, b: u8, max_line: usize) -> Option<StreamEvent> {
         if b == b'\n' {
             if self.discarding {
@@ -258,9 +261,9 @@ impl StreamDecoder {
         let mut used = 0;
         loop {
             if let Dec::Done = self.state {
-                // Mirrors the blocking reader: a discarded line running to
-                // the end of the body reports TooLong first; End (with any
-                // final unterminated line) follows on the next call.
+                // Wire contract: a discarded line running to the end of
+                // the body reports TooLong first; End (with any final
+                // unterminated line) follows on the next call.
                 if self.discarding {
                     self.discarding = false;
                     return Ok((used, Some(StreamEvent::TooLong)));
@@ -320,9 +323,9 @@ impl StreamDecoder {
                         }
                     }
                 }
-                // The blocking reader consumes *both* terminator bytes
-                // before checking them, so the error (and the byte budget)
-                // lands on the second byte — replicate that.
+                // Wire contract: *both* terminator bytes are consumed
+                // before they are checked, so the error (and the byte
+                // budget) lands on the second byte.
                 Dec::ChunkTerm(false) => {
                     self.term_bad = b != b'\r';
                     self.state = Dec::ChunkTerm(true);
@@ -566,8 +569,7 @@ impl Conn {
     }
 
     /// Reads once from the socket. Returns whether bytes (or EOF) arrived;
-    /// a fatal socket error closes the connection silently — exactly what
-    /// the blocking handler's error propagation did.
+    /// a fatal socket error closes the connection silently.
     fn read_some(&mut self) -> Result<bool, ()> {
         let mut tmp = [0u8; READ_CHUNK];
         loop {
@@ -683,10 +685,9 @@ impl Conn {
                         .position(|w| w == b"\r\n\r\n")
                         .map(|p| p + 4);
                     match end {
-                        // The blocking reader 431s the moment the head
-                        // exceeds the bound without its terminator having
-                        // completed — so a terminator ending past the bound
-                        // is too late.
+                        // The head 431s the moment it exceeds the bound
+                        // without its terminator having completed — so a
+                        // terminator ending past the bound is too late.
                         Some(end) if end <= MAX_HEAD_BYTES => {
                             let parsed = parse_head_bytes(&avail[..end]);
                             self.inpos += end;
@@ -697,12 +698,8 @@ impl Conn {
                                     self.timeline.mark(Stage::HeadParse);
                                     self.route(ctx, head);
                                 }
-                                Err(RequestError::Bad { status, msg }) => {
+                                Err(RequestError { status, msg }) => {
                                     self.respond(ctx, status, &error_body(&msg), true)
-                                }
-                                Err(_) => {
-                                    self.state = State::Closed;
-                                    return true;
                                 }
                             }
                         }
@@ -766,9 +763,8 @@ impl Conn {
                                 match ev {
                                     None => {
                                         if self.eof {
-                                            // Mid-body EOF: same Protocol
-                                            // error the blocking reader
-                                            // raises, reported in-stream.
+                                            // Mid-body EOF: a Protocol
+                                            // error, reported in-stream.
                                             exit = Some(StreamExit::Fail {
                                                 msg: BodyError::Protocol(
                                                     "connection closed mid-body".into(),
@@ -1029,21 +1025,14 @@ impl Conn {
                 self.deadline = None;
             }
             _ => {
-                let request = Request {
-                    method: head.method,
-                    path: head.path,
-                    body,
-                    close: head.close,
-                    trace: head.trace,
-                };
-                let (status, out) = dispatch(&request, ctx);
+                let (status, out) = dispatch(&head.method, &head.path, ctx);
                 self.timeline.mark(Stage::Score);
                 self.respond_typed(
                     ctx,
                     status,
-                    content_type_for(&request.path, status),
+                    content_type_for(&head.path, status),
                     &out,
-                    request.close,
+                    head.close,
                 );
             }
         }
@@ -1093,12 +1082,10 @@ impl Conn {
         }
     }
 
-    /// Enforces the state's idle budget, mirroring what the blocking
-    /// handler's socket timeouts produced: silent close while waiting for a
+    /// Enforces the state's idle budget: silent close while waiting for a
     /// head or draining a response, `400` mid-sized-body, and an in-stream
     /// error line (then close) for an idle stream — unless the *peer* is
-    /// the one not draining its scores, which is a silent close just like a
-    /// blocking write timeout was.
+    /// the one not draining its scores, which is a silent close.
     pub(crate) fn on_timeout(&mut self, ctx: &Ctx) {
         enum T {
             Silent,
@@ -1141,8 +1128,7 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{write_response, BodyReader, LineRead};
-    use std::io::Cursor;
+    use crate::http::write_response;
 
     fn sized_head(len: usize) -> RequestHead {
         RequestHead {
@@ -1175,38 +1161,11 @@ mod tests {
         finished: bool,
     }
 
-    fn observe_blocking(
-        head: &RequestHead,
-        body: &[u8],
-        limit: usize,
-        max_line: usize,
-    ) -> Observed {
-        let mut cursor = Cursor::new(body.to_vec());
-        let mut reader = BodyReader::new(&mut cursor, head, limit);
-        let mut buf = Vec::new();
-        let mut events = Vec::new();
-        loop {
-            match reader.read_line(&mut buf, max_line) {
-                Ok(LineRead::Line) => {
-                    events.push(format!("line:{}", String::from_utf8_lossy(&buf)))
-                }
-                Ok(LineRead::TooLong) => events.push("toolong".into()),
-                Ok(LineRead::End) => {
-                    events.push(format!("end:{}", String::from_utf8_lossy(&buf)));
-                    return Observed {
-                        events,
-                        error: None,
-                        finished: reader.finished(),
-                    };
-                }
-                Err(e) => {
-                    return Observed {
-                        events,
-                        error: Some(e.to_string()),
-                        finished: reader.finished(),
-                    }
-                }
-            }
+    fn expect(events: &[&str], error: Option<&str>, finished: bool) -> Observed {
+        Observed {
+            events: events.iter().map(|e| e.to_string()).collect(),
+            error: error.map(str::to_string),
+            finished,
         }
     }
 
@@ -1241,7 +1200,7 @@ mod tests {
                         }
                         None => {
                             if pos >= body.len() {
-                                // EOF mid-body: the blocking reader raises
+                                // EOF mid-body: the connection reports
                                 // Protocol("connection closed mid-body").
                                 return Observed {
                                     events,
@@ -1263,44 +1222,180 @@ mod tests {
         }
     }
 
-    /// The decoder and the blocking reader must observe identical event
-    /// sequences, errors and keep-alive verdicts on every body — across
-    /// sized and chunked framings, malformed framing, blown byte budgets,
-    /// over-long lines, and any socket read granularity.
+    /// The decoder's wire contract as literal expectations — event
+    /// sequences, errors and keep-alive verdicts across sized and chunked
+    /// framings, malformed framing, blown byte budgets and over-long lines —
+    /// at every socket read granularity.
     #[test]
-    fn decoder_matches_blocking_reader_on_every_framing() {
+    fn decoder_pins_the_wire_contract_on_every_framing() {
         let chunked_ok =
             b"4\r\n[1,2\r\n3;ext=1\r\n,3]\r\n8\r\n\n[4,5,6]\r\n1\r\n\n\r\n0\r\nTrailer: x\r\n\r\n";
-        let cases: Vec<(RequestHead, Vec<u8>, usize, usize)> = vec![
+        let simple = b"5\r\nhello\r\n0\r\n\r\n";
+        let cases: Vec<(RequestHead, Vec<u8>, usize, usize, Observed)> = vec![
+            // Sized body split into lines; the final unterminated line
+            // arrives with End.
             (
                 sized_head(19),
                 b"[1,2]\n[3,4]\r\n\n[5,6]".to_vec(),
                 usize::MAX,
                 1024,
+                expect(
+                    &["line:[1,2]", "line:[3,4]", "line:", "end:[5,6]"],
+                    None,
+                    true,
+                ),
             ),
-            (sized_head(0), Vec::new(), usize::MAX, 1024),
+            (
+                sized_head(0),
+                Vec::new(),
+                usize::MAX,
+                1024,
+                expect(&["end:"], None, true),
+            ),
+            // An over-long line is discarded and the stream stays in sync.
             (
                 sized_head(23),
                 b"0123456789abcdef\nshort\n".to_vec(),
                 usize::MAX,
                 8,
+                expect(&["toolong", "line:short", "end:"], None, true),
             ),
-            (sized_head(256), vec![b'x'; 256], 64, 1 << 20),
-            (sized_head(40), vec![b'y'; 40], usize::MAX, 8),
-            (chunked_head(), chunked_ok.to_vec(), usize::MAX, 1024),
-            (chunked_head(), b"zz\r\nhello\r\n".to_vec(), usize::MAX, 64),
-            (chunked_head(), b"5\r\nhelloXX".to_vec(), usize::MAX, 64),
-            (chunked_head(), b"5\r\nhel".to_vec(), usize::MAX, 64),
-            (chunked_head(), chunked_ok.to_vec(), 20, 1024),
+            // The byte budget fires even on a body with no newline at all.
+            (
+                sized_head(256),
+                vec![b'x'; 256],
+                64,
+                1 << 20,
+                expect(
+                    &[],
+                    Some("request body exceeds the 64-byte stream limit"),
+                    false,
+                ),
+            ),
+            // A discarded line running to the end of the body reports
+            // TooLong before End.
+            (
+                sized_head(40),
+                vec![b'y'; 40],
+                usize::MAX,
+                8,
+                expect(&["toolong", "end:"], None, true),
+            ),
+            // One line split mid-number across three chunks, a chunk
+            // extension, and a trailer section.
+            (
+                chunked_head(),
+                chunked_ok.to_vec(),
+                usize::MAX,
+                1024,
+                expect(&["line:[1,2,3]", "line:[4,5,6]", "end:"], None, true),
+            ),
+            (
+                chunked_head(),
+                b"zz\r\nhello\r\n".to_vec(),
+                usize::MAX,
+                64,
+                expect(&[], Some("bad chunk size \"zz\""), false),
+            ),
+            (
+                chunked_head(),
+                b"5\r\nhelloXX".to_vec(),
+                usize::MAX,
+                64,
+                expect(&[], Some("missing chunk terminator"), false),
+            ),
+            (
+                chunked_head(),
+                b"5\r\nhel".to_vec(),
+                usize::MAX,
+                64,
+                expect(&[], Some("connection closed mid-body"), false),
+            ),
+            (
+                chunked_head(),
+                chunked_ok.to_vec(),
+                20,
+                1024,
+                expect(
+                    &[],
+                    Some("request body exceeds the 20-byte stream limit"),
+                    false,
+                ),
+            ),
             (
                 chunked_head(),
                 b"2\r\nab\r\n0\r\n\r\n".to_vec(),
                 usize::MAX,
                 1024,
+                expect(&["end:ab"], None, true),
+            ),
+            // Lines inside one chunk are emitted before a later framing
+            // error.
+            (
+                chunked_head(),
+                b"5\r\nhel\nlo\r\n0\r\n\r\n".to_vec(),
+                usize::MAX,
+                64,
+                expect(&["line:hel"], Some("missing chunk terminator"), false),
+            ),
+            // The chunk terminator is checked on its second byte: a bad
+            // first byte alone is not yet an error...
+            (
+                chunked_head(),
+                b"5\r\nhelloX".to_vec(),
+                usize::MAX,
+                64,
+                expect(&[], Some("connection closed mid-body"), false),
+            ),
+            (
+                chunked_head(),
+                b"5\r\nhelloX\n".to_vec(),
+                usize::MAX,
+                64,
+                expect(&[], Some("missing chunk terminator"), false),
+            ),
+            (
+                chunked_head(),
+                b"5\r\nhello\rX".to_vec(),
+                usize::MAX,
+                64,
+                expect(&[], Some("missing chunk terminator"), false),
+            ),
+            // ...so a budget ending on the first terminator byte fires
+            // before the framing error does.
+            (
+                chunked_head(),
+                b"5\r\nhelloX\n".to_vec(),
+                9,
+                64,
+                expect(
+                    &[],
+                    Some("request body exceeds the 9-byte stream limit"),
+                    false,
+                ),
+            ),
+            // The budget counts framing bytes: 15 fits the whole body
+            // exactly, 11 does not.
+            (
+                chunked_head(),
+                simple.to_vec(),
+                15,
+                64,
+                expect(&["end:hello"], None, true),
+            ),
+            (
+                chunked_head(),
+                simple.to_vec(),
+                11,
+                64,
+                expect(
+                    &[],
+                    Some("request body exceeds the 11-byte stream limit"),
+                    false,
+                ),
             ),
         ];
-        for (head, body, limit, max_line) in cases {
-            let want = observe_blocking(&head, &body, limit, max_line);
+        for (head, body, limit, max_line, want) in cases {
             for feed in [1, 3, 7, body.len().max(1)] {
                 let got = observe_push(&head, &body, limit, max_line, feed);
                 assert_eq!(
@@ -1313,24 +1408,60 @@ mod tests {
         }
     }
 
-    /// Truncated bodies (EOF mid-body) must match the blocking reader's
-    /// Protocol error.
+    /// Truncated bodies (EOF mid-body) report the Protocol error
+    /// `connection closed mid-body`.
     #[test]
-    fn decoder_reports_truncated_bodies_like_the_blocking_reader() {
+    fn decoder_reports_truncated_bodies_as_closed_mid_body() {
         for (head, body) in [
             (sized_head(50), &b"short"[..]),
             (chunked_head(), &b"5\r\nhel"[..]),
             (chunked_head(), &b"5\r\nhello\r\n3\r\nab"[..]),
+            (chunked_head(), &b"5\r\nhello\r\n0\r\nTrailer: x"[..]),
         ] {
-            let want = observe_blocking(&head, body, usize::MAX, 64);
             let got = observe_push(&head, body, usize::MAX, 64, 2);
-            assert_eq!(got, want, "body {:?}", String::from_utf8_lossy(body));
             assert_eq!(
-                got.error.as_deref(),
-                Some("connection closed mid-body"),
-                "{got:?}"
+                got,
+                expect(&[], Some("connection closed mid-body"), false),
+                "body {:?}",
+                String::from_utf8_lossy(body)
             );
         }
+    }
+
+    /// Neither the byte budget nor the line bound can be outgrown: the
+    /// decoder stops consuming at the budget, and a discarded line never
+    /// accumulates past `max_line`.
+    #[test]
+    fn decoder_keeps_its_budget_and_line_buffer_bounded() {
+        let body = vec![b'x'; 256];
+        let mut dec = StreamDecoder::new(&sized_head(body.len()), 64);
+        match dec.next(&body, 1 << 20) {
+            Err(BodyError::TooLarge { limit: 64 }) => {}
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
+        assert!(dec.consumed <= 64);
+
+        // The over-long line arrives one byte per call; the buffer never
+        // holds more than `max_line` bytes of it.
+        let body = b"0123456789abcdef\nshort\n";
+        let mut dec = StreamDecoder::new(&sized_head(body.len()), usize::MAX);
+        for byte in body[..16].chunks(1) {
+            assert_eq!(dec.next(byte, 8).unwrap(), (1, None));
+            assert!(dec.line.len() <= 8, "buffer stayed bounded");
+        }
+        assert_eq!(
+            dec.next(&body[16..], 8).unwrap(),
+            (1, Some(StreamEvent::TooLong))
+        );
+        assert_eq!(
+            dec.next(&body[17..], 8).unwrap(),
+            (6, Some(StreamEvent::Line(b"short".to_vec())))
+        );
+        assert_eq!(
+            dec.next(&[], 8).unwrap(),
+            (0, Some(StreamEvent::End(Vec::new())))
+        );
+        assert!(dec.finished());
     }
 
     #[test]

@@ -3,15 +3,21 @@
 //! The serving layer of the train-once/serve-many pipeline:
 //!
 //! * [`json`] — hand-rolled JSON parsing/serialisation (no registry deps).
-//! * [`http`] — minimal HTTP/1.1 request/response over blocking streams.
+//! * `http` (private) — the one HTTP/1.1 request-head parser and the
+//!   response renderers, both sans-I/O: the reactor feeds the parser
+//!   buffered bytes and drains rendered responses from memory.
 //! * [`batch`] — the cross-connection request batcher: concurrent requests
 //!   coalesce into contiguous scoring batches, resolved through the shared
 //!   [`hics_outlier::EngineHandle`] so models hot-swap at batch boundaries.
 //! * [`client`] — client-side keep-alive connections and per-address
 //!   pools (the transport under the `hics route` scatter-gather tier).
-//! * [`server`] — the `TcpListener` accept loop, connection handlers, and
-//!   the `/score`, `/v2/score` (streaming NDJSON), `/admin/reload`,
-//!   `/healthz`, `/model`, `/stats`, `/metrics` endpoints.
+//! * [`server`] — the epoll reactor serving core and the `/score`,
+//!   `/v2/score` (streaming NDJSON), `/admin/reload`, `/healthz`, `/model`,
+//!   `/stats`, `/metrics` endpoints.
+//!
+//! Serving is Linux-only: the reactor talks to epoll and eventfd directly,
+//! and other targets fail to compile with a pointer to the deferred kqueue
+//! backend.
 //!
 //! Every counter, gauge and latency histogram the server keeps lives in one
 //! shared [`hics_obs::Registry`]: `/stats` renders its legacy JSON from it
@@ -35,14 +41,18 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "hics-serve runs on Linux only: its reactor is built on epoll; \
+     a kqueue backend for other targets is deferred on the ROADMAP"
+);
+
 pub mod batch;
 pub mod client;
-#[cfg(target_os = "linux")]
 mod conn;
-pub mod http;
+mod http;
 pub mod json;
 mod metrics;
-#[cfg(target_os = "linux")]
 mod reactor;
 pub mod server;
 

@@ -1,14 +1,14 @@
-//! The scoring server. On Linux this is a non-blocking epoll reactor core:
+//! The scoring server: a non-blocking epoll reactor core.
 //! [`ServeConfig::reactor_threads`] reactor threads, each owning its own
 //! `SO_REUSEPORT` listener, epoll instance and connection slab, drive
-//! per-connection state machines ([`crate::conn`]) with level-triggered
-//! readiness — no thread-per-connection, no blocking I/O anywhere on the
-//! serving path. `/score` rows are handed to the cross-connection
-//! [`Batcher`] and the connection parks (zero threads held) until the
-//! batch completion is funnelled back through an eventfd; responses drain
-//! through per-connection outbound buffers with explicit backpressure.
-//! On other platforms a blocking thread-per-connection fallback serves the
-//! identical wire protocol.
+//! per-connection state machines (the private `conn` module) with
+//! level-triggered readiness — no thread-per-connection, no blocking I/O
+//! anywhere on the serving path. `/score` rows are handed to the
+//! cross-connection [`Batcher`] and the connection parks (zero threads
+//! held) until the batch completion is funnelled back through an eventfd;
+//! responses drain through per-connection outbound buffers with explicit
+//! backpressure. This is the only serving path, so the crate builds on
+//! Linux only.
 //!
 //! The engine is resolved through an atomically swappable
 //! [`EngineHandle`] so a model can be hot-reloaded under live traffic.
@@ -40,22 +40,11 @@
 //! server stops consuming its input.
 
 use crate::batch::{BatchReply, BatchStats, Batcher};
-use crate::http::{error_body, Request, RequestHead};
-#[cfg(not(target_os = "linux"))]
-use crate::http::{
-    finish_chunked, read_head, read_sized_body, write_chunk, write_chunked_head, write_response,
-    write_response_traced, BodyError, BodyReader, LineRead, RequestError,
-};
+use crate::http::{error_body, RequestHead};
 use crate::json::{self, Json};
-#[cfg(not(target_os = "linux"))]
-use crate::metrics::content_type_for;
 use crate::metrics::{EngineRecorder, ServeMetrics};
-#[cfg(not(target_os = "linux"))]
-use hics_obs::Stage;
 use hics_obs::{Counter, Gauge, Registry, Span, SpanStatus, Timeline, Tracer, STAGES};
 use hics_outlier::{Engine, EngineHandle, IndexKind};
-#[cfg(not(target_os = "linux"))]
-use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,7 +93,6 @@ pub struct ServeConfig {
     /// Reactor (event-loop) threads, each with its own `SO_REUSEPORT`
     /// listener. `0` (the default) sizes from available parallelism,
     /// capped at 4 — scoring wants the cores more than the event loops do.
-    /// Ignored by the non-Linux fallback.
     pub reactor_threads: usize,
     /// How long a batch worker lingers for more rows before scoring a
     /// non-full batch (see [`Batcher::start_with_max_wait`]). Zero scores
@@ -282,8 +270,8 @@ impl ShutdownHandle {
         for wake in self.wakes.lock().expect("wake set").iter() {
             wake();
         }
-        // …and unblock a (blocking, pre-reactor) accept with a throwaway
-        // connection.
+        // …and make a listener readable with a throwaway connection, for a
+        // reactor that has not registered its waker yet.
         let _ = TcpStream::connect(self.addr);
     }
 }
@@ -324,10 +312,7 @@ impl Server {
         registry: Arc<Registry>,
         tracer: Arc<Tracer>,
     ) -> std::io::Result<Self> {
-        #[cfg(target_os = "linux")]
         let listener = crate::reactor::bind_listener(&config.addr)?;
-        #[cfg(not(target_os = "linux"))]
-        let listener = TcpListener::bind(&config.addr)?;
         let reactors = match config.reactor_threads {
             0 => hics_outlier::parallel::available_threads().min(4),
             n => n,
@@ -364,7 +349,7 @@ impl Server {
     }
 
     /// Registers an extra read-only `GET` endpoint. The handler runs on
-    /// the serving path (an event loop on Linux), so it must return
+    /// the serving path (a reactor's event loop), so it must return
     /// quickly from in-memory state — no blocking I/O.
     pub fn register_admin(
         &self,
@@ -409,13 +394,11 @@ impl Server {
 
     /// Runs the serving core until a [`ShutdownHandle`] fires.
     ///
-    /// On Linux this spawns [`ServeConfig::reactor_threads`] epoll
-    /// reactors (each with its own `SO_REUSEPORT` listener on the bound
-    /// address; the kernel spreads accepts across them) and drives one on
-    /// the calling thread. Connections beyond
+    /// Spawns [`ServeConfig::reactor_threads`] epoll reactors (each with
+    /// its own `SO_REUSEPORT` listener on the bound address; the kernel
+    /// spreads accepts across them) and drives one on the calling thread. Connections beyond
     /// [`ServeConfig::max_connections`] are shed with `503`; scoring goes
     /// through the shared batcher.
-    #[cfg(target_os = "linux")]
     pub fn run(self) -> std::io::Result<()> {
         let addr = self.listener.local_addr()?;
         let mut joins = Vec::new();
@@ -441,209 +424,13 @@ impl Server {
         self.ctx.batcher.shutdown();
         Ok(())
     }
-
-    /// Runs the accept loop until a [`ShutdownHandle`] fires. Each accepted
-    /// connection gets a detached handler thread speaking HTTP/1.1
-    /// keep-alive (bounded by `max_connections`; excess clients are shed
-    /// with `503`); scoring goes through the shared batcher.
-    #[cfg(not(target_os = "linux"))]
-    pub fn run(self) -> std::io::Result<()> {
-        for conn in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let mut stream = match conn {
-                Ok(s) => s,
-                // Transient accept errors (e.g. ECONNABORTED) must not kill
-                // the server — but persistent ones (EMFILE when out of fds)
-                // would otherwise busy-spin the accept thread; back off.
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(20));
-                    continue;
-                }
-            };
-            // Load shedding: never take on more handler threads (and their
-            // fds) than configured.
-            if self.ctx.conns.active.get().max(0) as usize >= self.ctx.config.max_connections {
-                self.ctx.conns.shed.inc();
-                let _ = write_response(
-                    &mut stream,
-                    503,
-                    &error_body("server is at its connection limit"),
-                    true,
-                );
-                continue;
-            }
-            self.ctx.conns.accepted.inc();
-            self.ctx.conns.active.add(1);
-            let ctx = self.ctx.clone();
-            std::thread::spawn(move || {
-                let _ = handle_connection(stream, &ctx);
-                ctx.conns.active.add(-1);
-            });
-        }
-        self.ctx.batcher.shutdown();
-        Ok(())
-    }
 }
 
-/// A socket wrapper that charges every byte crossing it to the shared
-/// per-reactor I/O counters. The blocking fallback has no reactors, so
-/// the whole path reports as reactor `0` — `hics_reactor_bytes_*` on
-/// `/metrics` reconciles with traffic on both serving cores.
-#[cfg(not(target_os = "linux"))]
-struct CountingStream {
-    inner: TcpStream,
-    io: Arc<crate::metrics::ReactorMetrics>,
-}
-
-#[cfg(not(target_os = "linux"))]
-impl CountingStream {
-    fn try_clone(&self) -> std::io::Result<Self> {
-        Ok(Self {
-            inner: self.inner.try_clone()?,
-            io: Arc::clone(&self.io),
-        })
-    }
-
-    fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        self.inner.set_read_timeout(t)
-    }
-
-    fn set_write_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        self.inner.set_write_timeout(t)
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-impl std::io::Read for CountingStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = std::io::Read::read(&mut self.inner, buf)?;
-        self.io.bytes_in.add(n as u64);
-        Ok(n)
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-impl std::io::Write for CountingStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.io.bytes_out.add(n as u64);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Serves one connection until close, timeout, error, or shutdown.
-///
-/// The stream is wrapped in one `BufReader` for the connection's whole
-/// lifetime, so pipelined bytes the buffer over-reads are retained for the
-/// next keep-alive iteration and head parsing costs no per-byte syscalls.
-#[cfg(not(target_os = "linux"))]
-fn handle_connection(stream: TcpStream, ctx: &Ctx) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(ctx.config.keep_alive))?;
-    // A peer that stops *reading* must not pin the handler either: every
-    // blocked response write gives up after the same idle budget.
-    stream.set_write_timeout(Some(ctx.config.keep_alive))?;
-    stream.set_nodelay(true)?;
-    let stream = CountingStream {
-        inner: stream,
-        io: ctx.metrics.reactor(0),
-    };
-    let mut reader = std::io::BufReader::new(stream);
-    let mut timeline = Timeline::new();
-    loop {
-        let head = match read_head(&mut reader) {
-            Ok(h) => h,
-            Err(RequestError::Closed) | Err(RequestError::Io(_)) => return Ok(()),
-            Err(RequestError::Bad { status, msg }) => {
-                let _ = write_response(reader.get_mut(), status, &error_body(&msg), true);
-                return Ok(());
-            }
-        };
-        // The blocking fallback can't observe the first byte's arrival
-        // (it is inside the blocking head read), so the timeline starts
-        // at head completion and `head_parse` reads as ~0 here.
-        if ctx.config.instrument {
-            timeline.start();
-            timeline.mark(Stage::HeadParse);
-        }
-        let close = head.close;
-        if head.method == "POST" && head.path == "/v2/score" {
-            // Streams report through their own counters, not the
-            // request-stage histograms.
-            timeline.reset();
-            let keep = stream_score(&mut reader, &head, ctx)?;
-            if close || !keep {
-                reader.get_mut().flush()?;
-                return Ok(());
-            }
-            continue;
-        }
-        let mut trace = begin_req_trace(ctx, &head, 0);
-        let body = match read_sized_body(&mut reader, &head) {
-            Ok(b) => b,
-            Err(RequestError::Closed) | Err(RequestError::Io(_)) => return Ok(()),
-            Err(RequestError::Bad { status, msg }) => {
-                let _ = write_response(reader.get_mut(), status, &error_body(&msg), true);
-                return Ok(());
-            }
-        };
-        timeline.mark(Stage::Body);
-        let request = Request {
-            method: head.method,
-            path: head.path,
-            body,
-            close,
-        };
-        // Scoring runs synchronously inside `dispatch` here, so the
-        // enqueue/score split the reactor core records collapses into one
-        // `score` mark. The trace context is planted for the batcher to
-        // capture (a remote engine parents its fan-out spans under it).
-        hics_obs::trace::set_current(trace.as_ref().map(ReqTrace::context));
-        let (status, body) = dispatch(&request, ctx);
-        hics_obs::trace::set_current(None);
-        timeline.mark(Stage::Score);
-        if let Some(rt) = trace.as_mut() {
-            rt.status = status;
-        }
-        let echo = trace
-            .as_ref()
-            .filter(|rt| rt.explicit)
-            .map(ReqTrace::header);
-        write_response_traced(
-            reader.get_mut(),
-            status,
-            content_type_for(&request.path, status),
-            &body,
-            close,
-            echo.as_deref(),
-        )?;
-        timeline.mark(Stage::Flush);
-        let trace_id = trace.as_ref().map(|rt| rt.trace_id);
-        if let Some(rt) = trace {
-            finish_req_trace(ctx, rt, &timeline);
-        }
-        ctx.metrics
-            .observe_request(&ctx.config, &request.path, &mut timeline, trace_id);
-        if close {
-            reader.get_mut().flush()?;
-            return Ok(());
-        }
-    }
-}
-
-/// Routes one non-streaming request to its endpoint.
-pub(crate) fn dispatch(request: &Request, ctx: &Ctx) -> (u16, String) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/score") => {
-            let engine = ctx.handle.load();
-            score_endpoint(&request.body, &engine, &ctx.batcher)
-        }
-        ("POST", "/admin/reload") => reload_endpoint(&request.body, ctx),
+/// Routes one request that is answered inline. `POST /score`,
+/// `POST /admin/reload` and `POST /v2/score` never get here: the
+/// connection parks on the batcher, a reload thread, or a stream instead.
+pub(crate) fn dispatch(method: &str, path: &str, ctx: &Ctx) -> (u16, String) {
+    match (method, path) {
         ("GET", "/healthz") => (200, "{\"status\":\"ok\"}".to_string()),
         ("GET", "/model") => (200, model_body(&ctx.handle.load(), ctx.handle.generation())),
         ("GET", "/stats") => (200, stats_body(ctx)),
@@ -659,24 +446,21 @@ pub(crate) fn dispatch(request: &Request, ctx: &Ctx) -> (u16, String) {
             }
         }
         ("POST" | "GET", _) => {
-            if request.method == "GET" {
+            if method == "GET" {
                 let handler = ctx
                     .admin
                     .lock()
                     .expect("admin routes")
                     .iter()
-                    .find(|(p, _)| *p == request.path)
+                    .find(|(p, _)| p == path)
                     .map(|(_, h)| Arc::clone(h));
                 if let Some(handler) = handler {
                     return handler();
                 }
             }
-            (404, error_body(&format!("no route {}", request.path)))
+            (404, error_body(&format!("no route {path}")))
         }
-        _ => (
-            405,
-            error_body(&format!("method {} not allowed", request.method)),
-        ),
+        _ => (405, error_body(&format!("method {method} not allowed"))),
     }
 }
 
@@ -856,14 +640,6 @@ pub(crate) fn format_score_reply(reply: BatchReply, single: bool) -> (u16, Strin
     (200, out)
 }
 
-/// `POST /score`: parse, validate, batch-score, respond.
-fn score_endpoint(body: &[u8], engine: &Engine, batcher: &Batcher) -> (u16, String) {
-    match parse_score_request(body, engine.d()) {
-        Ok((rows, single)) => format_score_reply(batcher.score(rows), single),
-        Err(reply) => reply,
-    }
-}
-
 /// `POST /admin/reload`: load a new artifact (zero-copy mmap), build and
 /// validate its engine, and swap it into the shared handle. In-flight and
 /// keep-alive connections are untouched — they finish against whichever
@@ -1012,93 +788,6 @@ pub(crate) fn score_stream_line(raw: &[u8], ctx: &Ctx) -> Result<(f64, bool), St
     }
 }
 
-/// `POST /v2/score`: the streaming NDJSON scoring loop. Returns whether the
-/// connection may be kept alive (body fully consumed, no protocol damage).
-#[cfg(not(target_os = "linux"))]
-fn stream_score(
-    reader: &mut std::io::BufReader<CountingStream>,
-    head: &RequestHead,
-    ctx: &Ctx,
-) -> std::io::Result<bool> {
-    ctx.stream_stats.streams.inc();
-    // Responses interleave with body reads, so the write side works on a
-    // dup of the socket while the BufReader keeps the read side.
-    let mut writer = std::io::BufWriter::new(reader.get_ref().try_clone()?);
-    // Inside a stream the tighter idle timeout applies — on both
-    // directions: a client that goes silent, or one that stops reading its
-    // scores until our send buffer fills, is cut off after `stream_idle`,
-    // not `keep_alive`.
-    reader
-        .get_ref()
-        .set_read_timeout(Some(ctx.config.stream_idle))?;
-    reader
-        .get_ref()
-        .set_write_timeout(Some(ctx.config.stream_idle))?;
-    write_chunked_head(&mut writer, 200, "application/x-ndjson", head.close)?;
-
-    // The byte budget lives inside the reader, charged per consumed byte —
-    // a body with no newlines at all still hits it.
-    let mut body = BodyReader::new(reader, head, ctx.config.max_stream_bytes);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut line_no = 0u64;
-    let mut keep = true;
-    loop {
-        match body.read_line(&mut buf, ctx.config.max_line_bytes) {
-            Ok(status @ (LineRead::Line | LineRead::End)) => {
-                let done = status == LineRead::End;
-                if !buf.iter().all(u8::is_ascii_whitespace) {
-                    line_no += 1;
-                    let out = stream_line(score_stream_line(&buf, ctx), line_no, &ctx.stream_stats);
-                    write_chunk(&mut writer, out.as_bytes())?;
-                }
-                if done {
-                    break;
-                }
-            }
-            Ok(LineRead::TooLong) => {
-                line_no += 1;
-                let msg = format!(
-                    "line exceeds {} bytes and was discarded",
-                    ctx.config.max_line_bytes
-                );
-                let out = stream_line(Err(msg), line_no, &ctx.stream_stats);
-                write_chunk(&mut writer, out.as_bytes())?;
-            }
-            Err(BodyError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                let msg = format!(
-                    "stream idle for more than {:?}; closing",
-                    ctx.config.stream_idle
-                );
-                let out = stream_line(Err(msg), line_no, &ctx.stream_stats);
-                let _ = write_chunk(&mut writer, out.as_bytes());
-                keep = false;
-                break;
-            }
-            Err(BodyError::Io(e)) => return Err(e),
-            Err(e @ (BodyError::Protocol(_) | BodyError::TooLarge { .. })) => {
-                // Broken framing or a blown byte budget; report and drop
-                // the connection (it cannot be resynchronised / trusted).
-                let out = stream_line(Err(e.to_string()), line_no, &ctx.stream_stats);
-                let _ = write_chunk(&mut writer, out.as_bytes());
-                keep = false;
-                break;
-            }
-        }
-    }
-    finish_chunked(&mut writer)?;
-    let finished = body.finished();
-    reader
-        .get_ref()
-        .set_read_timeout(Some(ctx.config.keep_alive))?;
-    reader
-        .get_ref()
-        .set_write_timeout(Some(ctx.config.keep_alive))?;
-    Ok(keep && finished)
-}
-
 /// Extracts one numeric row of the model's arity.
 fn parse_row(v: &Json, d: usize) -> Result<Vec<f64>, String> {
     let Some(arr) = v.as_array() else {
@@ -1233,6 +922,15 @@ mod tests {
             reactors: 1,
             admin: Arc::new(Mutex::new(Vec::new())),
             tracer: Arc::new(Tracer::default()),
+        }
+    }
+
+    /// `POST /score` scored synchronously: the same parse, batch and
+    /// render steps the reactor runs around its parked connection.
+    fn score_endpoint(body: &[u8], engine: &Engine, batcher: &Batcher) -> (u16, String) {
+        match parse_score_request(body, engine.d()) {
+            Ok((rows, single)) => format_score_reply(batcher.score(rows), single),
+            Err(reply) => reply,
         }
     }
 
@@ -1415,27 +1113,21 @@ mod tests {
     #[test]
     fn dispatch_routes_and_404s() {
         with_ctx(|ctx| {
-            let get = |path: &str| Request {
-                method: "GET".into(),
-                path: path.into(),
-                body: Vec::new(),
-                close: false,
-                trace: None,
-            };
-            assert_eq!(dispatch(&get("/healthz"), ctx).0, 200);
-            let (status, body) = dispatch(&get("/model"), ctx);
+            let get = |path: &str| dispatch("GET", path, ctx);
+            assert_eq!(get("/healthz").0, 200);
+            let (status, body) = get("/model");
             assert_eq!(status, 200);
             assert!(body.contains("\"attributes\":3"), "{body}");
             assert!(body.contains("\"generation\":1"), "{body}");
             assert!(body.contains("\"index\":{\"kind\":\"brute\""), "{body}");
-            let (status, body) = dispatch(&get("/stats"), ctx);
+            let (status, body) = get("/stats");
             assert_eq!(status, 200);
             assert!(body.contains("\"index\":{\"kind\":\"brute\""), "{body}");
             assert!(body.contains("\"streams\":{"), "{body}");
             assert!(body.contains("\"connections\":{"), "{body}");
             assert!(body.contains("\"reactors\":1"), "{body}");
             assert!(body.contains("\"batch_sizes\":["), "{body}");
-            let (status, body) = dispatch(&get("/metrics"), ctx);
+            let (status, body) = get("/metrics");
             assert_eq!(status, 200);
             assert!(
                 body.contains("# TYPE hics_requests_total counter"),
@@ -1443,32 +1135,18 @@ mod tests {
             );
             assert!(body.contains("# TYPE hics_batch_size summary"), "{body}");
             assert!(body.contains("hics_connections_active 0"), "{body}");
-            assert_eq!(dispatch(&get("/nope"), ctx).0, 404);
+            assert_eq!(get("/nope").0, 404);
             // Embedder-registered admin routes answer GETs past the
             // built-ins — and only GETs.
             ctx.admin.lock().unwrap().push((
                 "/route".into(),
                 Arc::new(|| (200, "{\"shards\":[]}".to_string())),
             ));
-            let (status, body) = dispatch(&get("/route"), ctx);
+            let (status, body) = get("/route");
             assert_eq!(status, 200);
             assert_eq!(body, "{\"shards\":[]}");
-            let post_route = Request {
-                method: "POST".into(),
-                path: "/route".into(),
-                body: Vec::new(),
-                close: false,
-                trace: None,
-            };
-            assert_eq!(dispatch(&post_route, ctx).0, 404);
-            let delete = Request {
-                method: "DELETE".into(),
-                path: "/score".into(),
-                body: Vec::new(),
-                close: false,
-                trace: None,
-            };
-            assert_eq!(dispatch(&delete, ctx).0, 405);
+            assert_eq!(dispatch("POST", "/route", ctx).0, 404);
+            assert_eq!(dispatch("DELETE", "/score", ctx).0, 405);
         });
     }
 
