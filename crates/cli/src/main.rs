@@ -16,10 +16,10 @@
 //!               [--shard-partition contiguous|hash] [--shard-agg mean|max]
 //!               [--shard-parallel P] [--progress] [search options]
 //! hics score    --model model.hics --input queries.csv [--labels] [--top 20]
-//!               [--out scores.csv] [--index brute|vptree] [--load mmap|heap]
+//!               [--out scores.csv] [--index brute|vptree]
 //! hics serve    --model model.hics [--addr 127.0.0.1:7878] [--max-batch 512]
 //!               [--workers 1] [--reactors 0] [--batch-wait-us 0]
-//!               [--index brute|vptree] [--load mmap|heap]
+//!               [--index brute|vptree]
 //!               [--log-format text|json] [--slow-query-us N] [--no-instrument]
 //! hics route    --model manifest.hics (--table routes.txt | --replicas a:1,b:2,...)
 //!               [--addr 127.0.0.1:7880] [--degraded partial|fail]
@@ -41,8 +41,10 @@
 //! or uses (score/serve) per-subspace VP-trees for `O(log N)` queries at
 //! bit-identical scores. When omitted, `score`/`serve` follow the artifact.
 //!
-//! `--load` selects how `score`/`serve` open the artifact: `mmap` (default)
-//! maps it zero-copy, `heap` materialises it — scores are bit-identical.
+//! `score` and `serve` open models through `Engine::open_mmap`, the same
+//! opener `/admin/reload` uses: artifacts are memory-mapped and adopt their
+//! fit-time `<artifact>.hoods` sidecar when it matches. The `# scored` /
+//! `# loaded` line says whether the hoods were adopted or computed.
 //!
 //! # Exit codes (v2 CLI contract)
 //!
@@ -66,10 +68,10 @@ use hics_data::arff::{read_arff_file, ArffReader};
 use hics_data::csv::{read_csv_file, write_csv_file, CsvData, CsvReader};
 use hics_data::manifest::{PartitionKind, ShardAggregation, ShardManifest};
 use hics_data::model::{NormKind, ScorerKind, ScorerSpec};
-use hics_data::{DatasetSource, HicsError, HicsModel, ModelArtifact, RouteTable, SyntheticConfig};
+use hics_data::{DatasetSource, HicsError, RouteTable, SyntheticConfig};
 use hics_eval::report::{Stopwatch, TextTable};
 use hics_eval::roc::roc_auc;
-use hics_outlier::{Engine, EngineHandle, IndexKind, QueryEngine, RemoteEngine};
+use hics_outlier::{Engine, EngineHandle, IndexKind, RemoteEngine};
 use hics_route::{Router, RouterConfig};
 use hics_serve::{json, Json, LogFormat, Pool, ServeConfig, Server};
 use hics_store::{DatasetStore, FileKind, StoreWriter, DEFAULT_CHUNK_ROWS};
@@ -179,10 +181,10 @@ fn print_usage() {
     println!("            [--shard-partition contiguous|hash] [--shard-agg mean|max]");
     println!("            [--shard-parallel P] [--progress] [search options]");
     println!("  score     --model <model.hics> --input <queries.csv> [--labels] [--top 20]");
-    println!("            [--out <scores.csv>] [--index brute|vptree] [--load mmap|heap]");
+    println!("            [--out <scores.csv>] [--index brute|vptree]");
     println!("  serve     --model <model.hics> [--addr 127.0.0.1:7878] [--max-batch 512]");
     println!("            [--workers 1] [--reactors 0] [--batch-wait-us 0]");
-    println!("            [--index brute|vptree] [--load mmap|heap]");
+    println!("            [--index brute|vptree]");
     println!("            [--log-format text|json] [--slow-query-us N] [--no-instrument]");
     println!("  route     --model <manifest.hics> (--table <routes.txt> | --replicas <spec>)");
     println!("            [--addr 127.0.0.1:7880] [--degraded partial|fail] [--timeout-ms 2000]");
@@ -195,7 +197,7 @@ fn print_usage() {
     println!("  --threads N applies to search/rank/evaluate/fit/score/serve");
     println!("  (default: all hardware threads)");
     println!("  --index selects the kNN backend; score/serve default to the artifact's");
-    println!("  --load mmap (default) opens artifacts zero-copy; heap materialises them");
+    println!("  score/serve memory-map the model and adopt its fit-time .hoods sidecar");
     println!("  --reactors sets serve's event-loop thread count (0 = auto, Linux epoll);");
     println!("  --batch-wait-us lets batch workers linger that long for deeper batches");
     println!("  fit --progress narrates phases/levels/shards on stderr as they finish");
@@ -379,63 +381,6 @@ fn parse_norm(name: &str) -> Result<NormKind, ArgError> {
         other => Err(ArgError(format!(
             "unknown normalization {other:?} (expected none|minmax|zscore)"
         ))),
-    }
-}
-
-/// The `--load` option: how `score`/`serve` open the artifact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoadMode {
-    /// Zero-copy memory map (the default).
-    Mmap,
-    /// Read and materialise on the heap.
-    Heap,
-}
-
-fn parse_load(args: &Args) -> Result<LoadMode, ArgError> {
-    match args.get("load").unwrap_or("mmap") {
-        "mmap" => Ok(LoadMode::Mmap),
-        "heap" => Ok(LoadMode::Heap),
-        other => Err(ArgError(format!(
-            "unknown load mode {other:?} (expected mmap|heap)"
-        ))),
-    }
-}
-
-/// Opens the model file at `path` as a ready-to-serve engine: a plain
-/// artifact through the zero-copy mmap path or the heap-materialising one
-/// (bit-identical scores; see `crates/core/tests/serve_equivalence.rs`),
-/// a sharded manifest as the cross-shard ensemble (every shard mapped).
-fn open_engine(
-    path: &Path,
-    mode: LoadMode,
-    index: Option<IndexKind>,
-    max_threads: usize,
-) -> Result<Engine, HicsError> {
-    if hics_data::peek_artifact_version(path)? == hics_data::manifest::MANIFEST_VERSION {
-        if mode == LoadMode::Heap {
-            return Err(HicsError::InvalidInput(
-                "sharded manifests are served zero-copy; drop --load heap".into(),
-            ));
-        }
-        return Engine::open_mmap(path, index, max_threads);
-    }
-    match mode {
-        LoadMode::Mmap => {
-            let artifact = Arc::new(ModelArtifact::open_mmap(path)?);
-            Ok(Engine::Single(QueryEngine::from_artifact(
-                artifact,
-                index,
-                max_threads,
-            )))
-        }
-        LoadMode::Heap => {
-            let model = HicsModel::load(path)?;
-            Ok(Engine::Single(QueryEngine::from_model_with_index(
-                &model,
-                index,
-                max_threads,
-            )))
-        }
     }
 }
 
@@ -777,18 +722,34 @@ impl DatasetSource for PrenormalizedSource {
     }
 }
 
-/// `score`: load a model artifact (zero-copy mmap by default) and score
-/// query rows from a CSV against it — the batch half of the serving path.
+/// How `score`/`serve` opened the model, for their first stdout line:
+/// `vptree index, mmap load, hoods adopted` — `hoods computed` when the
+/// open paid the all-points kNN pass because no matching sidecar was found.
+fn load_summary(engine: &Engine) -> String {
+    let idx = engine.index_stats();
+    format!(
+        "{} index, {} load, hoods {}",
+        idx.kind.name(),
+        if engine.is_mapped() { "mmap" } else { "heap" },
+        if idx.precomputed {
+            "adopted"
+        } else {
+            "computed"
+        }
+    )
+}
+
+/// `score`: memory-map a model artifact and score query rows from a CSV
+/// against it — the batch half of the serving path.
 fn cmd_score(args: &Args) -> Result<(), CliError> {
     let model_path = args.require("model")?;
     let data = load(args)?;
     let max_threads = threads(args)?;
     let top: usize = args.get_or("top", 20)?;
     let index = parse_index(args)?;
-    let mode = parse_load(args)?;
 
     let watch = Stopwatch::start();
-    let engine = open_engine(Path::new(model_path), mode, index, max_threads)?;
+    let engine = Engine::open_mmap(Path::new(model_path), index, max_threads)?;
     if data.dataset.d() != engine.d() {
         return Err(HicsError::InvalidInput(format!(
             "query data has {} attributes, model expects {}",
@@ -804,19 +765,18 @@ fn cmd_score(args: &Args) -> Result<(), CliError> {
         scores.push(r.map_err(|e| HicsError::InvalidQuery(format!("row {i}: {e}")))?);
     }
     println!(
-        "# scored {} query points in {} subspaces ({} index, {} load), {:.2}s",
+        "# scored {} query points in {} subspaces ({}), {:.2}s",
         scores.len(),
         engine.subspace_count(),
-        engine.index_stats().kind.name(),
-        if engine.is_mapped() { "mmap" } else { "heap" },
+        load_summary(&engine),
         watch.seconds()
     );
     report_scores(&scores, data.labels.as_deref(), top, args.get("out"))
 }
 
-/// `serve`: load a model artifact (zero-copy mmap by default) and answer
-/// HTTP scoring requests until killed. `POST /admin/reload` re-loads the
-/// same artifact path (or one named in the request) without a restart.
+/// `serve`: memory-map a model artifact and answer HTTP scoring requests
+/// until killed. `POST /admin/reload` re-loads the same artifact path (or
+/// one named in the request) without a restart.
 /// `--reactors` sets the epoll event-loop thread count (0 = auto) and
 /// `--batch-wait-us` lets batch workers linger for deeper batches.
 /// The `--log-format` / `--slow-query-us` pair `serve` and `route`
@@ -860,16 +820,14 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     }
 
     let index = parse_index(args)?;
-    let mode = parse_load(args)?;
     let watch = Stopwatch::start();
-    let engine = open_engine(Path::new(model_path), mode, index, max_threads)?;
+    let engine = Engine::open_mmap(Path::new(model_path), index, max_threads)?;
     println!(
-        "# loaded {} x {} model ({} subspaces, {} index, {} load) in {:.2}s",
+        "# loaded {} x {} model ({} subspaces, {}) in {:.2}s",
         engine.n(),
         engine.d(),
         engine.subspace_count(),
-        engine.index_stats().kind.name(),
-        if engine.is_mapped() { "mmap" } else { "heap" },
+        load_summary(&engine),
         watch.seconds()
     );
     let server = Server::bind(engine, config)

@@ -55,6 +55,7 @@ pub use dataset::Dataset;
 pub use error::{ArtifactSection, HicsError};
 pub use index::{RankIndex, SortedIndices};
 pub use manifest::{PartitionKind, ShardAggregation, ShardEntry, ShardManifest};
+pub use mmap::{write_atomic, write_atomic_with};
 pub use model::{
     peek_artifact_version, AggregationKind, HicsModel, ModelSubspace, NormKind, NormParam,
     ScorerKind, ScorerSpec,

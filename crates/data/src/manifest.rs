@@ -44,7 +44,6 @@ use crate::error::{ArtifactSection, HicsError};
 use crate::model::{
     artifact_checksum, fnv1a, pad8, push_u32, push_u64, Reader, FNV_OFFSET, HEADER_LEN, MAGIC,
 };
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Format version of the sharded-manifest envelope.
@@ -334,26 +333,10 @@ impl ShardManifest {
         })
     }
 
-    /// Writes the manifest to `path` atomically (temp + sync + rename, like
-    /// the model artifact).
+    /// Writes the manifest to `path` atomically
+    /// ([`crate::mmap::write_atomic`], like the model artifact).
     pub fn save(&self, path: &Path) -> Result<(), HicsError> {
-        let bytes = self.to_bytes();
-        let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-        tmp_name.push(format!(".tmp.{}", std::process::id()));
-        let tmp = path.with_file_name(tmp_name);
-        let write = (|| -> Result<(), HicsError> {
-            let mut f =
-                std::fs::File::create(&tmp).map_err(|e| HicsError::io_path("creating", &tmp, e))?;
-            f.write_all(&bytes)
-                .map_err(|e| HicsError::io_path("writing", &tmp, e))?;
-            f.sync_all()
-                .map_err(|e| HicsError::io_path("syncing", &tmp, e))?;
-            std::fs::rename(&tmp, path).map_err(|e| HicsError::io_path("renaming into", path, e))
-        })();
-        if write.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        write
+        crate::mmap::write_atomic(path, &self.to_bytes())
     }
 
     /// Reads and validates a manifest from `path`.

@@ -14,6 +14,66 @@
 //!
 //! [`ByteStorage`] unifies the two behind one `as_slice`, so format parsers
 //! validate identical bytes whether they came from a map or a heap read.
+//!
+//! The write side is [`write_atomic_with`] (and its whole-buffer form
+//! [`write_atomic`]): every file in the workspace that a reader may have
+//! mapped — artifacts, manifests, stores, hoods sidecars — is replaced by
+//! temp file + rename, never rewritten in place.
+
+use crate::error::HicsError;
+use std::fs::File;
+use std::io::Write;
+use std::path::Path;
+
+/// Writes `bytes` to `path` atomically (see [`write_atomic_with`]).
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), HicsError> {
+    write_atomic_with(path, |file, tmp| {
+        file.write_all(bytes)
+            .map_err(|e| HicsError::io_path("writing", tmp, e))
+    })
+}
+
+/// Replaces the file at `path` atomically: `write` fills a temporary file
+/// in the same directory (`<name>.tmp.<pid>`, handed over with its path for
+/// error messages), which is then synced and renamed over `path`, and the
+/// directory synced so the rename survives a crash. A failed write removes
+/// the temporary file and leaves `path` as it was, so a crash can never
+/// leave a torn file behind. The destination is never truncated in place
+/// either: a serving process may have the old file memory-mapped, and
+/// truncating a mapped file turns its next page fault into a fatal
+/// `SIGBUS`; after the rename the old inode lives on until every map of it
+/// is gone.
+pub fn write_atomic_with<T>(
+    path: &Path,
+    write: impl FnOnce(&mut File, &Path) -> Result<T, HicsError>,
+) -> Result<T, HicsError> {
+    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
+    tmp_name.push(format!(".tmp.{}", std::process::id()));
+    let tmp = path.with_file_name(tmp_name);
+    let result = (|| {
+        let mut file = File::create(&tmp).map_err(|e| HicsError::io_path("creating", &tmp, e))?;
+        let out = write(&mut file, &tmp)?;
+        file.sync_all()
+            .map_err(|e| HicsError::io_path("syncing", &tmp, e))?;
+        std::fs::rename(&tmp, path).map_err(|e| HicsError::io_path("renaming into", path, e))?;
+        // The rename itself is durable only once the directory is synced.
+        #[cfg(unix)]
+        {
+            let dir = match path.parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => Path::new("."),
+            };
+            File::open(dir)
+                .and_then(|d| d.sync_all())
+                .map_err(|e| HicsError::io_path("syncing", dir, e))?;
+        }
+        Ok(out)
+    })();
+    if result.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
+}
 
 /// Read-only bytes from either a live memory map or an 8-aligned owned
 /// buffer — the storage behind every mmap-able artifact in the workspace.
@@ -53,7 +113,7 @@ impl ByteStorage {
     ///
     /// `len` must be non-zero (`mmap(2)` rejects empty maps; callers treat
     /// an empty file as a truncated artifact before ever mapping it).
-    pub fn map_file(file: &std::fs::File, len: usize) -> std::io::Result<Self> {
+    pub fn map_file(file: &File, len: usize) -> std::io::Result<Self> {
         assert!(len > 0, "cannot map an empty file");
         #[cfg(unix)]
         {
@@ -121,7 +181,7 @@ unsafe impl Sync for MmapRegion {}
 #[cfg(unix)]
 impl MmapRegion {
     /// Maps `len` bytes of `file` read-only.
-    pub fn map(file: &std::fs::File, len: usize) -> std::io::Result<Self> {
+    pub fn map(file: &File, len: usize) -> std::io::Result<Self> {
         use std::os::unix::io::AsRawFd;
         const PROT_READ: i32 = 0x1;
         const MAP_PRIVATE: i32 = 0x02;
@@ -206,5 +266,30 @@ mod tests {
         assert_eq!(storage.as_slice(), &payload[..]);
         assert!(cfg!(not(unix)) || storage.is_mmap());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A failed atomic write removes its temporary file and leaves the
+    /// destination as it was; a successful one replaces it.
+    #[test]
+    fn write_atomic_replaces_or_leaves_the_destination_intact() {
+        let dir = std::env::temp_dir().join("hics-write-atomic-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f.bin");
+        write_atomic(&path, b"first").unwrap();
+        let failed = write_atomic_with(&path, |file, _| {
+            file.write_all(b"torn").unwrap();
+            Err::<(), _>(HicsError::InvalidInput("simulated failure".into()))
+        });
+        assert!(failed.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"first");
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"second");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["f.bin"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

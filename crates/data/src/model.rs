@@ -128,7 +128,8 @@ pub enum ScorerKind {
 }
 
 impl ScorerKind {
-    fn code(self) -> u32 {
+    /// The on-disk code of the kind (artifact header, hoods sidecar).
+    pub fn code(self) -> u32 {
         match self {
             ScorerKind::Lof => 0,
             ScorerKind::KnnMean => 1,
@@ -136,7 +137,8 @@ impl ScorerKind {
         }
     }
 
-    fn from_code(c: u32) -> Result<Self, String> {
+    /// Decodes [`ScorerKind::code`]; an unknown code is an error message.
+    pub fn from_code(c: u32) -> Result<Self, String> {
         match c {
             0 => Ok(ScorerKind::Lof),
             1 => Ok(ScorerKind::KnnMean),
@@ -1058,31 +1060,13 @@ impl HicsModel {
         }
     }
 
-    /// Writes the artifact to `path` atomically: the bytes go to a
-    /// temporary file in the same directory, synced, then renamed over
-    /// `path`. The destination is never truncated in place — a serving
-    /// process may have the old artifact memory-mapped
-    /// ([`crate::artifact::ModelArtifact::open_mmap`]), and truncating a
-    /// mapped file turns its next page fault into a fatal `SIGBUS`; with
-    /// the rename, the old inode lives on until every map of it is gone.
+    /// Writes the artifact to `path` atomically (temp file + sync + rename,
+    /// see [`crate::mmap::write_atomic_with`]): a serving process may have
+    /// the old artifact memory-mapped
+    /// ([`crate::artifact::ModelArtifact::open_mmap`]), and the rename keeps
+    /// its inode alive instead of truncating it under the map.
     pub fn save(&self, path: &Path) -> Result<(), HicsError> {
-        let bytes = self.to_bytes();
-        let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-        tmp_name.push(format!(".tmp.{}", std::process::id()));
-        let tmp = path.with_file_name(tmp_name);
-        let write = (|| -> Result<(), HicsError> {
-            let mut f =
-                std::fs::File::create(&tmp).map_err(|e| HicsError::io_path("creating", &tmp, e))?;
-            f.write_all(&bytes)
-                .map_err(|e| HicsError::io_path("writing", &tmp, e))?;
-            f.sync_all()
-                .map_err(|e| HicsError::io_path("syncing", &tmp, e))?;
-            std::fs::rename(&tmp, path).map_err(|e| HicsError::io_path("renaming into", path, e))
-        })();
-        if write.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        write
+        crate::mmap::write_atomic(path, &self.to_bytes())
     }
 
     /// Reads and validates an artifact from `path` into owned storage. For
@@ -1309,15 +1293,10 @@ pub fn save_model_streaming(
     push_u64(&mut header, 0); // checksum, patched below
     debug_assert_eq!(header.len(), HEADER_LEN);
 
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = path.with_file_name(tmp_name);
-    let write = (|| -> Result<(), HicsError> {
-        let file =
-            std::fs::File::create(&tmp).map_err(|e| HicsError::io_path("creating", &tmp, e))?;
-        let io = |e: std::io::Error| HicsError::io_path("writing", &tmp, e);
+    crate::mmap::write_atomic_with(path, |file, tmp| {
+        let io = |e: std::io::Error| HicsError::io_path("writing", tmp, e);
         let mut w = HashingWriter {
-            inner: std::io::BufWriter::new(file),
+            inner: std::io::BufWriter::new(&mut *file),
             hash: fnv1a(FNV_OFFSET, &header[..64]),
         };
         w.inner.write_all(&header).map_err(io)?;
@@ -1389,22 +1368,16 @@ pub fn save_model_streaming(
             }
         }
         let checksum = w.hash;
-        let mut file = w
+        let file = w
             .inner
             .into_inner()
-            .map_err(|e| HicsError::io_path("flushing", &tmp, e.into()))?;
+            .map_err(|e| HicsError::io_path("flushing", tmp, e.into()))?;
         file.seek(std::io::SeekFrom::Start(64))
-            .map_err(|e| HicsError::io_path("seeking in", &tmp, e))?;
+            .map_err(|e| HicsError::io_path("seeking in", tmp, e))?;
         file.write_all(&checksum.to_le_bytes())
-            .map_err(|e| HicsError::io_path("patching checksum in", &tmp, e))?;
-        file.sync_all()
-            .map_err(|e| HicsError::io_path("syncing", &tmp, e))?;
-        std::fs::rename(&tmp, path).map_err(|e| HicsError::io_path("renaming into", path, e))
-    })();
-    if write.is_err() {
-        std::fs::remove_file(&tmp).ok();
-    }
-    write
+            .map_err(|e| HicsError::io_path("patching checksum in", tmp, e))?;
+        Ok(())
+    })
 }
 
 /// Reads the little-endian `f64` at `off` (bounds already validated by

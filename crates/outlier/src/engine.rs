@@ -1,20 +1,23 @@
-//! The serving-engine abstraction: one scoring interface over a
-//! single-model [`QueryEngine`] and a cross-shard [`ShardedEngine`], plus
-//! the path-sniffing opener that routes a model file to the right one.
+//! The serving-engine abstraction: one scoring interface over an
+//! in-process [`ShardedEngine`] and a remote scatter-gather fan-out, plus
+//! the one opener, [`Engine::open_mmap`], that turns a model file into an
+//! engine.
 //!
-//! The serving layer (`hics-serve`), the CLI's `score`/`serve` commands
-//! and the hot-reload endpoint all work in terms of [`Engine`], so a
+//! Every in-process engine has one shape: a single artifact is the
+//! one-shard ensemble ([`ShardedEngine::single`]), a sharded manifest the
+//! `S`-shard one. The serving layer (`hics-serve`), the CLI's
+//! `score`/`serve` commands and the hot-reload endpoint all open models
+//! through [`Engine::open_mmap`] and score through [`Engine`], so a
 //! sharded manifest drops into every existing flow — `/score`,
 //! `/v2/score`, `/admin/reload` — without those layers knowing how many
 //! artifacts sit behind a query.
 
 use crate::index::IndexKind;
-use crate::precompute::PrecomputedHoods;
 use crate::query::{IndexStats, QueryEngine, QueryError};
 use crate::sharded::ShardedEngine;
 use hics_data::manifest::MANIFEST_VERSION;
 use hics_data::model::peek_artifact_version;
-use hics_data::{HicsError, ModelArtifact};
+use hics_data::HicsError;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -50,13 +53,11 @@ pub trait RemoteEngine: Send + Sync + std::fmt::Debug {
     fn shard_count(&self) -> usize;
 }
 
-/// A servable scoring engine: one trained model, a shard ensemble, or a
-/// remote scatter-gather fan-out.
+/// A servable scoring engine: an in-process shard ensemble (a single model
+/// is its one-shard case) or a remote scatter-gather fan-out.
 #[derive(Debug)]
 pub enum Engine {
-    /// A single trained model.
-    Single(QueryEngine),
-    /// `S` per-shard models combined at query time.
+    /// `S ≥ 1` per-shard models combined at query time.
     Sharded(ShardedEngine),
     /// `S` per-shard backends in other processes, combined over the wire.
     Remote(Arc<dyn RemoteEngine>),
@@ -64,7 +65,7 @@ pub enum Engine {
 
 impl From<QueryEngine> for Engine {
     fn from(e: QueryEngine) -> Self {
-        Engine::Single(e)
+        Engine::Sharded(ShardedEngine::single(e))
     }
 }
 
@@ -76,14 +77,15 @@ impl From<ShardedEngine> for Engine {
 
 impl Engine {
     /// Opens whatever model file sits at `path` — a version-1/2 artifact
-    /// becomes a zero-copy single-model engine, a version-3 sharded
-    /// manifest becomes a [`ShardedEngine`] over all its mapped shard
-    /// artifacts. `index` behaves as in [`QueryEngine::from_artifact`].
+    /// becomes a one-shard engine over its memory map, a version-3 sharded
+    /// manifest a [`ShardedEngine`] over all its mapped shard artifacts.
+    /// `index` behaves as in [`QueryEngine::from_artifact`].
     ///
     /// Either route adopts a matching `<artifact>.hoods` sidecar (written
     /// at fit time) when one sits next to the artifact, skipping the
     /// neighbourhood precompute; a missing or stale sidecar is silently
-    /// ignored.
+    /// ignored. [`IndexStats::precomputed`] reports whether every artifact
+    /// adopted one.
     pub fn open_mmap(
         path: &Path,
         index: Option<IndexKind>,
@@ -96,14 +98,7 @@ impl Engine {
                 max_threads,
             )?));
         }
-        let artifact = Arc::new(ModelArtifact::open_mmap(path)?);
-        let hoods = PrecomputedHoods::load_for(path, &artifact);
-        Ok(Engine::Single(QueryEngine::from_artifact_with_hoods(
-            artifact,
-            hoods,
-            index,
-            max_threads,
-        )))
+        Ok(QueryEngine::open_mmap(path, index, max_threads)?.into())
     }
 
     /// Scores one raw query row. Higher is more outlying.
@@ -116,7 +111,6 @@ impl Engine {
     /// engines are never partial.
     pub fn score_partial(&self, raw: &[f64]) -> (Result<f64, QueryError>, bool) {
         match self {
-            Engine::Single(e) => (e.score(raw), false),
             Engine::Sharded(e) => (e.score(raw), false),
             Engine::Remote(r) => {
                 let mut batch = r.score_rows(std::slice::from_ref(&raw.to_vec()));
@@ -148,7 +142,6 @@ impl Engine {
         max_threads: usize,
     ) -> (Vec<Result<f64, QueryError>>, bool) {
         match self {
-            Engine::Single(e) => (e.score_batch(rows, max_threads), false),
             Engine::Sharded(e) => (e.score_batch(rows, max_threads), false),
             Engine::Remote(r) => {
                 let batch = r.score_rows(rows);
@@ -160,7 +153,6 @@ impl Engine {
     /// Total trained objects (across shards, for an ensemble).
     pub fn n(&self) -> usize {
         match self {
-            Engine::Single(e) => e.n(),
             Engine::Sharded(e) => e.n(),
             Engine::Remote(r) => r.n(),
         }
@@ -169,7 +161,6 @@ impl Engine {
     /// Number of attributes a query row must carry.
     pub fn d(&self) -> usize {
         match self {
-            Engine::Single(e) => e.d(),
             Engine::Sharded(e) => e.d(),
             Engine::Remote(r) => r.d(),
         }
@@ -178,7 +169,6 @@ impl Engine {
     /// Total subspaces queries are scored in (across shards).
     pub fn subspace_count(&self) -> usize {
         match self {
-            Engine::Single(e) => e.subspace_count(),
             Engine::Sharded(e) => e.subspace_count(),
             Engine::Remote(r) => r.subspace_count(),
         }
@@ -187,7 +177,6 @@ impl Engine {
     /// Number of model components: 1 for a single model, `S` for shards.
     pub fn shard_count(&self) -> usize {
         match self {
-            Engine::Single(_) => 1,
             Engine::Sharded(e) => e.shard_count(),
             Engine::Remote(r) => r.shard_count(),
         }
@@ -200,11 +189,10 @@ impl Engine {
         matches!(self, Engine::Remote(_))
     }
 
-    /// Whether the trained columns are served zero-copy out of
-    /// (typically memory-mapped) artifacts.
+    /// Whether every artifact behind the engine is a live memory map of
+    /// its file (engines built from an in-memory model are not).
     pub fn is_mapped(&self) -> bool {
         match self {
-            Engine::Single(e) => e.is_mapped(),
             Engine::Sharded(e) => e.is_mapped(),
             Engine::Remote(_) => false,
         }
@@ -214,7 +202,6 @@ impl Engine {
     /// engine holds no local index: brute kind, zero nodes.
     pub fn index_stats(&self) -> IndexStats {
         match self {
-            Engine::Single(e) => e.index_stats(),
             Engine::Sharded(e) => e.index_stats(),
             Engine::Remote(_) => IndexStats {
                 kind: IndexKind::Brute,
@@ -226,19 +213,124 @@ impl Engine {
         }
     }
 
-    /// The single-model engine, if this is one (diagnostics/tests).
-    pub fn as_single(&self) -> Option<&QueryEngine> {
-        match self {
-            Engine::Single(e) => Some(e),
-            _ => None,
-        }
-    }
-
     /// The shard ensemble, if this is one (diagnostics/tests).
     pub fn as_sharded(&self) -> Option<&ShardedEngine> {
         match self {
             Engine::Sharded(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::precompute::write_hoods_sidecar;
+    use hics_data::manifest::{PartitionKind, ShardAggregation, ShardEntry, ShardManifest};
+    use hics_data::model::{
+        apply_normalization, AggregationKind, HicsModel, ModelSubspace, NormKind, ScorerKind,
+        ScorerSpec,
+    };
+    use hics_data::SyntheticConfig;
+
+    fn model(seed: u64, kind: ScorerKind) -> HicsModel {
+        let g = SyntheticConfig::new(80, 3).with_seed(seed).generate();
+        let (data, norm) = apply_normalization(&g.dataset, NormKind::MinMax);
+        HicsModel::new(
+            data,
+            NormKind::MinMax,
+            norm,
+            vec![ModelSubspace {
+                dims: vec![0, 2],
+                contrast: 0.7,
+            }],
+            ScorerSpec { kind, k: 5 },
+            AggregationKind::Average,
+        )
+    }
+
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(name);
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn precomputed(path: &Path) -> bool {
+        Engine::open_mmap(path, None, 2)
+            .expect("open")
+            .index_stats()
+            .precomputed
+    }
+
+    /// A single artifact opened by `Engine::open_mmap` adopts its hoods
+    /// sidecar, scores exactly like a computed open, and ignores the
+    /// sidecar once the artifact is refitted in place.
+    #[test]
+    fn open_mmap_adopts_a_single_artifacts_hoods() {
+        let dir = temp_dir("hics-engine-open-single");
+        let path = dir.join("m.hics");
+        let m = model(1, ScorerKind::Lof);
+        m.save(&path).unwrap();
+        let computed = Engine::open_mmap(&path, None, 2).unwrap();
+        assert!(!computed.index_stats().precomputed, "no sidecar yet");
+        assert_eq!(computed.shard_count(), 1);
+        write_hoods_sidecar(&path, 2).unwrap();
+        let adopted = Engine::open_mmap(&path, None, 2).unwrap();
+        assert!(adopted.index_stats().precomputed);
+        for i in (0..m.n()).step_by(7) {
+            let row = m.dataset().row(i);
+            assert_eq!(adopted.score(&row), computed.score(&row), "row {i}");
+        }
+        model(2, ScorerKind::Lof).save(&path).unwrap();
+        assert!(!precomputed(&path), "a stale sidecar must not be adopted");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every shard of a manifest adopts its own sidecar; refitting one
+    /// shard in place drops exactly that shard back to computing.
+    #[test]
+    fn open_mmap_adopts_every_manifest_shards_hoods() {
+        let dir = temp_dir("hics-engine-open-manifest");
+        let mut shards = Vec::new();
+        for k in 0..3u64 {
+            let file = format!("e.shard{k}.hics");
+            model(10 + k, ScorerKind::KnnMean)
+                .save(&dir.join(&file))
+                .unwrap();
+            shards.push(ShardEntry { file, n: 80 });
+        }
+        let manifest = ShardManifest {
+            total_n: 240,
+            d: 3,
+            aggregation: ShardAggregation::Mean,
+            partition: PartitionKind::Contiguous,
+            shards,
+        };
+        let path = dir.join("e.hics");
+        manifest.save(&path).unwrap();
+        assert!(!precomputed(&path), "no sidecars yet");
+        for shard in manifest.shard_paths(&path) {
+            write_hoods_sidecar(&shard, 2).unwrap();
+        }
+        let engine = Engine::open_mmap(&path, None, 2).unwrap();
+        assert!(engine.index_stats().precomputed);
+        let sharded = engine.as_sharded().expect("manifest engine");
+        assert!(sharded.shards().iter().all(|s| s.index_stats().precomputed));
+
+        model(20, ScorerKind::KnnMean)
+            .save(&manifest.shard_paths(&path)[1])
+            .unwrap();
+        let engine = Engine::open_mmap(&path, None, 2).unwrap();
+        assert!(!engine.index_stats().precomputed);
+        let per: Vec<bool> = engine
+            .as_sharded()
+            .unwrap()
+            .shards()
+            .iter()
+            .map(|s| s.index_stats().precomputed)
+            .collect();
+        assert_eq!(per, [true, false, true]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

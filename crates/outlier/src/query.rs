@@ -14,6 +14,12 @@
 //! detection. With the VP-tree a query costs `O(log N)` expected per
 //! subspace instead of the brute `O(N · |S|)` scan.
 //!
+//! There is one storage: the engine always reads its trained columns out of
+//! an [`hics_data::ModelArtifact`] — a memory map of the file for every
+//! engine opened from disk ([`QueryEngine::open_mmap`]), the in-memory
+//! encoding of the model for one built from a [`HicsModel`]. Both run the
+//! same code on the same bytes.
+//!
 //! **In-sample fidelity:** a query row that coincides bitwise with a
 //! training row is detected and scored with that object excluded from its
 //! own neighbourhood — exactly how the batch path treats it — and every
@@ -31,10 +37,10 @@ use crate::lof::{
 };
 use crate::parallel::par_map;
 use crate::precompute::{PrecomputedHoods, SubspaceHoods};
-use hics_data::model::{AggregationKind, HicsModel, ModelIndex, NormParam, ScorerKind, ScorerSpec};
-use hics_data::{Dataset, HicsError, ModelArtifact};
-use std::borrow::Cow;
+use hics_data::model::{AggregationKind, HicsModel, NormParam, ScorerKind, ScorerSpec};
+use hics_data::{HicsError, ModelArtifact};
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -87,52 +93,6 @@ impl From<QueryError> for HicsError {
     }
 }
 
-/// Where the engine's trained columns live: copied onto the heap (built
-/// from a [`HicsModel`]) or borrowed in place from a (typically
-/// memory-mapped) [`ModelArtifact`]. Every read path is shared, so the two
-/// sources are bit-for-bit interchangeable.
-#[derive(Debug, Clone)]
-enum EngineColumns {
-    /// Owned columns cloned out of a heap-loaded model.
-    Owned(Dataset),
-    /// Columns served zero-copy out of the artifact bytes.
-    Mapped(Arc<ModelArtifact>),
-}
-
-impl EngineColumns {
-    fn n(&self) -> usize {
-        match self {
-            EngineColumns::Owned(d) => d.n(),
-            EngineColumns::Mapped(a) => a.n(),
-        }
-    }
-
-    fn d(&self) -> usize {
-        match self {
-            EngineColumns::Owned(d) => d.d(),
-            EngineColumns::Mapped(a) => a.d(),
-        }
-    }
-
-    /// Column `j`, borrowed from either storage (the mapped source may have
-    /// to copy on platforms where the in-place cast is unsound; see
-    /// [`ModelArtifact::column`]).
-    fn column(&self, j: usize) -> Cow<'_, [f64]> {
-        match self {
-            EngineColumns::Owned(d) => Cow::Borrowed(d.col(j)),
-            EngineColumns::Mapped(a) => a.column(j),
-        }
-    }
-
-    #[inline]
-    fn value(&self, i: usize, j: usize) -> f64 {
-        match self {
-            EngineColumns::Owned(d) => d.value(i, j),
-            EngineColumns::Mapped(a) => a.value(i, j),
-        }
-    }
-}
-
 /// Per-subspace state derived from the trained columns at engine build time.
 #[derive(Debug, Clone)]
 struct TrainedSubspace {
@@ -172,11 +132,12 @@ pub struct IndexStats {
     pub precomputed: bool,
 }
 
-/// Scores query points against a trained [`HicsModel`] or a zero-copy
-/// [`ModelArtifact`].
+/// Scores query points against a trained model, always served out of a
+/// [`ModelArtifact`]: a memory-mapped file, or the in-memory encoding of a
+/// [`HicsModel`].
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
-    columns: EngineColumns,
+    artifact: Arc<ModelArtifact>,
     norm: Vec<NormParam>,
     kind: ScorerKind,
     k: usize,
@@ -190,11 +151,12 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Builds the engine from a loaded model: gathers per-subspace layouts,
-    /// adopts the artifact's prebuilt index (or the brute fallback for a
-    /// version-1 artifact), and computes per-subspace training
-    /// neighbourhoods (and, for LOF, reachability densities) once, using up
-    /// to `max_threads` workers.
+    /// Builds the engine from a loaded model: encodes it into an in-memory
+    /// artifact and builds over that exactly as
+    /// [`QueryEngine::from_artifact`] does — adopting the artifact's prebuilt
+    /// index (or the brute fallback for a version-1 artifact) and computing
+    /// per-subspace training neighbourhoods (and, for LOF, reachability
+    /// densities) once, using up to `max_threads` workers.
     pub fn from_model(model: &HicsModel, max_threads: usize) -> Self {
         Self::from_model_with_index(model, None, max_threads)
     }
@@ -208,29 +170,39 @@ impl QueryEngine {
         index: Option<IndexKind>,
         max_threads: usize,
     ) -> Self {
-        Self::build(
-            EngineColumns::Owned(model.dataset().clone()),
-            model.norm_params().to_vec(),
-            model.scorer(),
-            model.aggregation(),
-            model.subspaces().iter().map(|s| s.dims.clone()).collect(),
-            model.index(),
-            index,
-            None,
-            max_threads,
-        )
+        let artifact = ModelArtifact::from_bytes(&model.to_bytes())
+            .expect("a HicsModel always encodes to a valid artifact");
+        Self::from_artifact(Arc::new(artifact), index, max_threads)
     }
 
-    /// Builds the engine over a **zero-copy** artifact: the full training
-    /// matrix is not cloned into a `Dataset`, the order permutations and
-    /// rank index are never materialised, and in-sample candidate checks
-    /// read through the map. What *is* still copied are the per-subspace
-    /// point layouts (contiguous gathers of each subspace's columns — the
-    /// serving hot path depends on them), so resident memory scales with
-    /// the attributes the subspaces actually touch (HiCS subspaces are 2–5
-    /// wide), not with `d`. Scores are bit-for-bit identical to
-    /// [`QueryEngine::from_model`] on the same bytes; `index` behaves
-    /// exactly as in [`QueryEngine::from_model_with_index`].
+    /// Memory-maps the artifact at `path` and builds its engine, adopting a
+    /// matching `<artifact>.hoods` sidecar when one sits next to it (a
+    /// missing or stale sidecar is ignored; see
+    /// [`QueryEngine::from_artifact_with_hoods`]). `index` behaves as in
+    /// [`QueryEngine::from_artifact`].
+    pub fn open_mmap(
+        path: &Path,
+        index: Option<IndexKind>,
+        max_threads: usize,
+    ) -> Result<Self, HicsError> {
+        let artifact = Arc::new(ModelArtifact::open_mmap(path)?);
+        let hoods = PrecomputedHoods::load_for(path, &artifact);
+        Ok(Self::from_artifact_with_hoods(
+            artifact,
+            hoods,
+            index,
+            max_threads,
+        ))
+    }
+
+    /// Builds the engine over an artifact **without** copying the training
+    /// matrix: the order permutations and rank index are never
+    /// materialised, and in-sample candidate checks read through the
+    /// artifact bytes. What *is* copied are the per-subspace point layouts
+    /// (contiguous gathers of each subspace's columns — the serving hot path
+    /// depends on them), so resident memory scales with the attributes the
+    /// subspaces actually touch (HiCS subspaces are 2–5 wide), not with `d`.
+    /// `index` behaves exactly as in [`QueryEngine::from_model_with_index`].
     pub fn from_artifact(
         artifact: Arc<ModelArtifact>,
         index: Option<IndexKind>,
@@ -241,10 +213,10 @@ impl QueryEngine {
 
     /// Like [`QueryEngine::from_artifact`], optionally adopting precomputed
     /// neighbourhood state from a hoods sidecar. Hoods that do not match the
-    /// artifact's scorer and shape are ignored (the engine computes as
-    /// usual), so adoption can only speed the open up, never change a score:
-    /// a valid sidecar holds exactly the values construction would have
-    /// produced ([`QueryEngine::export_hoods`] writes them from a built
+    /// artifact's bytes, scorer and shape are ignored (the engine computes
+    /// as usual), so adoption can only speed the open up, never change a
+    /// score: a valid sidecar holds exactly the values construction would
+    /// have produced ([`QueryEngine::export_hoods`] writes them from a built
     /// engine). Whether adoption happened is surfaced in
     /// [`IndexStats::precomputed`].
     pub fn from_artifact_with_hoods(
@@ -253,62 +225,10 @@ impl QueryEngine {
         index: Option<IndexKind>,
         max_threads: usize,
     ) -> Self {
-        let hoods = hoods.filter(|h| h.matches(&artifact));
-        Self::build(
-            EngineColumns::Mapped(Arc::clone(&artifact)),
-            artifact.norm_params().to_vec(),
-            artifact.scorer(),
-            artifact.aggregation(),
-            artifact
-                .subspaces()
-                .iter()
-                .map(|s| s.dims.clone())
-                .collect(),
-            artifact.index(),
-            index,
-            hoods,
-            max_threads,
-        )
-    }
-
-    /// Exports the engine's per-subspace neighbourhood state as a
-    /// [`PrecomputedHoods`] bound to `artifact_checksum` — the fit-time half
-    /// of sidecar precomputation.
-    pub fn export_hoods(&self, artifact_checksum: u64) -> PrecomputedHoods {
-        PrecomputedHoods {
-            artifact_checksum,
-            scorer: ScorerSpec {
-                kind: self.kind,
-                k: self.k as u32,
-            },
-            subspaces: self
-                .subspaces
-                .iter()
-                .map(|s| SubspaceHoods {
-                    dims: s.dims.clone(),
-                    k_distance: s.k_distance.clone(),
-                    lrd: s.lrd.clone(),
-                    clamp: s.clamp,
-                })
-                .collect(),
-        }
-    }
-
-    /// The shared construction path of the owned and the mapped engines.
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        columns: EngineColumns,
-        norm: Vec<NormParam>,
-        spec: ScorerSpec,
-        aggregation: AggregationKind,
-        dims_list: Vec<Vec<usize>>,
-        stored: Option<&ModelIndex>,
-        index: Option<IndexKind>,
-        hoods: Option<PrecomputedHoods>,
-        max_threads: usize,
-    ) -> Self {
+        let spec = artifact.scorer();
         let k = spec.k as usize;
         let kind = spec.kind;
+        let stored = artifact.index();
         let chosen = index.unwrap_or(if stored.is_some() {
             IndexKind::VpTree
         } else {
@@ -316,13 +236,15 @@ impl QueryEngine {
         });
         let build_start = Instant::now();
         let mut from_artifact = false;
-        let prepared: Vec<(Vec<usize>, SubspaceLayout, SubspaceIndex)> = dims_list
-            .into_iter()
+        let prepared: Vec<(Vec<usize>, SubspaceLayout, SubspaceIndex)> = artifact
+            .subspaces()
+            .iter()
             .enumerate()
-            .map(|(s, dims)| {
+            .map(|(s, sub)| {
+                let dims = sub.dims.clone();
                 let layout = SubspaceLayout::from_cols(
                     dims.iter()
-                        .map(|&j| columns.column(j).into_owned())
+                        .map(|&j| artifact.column(j).into_owned())
                         .collect(),
                 );
                 let index = match (chosen, stored) {
@@ -340,23 +262,15 @@ impl QueryEngine {
             })
             .collect();
         // Adopt precomputed neighbourhood state only when it provably
-        // belongs to this engine: same scorer, same subspaces, full-length
-        // vectors. Anything else falls back to computing, so a stale or
-        // truncated sidecar can never alter a score.
-        let n = columns.n();
+        // belongs to this engine: these artifact bytes, same scorer, same
+        // subspaces, full-length vectors, LOF densities exactly when the
+        // scorer reads them. Anything else falls back to computing, so a
+        // stale or truncated sidecar can never alter a score.
         let adopted = hoods.filter(|h| {
-            h.scorer.kind == kind
-                && h.scorer.k as usize == k
-                && h.subspaces.len() == prepared.len()
-                && h.subspaces.iter().zip(&prepared).all(|(hs, (dims, _, _))| {
-                    hs.dims == *dims
-                        && hs.k_distance.len() == n
-                        && if kind == ScorerKind::Lof {
-                            hs.lrd.len() == n
-                        } else {
-                            hs.lrd.is_empty()
-                        }
-                })
+            h.matches(&artifact)
+                && h.subspaces
+                    .iter()
+                    .all(|hs| hs.lrd.is_empty() != (kind == ScorerKind::Lof))
         });
         let index_stats = IndexStats {
             kind: chosen,
@@ -405,22 +319,45 @@ impl QueryEngine {
                 })
                 .collect(),
         };
-        let mut coincident: HashMap<u64, Vec<u32>> = HashMap::with_capacity(columns.n());
-        for (i, &v) in columns.column(0).iter().enumerate() {
+        let mut coincident: HashMap<u64, Vec<u32>> = HashMap::with_capacity(artifact.n());
+        for (i, &v) in artifact.column(0).iter().enumerate() {
             coincident.entry(float_key(v)).or_default().push(i as u32);
         }
         Self {
-            columns,
-            norm,
-            kind,
-            k,
-            aggregation: match aggregation {
+            norm: artifact.norm_params().to_vec(),
+            aggregation: match artifact.aggregation() {
                 AggregationKind::Average => Aggregation::Average,
                 AggregationKind::Max => Aggregation::Max,
             },
+            kind,
+            k,
             subspaces,
             coincident,
             index_stats,
+            artifact,
+        }
+    }
+
+    /// Exports the engine's per-subspace neighbourhood state as a
+    /// [`PrecomputedHoods`] bound to `artifact_checksum` — the fit-time half
+    /// of sidecar precomputation.
+    pub fn export_hoods(&self, artifact_checksum: u64) -> PrecomputedHoods {
+        PrecomputedHoods {
+            artifact_checksum,
+            scorer: ScorerSpec {
+                kind: self.kind,
+                k: self.k as u32,
+            },
+            subspaces: self
+                .subspaces
+                .iter()
+                .map(|s| SubspaceHoods {
+                    dims: s.dims.clone(),
+                    k_distance: s.k_distance.clone(),
+                    lrd: s.lrd.clone(),
+                    clamp: s.clamp,
+                })
+                .collect(),
         }
     }
 
@@ -431,18 +368,18 @@ impl QueryEngine {
 
     /// Number of trained objects.
     pub fn n(&self) -> usize {
-        self.columns.n()
+        self.artifact.n()
     }
 
     /// Number of attributes a query row must carry.
     pub fn d(&self) -> usize {
-        self.columns.d()
+        self.artifact.d()
     }
 
-    /// Whether the trained columns are served zero-copy out of a (typically
-    /// memory-mapped) artifact rather than owned heap storage.
+    /// Whether the artifact behind the engine is a live memory map of its
+    /// file (as opposed to in-memory bytes, e.g. an encoded [`HicsModel`]).
     pub fn is_mapped(&self) -> bool {
-        matches!(self.columns, EngineColumns::Mapped(_))
+        self.artifact.is_mmap()
     }
 
     /// Number of subspaces every query is scored in.
@@ -542,7 +479,7 @@ impl QueryEngine {
         'outer: for &i in candidates {
             let i = i as usize;
             for (j, &qj) in q.iter().enumerate().skip(1) {
-                if self.columns.value(i, j) != qj {
+                if self.artifact.value(i, j) != qj {
                     continue 'outer;
                 }
             }
@@ -721,9 +658,9 @@ mod tests {
         assert_eq!(engine.score(&bad), Err(QueryError::NonFinite { column: 3 }));
     }
 
-    /// An engine over a zero-copy artifact reproduces the owned engine
-    /// bit-for-bit, in and out of sample, for every scorer kind and with
-    /// either neighbour backend.
+    /// An engine built over the artifact bytes reproduces the engine built
+    /// from the model bit-for-bit, in and out of sample, for every scorer
+    /// kind and with either neighbour backend.
     #[test]
     fn mapped_engine_scores_bitwise_like_owned() {
         for kind in [ScorerKind::Lof, ScorerKind::KnnMean, ScorerKind::KnnKth] {
@@ -734,8 +671,6 @@ mod tests {
             );
             for index in [None, Some(IndexKind::VpTree)] {
                 let mapped = QueryEngine::from_artifact(std::sync::Arc::clone(&artifact), index, 2);
-                assert!(mapped.is_mapped());
-                assert!(!owned.is_mapped());
                 for i in (0..g.dataset.n()).step_by(13) {
                     let row = g.dataset.row(i);
                     assert_eq!(owned.score(&row), mapped.score(&row), "{kind:?} row {i}");

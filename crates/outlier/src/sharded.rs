@@ -11,6 +11,13 @@
 //! memory-mapped artifact — zero-copy, VP-trees and all — so a
 //! [`ShardedEngine`] is exactly `S` single-model engines plus a fold.
 //!
+//! A single model is the one-component ensemble
+//! ([`ShardedEngine::single`]): every in-process [`crate::Engine`] is a
+//! `ShardedEngine`. The one-shard fold is the identity on every score a
+//! [`QueryEngine`] produces — `Mean` computes `(0.0 + x) / 1.0`, exact for
+//! all `x` but `−0.0`, which no scorer yields (pinned by this module's
+//! tests).
+//!
 //! The per-shard scores are **not** the scores a single model over the
 //! union would produce (each shard's neighbourhoods only see its own
 //! rows); the ensemble is the principled way to combine partial models,
@@ -21,12 +28,10 @@
 use crate::ensemble::Fold;
 use crate::index::IndexKind;
 use crate::parallel::par_map;
-use crate::precompute::PrecomputedHoods;
 use crate::query::{IndexStats, QueryEngine, QueryError};
 use hics_data::manifest::{ShardAggregation, ShardManifest};
-use hics_data::{HicsError, ModelArtifact};
+use hics_data::HicsError;
 use std::path::Path;
-use std::sync::Arc;
 
 /// `S` per-shard query engines behind one scoring interface.
 #[derive(Debug)]
@@ -68,23 +73,19 @@ impl ShardedEngine {
         let outer = max_threads.clamp(1, paths.len().max(1));
         let inner = (max_threads / outer).max(1);
         let opened: Vec<Result<QueryEngine, HicsError>> = par_map(paths.len(), outer, |k| {
-            let path = &paths[k];
-            let artifact = Arc::new(ModelArtifact::open_mmap(path)?);
+            let engine = QueryEngine::open_mmap(&paths[k], index, inner)?;
             let entry = &manifest.shards[k];
-            if artifact.n() as u64 != entry.n || artifact.d() != manifest.d {
+            if engine.n() as u64 != entry.n || engine.d() != manifest.d {
                 return Err(HicsError::InvalidInput(format!(
                     "shard {k} ({}) is {} x {}, manifest expects {} x {}",
                     entry.file,
-                    artifact.n(),
-                    artifact.d(),
+                    engine.n(),
+                    engine.d(),
                     entry.n,
                     manifest.d
                 )));
             }
-            let hoods = PrecomputedHoods::load_for(path, &artifact);
-            Ok(QueryEngine::from_artifact_with_hoods(
-                artifact, hoods, index, inner,
-            ))
+            Ok(engine)
         });
         let mut shards = Vec::with_capacity(opened.len());
         for engine in opened {
@@ -95,6 +96,16 @@ impl ShardedEngine {
             aggregation: manifest.aggregation,
             total_n: manifest.total_n as usize,
         })
+    }
+
+    /// A single model as a one-shard ensemble (`Mean` fold, which is the
+    /// identity on its scores).
+    pub fn single(engine: QueryEngine) -> Self {
+        Self {
+            total_n: engine.n(),
+            shards: vec![engine],
+            aggregation: ShardAggregation::Mean,
+        }
     }
 
     /// Total rows across all shards.
@@ -122,7 +133,7 @@ impl ShardedEngine {
         self.aggregation
     }
 
-    /// Whether every shard serves zero-copy out of its artifact.
+    /// Whether every shard's artifact is a live memory map of its file.
     pub fn is_mapped(&self) -> bool {
         self.shards.iter().all(QueryEngine::is_mapped)
     }
@@ -214,8 +225,9 @@ mod tests {
         apply_normalization, AggregationKind, HicsModel, ModelSubspace, NormKind, ScorerKind,
         ScorerSpec,
     };
-    use hics_data::SyntheticConfig;
+    use hics_data::{Dataset, SyntheticConfig};
     use std::path::PathBuf;
+    use std::sync::{Arc, Mutex};
 
     fn shard_model(seed: u64, n: usize) -> HicsModel {
         let g = SyntheticConfig::new(n, 3).with_seed(seed).generate();
@@ -356,6 +368,110 @@ mod tests {
                 (rows.len() * engine.subspace_count()) as u64
             );
         }
+    }
+
+    /// A model whose first five rows are one repeated point: with `k = 4`
+    /// that point, queried in sample, has four neighbours at distance
+    /// exactly `+0.0`, so its KnnMean score is exactly `+0.0`.
+    fn model_with_duplicates(kind: ScorerKind, aggregation: AggregationKind) -> HicsModel {
+        let g = SyntheticConfig::new(60, 3).with_seed(7).generate();
+        let mut rows: Vec<Vec<f64>> = (0..g.dataset.n()).map(|i| g.dataset.row(i)).collect();
+        for row in rows.iter_mut().take(5) {
+            *row = vec![0.25, 0.5, 0.75];
+        }
+        let (data, norm) = apply_normalization(&Dataset::from_rows(&rows), NormKind::None);
+        HicsModel::new(
+            data,
+            NormKind::None,
+            norm,
+            vec![
+                ModelSubspace {
+                    dims: vec![0, 2],
+                    contrast: 0.8,
+                },
+                ModelSubspace {
+                    dims: vec![1, 2],
+                    contrast: 0.6,
+                },
+            ],
+            ScorerSpec { kind, k: 4 },
+            aggregation,
+        )
+    }
+
+    /// A single model served as a one-shard ensemble scores bit-for-bit
+    /// like its [`QueryEngine`] under either fold: in-sample rows, a novel
+    /// row, and a duplicated row whose KnnMean score is exactly `+0.0` (the
+    /// one value a `Mean` fold could flip, were a scorer to yield `−0.0`).
+    #[test]
+    fn one_shard_engine_scores_bitwise_like_its_query_engine() {
+        let dup = [0.25, 0.5, 0.75];
+        for kind in [ScorerKind::Lof, ScorerKind::KnnMean, ScorerKind::KnnKth] {
+            for model_agg in [AggregationKind::Average, AggregationKind::Max] {
+                let model = model_with_duplicates(kind, model_agg);
+                let single = QueryEngine::from_model(&model, 2);
+                if kind == ScorerKind::KnnMean {
+                    assert_eq!(single.score(&dup).unwrap().to_bits(), 0.0f64.to_bits());
+                }
+                let mut rows: Vec<Vec<f64>> =
+                    (0..model.n()).map(|i| model.dataset().row(i)).collect();
+                rows.push(vec![5.0, -3.0, 0.5]);
+                for aggregation in [ShardAggregation::Mean, ShardAggregation::Max] {
+                    let engine = ShardedEngine {
+                        aggregation,
+                        ..ShardedEngine::single(single.clone())
+                    };
+                    assert_eq!(engine.shard_count(), 1);
+                    assert_eq!(engine.n(), single.n());
+                    for row in &rows {
+                        let want = single.score(row).unwrap();
+                        assert_ne!(want.to_bits(), (-0.0f64).to_bits(), "no scorer yields -0.0");
+                        let got = engine.score(row).unwrap();
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{kind:?}/{model_agg:?}/{aggregation:?} {row:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The recorded (shard-major) batch path of a one-shard engine reports
+    /// exactly what a single model's batch reports: one
+    /// `shard_scored(0, rows, _)` and `rows × subspaces` index queries.
+    #[test]
+    fn one_shard_recorded_batch_reports_like_a_single_model() {
+        use crate::metrics::ScoreRecorder;
+
+        #[derive(Default)]
+        struct Log {
+            scored: Mutex<Vec<(usize, usize)>>,
+            queries: Mutex<Vec<u64>>,
+        }
+        impl ScoreRecorder for Log {
+            fn shard_scored(&self, shard: usize, rows: usize, _nanos: u64) {
+                self.scored.lock().unwrap().push((shard, rows));
+            }
+            fn index_queries(&self, n: u64) {
+                self.queries.lock().unwrap().push(n);
+            }
+        }
+
+        let model = model_with_duplicates(ScorerKind::Lof, AggregationKind::Average);
+        let single = QueryEngine::from_model(&model, 2);
+        let engine = ShardedEngine::single(single.clone());
+        let rows: Vec<Vec<f64>> = (0..7).map(|i| model.dataset().row(i)).collect();
+        let log = Arc::new(Log::default());
+        let recorded = engine.score_batch_recorded(&rows, 2, &*log);
+        let plain: Vec<_> = rows.iter().map(|r| single.score(r)).collect();
+        assert_eq!(recorded, plain);
+        assert_eq!(*log.scored.lock().unwrap(), vec![(0, rows.len())]);
+        assert_eq!(
+            *log.queries.lock().unwrap(),
+            vec![(rows.len() * single.subspace_count()) as u64]
+        );
     }
 
     #[test]

@@ -26,13 +26,13 @@
 //! enqueue → score → flush) recorded against a monotonic clock.
 //!
 //! ```no_run
-//! use hics_outlier::QueryEngine;
+//! use hics_outlier::Engine;
 //! use hics_serve::{ServeConfig, Server};
-//! use std::sync::Arc;
+//! use std::path::Path;
 //!
-//! // Zero-copy: the engine scores straight out of the mapped artifact.
-//! let artifact = hics_data::ModelArtifact::open_mmap(std::path::Path::new("model.hics")).unwrap();
-//! let engine = QueryEngine::from_artifact(Arc::new(artifact), None, 8);
+//! // The one opener (also behind `/admin/reload`): memory-maps the artifact,
+//! // or every shard of a manifest, and adopts its fit-time hoods sidecar.
+//! let engine = Engine::open_mmap(Path::new("model.hics"), None, 8).unwrap();
 //! let server = Server::bind(engine, ServeConfig::default()).unwrap();
 //! server.set_reload_source("model.hics".into(), None);
 //! println!("listening on {}", server.local_addr().unwrap());

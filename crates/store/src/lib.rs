@@ -294,16 +294,11 @@ impl StoreWriter {
         header.extend_from_slice(&0u64.to_le_bytes()); // checksum, patched below
         debug_assert_eq!(header.len(), HEADER_LEN);
 
-        let mut tmp_name = self.path.file_name().unwrap_or_default().to_os_string();
-        tmp_name.push(format!(".tmp.{}", std::process::id()));
-        let tmp = self.path.with_file_name(tmp_name);
-        let write = (|| -> Result<u64, HicsError> {
-            let file =
-                std::fs::File::create(&tmp).map_err(|e| HicsError::io_path("creating", &tmp, e))?;
-            let io = |e: std::io::Error| HicsError::io_path("writing", &tmp, e);
-            let mut w = std::io::BufWriter::new(file);
+        let bytes = hics_data::write_atomic_with(&self.path, |file, tmp| {
+            let io = |e: std::io::Error| HicsError::io_path("writing", tmp, e);
+            let mut w = std::io::BufWriter::new(&mut *file);
             let mut hash = fnv1a(FNV_OFFSET, &header[..64]);
-            let mut put = |w: &mut std::io::BufWriter<std::fs::File>,
+            let mut put = |w: &mut std::io::BufWriter<&mut std::fs::File>,
                            bytes: &[u8]|
              -> Result<(), HicsError> {
                 hash = fnv1a(hash, bytes);
@@ -364,27 +359,18 @@ impl StoreWriter {
                 }
             }
             let checksum = hash;
-            let mut file = w
-                .into_inner()
-                .map_err(|e| HicsError::io_path("flushing", &tmp, e.into()))?;
+            w.into_inner()
+                .map_err(|e| HicsError::io_path("flushing", tmp, e.into()))?;
             file.seek(SeekFrom::Start(64))
-                .map_err(|e| HicsError::io_path("seeking in", &tmp, e))?;
+                .map_err(|e| HicsError::io_path("seeking in", tmp, e))?;
             file.write_all(&checksum.to_le_bytes())
-                .map_err(|e| HicsError::io_path("patching checksum in", &tmp, e))?;
-            file.sync_all()
-                .map_err(|e| HicsError::io_path("syncing", &tmp, e))?;
-            let bytes = file
+                .map_err(|e| HicsError::io_path("patching checksum in", tmp, e))?;
+            Ok(file
                 .metadata()
-                .map_err(|e| HicsError::io_path("inspecting", &tmp, e))?
-                .len();
-            std::fs::rename(&tmp, &self.path)
-                .map_err(|e| HicsError::io_path("renaming into", &self.path, e))?;
-            Ok(bytes)
-        })();
-        if write.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        write.map(|bytes| StoreSummary {
+                .map_err(|e| HicsError::io_path("inspecting", tmp, e))?
+                .len())
+        })?;
+        Ok(StoreSummary {
             n: self.n,
             d,
             bytes,
