@@ -13,7 +13,8 @@
 //!    is resident per fit worker), reduced search parameters so the run
 //!    stays minutes, not hours.
 //! 3. **Ensemble open** — `ShardedEngine::open`: mmap every shard
-//!    artifact, adopt its stored VP-trees, precompute neighbourhoods.
+//!    artifact, adopt its stored VP-trees and its stored hoods
+//!    (neighbourhood state the fit wrote into the artifact).
 //! 4. **Scoring** — p50/p99 single-query latency (each query visits every
 //!    shard) and batch throughput.
 //! 5. **Routing** — the same queries through the `hics route` tier: one
@@ -194,7 +195,8 @@ fn main() {
             kind: ScorerKind::Lof,
             k: 10,
         })
-        .index(IndexKind::VpTree);
+        .index(IndexKind::VpTree)
+        .precompute(true);
     let spec = ShardFitSpec {
         shards: SHARDS,
         partition: PartitionKind::Contiguous,
@@ -224,7 +226,7 @@ fn main() {
     assert!(engine.is_mapped());
     assert_eq!(engine.shard_count(), SHARDS);
     eprintln!(
-        "  {open_s:.1} s (mmap + neighbourhood precompute across {} subspaces)",
+        "  {open_s:.1} s (mmap + stored-hoods adoption across {} subspaces)",
         engine.subspace_count()
     );
 

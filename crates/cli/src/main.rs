@@ -14,7 +14,8 @@
 //!               [--scorer lof|knn|knnkth] [--normalize none|minmax|zscore]
 //!               [--index brute|vptree] [--shards S]
 //!               [--shard-partition contiguous|hash] [--shard-agg mean|max]
-//!               [--shard-parallel P] [--progress] [search options]
+//!               [--shard-parallel P] [--no-precompute] [--progress]
+//!               [search options]
 //! hics score    --model model.hics --input queries.csv [--labels] [--top 20]
 //!               [--out scores.csv] [--index brute|vptree]
 //! hics serve    --model model.hics [--addr 127.0.0.1:7878] [--max-batch 512]
@@ -41,10 +42,13 @@
 //! or uses (score/serve) per-subspace VP-trees for `O(log N)` queries at
 //! bit-identical scores. When omitted, `score`/`serve` follow the artifact.
 //!
-//! `score` and `serve` open models through `Engine::open_mmap`, the same
-//! opener `/admin/reload` uses: artifacts are memory-mapped and adopt their
-//! fit-time `<artifact>.hoods` sidecar when it matches. The `# scored` /
-//! `# loaded` line says whether the hoods were adopted or computed.
+//! `fit` stores every subspace's neighbourhood state (the "hoods":
+//! k-distances, LOF densities, clamps) inside the artifact as its
+//! version-4 hoods section, unless `--no-precompute` is given. `score` and
+//! `serve` open models through `Engine::open_mmap`, the same opener
+//! `/admin/reload` uses: artifacts are memory-mapped and adopt their stored
+//! hoods; older artifacts compute them. The `# scored` / `# loaded` line
+//! says whether the hoods were adopted or computed.
 //!
 //! # Exit codes (v2 CLI contract)
 //!
@@ -197,7 +201,8 @@ fn print_usage() {
     println!("  --threads N applies to search/rank/evaluate/fit/score/serve");
     println!("  (default: all hardware threads)");
     println!("  --index selects the kNN backend; score/serve default to the artifact's");
-    println!("  score/serve memory-map the model and adopt its fit-time .hoods sidecar");
+    println!("  fit stores each subspace's kNN state (hoods) in the artifact; score/serve");
+    println!("  memory-map it and adopt them (fit --no-precompute leaves them out)");
     println!("  --reactors sets serve's event-loop thread count (0 = auto, Linux epoll);");
     println!("  --batch-wait-us lets batch workers linger that long for deeper batches");
     println!("  fit --progress narrates phases/levels/shards on stderr as they finish");
@@ -540,8 +545,8 @@ fn cmd_fit(args: &Args) -> Result<(), CliError> {
     let scorer = parse_scorer(args.get("scorer").unwrap_or("lof"), k)?;
     let norm = parse_norm(args.get("normalize").unwrap_or("none"))?;
     let index = parse_index(args)?.unwrap_or(IndexKind::Brute);
-    // Fits write a `<artifact>.hoods` sidecar of precomputed neighbourhood
-    // state by default, so opens and reloads skip the all-points kNN pass.
+    // Fits store the hoods section in the artifact by default, so opens
+    // and reloads skip the all-points kNN pass.
     let precompute = !args.flag("no-precompute");
     let progress = args.flag("progress");
     let shards: Option<usize> = args
@@ -664,14 +669,12 @@ fn cmd_fit(args: &Args) -> Result<(), CliError> {
         FitBuilder::new(params)
             .normalize(norm)
             .scorer(scorer)
-            .index(index),
+            .index(index)
+            .precompute(precompute),
         progress,
     )
     .fit(&data.dataset);
     model.save(Path::new(out))?;
-    if precompute {
-        hics_outlier::write_hoods_sidecar(Path::new(out), params.search.max_threads)?;
-    }
     println!(
         "# fitted {} x {} model: {} subspaces, {} scorer (k={}), {} normalization, \
          {} index, {:.2}s",
@@ -724,7 +727,8 @@ impl DatasetSource for PrenormalizedSource {
 
 /// How `score`/`serve` opened the model, for their first stdout line:
 /// `vptree index, mmap load, hoods adopted` — `hoods computed` when the
-/// open paid the all-points kNN pass because no matching sidecar was found.
+/// open paid the all-points kNN pass because the artifact carried no hoods
+/// section.
 fn load_summary(engine: &Engine) -> String {
     let idx = engine.index_stats();
     format!(

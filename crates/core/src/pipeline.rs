@@ -5,16 +5,16 @@ use crate::progress::{FitObserver, NoopObserver};
 use crate::search::{ScoredSubspace, SearchParams, SubspaceSearch};
 use hics_data::manifest::{PartitionKind, ShardAggregation, ShardEntry, ShardManifest};
 use hics_data::model::{
-    apply_normalization, save_model_streaming, AggregationKind, HicsModel, ModelIndex,
-    ModelSubspace, NormKind, NormParam, ScorerKind, ScorerSpec,
+    apply_normalization, save_model_streaming, AggregationKind, HicsModel, ModelHoods, ModelIndex,
+    ModelParts, ModelSubspace, NormKind, NormParam, ScorerKind, ScorerSpec,
 };
-use hics_data::{ColumnsView, Dataset, DatasetSource, HicsError};
+use hics_data::{ColumnsView, Dataset, DatasetSource, HicsError, RankIndex};
 use hics_outlier::aggregate::{aggregate_scores, Aggregation};
-use hics_outlier::index::{IndexKind, VpTree};
+use hics_outlier::index::{IndexKind, SubspaceIndex};
 use hics_outlier::lof::Lof;
 use hics_outlier::parallel::par_map;
 use hics_outlier::scorer::{score_subspaces, SubspaceScorer};
-use hics_outlier::SubspaceView;
+use hics_outlier::{subspace_hoods, SubspaceLayout, SubspaceView};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -71,8 +71,8 @@ impl HicsParams {
 ///     .fit(&data);
 /// ```
 ///
-/// The defaults are no normalisation, LOF with the pipeline's `lof_k`, and
-/// brute-force neighbour search.
+/// The defaults are no normalisation, LOF with the pipeline's `lof_k`,
+/// brute-force neighbour search and no stored hoods.
 #[derive(Clone)]
 pub struct FitBuilder {
     params: HicsParams,
@@ -110,7 +110,7 @@ impl FitBuilder {
                 k: u32::try_from(params.lof_k).expect("lof_k exceeds u32"),
             },
             index: IndexKind::Brute,
-            precompute: true,
+            precompute: false,
             observer: Arc::new(NoopObserver),
         }
     }
@@ -135,12 +135,16 @@ impl FitBuilder {
         self
     }
 
-    /// Whether file-writing fits also persist a `<artifact>.hoods` sidecar
-    /// of precomputed neighbourhood state (k-distances, LOF densities,
-    /// per-subspace clamps) next to each artifact (default on). The sidecar
-    /// moves the all-points kNN pass from every model open — notably
-    /// `/admin/reload` of a sharded ensemble — to fit time; opens that find
-    /// a matching sidecar adopt it, others compute as before.
+    /// Whether the fit also computes every subspace's neighbourhood state
+    /// — k-distances, LOF densities, the non-finite clamp — and stores it
+    /// as the artifact's hoods section (format version 4). That moves the
+    /// all-points kNN pass from every model open — notably
+    /// `/admin/reload` of a sharded ensemble — to fit time, where the
+    /// trees are still in memory.
+    ///
+    /// Off by default in the library, so a default builder writes the
+    /// version-1/2 bytes it always did; `hics fit` turns it on (its
+    /// `--no-precompute` turns it off).
     pub fn precompute(mut self, precompute: bool) -> Self {
         self.precompute = precompute;
         self
@@ -186,30 +190,20 @@ impl FitBuilder {
         norm_kind: NormKind,
         norm_params: Vec<NormParam>,
     ) -> HicsModel {
-        self.observer.phase_started("search");
-        let search_start = Instant::now();
-        let (report, _rank) = SubspaceSearch::new(self.params.search)
-            .run_view_observed(&ColumnsView::from_dataset(&trained), &*self.observer);
-        self.observer
-            .phase_finished("search", search_start.elapsed().as_nanos() as u64);
-        let model_subspaces = to_model_subspaces(&report.result);
-        let index = match self.index {
-            IndexKind::Brute => None,
-            IndexKind::VpTree => {
-                self.observer.phase_started("index");
-                let index_start = Instant::now();
-                let trees = model_subspaces
-                    .iter()
-                    .map(|s| {
-                        let view = SubspaceView::new(&trained, &s.dims);
-                        VpTree::build(&view).into_data()
-                    })
-                    .collect();
-                self.observer
-                    .phase_finished("index", index_start.elapsed().as_nanos() as u64);
-                Some(ModelIndex { trees })
-            }
-        };
+        self.fit_timed(trained, norm_kind, norm_params).0
+    }
+
+    /// [`FitBuilder::fit_prenormalized`], also returning the nanoseconds
+    /// spent in the `"precompute"` phase (0 without it).
+    fn fit_timed(
+        &self,
+        trained: Dataset,
+        norm_kind: NormKind,
+        norm_params: Vec<NormParam>,
+    ) -> (HicsModel, u64) {
+        let view = ColumnsView::from_dataset(&trained);
+        let (model_subspaces, _rank) = self.search(&view);
+        let (index, hoods, precompute_nanos) = self.index_and_hoods(&view, &model_subspaces);
         let mut model = HicsModel::new(
             trained,
             norm_kind,
@@ -219,7 +213,82 @@ impl FitBuilder {
             self.aggregation_kind(),
         );
         model.set_index(index);
-        model
+        model.set_hoods(hoods);
+        (model, precompute_nanos)
+    }
+
+    /// The `"search"` phase: the subspace search over `view`, returning
+    /// the artifact subspaces and the search's rank index.
+    fn search(&self, view: &ColumnsView<'_>) -> (Vec<ModelSubspace>, RankIndex) {
+        self.observer.phase_started("search");
+        let start = Instant::now();
+        let (report, rank) =
+            SubspaceSearch::new(self.params.search).run_view_observed(view, &*self.observer);
+        self.observer
+            .phase_finished("search", start.elapsed().as_nanos() as u64);
+        (to_model_subspaces(&report.result), rank)
+    }
+
+    /// The `"index"` and `"precompute"` phases over the searched
+    /// subspaces: builds the VP-trees (when configured), then — with
+    /// precompute on — each subspace's hoods from the trees still in
+    /// memory and a layout gathered exactly as `QueryEngine` gathers it,
+    /// through the one [`subspace_hoods`] computation an open would
+    /// otherwise run. Returns the index, the hoods and the precompute
+    /// phase's nanoseconds.
+    fn index_and_hoods(
+        &self,
+        view: &ColumnsView<'_>,
+        subspaces: &[ModelSubspace],
+    ) -> (Option<ModelIndex>, Option<ModelHoods>, u64) {
+        let indexes: Vec<SubspaceIndex> = match self.index {
+            IndexKind::Brute => vec![SubspaceIndex::Brute; subspaces.len()],
+            IndexKind::VpTree => {
+                self.observer.phase_started("index");
+                let start = Instant::now();
+                let indexes = subspaces
+                    .iter()
+                    .map(|s| {
+                        let sub = SubspaceView::from_columns_view(view, &s.dims);
+                        SubspaceIndex::build(&sub, IndexKind::VpTree)
+                    })
+                    .collect();
+                self.observer
+                    .phase_finished("index", start.elapsed().as_nanos() as u64);
+                indexes
+            }
+        };
+        let mut precompute_nanos = 0;
+        let hoods = self.precompute.then(|| {
+            self.observer.phase_started("precompute");
+            let start = Instant::now();
+            let threads = self.params.search.max_threads.max(1);
+            let hoods = ModelHoods {
+                subspaces: subspaces
+                    .iter()
+                    .zip(&indexes)
+                    .map(|(s, index)| {
+                        let layout = SubspaceLayout::from_cols(
+                            s.dims.iter().map(|&j| view.col(j).to_vec()).collect(),
+                        );
+                        subspace_hoods(&layout, index, self.scorer, threads)
+                    })
+                    .collect(),
+            };
+            precompute_nanos = start.elapsed().as_nanos() as u64;
+            self.observer.phase_finished("precompute", precompute_nanos);
+            hoods
+        });
+        let index = (self.index == IndexKind::VpTree).then(|| ModelIndex {
+            trees: indexes
+                .into_iter()
+                .filter_map(|i| match i {
+                    SubspaceIndex::VpTree(tree) => Some(tree.into_data()),
+                    SubspaceIndex::Brute => None,
+                })
+                .collect(),
+        });
+        (index, hoods, precompute_nanos)
     }
 
     /// The artifact aggregation for the pipeline's configuration.
@@ -260,61 +329,32 @@ impl FitBuilder {
     ) -> Result<FitSummary, HicsError> {
         self.check_source_fit()?;
         let view = ColumnsView::from_source(source);
-        let norm_kind = source.norm_kind();
-        let norm = source.norm_params().into_owned();
-        self.observer.phase_started("search");
-        let search_start = Instant::now();
-        let (report, rank) =
-            SubspaceSearch::new(self.params.search).run_view_observed(&view, &*self.observer);
-        self.observer
-            .phase_finished("search", search_start.elapsed().as_nanos() as u64);
-        let model_subspaces = to_model_subspaces(&report.result);
-        let index = match self.index {
-            IndexKind::Brute => None,
-            IndexKind::VpTree => {
-                self.observer.phase_started("index");
-                let index_start = Instant::now();
-                let trees = model_subspaces
-                    .iter()
-                    .map(|s| {
-                        let sub = SubspaceView::from_columns_view(&view, &s.dims);
-                        VpTree::build(&sub).into_data()
-                    })
-                    .collect();
-                self.observer
-                    .phase_finished("index", index_start.elapsed().as_nanos() as u64);
-                Some(ModelIndex { trees })
-            }
+        let norm = source.norm_params();
+        let (model_subspaces, rank) = self.search(&view);
+        let (index, hoods, _) = self.index_and_hoods(&view, &model_subspaces);
+        let parts = ModelParts {
+            view: &view,
+            norm_kind: source.norm_kind(),
+            norm: &norm,
+            subspaces: &model_subspaces,
+            scorer: self.scorer,
+            aggregation: self.aggregation_kind(),
+            index: index.as_ref(),
+            hoods: hoods.as_ref(),
+            // The search already argsorted every column; reuse its index
+            // for the order-permutation section.
+            order: Some(&rank),
         };
         self.observer.phase_started("save");
         let save_start = Instant::now();
-        save_model_streaming(
-            out,
-            &view,
-            norm_kind,
-            &norm,
-            &model_subspaces,
-            self.scorer,
-            self.aggregation_kind(),
-            index.as_ref(),
-            // The search already argsorted every column; reuse its index
-            // for the order-permutation section.
-            Some(&rank),
-        )?;
+        save_model_streaming(out, &parts)?;
         self.observer
             .phase_finished("save", save_start.elapsed().as_nanos() as u64);
-        if self.precompute {
-            self.observer.phase_started("precompute");
-            let pre_start = Instant::now();
-            hics_outlier::write_hoods_sidecar(out, self.params.search.max_threads.max(1))?;
-            self.observer
-                .phase_finished("precompute", pre_start.elapsed().as_nanos() as u64);
-        }
         Ok(FitSummary {
             n: view.n(),
             d: view.d(),
             subspaces: model_subspaces.len(),
-            version: if index.is_some() { 2 } else { 1 },
+            version: parts.version(),
         })
     }
 
@@ -391,22 +431,14 @@ impl FitBuilder {
                     observer: Arc::clone(&self.observer),
                 };
                 let fit_start = Instant::now();
-                let model = builder.fit_prenormalized(shard_data, norm_kind, norm.clone());
-                let shard_path = dir.join(&files[k]);
-                model.save(&shard_path)?;
+                let (model, precompute_nanos) =
+                    builder.fit_timed(shard_data, norm_kind, norm.clone());
+                model.save(&dir.join(&files[k]))?;
+                // The shard's "fit" covers search, index and save; its
+                // hoods are reported as the "precompute" phase.
+                let fit_nanos = fit_start.elapsed().as_nanos() as u64;
                 self.observer
-                    .shard_phase(k, "fit", fit_start.elapsed().as_nanos() as u64);
-                if self.precompute {
-                    // One engine build per shard at fit time buys every
-                    // later open/reload out of the all-points kNN pass.
-                    let pre_start = Instant::now();
-                    hics_outlier::write_hoods_sidecar(&shard_path, inner_threads)?;
-                    self.observer.shard_phase(
-                        k,
-                        "precompute",
-                        pre_start.elapsed().as_nanos() as u64,
-                    );
-                }
+                    .shard_phase(k, "fit", fit_nanos.saturating_sub(precompute_nanos));
                 Ok(ShardEntry {
                     file: files[k].clone(),
                     n: rows.len() as u64,
@@ -464,7 +496,8 @@ pub struct FitSummary {
     pub d: usize,
     /// Subspaces selected by the search.
     pub subspaces: usize,
-    /// Artifact format version written (1 brute, 2 with stored trees).
+    /// Artifact format version written (1 brute, 2 with stored trees, 4
+    /// with stored hoods).
     pub version: u32,
 }
 
@@ -598,6 +631,7 @@ impl Hics {
 mod tests {
     use super::*;
     use hics_data::SyntheticConfig;
+    use hics_outlier::index::VpTree;
     use hics_outlier::knn_score::KnnScorer;
 
     fn quick() -> HicsParams {

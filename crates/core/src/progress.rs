@@ -43,8 +43,10 @@ pub trait FitObserver: Send + Sync {
         let _ = (level, evaluated, retained, nanos);
     }
 
-    /// One shard of a sharded fit finished a named phase (`"fit"`,
-    /// `"precompute"`) in `nanos` wall nanoseconds.
+    /// One shard of a sharded fit finished a named phase in `nanos` wall
+    /// nanoseconds: `"fit"`, the shard's search, index and save. The
+    /// shard's own phases (including `"precompute"`) also arrive through
+    /// [`FitObserver::phase_finished`].
     fn shard_phase(&self, shard: usize, phase: &str, nanos: u64) {
         let _ = (shard, phase, nanos);
     }

@@ -10,7 +10,8 @@
 //! the column payload is shared page cache instead of private heap —
 //! across processes, and across the generations a hot-reloading server
 //! keeps mapped (consumers may still gather working copies of the columns
-//! they actually use; see `QueryEngine::from_artifact` in `hics-outlier`).
+//! they actually use, and copy a version-4 artifact's stored hoods; see
+//! `QueryEngine::from_artifact` in `hics-outlier`).
 //!
 //! The artifact format was designed for this from day one: every section
 //! starts on an 8-byte boundary from the start of the file (see the format
@@ -24,14 +25,15 @@
 //! Validation is **identical** to the heap path: both run
 //! `ArtifactLayout::parse`, so a byte stream is accepted by
 //! [`ModelArtifact::open_mmap`] exactly when [`HicsModel::from_bytes`]
-//! accepts it, and every value a borrowed column view can yield was already
-//! checked finite.
+//! accepts it, every value a borrowed column view can yield was already
+//! checked finite, and every stored hoods value was already checked inside
+//! its domain.
 
 use crate::error::HicsError;
 use crate::mmap::{AlignedBytes, ByteStorage};
 use crate::model::{
-    f64_at, AggregationKind, ArtifactLayout, HicsModel, ModelIndex, ModelSubspace, NormKind,
-    NormParam, ScorerSpec,
+    f64_at, AggregationKind, ArtifactLayout, HicsModel, HoodsData, ModelIndex, ModelSubspace,
+    NormKind, NormParam, ScorerSpec,
 };
 use std::borrow::Cow;
 use std::path::Path;
@@ -91,17 +93,9 @@ impl ModelArtifact {
         self.storage.as_slice()
     }
 
-    /// Decoded format version (1 or 2).
+    /// Decoded format version (1, 2 or 4).
     pub fn version(&self) -> u32 {
         self.layout.version
-    }
-
-    /// The artifact's stored FNV-1a checksum (already validated against the
-    /// bytes at parse time) — a stable identity of these exact bytes, used
-    /// to bind derived sidecar files to the artifact they were computed
-    /// from.
-    pub fn checksum(&self) -> u64 {
-        u64::from_le_bytes(self.bytes()[64..72].try_into().expect("8 bytes"))
     }
 
     /// Number of trained objects `N`.
@@ -144,9 +138,25 @@ impl ModelArtifact {
         &self.layout.subspaces
     }
 
-    /// The prebuilt neighbor index of a version-2 artifact.
+    /// The prebuilt neighbor index of a version-2 or version-4 artifact.
     pub fn index(&self) -> Option<&ModelIndex> {
         self.layout.index.as_ref()
+    }
+
+    /// Whether the artifact carries the version-4 hoods section.
+    pub fn has_hoods(&self) -> bool {
+        self.layout.hoods_offset.is_some()
+    }
+
+    /// Subspace `s`'s precomputed neighbourhood state, copied out of the
+    /// hoods section of a version-4 artifact; `None` for versions 1 and 2,
+    /// whose consumers compute it.
+    ///
+    /// # Panics
+    /// Panics if `s` is not a subspace index.
+    pub fn hoods(&self, s: usize) -> Option<HoodsData> {
+        assert!(s < self.subspaces().len(), "subspace {s} out of range");
+        self.layout.hoods(self.bytes(), s)
     }
 
     /// Column `j` of the trained data, borrowed from the artifact bytes

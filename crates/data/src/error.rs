@@ -35,8 +35,11 @@ pub enum ArtifactSection {
     Subspaces,
     /// Per-subspace contrast values.
     Contrasts,
-    /// The version-2 neighbor-index section (VP-trees).
+    /// The neighbor-index section of versions 2 and 4 (VP-trees).
     Index,
+    /// The version-4 neighbourhood-state section (k-distances, LRDs,
+    /// clamps).
+    Hoods,
     /// The column pages of a dataset store file (`hics-store`).
     Pages,
     /// The shard table of a sharded model manifest (version-3 envelope).
@@ -55,6 +58,7 @@ impl ArtifactSection {
             ArtifactSection::Subspaces => "subspaces",
             ArtifactSection::Contrasts => "contrasts",
             ArtifactSection::Index => "index",
+            ArtifactSection::Hoods => "hoods",
             ArtifactSection::Pages => "pages",
             ArtifactSection::Shards => "shards",
         }
@@ -90,7 +94,9 @@ pub enum HicsError {
     },
     /// The file does not start with the artifact magic.
     BadMagic,
-    /// The artifact format version is newer than this build understands.
+    /// The artifact format version is newer than this build understands —
+    /// or is the sharded manifest's version 3 where a model artifact was
+    /// expected.
     UnsupportedVersion(u32),
     /// The stored checksum does not match the bytes — the artifact was
     /// corrupted after it was written.
@@ -177,6 +183,10 @@ impl std::fmt::Display for HicsError {
                  at offset {offset}, only {available} available"
             ),
             HicsError::BadMagic => write!(f, "not a HiCS model artifact (bad magic)"),
+            HicsError::UnsupportedVersion(v) if *v == crate::manifest::MANIFEST_VERSION => write!(
+                f,
+                "format version {v} is a sharded model manifest, not a model artifact"
+            ),
             HicsError::UnsupportedVersion(v) => {
                 write!(
                     f,

@@ -13,8 +13,9 @@
 //! * [`realworld`] — proxy generators for the eight UCI benchmarks
 //!   (Fig. 11); see DESIGN.md §3 for the substitution rationale.
 //! * [`model`] — the trained-model artifact (versioned binary save/load of
-//!   columns, rank index, subspaces and scorer config) behind `hics fit` /
-//!   `hics score` / `hics serve`.
+//!   columns, rank index, subspaces, scorer config and optional VP-trees
+//!   and neighbourhood state) behind `hics fit` / `hics score` /
+//!   `hics serve`, written by one encoder.
 //! * [`artifact`] — zero-copy (memory-mapped) access to a model artifact:
 //!   validated borrowed column views instead of heap materialisation.
 //! * [`error`] — the workspace-wide typed [`HicsError`] with artifact

@@ -15,10 +15,11 @@
 //! # On-disk format (version 3)
 //!
 //! The manifest reuses the model artifact's magic, 72-byte header shape and
-//! FNV-1a checksum scheme, under format version **3** — so a pre-shard
-//! reader fails cleanly with `UnsupportedVersion(3)` instead of
-//! misdecoding, and [`crate::model::peek_artifact_version`] routes a path
-//! to the right loader:
+//! FNV-1a checksum scheme, under format version **3** — a version no model
+//! artifact uses, so the model parser rejects a manifest with
+//! `UnsupportedVersion(3)` instead of misdecoding, and
+//! [`crate::model::peek_artifact_version`] routes a path to the right
+//! loader:
 //!
 //! ```text
 //! offset  size  field

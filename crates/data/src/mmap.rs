@@ -17,7 +17,7 @@
 //!
 //! The write side is [`write_atomic_with`] (and its whole-buffer form
 //! [`write_atomic`]): every file in the workspace that a reader may have
-//! mapped — artifacts, manifests, stores, hoods sidecars — is replaced by
+//! mapped — artifacts, manifests, stores — is replaced by
 //! temp file + rename, never rewritten in place.
 
 use crate::error::HicsError;

@@ -12,9 +12,13 @@
 //!   into the trained value space bit-for-bit,
 //! * the per-attribute [`RankIndex`] argsort permutations,
 //! * the selected subspaces with their contrast scores,
-//! * the scorer configuration (scorer kind, `k`, aggregation).
+//! * the scorer configuration (scorer kind, `k`, aggregation),
+//! * optionally, per-subspace VP-trees and per-subspace neighbourhood state
+//!   (the "hoods": k-distances, LOF densities and the non-finite clamp),
+//!   so opening the model skips both the tree builds and the all-points
+//!   kNN pass.
 //!
-//! # On-disk format (versions 1 and 2)
+//! # On-disk format (versions 1, 2 and 4)
 //!
 //! Little-endian throughout. A fixed 72-byte header, then sections that each
 //! begin on an 8-byte boundary from the start of the file, so a memory map
@@ -23,7 +27,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic "HICSMDL\0"
-//!      8     4  format version (u32, 1 or 2)
+//!      8     4  format version (u32, 1, 2 or 4)
 //!     12     4  header length  (u32, = 72)
 //!     16     8  n — objects    (u64)
 //!     24     8  d — attributes (u64)
@@ -42,19 +46,31 @@
 //!            sub lens    count × u32
 //!            sub dims    Σ lens × u32  (flattened, ascending per subspace)
 //!            contrasts   count × f64
-//! ----- version 2 only: neighbor-index section -----
-//!            index kind  u32 (1 = VP-tree) + u32 reserved
-//!            per subspace:
+//! ----- versions 2 and 4: neighbor-index section -----
+//!            index kind  u32 (1 = VP-tree; 0 = no trees, version 4 only)
+//!                        + u32 reserved
+//!            per subspace (VP-tree only):
 //!              node count u32, ids length u32
 //!              nodes      count × 32 B (vantage, inner, outer, start, len,
 //!                         reserved — all u32 — then mu f64)
 //!              ids        length × u32, zero-padded to 8 B
+//! ----- version 4 only: hoods section -----
+//!            per subspace:
+//!              clamp      f64      (largest finite training score)
+//!              k-dists    n × f64
+//!              LRDs       n × f64  (LOF only)
 //! ```
 //!
-//! A model **without** a prebuilt index serialises as version 1 — exactly
-//! the pre-index byte stream, so older readers keep working and new readers
-//! fall back to the brute-force scan. A model carrying per-subspace VP-trees
-//! serialises as version 2 with the index section appended.
+//! A model **without** a prebuilt index or hoods serialises as version 1 —
+//! exactly the pre-index byte stream, so older readers keep working and
+//! new readers fall back to the brute-force scan. A model carrying
+//! per-subspace VP-trees serialises as version 2 with the index section
+//! appended. A model carrying hoods serialises as version 4: the index
+//! section (kind 0 when there are no trees) followed by the hoods section,
+//! whose sizes all follow from `n` and the scorer, so it has no length
+//! fields. Version 3 is reserved for the sharded manifest
+//! ([`crate::manifest`]); a model artifact never uses it, and the model
+//! parser rejects it.
 //!
 //! The inverse ranks of the [`RankIndex`] are not stored: they are rebuilt
 //! from the order permutations in `O(D·N)` at load time (and validating the
@@ -82,12 +98,15 @@
 use crate::dataset::Dataset;
 use crate::error::{ArtifactSection, HicsError};
 use crate::index::RankIndex;
+use crate::source::ColumnsView;
 use std::io::{Read, Write};
 use std::path::Path;
 
-/// Current (maximum) on-disk format version. Version 1 lacks the
-/// neighbor-index section and is still written for models without one.
-pub const FORMAT_VERSION: u32 = 2;
+/// Current (maximum) on-disk format version: the version of an artifact
+/// carrying the hoods section. Versions 1 (no index) and 2 (index only)
+/// are still written for models without hoods; version 3 belongs to the
+/// sharded manifest ([`crate::manifest::MANIFEST_VERSION`]).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// File magic, first eight bytes of every model artifact.
 pub const MAGIC: [u8; 8] = *b"HICSMDL\0";
@@ -128,8 +147,8 @@ pub enum ScorerKind {
 }
 
 impl ScorerKind {
-    /// The on-disk code of the kind (artifact header, hoods sidecar).
-    pub fn code(self) -> u32 {
+    /// The on-disk code of the kind (artifact header).
+    fn code(self) -> u32 {
         match self {
             ScorerKind::Lof => 0,
             ScorerKind::KnnMean => 1,
@@ -138,7 +157,7 @@ impl ScorerKind {
     }
 
     /// Decodes [`ScorerKind::code`]; an unknown code is an error message.
-    pub fn from_code(c: u32) -> Result<Self, String> {
+    fn from_code(c: u32) -> Result<Self, String> {
         match c {
             0 => Ok(ScorerKind::Lof),
             1 => Ok(ScorerKind::KnnMean),
@@ -372,6 +391,94 @@ pub struct ModelIndex {
     pub trees: Vec<VpTreeData>,
 }
 
+/// One subspace's precomputed neighbourhood state over the `n` trained
+/// objects — what serving needs besides the points and the tree: every
+/// object's k-distance (the LOF reachability input), its local
+/// reachability density (LOF only) and the non-finite query clamp.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HoodsData {
+    /// Largest finite training score of the subspace, the value a
+    /// non-finite query score is clamped to (`0.0` if none is finite).
+    pub clamp: f64,
+    /// k-distance of every training object.
+    pub k_distance: Vec<f64>,
+    /// Local reachability density of every training object for the LOF
+    /// scorer; empty for the kNN scorers, which never read it.
+    pub lrd: Vec<f64>,
+}
+
+/// The hoods payload of a version-4 artifact: one [`HoodsData`] per model
+/// subspace, aligned with [`HicsModel::subspaces`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelHoods {
+    /// Per-subspace state, same order as the subspace section.
+    pub subspaces: Vec<HoodsData>,
+}
+
+/// Little-endian `f64`s of `bytes` (a multiple of 8 long), in order.
+fn le_f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+}
+
+/// The value domain of one subspace's hoods, shared by the byte parser and
+/// the in-memory check of [`HicsModel::set_hoods`]: a finite clamp,
+/// k-distances and LRDs `≥ 0` — never NaN or negative. `+∞` is legal for
+/// both: duplicate points give `lrd = ∞`, and a distance between extreme
+/// (finite) coordinates can overflow.
+fn check_hood_values(
+    clamp: f64,
+    k_distance: impl Iterator<Item = f64>,
+    lrd: impl Iterator<Item = f64>,
+) -> Result<(), String> {
+    if !clamp.is_finite() {
+        return Err(format!("non-finite clamp {clamp}"));
+    }
+    if let Some((i, v)) = k_distance.enumerate().find(|(_, v)| v.is_nan() || *v < 0.0) {
+        return Err(format!("invalid k-distance {v} for object {i}"));
+    }
+    if let Some((i, v)) = lrd.enumerate().find(|(_, v)| v.is_nan() || *v < 0.0) {
+        return Err(format!("invalid LRD {v} for object {i}"));
+    }
+    Ok(())
+}
+
+/// Validates in-memory hoods against the model shape: one entry per
+/// subspace, `n` k-distances each, `n` LRDs exactly when the scorer is LOF,
+/// and every value inside [`check_hood_values`]'s domain.
+fn validate_hoods(
+    hoods: &ModelHoods,
+    n: usize,
+    kind: ScorerKind,
+    subspaces: usize,
+) -> Result<(), HicsError> {
+    let fail = |msg: String| HicsError::InvalidModel {
+        section: ArtifactSection::Hoods,
+        offset: 0,
+        msg,
+    };
+    if hoods.subspaces.len() != subspaces {
+        return Err(fail(format!(
+            "{} hoods for {subspaces} subspaces",
+            hoods.subspaces.len()
+        )));
+    }
+    let lrd_len = if kind == ScorerKind::Lof { n } else { 0 };
+    for (s, h) in hoods.subspaces.iter().enumerate() {
+        if h.k_distance.len() != n || h.lrd.len() != lrd_len {
+            return Err(fail(format!(
+                "subspace {s} holds {} k-distances and {} LRDs, expected {n} and {lrd_len}",
+                h.k_distance.len(),
+                h.lrd.len()
+            )));
+        }
+        check_hood_values(h.clamp, h.k_distance.iter().copied(), h.lrd.iter().copied())
+            .map_err(|msg| fail(format!("subspace {s}: {msg}")))?;
+    }
+    Ok(())
+}
+
 /// Structural validation of one serialized VP-tree over `n` objects: every
 /// link in range, no node visited twice, leaf ranges disjoint and exactly
 /// covering `ids`, and every object appearing exactly once as a vantage or
@@ -468,10 +575,11 @@ fn validate_tree(
 ///
 /// `parse` performs **all** artifact validation: header sanity, payload
 /// length, checksum, UTF-8 names, finite values, permutation checks,
-/// subspace structure and VP-tree structure. Consumers never re-validate.
+/// subspace structure, VP-tree structure and the hoods' value domain.
+/// Consumers never re-validate.
 #[derive(Debug, Clone)]
 pub(crate) struct ArtifactLayout {
-    /// Decoded format version (1 or 2).
+    /// Decoded format version (1, 2 or 4).
     pub version: u32,
     /// Object count.
     pub n: usize,
@@ -493,8 +601,11 @@ pub(crate) struct ArtifactLayout {
     pub order_offset: usize,
     /// Selected subspaces with contrasts (owned; tiny).
     pub subspaces: Vec<ModelSubspace>,
-    /// Prebuilt neighbor index of a version-2 stream.
+    /// Prebuilt neighbor index of a version-2 or version-4 stream.
     pub index: Option<ModelIndex>,
+    /// Byte offset of the hoods section of a version-4 stream (8-aligned;
+    /// per subspace a clamp, `n` k-distances and, for LOF, `n` LRDs).
+    pub hoods_offset: Option<usize>,
 }
 
 impl ArtifactLayout {
@@ -506,6 +617,11 @@ impl ArtifactLayout {
             return Err(HicsError::BadMagic);
         }
         let version = r.u32()?;
+        // Version 3 is the sharded manifest's envelope (same magic and
+        // header shape): never decode one as a model.
+        if version == crate::manifest::MANIFEST_VERSION {
+            return Err(HicsError::UnsupportedVersion(version));
+        }
         if version == 0 || version > FORMAT_VERSION {
             return Err(HicsError::UnsupportedVersion(version));
         }
@@ -674,56 +790,63 @@ impl ArtifactLayout {
             }
             sub.contrast = c;
         }
-        // Version 2 appends the neighbor-index section; a version-1 stream
-        // ends here and downstream consumers fall back to the brute scan.
+        // Versions 2 and 4 append the neighbor-index section; a version-1
+        // stream ends here and downstream consumers fall back to the brute
+        // scan.
         r.section = ArtifactSection::Index;
         let index = if version >= 2 {
             let kind = r.u32()?;
-            if kind != 1 {
+            // Kind 0 ("no trees") only exists so a version-4 stream can
+            // carry hoods without an index.
+            if kind != 1 && !(kind == 0 && version == FORMAT_VERSION) {
                 return Err(r.invalid(format!("unknown index kind {kind}")));
             }
             let reserved = r.u32()?;
             if reserved != 0 {
                 return Err(r.invalid("non-zero index reserved field".into()));
             }
-            let mut trees = Vec::with_capacity(sub_count);
-            for s in 0..sub_count {
-                let tree_offset = r.offset;
-                let node_count = r.u32()? as usize;
-                let ids_len = r.u32()? as usize;
-                // Reserve what the declared counts imply, capped by what the
-                // byte stream can actually still hold.
-                let mut nodes = Vec::with_capacity(node_count.min(bytes.len() / 32));
-                for _ in 0..node_count {
-                    let vantage = r.u32()?;
-                    let inner = r.u32()?;
-                    let outer = r.u32()?;
-                    let start = r.u32()?;
-                    let len = r.u32()?;
-                    let reserved = r.u32()?;
-                    if reserved != 0 {
-                        return Err(r.invalid(format!("non-zero reserved node field in tree {s}")));
-                    }
-                    let mu = r.f64()?;
-                    nodes.push(VpNodeData {
-                        vantage,
-                        inner,
-                        outer,
-                        start,
-                        len,
-                        mu,
-                    });
-                }
-                let mut ids = Vec::with_capacity(ids_len.min(bytes.len() / 4));
-                for _ in 0..ids_len {
-                    ids.push(r.u32()?);
-                }
-                r.align8()?;
-                let tree = VpTreeData { nodes, ids };
-                validate_tree(&tree, n, s, tree_offset)?;
-                trees.push(tree);
+            if kind == 0 {
+                None
+            } else {
+                Some(Self::parse_trees(&mut r, n, sub_count)?)
             }
-            Some(ModelIndex { trees })
+        } else {
+            None
+        };
+        // Version 4 appends the hoods section. Its size follows from n and
+        // the scorer, so one length check bounds the whole walk.
+        r.section = ArtifactSection::Hoods;
+        let hoods_offset = if version == FORMAT_VERSION {
+            let lof = scorer_kind == ScorerKind::Lof;
+            let stride = Self::hoods_stride(n, lof);
+            let remaining = bytes.len() - r.offset;
+            if stride.checked_mul(sub_count) != Some(remaining) {
+                return Err(r.invalid(format!(
+                    "hoods section holds {remaining} bytes, but {sub_count} subspaces need \
+                     {stride} each (clamp + {n} k-distances{})",
+                    if lof {
+                        format!(" + {n} LRDs")
+                    } else {
+                        String::new()
+                    }
+                )));
+            }
+            let start = r.offset;
+            for s in 0..sub_count {
+                let at = r.offset;
+                let raw = r.take(stride)?;
+                check_hood_values(
+                    f64_at(raw, 0),
+                    le_f64s(&raw[8..8 + n * 8]),
+                    le_f64s(&raw[8 + n * 8..]),
+                )
+                .map_err(|msg| HicsError::InvalidModel {
+                    section: ArtifactSection::Hoods,
+                    offset: at,
+                    msg: format!("subspace {s}: {msg}"),
+                })?;
+            }
+            Some(start)
         } else {
             None
         };
@@ -750,6 +873,75 @@ impl ArtifactLayout {
             order_offset,
             subspaces,
             index,
+            hoods_offset,
+        })
+    }
+
+    /// Parses the VP-trees of the index section (after its kind and
+    /// reserved words), validating each one.
+    fn parse_trees(
+        r: &mut Reader<'_>,
+        n: usize,
+        sub_count: usize,
+    ) -> Result<ModelIndex, HicsError> {
+        let bytes = r.bytes;
+        let mut trees = Vec::with_capacity(sub_count);
+        for s in 0..sub_count {
+            let tree_offset = r.offset;
+            let node_count = r.u32()? as usize;
+            let ids_len = r.u32()? as usize;
+            // Reserve what the declared counts imply, capped by what the
+            // byte stream can actually still hold.
+            let mut nodes = Vec::with_capacity(node_count.min(bytes.len() / 32));
+            for _ in 0..node_count {
+                let vantage = r.u32()?;
+                let inner = r.u32()?;
+                let outer = r.u32()?;
+                let start = r.u32()?;
+                let len = r.u32()?;
+                let reserved = r.u32()?;
+                if reserved != 0 {
+                    return Err(r.invalid(format!("non-zero reserved node field in tree {s}")));
+                }
+                let mu = r.f64()?;
+                nodes.push(VpNodeData {
+                    vantage,
+                    inner,
+                    outer,
+                    start,
+                    len,
+                    mu,
+                });
+            }
+            let mut ids = Vec::with_capacity(ids_len.min(bytes.len() / 4));
+            for _ in 0..ids_len {
+                ids.push(r.u32()?);
+            }
+            r.align8()?;
+            let tree = VpTreeData { nodes, ids };
+            validate_tree(&tree, n, s, tree_offset)?;
+            trees.push(tree);
+        }
+        Ok(ModelIndex { trees })
+    }
+
+    /// Bytes of one subspace's hoods: the clamp, `n` k-distances and, for
+    /// LOF, `n` LRDs.
+    fn hoods_stride(n: usize, lof: bool) -> usize {
+        8 + 8 * n * (1 + usize::from(lof))
+    }
+
+    /// Subspace `s`'s hoods copied out of `bytes` (the stream this layout
+    /// was parsed from), or `None` for an artifact without the section.
+    pub(crate) fn hoods(&self, bytes: &[u8], s: usize) -> Option<HoodsData> {
+        let n = self.n;
+        let stride = Self::hoods_stride(n, self.scorer.kind == ScorerKind::Lof);
+        let start = self.hoods_offset? + s * stride;
+        let raw = &bytes[start..start + stride];
+        Some(HoodsData {
+            clamp: f64_at(raw, 0),
+            k_distance: le_f64s(&raw[8..8 + n * 8]).collect(),
+            lrd: le_f64s(&raw[8 + n * 8..]).collect(),
         })
     }
 }
@@ -767,6 +959,7 @@ pub struct HicsModel {
     aggregation: AggregationKind,
     rank: RankIndex,
     index: Option<ModelIndex>,
+    hoods: Option<ModelHoods>,
 }
 
 impl PartialEq for HicsModel {
@@ -780,6 +973,7 @@ impl PartialEq for HicsModel {
             && self.scorer == other.scorer
             && self.aggregation == other.aggregation
             && self.index == other.index
+            && self.hoods == other.hoods
     }
 }
 
@@ -799,31 +993,8 @@ impl HicsModel {
         scorer: ScorerSpec,
         aggregation: AggregationKind,
     ) -> Self {
-        assert_eq!(norm.len(), dataset.d(), "one norm param per attribute");
-        assert!(!subspaces.is_empty(), "a model needs at least one subspace");
-        assert!(scorer.k >= 1, "scorer k must be >= 1");
-        assert!(
-            dataset.n() >= 2,
-            "a servable model needs at least two reference objects (kNN)"
-        );
-        assert!(
-            u32::try_from(dataset.n()).is_ok(),
-            "model artifacts cap N at u32::MAX objects"
-        );
-        for s in &subspaces {
-            assert!(!s.dims.is_empty(), "empty subspace in model");
-            assert!(
-                s.dims.windows(2).all(|w| w[0] < w[1]),
-                "subspace dims must be strictly ascending"
-            );
-            assert!(
-                *s.dims.last().unwrap() < dataset.d(),
-                "subspace attribute out of range"
-            );
-            assert!(s.contrast.is_finite(), "non-finite contrast");
-        }
         let rank = dataset.rank_index();
-        Self {
+        let model = Self {
             dataset,
             norm_kind,
             norm,
@@ -832,7 +1003,10 @@ impl HicsModel {
             aggregation,
             rank,
             index: None,
-        }
+            hoods: None,
+        };
+        model.assert_valid();
+        model
     }
 
     /// Attaches (or removes) a prebuilt neighbor index. With an index the
@@ -844,24 +1018,32 @@ impl HicsModel {
     /// fails structural validation — the same contract
     /// [`HicsModel::from_bytes`] enforces with errors.
     pub fn set_index(&mut self, index: Option<ModelIndex>) {
-        if let Some(idx) = &index {
-            assert_eq!(
-                idx.trees.len(),
-                self.subspaces.len(),
-                "one tree per subspace"
-            );
-            for (s, tree) in idx.trees.iter().enumerate() {
-                if let Err(e) = validate_tree(tree, self.n(), s, 0) {
-                    panic!("{e}");
-                }
-            }
-        }
         self.index = index;
+        self.assert_valid();
     }
 
     /// The prebuilt neighbor index, if the model carries one.
     pub fn index(&self) -> Option<&ModelIndex> {
         self.index.as_ref()
+    }
+
+    /// Attaches (or removes) precomputed neighbourhood state. With hoods
+    /// the artifact serialises as format version 4; without them it stays
+    /// a version-1 or version-2 byte stream.
+    ///
+    /// # Panics
+    /// Panics if the hoods do not match the subspace count, `n` or the
+    /// scorer (LRDs exactly for LOF), or hold a value outside the
+    /// section's domain — the same contract [`HicsModel::from_bytes`]
+    /// enforces with errors.
+    pub fn set_hoods(&mut self, hoods: Option<ModelHoods>) {
+        self.hoods = hoods;
+        self.assert_valid();
+    }
+
+    /// The precomputed neighbourhood state, if the model carries it.
+    pub fn hoods(&self) -> Option<&ModelHoods> {
+        self.hoods.as_ref()
     }
 
     /// Number of trained objects `N`.
@@ -927,92 +1109,46 @@ impl HicsModel {
     // ------------------------------------------------------------------
 
     /// Encodes the model into its binary format: version 1 without a
-    /// neighbor index, version 2 with one.
+    /// neighbor index or hoods, version 2 with an index only, version 4
+    /// with hoods. The bytes come from the one artifact encoder
+    /// [`save_model_streaming`] also writes through.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.n();
-        let d = self.d();
-        let version = if self.index.is_some() { 2 } else { 1 };
-        let mut buf = Vec::with_capacity(HEADER_LEN + d * n * 12 + 1024);
-        buf.extend_from_slice(&MAGIC);
-        push_u32(&mut buf, version);
-        push_u32(&mut buf, HEADER_LEN as u32);
-        push_u64(&mut buf, n as u64);
-        push_u64(&mut buf, d as u64);
-        push_u64(&mut buf, self.subspaces.len() as u64);
-        push_u32(&mut buf, self.scorer.kind.code());
-        push_u32(&mut buf, self.scorer.k);
-        push_u32(&mut buf, self.aggregation.code());
-        push_u32(&mut buf, self.norm_kind.code());
-        push_u64(&mut buf, 0); // payload length, patched below
-        push_u64(&mut buf, 0); // checksum, patched below
-        debug_assert_eq!(buf.len(), HEADER_LEN);
-
-        // Names.
-        for name in self.dataset.names() {
-            push_u32(&mut buf, name.len() as u32);
-            buf.extend_from_slice(name.as_bytes());
-        }
-        pad8(&mut buf);
-        // Normalisation parameters.
-        for p in &self.norm {
-            push_f64(&mut buf, p.offset);
-            push_f64(&mut buf, p.divisor);
-        }
-        // Columns.
-        for c in self.dataset.columns() {
-            for &v in c {
-                push_f64(&mut buf, v);
-            }
-        }
-        // Order permutations.
-        for j in 0..d {
-            for &id in self.rank.order(j) {
-                push_u32(&mut buf, id);
-            }
-        }
-        pad8(&mut buf);
-        // Subspaces: lens, flattened dims, contrasts.
-        for s in &self.subspaces {
-            push_u32(&mut buf, s.dims.len() as u32);
-        }
-        pad8(&mut buf);
-        for s in &self.subspaces {
-            for &dim in &s.dims {
-                push_u32(&mut buf, dim as u32);
-            }
-        }
-        pad8(&mut buf);
-        for s in &self.subspaces {
-            push_f64(&mut buf, s.contrast);
-        }
-        // Version 2: the neighbor-index section.
-        if let Some(index) = &self.index {
-            push_u32(&mut buf, 1); // index kind: VP-tree
-            push_u32(&mut buf, 0); // reserved
-            for tree in &index.trees {
-                push_u32(&mut buf, tree.nodes.len() as u32);
-                push_u32(&mut buf, tree.ids.len() as u32);
-                for node in &tree.nodes {
-                    push_u32(&mut buf, node.vantage);
-                    push_u32(&mut buf, node.inner);
-                    push_u32(&mut buf, node.outer);
-                    push_u32(&mut buf, node.start);
-                    push_u32(&mut buf, node.len);
-                    push_u32(&mut buf, 0); // reserved
-                    push_f64(&mut buf, node.mu);
-                }
-                for &id in &tree.ids {
-                    push_u32(&mut buf, id);
-                }
-                pad8(&mut buf);
-            }
-        }
-
-        let payload = (buf.len() - HEADER_LEN) as u64;
-        buf[56..64].copy_from_slice(&payload.to_le_bytes());
-        let checksum = artifact_checksum(&buf);
+        let view = ColumnsView::from_dataset(&self.dataset);
+        let parts = self.parts(&view);
+        let mut buf = Vec::with_capacity(parts.encoded_len());
+        let checksum = parts
+            .encode(&mut buf)
+            .expect("writing into a Vec cannot fail");
         buf[64..72].copy_from_slice(&checksum.to_le_bytes());
         buf
+    }
+
+    /// The model as input of the artifact encoder, over `view` (a view of
+    /// its own dataset).
+    fn parts<'a>(&'a self, view: &'a ColumnsView<'a>) -> ModelParts<'a> {
+        ModelParts {
+            view,
+            norm_kind: self.norm_kind,
+            norm: &self.norm,
+            subspaces: &self.subspaces,
+            scorer: self.scorer,
+            aggregation: self.aggregation,
+            index: self.index.as_ref(),
+            hoods: self.hoods.as_ref(),
+            order: Some(&self.rank),
+        }
+    }
+
+    /// Panics with the first violation of the artifact contract — the
+    /// in-memory form of what [`HicsModel::from_bytes`] rejects with
+    /// errors.
+    fn assert_valid(&self) {
+        if let Err(e) = self
+            .parts(&ColumnsView::from_dataset(&self.dataset))
+            .validate()
+        {
+            panic!("{e}");
+        }
     }
 
     /// Decodes and validates a model from its binary encoding, materialising
@@ -1048,6 +1184,11 @@ impl HicsModel {
         }
         let dataset = Dataset::from_columns_named(cols, layout.names.clone());
         let rank = RankIndex::from_order(order);
+        let hoods = layout.hoods_offset.map(|_| ModelHoods {
+            subspaces: (0..layout.subspaces.len())
+                .map(|s| layout.hoods(bytes, s).expect("section present"))
+                .collect(),
+        });
         Self {
             dataset,
             norm_kind: layout.norm_kind,
@@ -1057,6 +1198,7 @@ impl HicsModel {
             aggregation: layout.aggregation,
             rank,
             index: layout.index.clone(),
+            hoods,
         }
     }
 
@@ -1084,8 +1226,9 @@ impl HicsModel {
 
 /// Reads the magic and format version of the file at `path` without
 /// decoding it: the cheap sniff that routes an `.hics` path to the right
-/// loader (versions 1–2 are plain model artifacts, version 3 is a sharded
-/// model manifest — see [`crate::manifest`]).
+/// loader (versions 1, 2 and 4 are model artifacts — 4 carrying the hoods
+/// section — and version 3 is a sharded model manifest, see
+/// [`crate::manifest`]).
 pub fn peek_artifact_version(path: &Path) -> Result<u32, HicsError> {
     let mut f = std::fs::File::open(path).map_err(|e| HicsError::io_path("opening", path, e))?;
     let mut head = [0u8; 12];
@@ -1162,221 +1305,280 @@ impl<W: Write> HashingWriter<W> {
     }
 }
 
+/// Everything one model artifact holds, borrowed from wherever it lives —
+/// the single input of the artifact encoder behind both
+/// [`HicsModel::to_bytes`] and [`save_model_streaming`], so the section
+/// list, the payload-length arithmetic and the checksum exist once.
+#[derive(Debug, Clone, Copy)]
+pub struct ModelParts<'a> {
+    /// The trained (normalised) columns and attribute names.
+    pub view: &'a ColumnsView<'a>,
+    /// The normalisation kind applied at fit time.
+    pub norm_kind: NormKind,
+    /// Per-attribute normalisation parameters.
+    pub norm: &'a [NormParam],
+    /// The selected subspaces, best first.
+    pub subspaces: &'a [ModelSubspace],
+    /// The scorer configuration.
+    pub scorer: ScorerSpec,
+    /// The score aggregation.
+    pub aggregation: AggregationKind,
+    /// Per-subspace VP-trees, written as the index section.
+    pub index: Option<&'a ModelIndex>,
+    /// Per-subspace neighbourhood state, written as the hoods section.
+    pub hoods: Option<&'a ModelHoods>,
+    /// The argsort permutations, when the caller already holds them (the
+    /// subspace search builds them); `None` argsorts one column at a time
+    /// while writing.
+    pub order: Option<&'a RankIndex>,
+}
+
+impl ModelParts<'_> {
+    /// The format version the parts encode as: 4 with hoods, 2 with an
+    /// index only, 1 otherwise.
+    pub fn version(&self) -> u32 {
+        match (self.index, self.hoods) {
+            (_, Some(_)) => FORMAT_VERSION,
+            (Some(_), None) => 2,
+            (None, None) => 1,
+        }
+    }
+
+    /// Checks the parts against everything [`ArtifactLayout::parse`]
+    /// enforces on the content, so a written artifact always re-opens.
+    fn validate(&self) -> Result<(), HicsError> {
+        let (n, d) = (self.view.n(), self.view.d());
+        let invalid = |msg: String| HicsError::InvalidInput(msg);
+        if let Some(rank) = self.order {
+            if rank.n() != n || rank.d() != d {
+                return Err(invalid(format!(
+                    "rank index is {} x {}, view is {n} x {d}",
+                    rank.n(),
+                    rank.d()
+                )));
+            }
+        }
+        if n < 2 {
+            return Err(invalid(format!(
+                "a servable model needs at least two reference objects, got {n}"
+            )));
+        }
+        if u32::try_from(n).is_err() {
+            return Err(invalid(format!(
+                "object count {n} exceeds the u32 artifact cap"
+            )));
+        }
+        if self.norm.len() != d {
+            return Err(invalid(format!(
+                "{} norm params for {d} attributes",
+                self.norm.len()
+            )));
+        }
+        if self.subspaces.is_empty() {
+            return Err(invalid("a model needs at least one subspace".into()));
+        }
+        if self.scorer.k == 0 {
+            return Err(invalid("scorer k must be >= 1".into()));
+        }
+        for (s, sub) in self.subspaces.iter().enumerate() {
+            if sub.dims.is_empty()
+                || !sub.dims.windows(2).all(|w| w[0] < w[1])
+                || *sub.dims.last().expect("non-empty") >= d
+            {
+                return Err(invalid(format!(
+                    "subspace {s} dims {:?} are not strictly ascending within 0..{d}",
+                    sub.dims
+                )));
+            }
+            if !sub.contrast.is_finite() {
+                return Err(invalid(format!("non-finite contrast for subspace {s}")));
+            }
+        }
+        if let Some(idx) = self.index {
+            if idx.trees.len() != self.subspaces.len() {
+                return Err(invalid(format!(
+                    "{} index trees for {} subspaces",
+                    idx.trees.len(),
+                    self.subspaces.len()
+                )));
+            }
+            for (s, tree) in idx.trees.iter().enumerate() {
+                validate_tree(tree, n, s, 0)?;
+            }
+        }
+        if let Some(hoods) = self.hoods {
+            validate_hoods(hoods, n, self.scorer.kind, self.subspaces.len())?;
+        }
+        Ok(())
+    }
+
+    /// The exact encoded length in bytes, header included.
+    fn encoded_len(&self) -> usize {
+        let (n, d) = (self.view.n(), self.view.d());
+        let pad = |o: usize| o.next_multiple_of(8);
+        let mut off = HEADER_LEN;
+        for name in self.view.names() {
+            off += 4 + name.len();
+        }
+        off = pad(off);
+        off += d * 16; // norm params
+        off += d * n * 8; // columns
+        off += d * n * 4; // order permutations
+        off = pad(off);
+        off += self.subspaces.len() * 4; // lens
+        off = pad(off);
+        off += self
+            .subspaces
+            .iter()
+            .map(|s| s.dims.len() * 4)
+            .sum::<usize>();
+        off = pad(off);
+        off += self.subspaces.len() * 8; // contrasts
+        if self.version() >= 2 {
+            off += 8; // index kind + reserved
+            for tree in self.index.iter().flat_map(|i| &i.trees) {
+                off = pad(off + 8 + tree.nodes.len() * 32 + tree.ids.len() * 4);
+            }
+        }
+        for h in self.hoods.iter().flat_map(|h| &h.subspaces) {
+            off += 8 * (1 + h.k_distance.len() + h.lrd.len());
+        }
+        off
+    }
+
+    /// Writes the artifact to `out` with a zeroed checksum field, flushes,
+    /// and returns the checksum the caller patches into bytes 64..72.
+    fn encode<W: Write>(&self, out: W) -> Result<u64, std::io::Error> {
+        let (n, d) = (self.view.n(), self.view.d());
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        header.extend_from_slice(&MAGIC);
+        push_u32(&mut header, self.version());
+        push_u32(&mut header, HEADER_LEN as u32);
+        push_u64(&mut header, n as u64);
+        push_u64(&mut header, d as u64);
+        push_u64(&mut header, self.subspaces.len() as u64);
+        push_u32(&mut header, self.scorer.kind.code());
+        push_u32(&mut header, self.scorer.k);
+        push_u32(&mut header, self.aggregation.code());
+        push_u32(&mut header, self.norm_kind.code());
+        push_u64(&mut header, (self.encoded_len() - HEADER_LEN) as u64);
+        push_u64(&mut header, 0); // checksum, patched by the caller
+        debug_assert_eq!(header.len(), HEADER_LEN);
+
+        let mut w = HashingWriter {
+            inner: out,
+            hash: fnv1a(FNV_OFFSET, &header[..64]),
+        };
+        w.inner.write_all(&header)?;
+        // Names.
+        let mut written = 0usize;
+        for name in self.view.names() {
+            w.put(&(name.len() as u32).to_le_bytes())?;
+            w.put(name.as_bytes())?;
+            written += 4 + name.len();
+        }
+        w.pad8(written)?;
+        // Normalisation parameters.
+        for p in self.norm {
+            w.put(&p.offset.to_le_bytes())?;
+            w.put(&p.divisor.to_le_bytes())?;
+        }
+        // Columns, one at a time straight from the view.
+        for j in 0..d {
+            w.put(&f64_slice_le_bytes(self.view.col(j)))?;
+        }
+        // Order permutations: reused from the caller's rank index when
+        // available, one transient argsort per column otherwise.
+        for j in 0..d {
+            match self.order {
+                Some(rank) => w.put(&u32_slice_le_bytes(rank.order(j)))?,
+                None => {
+                    let order = hics_stats::rank::argsort(self.view.col(j));
+                    w.put(&u32_slice_le_bytes(&order))?;
+                }
+            }
+        }
+        // d·n·4 order bytes follow 8-aligned sections, so realign.
+        w.pad8(d * n * 4)?;
+        // Subspaces: lens, flattened dims, contrasts.
+        for s in self.subspaces {
+            w.put(&(s.dims.len() as u32).to_le_bytes())?;
+        }
+        w.pad8(self.subspaces.len() * 4)?;
+        written = 0;
+        for s in self.subspaces {
+            for &dim in &s.dims {
+                w.put(&(dim as u32).to_le_bytes())?;
+            }
+            written += s.dims.len() * 4;
+        }
+        w.pad8(written)?;
+        for s in self.subspaces {
+            w.put(&s.contrast.to_le_bytes())?;
+        }
+        // Versions 2 and 4: the neighbor-index section (kind 0, no trees,
+        // when a version-4 artifact has no index).
+        if self.version() >= 2 {
+            w.put(&u32::from(self.index.is_some()).to_le_bytes())?;
+            w.put(&0u32.to_le_bytes())?; // reserved
+            for tree in self.index.iter().flat_map(|i| &i.trees) {
+                w.put(&(tree.nodes.len() as u32).to_le_bytes())?;
+                w.put(&(tree.ids.len() as u32).to_le_bytes())?;
+                for node in &tree.nodes {
+                    w.put(&node.vantage.to_le_bytes())?;
+                    w.put(&node.inner.to_le_bytes())?;
+                    w.put(&node.outer.to_le_bytes())?;
+                    w.put(&node.start.to_le_bytes())?;
+                    w.put(&node.len.to_le_bytes())?;
+                    w.put(&0u32.to_le_bytes())?; // reserved
+                    w.put(&node.mu.to_le_bytes())?;
+                }
+                w.put(&u32_slice_le_bytes(&tree.ids))?;
+                w.pad8(tree.ids.len() * 4)?;
+            }
+        }
+        // Version 4: the hoods section.
+        for h in self.hoods.iter().flat_map(|h| &h.subspaces) {
+            w.put(&h.clamp.to_le_bytes())?;
+            w.put(&f64_slice_le_bytes(&h.k_distance))?;
+            w.put(&f64_slice_le_bytes(&h.lrd))?;
+        }
+        w.inner.flush()?;
+        Ok(w.hash)
+    }
+}
+
 /// Streams a model artifact to `path` without ever materialising the full
 /// training matrix: columns are written (and checksummed) one at a time
 /// straight from the source view, and the per-attribute argsort is either
-/// reused from `order` (a caller that already built the rank index — the
-/// subspace search does — should pass it rather than pay the
+/// reused from [`ModelParts::order`] (a caller that already built the rank
+/// index — the subspace search does — should pass it rather than pay the
 /// `O(D · N log N)` sorts twice) or computed transiently per column. The
-/// resulting file is **byte-identical** to [`HicsModel::save`] of the
-/// equivalent in-memory model (asserted by the module tests), so both load
-/// paths treat the two interchangeably.
+/// encoder is the one behind [`HicsModel::to_bytes`], so the file is
+/// **byte-identical** to [`HicsModel::save`] of the equivalent in-memory
+/// model, and both load paths treat the two interchangeably.
 ///
 /// Peak heap usage is `O(N)` per in-flight column (the argsort scratch)
 /// plus the small sections — never `O(N·D)` — which is what lets `hics fit`
 /// run over an mmap-backed dataset store larger than RAM.
 ///
-/// Like [`HicsModel::save`], the bytes go to a temp file in the same
-/// directory, are synced, then renamed over `path` (the checksum is patched
-/// in before the rename), so a serving process with the old artifact mapped
-/// never sees a torn file.
-#[allow(clippy::too_many_arguments)]
-pub fn save_model_streaming(
-    path: &Path,
-    view: &crate::source::ColumnsView<'_>,
-    norm_kind: NormKind,
-    norm: &[NormParam],
-    subspaces: &[ModelSubspace],
-    scorer: ScorerSpec,
-    aggregation: AggregationKind,
-    index: Option<&ModelIndex>,
-    order: Option<&RankIndex>,
-) -> Result<(), HicsError> {
+/// The parts are validated first (an invalid model is an
+/// [`HicsError::InvalidInput`] and writes nothing). Like
+/// [`HicsModel::save`], the bytes go to a temp file in the same directory,
+/// are synced, then renamed over `path` (the checksum is patched in before
+/// the rename), so a serving process with the old artifact mapped never
+/// sees a torn file.
+pub fn save_model_streaming(path: &Path, parts: &ModelParts<'_>) -> Result<(), HicsError> {
     use std::io::Seek;
-    let (n, d) = (view.n(), view.d());
-    let invalid = |msg: String| HicsError::InvalidInput(msg);
-    if let Some(rank) = order {
-        if rank.n() != n || rank.d() != d {
-            return Err(invalid(format!(
-                "rank index is {} x {}, view is {n} x {d}",
-                rank.n(),
-                rank.d()
-            )));
-        }
-    }
-    if n < 2 {
-        return Err(invalid(format!(
-            "a servable model needs at least two reference objects, got {n}"
-        )));
-    }
-    if u32::try_from(n).is_err() {
-        return Err(invalid(format!(
-            "object count {n} exceeds the u32 artifact cap"
-        )));
-    }
-    if norm.len() != d {
-        return Err(invalid(format!(
-            "{} norm params for {d} attributes",
-            norm.len()
-        )));
-    }
-    if subspaces.is_empty() {
-        return Err(invalid("a model needs at least one subspace".into()));
-    }
-    if scorer.k == 0 {
-        return Err(invalid("scorer k must be >= 1".into()));
-    }
-    for (s, sub) in subspaces.iter().enumerate() {
-        if sub.dims.is_empty()
-            || !sub.dims.windows(2).all(|w| w[0] < w[1])
-            || *sub.dims.last().expect("non-empty") >= d
-        {
-            return Err(invalid(format!(
-                "subspace {s} dims {:?} are not strictly ascending within 0..{d}",
-                sub.dims
-            )));
-        }
-        if !sub.contrast.is_finite() {
-            return Err(invalid(format!("non-finite contrast for subspace {s}")));
-        }
-    }
-    if let Some(idx) = index {
-        if idx.trees.len() != subspaces.len() {
-            return Err(invalid(format!(
-                "{} index trees for {} subspaces",
-                idx.trees.len(),
-                subspaces.len()
-            )));
-        }
-        for (s, tree) in idx.trees.iter().enumerate() {
-            validate_tree(tree, n, s, 0)?;
-        }
-    }
-
-    // Exact payload length, mirroring `to_bytes` section for section.
-    let mut off = HEADER_LEN;
-    let pad = |o: usize| o.next_multiple_of(8);
-    for name in view.names() {
-        off += 4 + name.len();
-    }
-    off = pad(off);
-    off += d * 16; // norm params
-    off += d * n * 8; // columns
-    off += d * n * 4; // order permutations
-    off = pad(off);
-    off += subspaces.len() * 4; // lens
-    off = pad(off);
-    off += subspaces.iter().map(|s| s.dims.len() * 4).sum::<usize>();
-    off = pad(off);
-    off += subspaces.len() * 8; // contrasts
-    if let Some(idx) = index {
-        off += 8;
-        for tree in &idx.trees {
-            off = pad(off + 8 + tree.nodes.len() * 32 + tree.ids.len() * 4);
-        }
-    }
-    let payload = (off - HEADER_LEN) as u64;
-    let version: u32 = if index.is_some() { 2 } else { 1 };
-
-    let mut header = Vec::with_capacity(HEADER_LEN);
-    header.extend_from_slice(&MAGIC);
-    push_u32(&mut header, version);
-    push_u32(&mut header, HEADER_LEN as u32);
-    push_u64(&mut header, n as u64);
-    push_u64(&mut header, d as u64);
-    push_u64(&mut header, subspaces.len() as u64);
-    push_u32(&mut header, scorer.kind.code());
-    push_u32(&mut header, scorer.k);
-    push_u32(&mut header, aggregation.code());
-    push_u32(&mut header, norm_kind.code());
-    push_u64(&mut header, payload);
-    push_u64(&mut header, 0); // checksum, patched below
-    debug_assert_eq!(header.len(), HEADER_LEN);
-
+    parts.validate()?;
     crate::mmap::write_atomic_with(path, |file, tmp| {
-        let io = |e: std::io::Error| HicsError::io_path("writing", tmp, e);
-        let mut w = HashingWriter {
-            inner: std::io::BufWriter::new(&mut *file),
-            hash: fnv1a(FNV_OFFSET, &header[..64]),
-        };
-        w.inner.write_all(&header).map_err(io)?;
-        // Names.
-        let mut written = 0usize;
-        for name in view.names() {
-            w.put(&(name.len() as u32).to_le_bytes()).map_err(io)?;
-            w.put(name.as_bytes()).map_err(io)?;
-            written += 4 + name.len();
-        }
-        w.pad8(written).map_err(io)?;
-        // Normalisation parameters.
-        for p in norm {
-            w.put(&p.offset.to_le_bytes()).map_err(io)?;
-            w.put(&p.divisor.to_le_bytes()).map_err(io)?;
-        }
-        // Columns, one at a time straight from the view.
-        for j in 0..d {
-            w.put(&f64_slice_le_bytes(view.col(j))).map_err(io)?;
-        }
-        // Order permutations: reused from the caller's rank index when
-        // available, one transient argsort per column otherwise.
-        for j in 0..d {
-            match order {
-                Some(rank) => w.put(&u32_slice_le_bytes(rank.order(j))).map_err(io)?,
-                None => {
-                    let order = hics_stats::rank::argsort(view.col(j));
-                    w.put(&u32_slice_le_bytes(&order)).map_err(io)?;
-                }
-            }
-        }
-        // d·n·4 order bytes follow 8-aligned sections, so realign.
-        w.pad8(d * n * 4).map_err(io)?;
-        // Subspaces: lens, flattened dims, contrasts.
-        for s in subspaces {
-            w.put(&(s.dims.len() as u32).to_le_bytes()).map_err(io)?;
-        }
-        w.pad8(subspaces.len() * 4).map_err(io)?;
-        written = 0;
-        for s in subspaces {
-            for &dim in &s.dims {
-                w.put(&(dim as u32).to_le_bytes()).map_err(io)?;
-            }
-            written += s.dims.len() * 4;
-        }
-        w.pad8(written).map_err(io)?;
-        for s in subspaces {
-            w.put(&s.contrast.to_le_bytes()).map_err(io)?;
-        }
-        // Version 2: the neighbor-index section.
-        if let Some(idx) = index {
-            w.put(&1u32.to_le_bytes()).map_err(io)?;
-            w.put(&0u32.to_le_bytes()).map_err(io)?;
-            for tree in &idx.trees {
-                w.put(&(tree.nodes.len() as u32).to_le_bytes())
-                    .map_err(io)?;
-                w.put(&(tree.ids.len() as u32).to_le_bytes()).map_err(io)?;
-                for node in &tree.nodes {
-                    w.put(&node.vantage.to_le_bytes()).map_err(io)?;
-                    w.put(&node.inner.to_le_bytes()).map_err(io)?;
-                    w.put(&node.outer.to_le_bytes()).map_err(io)?;
-                    w.put(&node.start.to_le_bytes()).map_err(io)?;
-                    w.put(&node.len.to_le_bytes()).map_err(io)?;
-                    w.put(&0u32.to_le_bytes()).map_err(io)?;
-                    w.put(&node.mu.to_le_bytes()).map_err(io)?;
-                }
-                w.put(&u32_slice_le_bytes(&tree.ids)).map_err(io)?;
-                w.pad8(tree.ids.len() * 4).map_err(io)?;
-            }
-        }
-        let checksum = w.hash;
-        let file = w
-            .inner
-            .into_inner()
-            .map_err(|e| HicsError::io_path("flushing", tmp, e.into()))?;
+        let checksum = parts
+            .encode(std::io::BufWriter::new(&mut *file))
+            .map_err(|e| HicsError::io_path("writing", tmp, e))?;
         file.seek(std::io::SeekFrom::Start(64))
             .map_err(|e| HicsError::io_path("seeking in", tmp, e))?;
         file.write_all(&checksum.to_le_bytes())
-            .map_err(|e| HicsError::io_path("patching checksum in", tmp, e))?;
-        Ok(())
+            .map_err(|e| HicsError::io_path("patching checksum in", tmp, e))
     })
 }
 
@@ -1398,10 +1600,6 @@ pub(crate) fn push_u32(buf: &mut Vec<u8>, v: u32) {
 }
 
 pub(crate) fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn push_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -1600,19 +1798,22 @@ mod tests {
                 let view = crate::source::ColumnsView::from_dataset(m.dataset());
                 save_model_streaming(
                     &path,
-                    &view,
-                    m.norm_kind(),
-                    m.norm_params(),
-                    m.subspaces(),
-                    m.scorer(),
-                    m.aggregation(),
-                    m.index(),
-                    // Alternate between the transient-argsort path and a
-                    // caller-supplied rank index; both must be canonical.
-                    if with_index {
-                        Some(m.rank_index())
-                    } else {
-                        None
+                    &ModelParts {
+                        view: &view,
+                        norm_kind: m.norm_kind(),
+                        norm: m.norm_params(),
+                        subspaces: m.subspaces(),
+                        scorer: m.scorer(),
+                        aggregation: m.aggregation(),
+                        index: m.index(),
+                        hoods: None,
+                        // Alternate between the transient-argsort path and a
+                        // caller-supplied rank index; both must be canonical.
+                        order: if with_index {
+                            Some(m.rank_index())
+                        } else {
+                            None
+                        },
                     },
                 )
                 .expect("streaming save");
@@ -1628,33 +1829,36 @@ mod tests {
         let m = sample_model(NormKind::None);
         let view = crate::source::ColumnsView::from_dataset(m.dataset());
         let path = std::env::temp_dir().join("hics-model-test-reject.hicsmodel");
+        let parts = ModelParts {
+            view: &view,
+            norm_kind: NormKind::None,
+            norm: m.norm_params(),
+            subspaces: m.subspaces(),
+            scorer: m.scorer(),
+            aggregation: m.aggregation(),
+            index: None,
+            hoods: None,
+            order: None,
+        };
         // No subspaces.
         assert!(save_model_streaming(
             &path,
-            &view,
-            NormKind::None,
-            m.norm_params(),
-            &[],
-            m.scorer(),
-            m.aggregation(),
-            None,
-            None,
+            &ModelParts {
+                subspaces: &[],
+                ..parts
+            }
         )
         .is_err());
         // Out-of-range subspace.
         assert!(save_model_streaming(
             &path,
-            &view,
-            NormKind::None,
-            m.norm_params(),
-            &[ModelSubspace {
-                dims: vec![0, 99],
-                contrast: 0.5
-            }],
-            m.scorer(),
-            m.aggregation(),
-            None,
-            None,
+            &ModelParts {
+                subspaces: &[ModelSubspace {
+                    dims: vec![0, 99],
+                    contrast: 0.5
+                }],
+                ..parts
+            }
         )
         .is_err());
         assert!(!path.exists(), "failed save must not leave a file");

@@ -2,11 +2,12 @@
 //! (model → bytes → model → bytes), and corrupted or truncated artifacts
 //! are rejected with errors, never panics or silent misreads.
 
+use hics_data::manifest::{PartitionKind, ShardAggregation, ShardEntry, ShardManifest};
 use hics_data::model::{
-    AggregationKind, HicsModel, ModelIndex, ModelSubspace, NormKind, ScorerKind, ScorerSpec,
-    VpNodeData, VpTreeData, VP_NONE,
+    AggregationKind, HicsModel, HoodsData, ModelHoods, ModelIndex, ModelSubspace, NormKind,
+    ScorerKind, ScorerSpec, VpNodeData, VpTreeData, VP_NONE,
 };
-use hics_data::{ArtifactSection, Dataset, HicsError};
+use hics_data::{ArtifactSection, Dataset, HicsError, ModelArtifact};
 use proptest::prelude::*;
 
 /// Builds a valid model from generated raw material. Values are quantised
@@ -335,4 +336,248 @@ fn index_section_truncation_and_corruption_are_rejected() {
             ..
         })
     ));
+}
+
+/// Deterministic hoods for `model`: the shape the fit stores (LRDs exactly
+/// for LOF), with values spanning the section's domain — zeros, `+∞`
+/// densities (duplicate points) and ordinary finite values.
+fn synthetic_hoods(model: &HicsModel) -> ModelHoods {
+    let n = model.n();
+    let lof = model.scorer().kind == ScorerKind::Lof;
+    ModelHoods {
+        subspaces: (0..model.subspaces().len())
+            .map(|s| HoodsData {
+                clamp: 1.5 + s as f64,
+                k_distance: (0..n).map(|i| (i % 4) as f64 * 0.25).collect(),
+                lrd: if lof {
+                    (0..n)
+                        .map(|i| {
+                            if i == 0 {
+                                f64::INFINITY
+                            } else {
+                                1.0 / i as f64
+                            }
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                },
+            })
+            .collect(),
+    }
+}
+
+fn version_of(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[8..12].try_into().unwrap())
+}
+
+/// Rewrites the header's payload length after a test grew or shrank the
+/// payload, then re-stamps the checksum.
+fn repatch_length(bytes: &mut [u8]) {
+    let payload = (bytes.len() - 72) as u64;
+    bytes[56..64].copy_from_slice(&payload.to_le_bytes());
+    restamp(bytes);
+}
+
+/// A model carrying hoods serialises as version 4 — with and without an
+/// index, for every scorer — and round-trips exactly; dropping the hoods
+/// gives back the version-1/2 bytes unchanged.
+#[test]
+fn hoods_section_roundtrips_as_version_4() {
+    for scorer_code in 0..3 {
+        for with_index in [false, true] {
+            let mut model = build_model(
+                14,
+                3,
+                (0..42).collect(),
+                vec![vec![true, false, true], vec![false, true]],
+                scorer_code,
+                3,
+                true,
+                1,
+            );
+            if with_index {
+                let trees = model
+                    .subspaces()
+                    .iter()
+                    .map(|_| single_leaf_tree(model.n()))
+                    .collect();
+                model.set_index(Some(ModelIndex { trees }));
+            }
+            let plain = model.to_bytes();
+            assert_eq!(version_of(&plain), if with_index { 2 } else { 1 });
+            model.set_hoods(Some(synthetic_hoods(&model)));
+            let v4 = model.to_bytes();
+            assert_eq!(version_of(&v4), 4);
+            let back = HicsModel::from_bytes(&v4).expect("v4 loads");
+            assert_eq!(back.hoods(), model.hoods());
+            assert_eq!(back.index(), model.index());
+            assert_eq!(back, model);
+            assert_eq!(back.to_bytes(), v4, "canonical encoding");
+            let artifact = ModelArtifact::from_bytes(&v4).expect("v4 maps");
+            assert!(artifact.has_hoods());
+            for (s, h) in model.hoods().unwrap().subspaces.iter().enumerate() {
+                assert_eq!(artifact.hoods(s).as_ref(), Some(h));
+            }
+            model.set_hoods(None);
+            assert_eq!(model.to_bytes(), plain, "no hoods, no version bump");
+        }
+    }
+}
+
+/// Hostile bytes in the hoods section: every truncation is an error, and
+/// with the checksum re-stamped (so only the parser can see the fault) a
+/// NaN or negative k-distance, a NaN LRD, LRDs on a kNN artifact and
+/// missing LRDs on a LOF artifact are each a typed error located in the
+/// hoods section — never a panic, an abort or a silent load.
+#[test]
+fn hoods_section_truncation_and_hostile_values_are_rejected() {
+    let hoods_error = |bytes: &[u8], what: &str| {
+        for result in [
+            HicsModel::from_bytes(bytes).map(|_| ()),
+            ModelArtifact::from_bytes(bytes).map(|_| ()),
+        ] {
+            match result {
+                Err(HicsError::InvalidModel {
+                    section: ArtifactSection::Hoods,
+                    ..
+                }) => {}
+                other => panic!("{what}: expected InvalidModel in hoods, got {other:?}"),
+            }
+        }
+    };
+    // LOF, one subspace, no index: the section is the tail of the file.
+    let mut lof = build_model(10, 2, (0..20).collect(), vec![vec![true]], 0, 2, true, 0);
+    let n = lof.n();
+    lof.set_hoods(Some(synthetic_hoods(&lof)));
+    let v4 = lof.to_bytes();
+    let section = 8 + 16 * n;
+    let start = v4.len() - section;
+    let kd0 = start + 8;
+    let lrd0 = kd0 + 8 * n;
+
+    for cut in start..v4.len() {
+        assert!(
+            HicsModel::from_bytes(&v4[..cut]).is_err(),
+            "cut at {cut} of {} accepted",
+            v4.len()
+        );
+        assert!(ModelArtifact::from_bytes(&v4[..cut]).is_err(), "cut {cut}");
+    }
+
+    for (at, value, what) in [
+        (kd0 + 8, f64::NAN, "NaN k-distance"),
+        (kd0 + 16, -0.5, "negative k-distance"),
+        (kd0, f64::NEG_INFINITY, "-inf k-distance"),
+        (lrd0 + 8, f64::NAN, "NaN LRD"),
+        (lrd0, -1.0, "negative LRD"),
+        (start, f64::NAN, "NaN clamp"),
+        (start, f64::INFINITY, "infinite clamp"),
+    ] {
+        let mut bad = v4.clone();
+        bad[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        restamp(&mut bad);
+        hoods_error(&bad, what);
+    }
+
+    // LRDs missing on a LOF artifact.
+    let mut bad = v4[..v4.len() - 8 * n].to_vec();
+    repatch_length(&mut bad);
+    hoods_error(&bad, "LOF without LRDs");
+
+    // LRDs present on a kNN artifact.
+    let mut knn = build_model(10, 2, (0..20).collect(), vec![vec![true]], 1, 2, true, 0);
+    knn.set_hoods(Some(synthetic_hoods(&knn)));
+    let good = knn.to_bytes();
+    assert!(HicsModel::from_bytes(&good).is_ok());
+    let mut bad = good.clone();
+    bad.extend(std::iter::repeat_n(0x3f, 8 * n));
+    repatch_length(&mut bad);
+    hoods_error(&bad, "kNN with LRDs");
+
+    // Flipping the header's scorer between LOF and kNN changes the
+    // section's shape under the same bytes.
+    let mut bad = v4.clone();
+    bad[40..44].copy_from_slice(&1u32.to_le_bytes());
+    restamp(&mut bad);
+    hoods_error(&bad, "LOF section under a kNN header");
+    let mut bad = good.clone();
+    bad[40..44].copy_from_slice(&0u32.to_le_bytes());
+    restamp(&mut bad);
+    hoods_error(&bad, "kNN section under a LOF header");
+
+    // A huge object count is rejected before anything is sized from it.
+    let mut bad = v4.clone();
+    bad[16..24].copy_from_slice(&(1u64 << 60).to_le_bytes());
+    restamp(&mut bad);
+    assert!(matches!(
+        HicsModel::from_bytes(&bad),
+        Err(HicsError::InvalidModel { .. })
+    ));
+}
+
+/// Index kind 0 ("no trees") exists only so a version-4 artifact can carry
+/// hoods without an index; in a version-2 stream it is an unknown kind.
+#[test]
+fn index_kind_zero_is_version_4_only() {
+    let mut model = build_model(10, 2, (0..20).collect(), vec![vec![true]], 1, 2, false, 1);
+    let v1_len = model.to_bytes().len();
+    model.set_index(Some(ModelIndex {
+        trees: vec![single_leaf_tree(model.n())],
+    }));
+    let mut bad = model.to_bytes();
+    bad[v1_len..v1_len + 4].copy_from_slice(&0u32.to_le_bytes());
+    restamp(&mut bad);
+    assert!(matches!(
+        HicsModel::from_bytes(&bad),
+        Err(HicsError::InvalidModel {
+            section: ArtifactSection::Index,
+            ..
+        })
+    ));
+}
+
+/// Version 3 is the sharded manifest's envelope — same magic and header
+/// shape — and is never decoded as a model: both model loaders reject a
+/// manifest byte stream with the typed version error, whose message names
+/// the manifest.
+#[test]
+fn version_3_manifest_bytes_are_not_a_model() {
+    let manifest = ShardManifest {
+        total_n: 20,
+        d: 2,
+        aggregation: ShardAggregation::Mean,
+        partition: PartitionKind::Contiguous,
+        shards: vec![ShardEntry {
+            file: "m.shard0.hics".into(),
+            n: 20,
+        }],
+    };
+    let bytes = manifest.to_bytes();
+    assert_eq!(version_of(&bytes), 3);
+    let model_err = HicsModel::from_bytes(&bytes).expect_err("manifest is not a model");
+    let artifact_err = ModelArtifact::from_bytes(&bytes).expect_err("manifest is not a model");
+    for err in [model_err, artifact_err] {
+        assert!(matches!(err, HicsError::UnsupportedVersion(3)), "{err:?}");
+        assert!(err.to_string().contains("sharded model manifest"), "{err}");
+    }
+    // A model byte stream relabelled as version 3 is rejected the same way.
+    let model = build_model(10, 2, (0..20).collect(), vec![vec![true]], 0, 2, true, 0);
+    let mut bad = model.to_bytes();
+    bad[8..12].copy_from_slice(&3u32.to_le_bytes());
+    restamp(&mut bad);
+    assert!(matches!(
+        HicsModel::from_bytes(&bad),
+        Err(HicsError::UnsupportedVersion(3))
+    ));
+}
+
+/// `set_hoods` enforces the same shape contract as the parser.
+#[test]
+#[should_panic(expected = "LRDs")]
+fn set_hoods_rejects_lrds_on_a_knn_model() {
+    let mut knn = build_model(10, 2, (0..20).collect(), vec![vec![true]], 1, 2, true, 0);
+    let mut hoods = synthetic_hoods(&knn);
+    hoods.subspaces[0].lrd = vec![1.0; knn.n()];
+    knn.set_hoods(Some(hoods));
 }

@@ -11,6 +11,11 @@
 //! sharded manifest drops into every existing flow — `/score`,
 //! `/v2/score`, `/admin/reload` — without those layers knowing how many
 //! artifacts sit behind a query.
+//!
+//! Opening is cheap for a version-4 artifact: its neighbourhood state (the
+//! hoods) was computed at fit time and rides in the artifact, so the open
+//! copies it instead of running the all-points kNN pass that older
+//! artifacts still pay.
 
 use crate::index::IndexKind;
 use crate::query::{IndexStats, QueryEngine, QueryError};
@@ -76,16 +81,15 @@ impl From<ShardedEngine> for Engine {
 }
 
 impl Engine {
-    /// Opens whatever model file sits at `path` — a version-1/2 artifact
+    /// Opens whatever model file sits at `path` — a version-1/2/4 artifact
     /// becomes a one-shard engine over its memory map, a version-3 sharded
     /// manifest a [`ShardedEngine`] over all its mapped shard artifacts.
     /// `index` behaves as in [`QueryEngine::from_artifact`].
     ///
-    /// Either route adopts a matching `<artifact>.hoods` sidecar (written
-    /// at fit time) when one sits next to the artifact, skipping the
-    /// neighbourhood precompute; a missing or stale sidecar is silently
-    /// ignored. [`IndexStats::precomputed`] reports whether every artifact
-    /// adopted one.
+    /// Either route adopts the hoods section of every version-4 artifact
+    /// (written at fit time), skipping the neighbourhood computation;
+    /// older artifacts compute their hoods. [`IndexStats::precomputed`]
+    /// reports whether every artifact carried them.
     pub fn open_mmap(
         path: &Path,
         index: Option<IndexKind>,
@@ -225,11 +229,13 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precompute::write_hoods_sidecar;
+    use crate::distance::SubspaceLayout;
+    use crate::index::SubspaceIndex;
+    use crate::query::subspace_hoods;
     use hics_data::manifest::{PartitionKind, ShardAggregation, ShardEntry, ShardManifest};
     use hics_data::model::{
-        apply_normalization, AggregationKind, HicsModel, ModelSubspace, NormKind, ScorerKind,
-        ScorerSpec,
+        apply_normalization, AggregationKind, HicsModel, ModelHoods, ModelSubspace, NormKind,
+        ScorerKind, ScorerSpec,
     };
     use hics_data::SyntheticConfig;
 
@@ -249,6 +255,20 @@ mod tests {
         )
     }
 
+    /// `m` with its hoods attached, as a precomputing fit stores them.
+    fn with_hoods(mut m: HicsModel) -> HicsModel {
+        let subspaces = m
+            .subspaces()
+            .iter()
+            .map(|s| {
+                let layout = SubspaceLayout::gather(m.dataset(), &s.dims);
+                subspace_hoods(&layout, &SubspaceIndex::Brute, m.scorer(), 2)
+            })
+            .collect();
+        m.set_hoods(Some(ModelHoods { subspaces }));
+        m
+    }
+
     fn temp_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(name);
         std::fs::remove_dir_all(&dir).ok();
@@ -263,9 +283,10 @@ mod tests {
             .precomputed
     }
 
-    /// A single artifact opened by `Engine::open_mmap` adopts its hoods
-    /// sidecar, scores exactly like a computed open, and ignores the
-    /// sidecar once the artifact is refitted in place.
+    /// A single version-4 artifact opened by `Engine::open_mmap` adopts
+    /// its hoods section and scores exactly like a computed open of the
+    /// same model without hoods; refitting in place without hoods drops
+    /// the open back to computing.
     #[test]
     fn open_mmap_adopts_a_single_artifacts_hoods() {
         let dir = temp_dir("hics-engine-open-single");
@@ -273,29 +294,37 @@ mod tests {
         let m = model(1, ScorerKind::Lof);
         m.save(&path).unwrap();
         let computed = Engine::open_mmap(&path, None, 2).unwrap();
-        assert!(!computed.index_stats().precomputed, "no sidecar yet");
+        assert!(
+            !computed.index_stats().precomputed,
+            "a v1 artifact computes"
+        );
         assert_eq!(computed.shard_count(), 1);
-        write_hoods_sidecar(&path, 2).unwrap();
+        with_hoods(m.clone()).save(&path).unwrap();
+        assert_eq!(peek_artifact_version(&path).unwrap(), 4);
         let adopted = Engine::open_mmap(&path, None, 2).unwrap();
         assert!(adopted.index_stats().precomputed);
+        assert!(adopted.is_mapped());
         for i in (0..m.n()).step_by(7) {
             let row = m.dataset().row(i);
             assert_eq!(adopted.score(&row), computed.score(&row), "row {i}");
         }
+        let novel = [5.0, -5.0, 5.0];
+        assert_eq!(adopted.score(&novel), computed.score(&novel));
         model(2, ScorerKind::Lof).save(&path).unwrap();
-        assert!(!precomputed(&path), "a stale sidecar must not be adopted");
+        assert!(!precomputed(&path), "a refit without hoods computes");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Every shard of a manifest adopts its own sidecar; refitting one
-    /// shard in place drops exactly that shard back to computing.
+    /// A manifest still routes to the shard ensemble, and every version-4
+    /// shard adopts its own hoods; refitting one shard in place without
+    /// hoods drops exactly that shard back to computing.
     #[test]
     fn open_mmap_adopts_every_manifest_shards_hoods() {
         let dir = temp_dir("hics-engine-open-manifest");
         let mut shards = Vec::new();
         for k in 0..3u64 {
             let file = format!("e.shard{k}.hics");
-            model(10 + k, ScorerKind::KnnMean)
+            with_hoods(model(10 + k, ScorerKind::KnnMean))
                 .save(&dir.join(&file))
                 .unwrap();
             shards.push(ShardEntry { file, n: 80 });
@@ -309,11 +338,8 @@ mod tests {
         };
         let path = dir.join("e.hics");
         manifest.save(&path).unwrap();
-        assert!(!precomputed(&path), "no sidecars yet");
-        for shard in manifest.shard_paths(&path) {
-            write_hoods_sidecar(&shard, 2).unwrap();
-        }
         let engine = Engine::open_mmap(&path, None, 2).unwrap();
+        assert_eq!(engine.shard_count(), 3);
         assert!(engine.index_stats().precomputed);
         let sharded = engine.as_sharded().expect("manifest engine");
         assert!(sharded.shards().iter().all(|s| s.index_stats().precomputed));

@@ -18,7 +18,10 @@
 //!   multi-subspace driving.
 //! * [`query`] — query-point scoring against a trained model (the serving
 //!   path: score new points without re-running the search), over owned or
-//!   zero-copy memory-mapped columns.
+//!   zero-copy memory-mapped columns, plus [`subspace_hoods`], the one
+//!   computation of per-subspace neighbourhood state (k-distances, LOF
+//!   densities, clamps) that the fit stores in the artifact and older
+//!   artifacts pay at open.
 //! * [`sharded`] — cross-shard ensemble serving: one query scored against
 //!   every shard of a sharded fit, scores mean/max-combined.
 //! * [`engine`] — the [`Engine`] seam (single model | shard ensemble) the
@@ -28,9 +31,6 @@
 //!   model reload, with a bounded LRU of retired generations so repeated
 //!   reloads eventually unmap dropped artifacts.
 //! * [`parallel`] — deterministic `std::thread::scope` fan-out helpers.
-//! * [`precompute`] — the `<artifact>.hoods` sidecar: fit-time persisted
-//!   neighbourhood state (k-distances, LOF densities, clamps) adopted at
-//!   open, bound to the artifact by checksum.
 
 #![warn(missing_docs)]
 
@@ -46,7 +46,6 @@ pub mod knn_score;
 pub mod lof;
 pub mod metrics;
 pub mod parallel;
-pub mod precompute;
 pub mod query;
 pub mod scorer;
 pub mod sharded;
@@ -62,7 +61,6 @@ pub use knn::{knn_all, knn_query_point, Neighborhood};
 pub use knn_score::{KnnScoreKind, KnnScorer};
 pub use lof::{lof_from_neighborhoods, lrd_from_neighborhoods, Lof, LofParams};
 pub use metrics::{install_recorder, ScoreRecorder};
-pub use precompute::{write_hoods_sidecar, PrecomputedHoods, SubspaceHoods};
-pub use query::{IndexStats, QueryEngine, QueryError};
+pub use query::{subspace_hoods, IndexStats, QueryEngine, QueryError};
 pub use scorer::{score_and_aggregate, score_subspaces, SubspaceScorer};
 pub use sharded::ShardedEngine;

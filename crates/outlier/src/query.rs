@@ -8,9 +8,11 @@
 //! everything that is derivable once per model load: per-subspace point
 //! layouts (columns gathered once, never re-derived per request), a
 //! per-subspace neighbour index (brute scan or VP-tree — stored trees from a
-//! version-2 artifact are reused, otherwise built at load), k-distance
-//! neighbourhoods, LOF reachability densities, the non-finite clamp of each
-//! subspace, and a hash of the first trained column for `O(1)` in-sample
+//! version-2 or version-4 artifact are reused, otherwise built at load),
+//! the per-subspace neighbourhood state or "hoods" (k-distances, LOF
+//! reachability densities and the non-finite clamp — copied from a
+//! version-4 artifact's hoods section, computed by [`subspace_hoods`]
+//! otherwise), and a hash of the first trained column for `O(1)` in-sample
 //! detection. With the VP-tree a query costs `O(log N)` expected per
 //! subspace instead of the brute `O(N · |S|)` scan.
 //!
@@ -36,8 +38,7 @@ use crate::lof::{
     lof_from_neighborhoods, lof_of_query, lrd_from_neighborhoods, lrd_from_reach_sum,
 };
 use crate::parallel::par_map;
-use crate::precompute::{PrecomputedHoods, SubspaceHoods};
-use hics_data::model::{AggregationKind, HicsModel, NormParam, ScorerKind, ScorerSpec};
+use hics_data::model::{AggregationKind, HicsModel, HoodsData, NormParam, ScorerKind, ScorerSpec};
 use hics_data::{HicsError, ModelArtifact};
 use std::collections::HashMap;
 use std::path::Path;
@@ -103,14 +104,10 @@ struct TrainedSubspace {
     layout: SubspaceLayout,
     /// The neighbour index every query in this subspace goes through.
     index: SubspaceIndex,
-    /// k-distance of every training object (LOF reachability input).
-    k_distance: Vec<f64>,
-    /// Local reachability density of every training object (LOF only;
-    /// empty for the kNN scorers).
-    lrd: Vec<f64>,
-    /// Largest finite batch score of this subspace — the clamp applied to a
-    /// non-finite query score, matching [`crate::aggregate_scores`].
-    clamp: f64,
+    /// The training objects' k-distances and LOF densities, and the clamp
+    /// applied to a non-finite query score (matching
+    /// [`crate::aggregate_scores`]).
+    hoods: HoodsData,
 }
 
 /// How the engine's neighbour index came to be — surfaced on the serving
@@ -127,8 +124,8 @@ pub struct IndexStats {
     /// adopting indexes (excludes the neighbourhood precomputation).
     pub build_micros: u64,
     /// Whether the per-subspace neighbourhood state (k-distances, LOF
-    /// densities, clamps) was adopted from a hoods sidecar instead of
-    /// recomputed at load.
+    /// densities, clamps) was adopted from the artifact's hoods section
+    /// instead of computed at load.
     pub precomputed: bool,
 }
 
@@ -175,24 +172,15 @@ impl QueryEngine {
         Self::from_artifact(Arc::new(artifact), index, max_threads)
     }
 
-    /// Memory-maps the artifact at `path` and builds its engine, adopting a
-    /// matching `<artifact>.hoods` sidecar when one sits next to it (a
-    /// missing or stale sidecar is ignored; see
-    /// [`QueryEngine::from_artifact_with_hoods`]). `index` behaves as in
-    /// [`QueryEngine::from_artifact`].
+    /// Memory-maps the artifact at `path` and builds its engine. `index`
+    /// behaves as in [`QueryEngine::from_artifact`].
     pub fn open_mmap(
         path: &Path,
         index: Option<IndexKind>,
         max_threads: usize,
     ) -> Result<Self, HicsError> {
         let artifact = Arc::new(ModelArtifact::open_mmap(path)?);
-        let hoods = PrecomputedHoods::load_for(path, &artifact);
-        Ok(Self::from_artifact_with_hoods(
-            artifact,
-            hoods,
-            index,
-            max_threads,
-        ))
+        Ok(Self::from_artifact(artifact, index, max_threads))
     }
 
     /// Builds the engine over an artifact **without** copying the training
@@ -203,31 +191,18 @@ impl QueryEngine {
     /// depends on them), so resident memory scales with the attributes the
     /// subspaces actually touch (HiCS subspaces are 2–5 wide), not with `d`.
     /// `index` behaves exactly as in [`QueryEngine::from_model_with_index`].
+    ///
+    /// A version-4 artifact's hoods are copied out of its hoods section
+    /// (the fit wrote them with [`subspace_hoods`], so they are exactly the
+    /// values computing would produce); older artifacts compute them here
+    /// with up to `max_threads` workers. [`IndexStats::precomputed`] says
+    /// which happened.
     pub fn from_artifact(
         artifact: Arc<ModelArtifact>,
         index: Option<IndexKind>,
         max_threads: usize,
     ) -> Self {
-        Self::from_artifact_with_hoods(artifact, None, index, max_threads)
-    }
-
-    /// Like [`QueryEngine::from_artifact`], optionally adopting precomputed
-    /// neighbourhood state from a hoods sidecar. Hoods that do not match the
-    /// artifact's bytes, scorer and shape are ignored (the engine computes
-    /// as usual), so adoption can only speed the open up, never change a
-    /// score: a valid sidecar holds exactly the values construction would
-    /// have produced ([`QueryEngine::export_hoods`] writes them from a built
-    /// engine). Whether adoption happened is surfaced in
-    /// [`IndexStats::precomputed`].
-    pub fn from_artifact_with_hoods(
-        artifact: Arc<ModelArtifact>,
-        hoods: Option<PrecomputedHoods>,
-        index: Option<IndexKind>,
-        max_threads: usize,
-    ) -> Self {
         let spec = artifact.scorer();
-        let k = spec.k as usize;
-        let kind = spec.kind;
         let stored = artifact.index();
         let chosen = index.unwrap_or(if stored.is_some() {
             IndexKind::VpTree
@@ -261,64 +236,28 @@ impl QueryEngine {
                 (dims, layout, index)
             })
             .collect();
-        // Adopt precomputed neighbourhood state only when it provably
-        // belongs to this engine: these artifact bytes, same scorer, same
-        // subspaces, full-length vectors, LOF densities exactly when the
-        // scorer reads them. Anything else falls back to computing, so a
-        // stale or truncated sidecar can never alter a score.
-        let adopted = hoods.filter(|h| {
-            h.matches(&artifact)
-                && h.subspaces
-                    .iter()
-                    .all(|hs| hs.lrd.is_empty() != (kind == ScorerKind::Lof))
-        });
         let index_stats = IndexStats {
             kind: chosen,
             from_artifact,
             nodes: prepared.iter().map(|(_, _, i)| i.node_count()).sum(),
             build_micros: build_start.elapsed().as_micros() as u64,
-            precomputed: adopted.is_some(),
+            precomputed: artifact.has_hoods(),
         };
-        let subspaces = match adopted {
-            Some(h) => prepared
-                .into_iter()
-                .zip(h.subspaces)
-                .map(|((dims, layout, index), hs)| TrainedSubspace {
+        let subspaces = prepared
+            .into_iter()
+            .enumerate()
+            .map(|(s, (dims, layout, index))| {
+                let hoods = artifact
+                    .hoods(s)
+                    .unwrap_or_else(|| subspace_hoods(&layout, &index, spec, max_threads));
+                TrainedSubspace {
                     dims,
                     layout,
                     index,
-                    k_distance: hs.k_distance,
-                    lrd: hs.lrd,
-                    clamp: hs.clamp,
-                })
-                .collect(),
-            None => prepared
-                .into_iter()
-                .map(|(dims, layout, index)| {
-                    let hoods = knn_all_indexed(&layout, &index, k, max_threads);
-                    let (lrd, batch_scores) = match kind {
-                        ScorerKind::Lof => {
-                            let lrd = lrd_from_neighborhoods(&hoods);
-                            let scores = lof_from_neighborhoods(&hoods);
-                            (lrd, scores)
-                        }
-                        ScorerKind::KnnMean | ScorerKind::KnnKth => {
-                            let stat = knn_stat(kind);
-                            let scores = hoods.iter().map(|h| stat.score(h)).collect();
-                            (Vec::new(), scores)
-                        }
-                    };
-                    TrainedSubspace {
-                        dims,
-                        layout,
-                        index,
-                        k_distance: hoods.iter().map(|h| h.k_distance).collect(),
-                        lrd,
-                        clamp: finite_clamp(&batch_scores),
-                    }
-                })
-                .collect(),
-        };
+                    hoods,
+                }
+            })
+            .collect();
         let mut coincident: HashMap<u64, Vec<u32>> = HashMap::with_capacity(artifact.n());
         for (i, &v) in artifact.column(0).iter().enumerate() {
             coincident.entry(float_key(v)).or_default().push(i as u32);
@@ -329,35 +268,12 @@ impl QueryEngine {
                 AggregationKind::Average => Aggregation::Average,
                 AggregationKind::Max => Aggregation::Max,
             },
-            kind,
-            k,
+            kind: spec.kind,
+            k: spec.k as usize,
             subspaces,
             coincident,
             index_stats,
             artifact,
-        }
-    }
-
-    /// Exports the engine's per-subspace neighbourhood state as a
-    /// [`PrecomputedHoods`] bound to `artifact_checksum` — the fit-time half
-    /// of sidecar precomputation.
-    pub fn export_hoods(&self, artifact_checksum: u64) -> PrecomputedHoods {
-        PrecomputedHoods {
-            artifact_checksum,
-            scorer: ScorerSpec {
-                kind: self.kind,
-                k: self.k as u32,
-            },
-            subspaces: self
-                .subspaces
-                .iter()
-                .map(|s| SubspaceHoods {
-                    dims: s.dims.clone(),
-                    k_distance: s.k_distance.clone(),
-                    lrd: s.lrd.clone(),
-                    clamp: s.clamp,
-                })
-                .collect(),
         }
     }
 
@@ -417,7 +333,7 @@ impl QueryEngine {
             q_sub.clear();
             q_sub.extend(sub.dims.iter().map(|&j| q[j]));
             let s = self.score_in_subspace(sub, &q_sub, exclude);
-            let s = if s.is_finite() { s } else { sub.clamp };
+            let s = if s.is_finite() { s } else { sub.hoods.clamp };
             match self.aggregation {
                 Aggregation::Average => acc += s,
                 Aggregation::Max => acc = acc.max(s),
@@ -459,10 +375,10 @@ impl QueryEngine {
             ScorerKind::Lof => {
                 let mut sum_reach = 0.0;
                 for (&o, &d) in h.neighbors.iter().zip(&h.distances) {
-                    sum_reach += d.max(sub.k_distance[o as usize]);
+                    sum_reach += d.max(sub.hoods.k_distance[o as usize]);
                 }
                 let lrd_q = lrd_from_reach_sum(h.neighbors.len(), sum_reach);
-                lof_of_query(&sub.lrd, &h.neighbors, lrd_q)
+                lof_of_query(&sub.hoods.lrd, &h.neighbors, lrd_q)
             }
             ScorerKind::KnnMean | ScorerKind::KnnKth => knn_stat(self.kind).score(&h),
         }
@@ -498,6 +414,38 @@ fn float_key(v: f64) -> u64 {
         0
     } else {
         v.to_bits()
+    }
+}
+
+/// Computes one subspace's neighbourhood state over its trained points:
+/// the all-points kNN pass through `index` (up to `max_threads` workers),
+/// every object's k-distance, the LOF reachability densities (LOF only)
+/// and the non-finite clamp — the largest finite training score.
+///
+/// This is the one computation behind both the fit's hoods section and
+/// the engine's fallback for artifacts without one, so a stored section
+/// holds exactly what an open would otherwise compute.
+pub fn subspace_hoods(
+    layout: &SubspaceLayout,
+    index: &SubspaceIndex,
+    scorer: ScorerSpec,
+    max_threads: usize,
+) -> HoodsData {
+    let hoods = knn_all_indexed(layout, index, scorer.k as usize, max_threads);
+    let (lrd, batch_scores) = match scorer.kind {
+        ScorerKind::Lof => (
+            lrd_from_neighborhoods(&hoods),
+            lof_from_neighborhoods(&hoods),
+        ),
+        ScorerKind::KnnMean | ScorerKind::KnnKth => {
+            let stat = knn_stat(scorer.kind);
+            (Vec::new(), hoods.iter().map(|h| stat.score(h)).collect())
+        }
+    };
+    HoodsData {
+        clamp: finite_clamp(&batch_scores),
+        k_distance: hoods.iter().map(|h| h.k_distance).collect(),
+        lrd,
     }
 }
 
@@ -679,6 +627,147 @@ mod tests {
                 assert_eq!(owned.score(&novel), mapped.score(&novel), "{kind:?} novel");
             }
         }
+    }
+
+    /// `model` with its hoods attached, as a precomputing fit stores them.
+    fn with_hoods(mut model: HicsModel, index: IndexKind) -> HicsModel {
+        let subspaces = model
+            .subspaces()
+            .iter()
+            .map(|s| {
+                let layout = SubspaceLayout::gather(model.dataset(), &s.dims);
+                let index = SubspaceIndex::build(&layout, index);
+                subspace_hoods(&layout, &index, model.scorer(), 2)
+            })
+            .collect();
+        model.set_hoods(Some(hics_data::model::ModelHoods { subspaces }));
+        model
+    }
+
+    /// The engine's per-subspace hoods, for bitwise comparison.
+    fn engine_hoods(engine: &QueryEngine) -> Vec<HoodsData> {
+        engine.subspaces.iter().map(|s| s.hoods.clone()).collect()
+    }
+
+    /// The hoods section round-trips bit for bit for every scorer kind —
+    /// through `HicsModel::from_bytes` and into an engine's state — and a
+    /// version-4 artifact carries LRDs exactly for LOF.
+    #[test]
+    fn stored_hoods_round_trip_bitwise() {
+        for kind in [ScorerKind::Lof, ScorerKind::KnnMean, ScorerKind::KnnKth] {
+            let (model, _) = model_with(kind, NormKind::MinMax, AggregationKind::Average);
+            let model = with_hoods(model, IndexKind::Brute);
+            let bytes = model.to_bytes();
+            assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 4);
+            let back = HicsModel::from_bytes(&bytes).expect("v4 loads");
+            assert_eq!(back, model, "{kind:?}");
+            assert_eq!(back.to_bytes(), bytes, "{kind:?}: canonical encoding");
+            let stored = &model.hoods().expect("hoods").subspaces;
+            assert!(stored
+                .iter()
+                .all(|h| h.lrd.is_empty() != (kind == ScorerKind::Lof)));
+            let engine = QueryEngine::from_model(&model, 2);
+            assert!(engine.index_stats().precomputed);
+            assert_eq!(&engine_hoods(&engine), stored, "{kind:?}");
+        }
+    }
+
+    /// An engine that adopts stored hoods scores bit for bit like one that
+    /// computed them, in and out of sample, with either backend.
+    #[test]
+    fn adopted_hoods_score_bitwise_like_computed() {
+        for kind in [ScorerKind::Lof, ScorerKind::KnnKth] {
+            let (model, g) = model_with(kind, NormKind::ZScore, AggregationKind::Max);
+            let computed = QueryEngine::from_model(&model, 2);
+            for index in [IndexKind::Brute, IndexKind::VpTree] {
+                let adopted = QueryEngine::from_model(&with_hoods(model.clone(), index), 2);
+                assert!(adopted.index_stats().precomputed);
+                assert!(!computed.index_stats().precomputed);
+                for i in (0..g.dataset.n()).step_by(11) {
+                    let row = g.dataset.row(i);
+                    assert_eq!(
+                        adopted.score(&row),
+                        computed.score(&row),
+                        "{kind:?} row {i}"
+                    );
+                }
+                for q in [
+                    vec![0.5; 6],
+                    vec![40.0; 6],
+                    vec![-3.0, 0.0, 3.0, 0.1, 9.0, 2.0],
+                ] {
+                    assert_eq!(adopted.score(&q), computed.score(&q), "{kind:?} {q:?}");
+                }
+            }
+        }
+    }
+
+    /// Version-1 and version-2 artifacts carry no hoods: their open
+    /// computes them — the same values a precomputing fit would store.
+    #[test]
+    fn artifacts_without_hoods_compute_them() {
+        let (model, _) = model_with(ScorerKind::Lof, NormKind::None, AggregationKind::Average);
+        let mut indexed = model.clone();
+        indexed.set_index(Some(hics_data::model::ModelIndex {
+            trees: model
+                .subspaces()
+                .iter()
+                .map(|s| {
+                    VpTree::build(&SubspaceLayout::gather(model.dataset(), &s.dims)).into_data()
+                })
+                .collect(),
+        }));
+        let stored = with_hoods(model.clone(), IndexKind::Brute);
+        for m in [&model, &indexed] {
+            let artifact = Arc::new(ModelArtifact::from_bytes(&m.to_bytes()).expect("valid"));
+            assert!(artifact.version() == 1 || artifact.version() == 2);
+            assert!(!artifact.has_hoods() && artifact.hoods(0).is_none());
+            let engine = QueryEngine::from_artifact(artifact, None, 2);
+            assert!(!engine.index_stats().precomputed);
+            assert_eq!(
+                engine_hoods(&engine),
+                stored.hoods().expect("hoods").subspaces
+            );
+        }
+    }
+
+    /// Distances between extreme (finite) coordinates overflow to `+∞`,
+    /// giving infinite k-distances and zero LRDs: values the hoods
+    /// section must store and reload, or a precomputing fit of such data
+    /// would fail where a plain one succeeds.
+    #[test]
+    fn overflowing_distances_store_valid_hoods() {
+        let col: Vec<f64> = (0..12)
+            .map(|i| {
+                if i % 3 == 0 {
+                    1e200
+                } else {
+                    -(i as f64) * 1e199
+                }
+            })
+            .collect();
+        let data = hics_data::Dataset::from_columns(vec![col.clone(), col]);
+        let (data, norm) = apply_normalization(&data, NormKind::None);
+        let model = HicsModel::new(
+            data,
+            NormKind::None,
+            norm,
+            vec![ModelSubspace {
+                dims: vec![0, 1],
+                contrast: 0.5,
+            }],
+            ScorerSpec {
+                kind: ScorerKind::Lof,
+                k: 3,
+            },
+            AggregationKind::Average,
+        );
+        let model = with_hoods(model, IndexKind::Brute);
+        let stored = &model.hoods().expect("hoods").subspaces[0];
+        assert!(stored.k_distance.contains(&f64::INFINITY));
+        assert!(stored.lrd.contains(&0.0));
+        let back = HicsModel::from_bytes(&model.to_bytes()).expect("reloads");
+        assert_eq!(back.hoods(), model.hoods());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! Framework"): every component scores the query against *its* reference
 //! data, and the ensemble score is the mean (or max) of the component
 //! scores. Each component here is a full [`QueryEngine`] over its shard's
-//! memory-mapped artifact — zero-copy, VP-trees and all — so a
+//! memory-mapped artifact — zero-copy, stored VP-trees and hoods and all —
+//! so a
 //! [`ShardedEngine`] is exactly `S` single-model engines plus a fold.
 //!
 //! A single model is the one-component ensemble
@@ -66,10 +67,9 @@ impl ShardedEngine {
         let paths = manifest.shard_paths(manifest_path);
         // Shards open in parallel: the outer fan-out takes one thread per
         // shard (capped at max_threads) and each shard's own neighbourhood
-        // compute — the expensive part when no hoods sidecar applies — uses
-        // the leftover budget. Each shard also tries to adopt its
-        // `<artifact>.hoods` sidecar, which turns the all-points kNN pass
-        // into a validated read.
+        // compute — the expensive part for a shard artifact without a hoods
+        // section — uses the leftover budget. A version-4 shard adopts its
+        // stored hoods, which turns the all-points kNN pass into a copy.
         let outer = max_threads.clamp(1, paths.len().max(1));
         let inner = (max_threads / outer).max(1);
         let opened: Vec<Result<QueryEngine, HicsError>> = par_map(paths.len(), outer, |k| {

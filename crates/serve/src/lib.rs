@@ -31,7 +31,7 @@
 //! use std::path::Path;
 //!
 //! // The one opener (also behind `/admin/reload`): memory-maps the artifact,
-//! // or every shard of a manifest, and adopts its fit-time hoods sidecar.
+//! // or every shard of a manifest, and adopts the hoods stored in it.
 //! let engine = Engine::open_mmap(Path::new("model.hics"), None, 8).unwrap();
 //! let server = Server::bind(engine, ServeConfig::default()).unwrap();
 //! server.set_reload_source("model.hics".into(), None);

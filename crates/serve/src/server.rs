@@ -21,7 +21,7 @@
 //! | `POST /v2/score` | NDJSON streaming: one JSON point per line in (`[…]` or `{"point": […]}`; `Content-Length` or chunked), one scored line out per non-empty line, errors reported in-stream |
 //! | `POST /admin/reload` | loads a new artifact (zero-copy mmap), validates it, atomically swaps it in; body `{"model": path?, "index": "brute"\|"vptree"?}` or empty to re-load the configured source |
 //! | `GET /healthz` | `{"status":"ok"}` liveness probe |
-//! | `GET /model` | model shape, engine generation, neighbour-index kind and build stats |
+//! | `GET /model` | model shape, engine generation, neighbour-index kind and build stats, and whether the stored hoods were adopted (`"precomputed"`) |
 //! | `GET /stats` | request/row/batch/stream/connection counters, the batch-size histogram, and neighbour-index stats |
 //! | `GET /metrics` | the same instruments (plus per-stage request latency, reactor I/O and fit counters) in Prometheus text exposition |
 //!
@@ -712,7 +712,7 @@ pub(crate) fn reload_endpoint(body: &[u8], ctx: &Ctx) -> (u16, String) {
     };
     let (n, d, subs) = (engine.n(), engine.d(), engine.subspace_count());
     let shards = engine.shard_count();
-    let idx = engine.index_stats();
+    let index_json = index_object(&engine);
     let mapped = engine.is_mapped();
     ctx.handle.swap(engine);
     source.path = Some(path);
@@ -723,12 +723,8 @@ pub(crate) fn reload_endpoint(body: &[u8], ctx: &Ctx) -> (u16, String) {
         format!(
             "{{\"status\":\"reloaded\",\"generation\":{},\"objects\":{n},\"attributes\":{d},\
              \"subspaces\":{subs},\"shards\":{shards},\"mmap\":{mapped},\
-             \"load_micros\":{micros},\
-             \"index\":{{\"kind\":\"{}\",\"nodes\":{},\"from_artifact\":{}}}}}",
+             \"load_micros\":{micros},\"index\":{index_json}}}",
             ctx.handle.generation(),
-            idx.kind.name(),
-            idx.nodes,
-            idx.from_artifact,
         ),
     )
 }
@@ -805,16 +801,20 @@ fn parse_row(v: &Json, d: usize) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-/// The `"index"` object shared by `/model` and `/stats`: which neighbour
-/// backend serves queries, where it came from, and what building it cost.
+/// The `"index"` object shared by `/model`, `/stats` and
+/// `/admin/reload`: which neighbour backend serves queries, where it came
+/// from, what building it cost, and whether every artifact's hoods were
+/// adopted from its hoods section rather than computed at load.
 fn index_object(engine: &Engine) -> String {
     let idx = engine.index_stats();
     format!(
-        "{{\"kind\":\"{}\",\"nodes\":{},\"from_artifact\":{},\"build_micros\":{}}}",
+        "{{\"kind\":\"{}\",\"nodes\":{},\"from_artifact\":{},\"build_micros\":{},\
+         \"precomputed\":{}}}",
         idx.kind.name(),
         idx.nodes,
         idx.from_artifact,
         idx.build_micros,
+        idx.precomputed,
     )
 }
 
@@ -1209,6 +1209,60 @@ mod tests {
             assert_eq!(status, 200, "{reply}");
             assert!(reply.contains("\"generation\":3"), "{reply}");
             std::fs::remove_file(&path).ok();
+        });
+    }
+
+    /// The `"index"` object of `/model`, `/stats` and `/admin/reload`
+    /// says whether the engine adopted stored hoods: false for an engine
+    /// that computed them, true after a reload onto an artifact carrying
+    /// a hoods section.
+    #[test]
+    fn index_object_reports_hoods_adoption_on_every_endpoint() {
+        with_ctx(|ctx| {
+            let engine = ctx.handle.load();
+            for body in [model_body(&engine, 1), stats_body(ctx)] {
+                assert!(body.contains("\"precomputed\":false"), "{body}");
+            }
+            let g = SyntheticConfig::new(50, 3).with_seed(12).generate();
+            let (data, norm) = apply_normalization(&g.dataset, NormKind::None);
+            let mut model = HicsModel::new(
+                data,
+                NormKind::None,
+                norm,
+                vec![ModelSubspace {
+                    dims: vec![0, 2],
+                    contrast: 0.8,
+                }],
+                ScorerSpec {
+                    kind: ScorerKind::Lof,
+                    k: 4,
+                },
+                AggregationKind::Average,
+            );
+            let layout = hics_outlier::SubspaceLayout::gather(model.dataset(), &[0, 2]);
+            let hoods = hics_outlier::subspace_hoods(
+                &layout,
+                &hics_outlier::SubspaceIndex::Brute,
+                model.scorer(),
+                1,
+            );
+            model.set_hoods(Some(hics_data::model::ModelHoods {
+                subspaces: vec![hoods],
+            }));
+            let dir = std::env::temp_dir().join("hics-serve-hoods-test");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("hoods.hics");
+            model.save(&path).unwrap();
+
+            let body = format!("{{\"model\": \"{}\"}}", path.display());
+            let (status, reply) = reload_endpoint(body.as_bytes(), ctx);
+            assert_eq!(status, 200, "{reply}");
+            assert!(reply.contains("\"precomputed\":true"), "{reply}");
+            let engine = ctx.handle.load();
+            for body in [model_body(&engine, 2), stats_body(ctx)] {
+                assert!(body.contains("\"precomputed\":true"), "{body}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
         });
     }
 }
