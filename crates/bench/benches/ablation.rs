@@ -15,7 +15,7 @@ use std::hint::black_box;
 
 fn bench_slice_sizing(c: &mut Criterion) {
     let g = SyntheticConfig::new(1000, 10).with_seed(1).generate();
-    let idx = g.dataset.sorted_indices();
+    let idx = g.dataset.rank_index();
     let sub = Subspace::new([0, 1, 2, 3]);
     let mut group = c.benchmark_group("slice_draw_by_sizing");
     for sizing in [SliceSizing::PaperRoot, SliceSizing::ExactAlpha] {

@@ -33,10 +33,13 @@
 //!
 //! `import` streams CSV/ARFF rows into a columnar dataset store with
 //! bounded memory; `fit` over a store reads its columns zero-copy from the
-//! memory map (normalise at import time, not fit time). `fit --shards S`
-//! partitions the rows deterministically, fits every shard independently,
-//! and writes a sharded manifest; `score`/`serve` on a manifest score each
-//! query against every shard and combine with the stored aggregation.
+//! memory map (normalise at import time, not fit time). `fit` over a
+//! CSV/ARFF file loads and normalises it once. Either way one writer
+//! streams the artifact, so both inputs write the same bytes. `fit
+//! --shards S` partitions the rows deterministically, fits every shard
+//! independently through that writer, and writes a sharded manifest;
+//! `score`/`serve` on a manifest score each query against every shard and
+//! combine with the stored aggregation.
 //!
 //! `--index` selects the neighbour-search backend: `vptree` prebuilds (fit)
 //! or uses (score/serve) per-subspace VP-trees for `O(log N)` queries at
@@ -71,7 +74,7 @@ use hics_core::{
 use hics_data::arff::{read_arff_file, ArffReader};
 use hics_data::csv::{read_csv_file, write_csv_file, CsvData, CsvReader};
 use hics_data::manifest::{PartitionKind, ShardAggregation, ShardManifest};
-use hics_data::model::{NormKind, ScorerKind, ScorerSpec};
+use hics_data::model::{normalize_dataset, NormKind, ScorerKind, ScorerSpec};
 use hics_data::{DatasetSource, HicsError, RouteTable, SyntheticConfig};
 use hics_eval::report::{Stopwatch, TextTable};
 use hics_eval::roc::roc_auc;
@@ -458,12 +461,6 @@ fn cmd_import(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `fit`: subspace search packaged into a binary model artifact for
-/// `score` / `serve`. The input may be a CSV/ARFF file (materialised) or a
-/// dataset store (columns read zero-copy from the memory map, with the
-/// store's import-time normalisation). With `--shards S` the rows are
-/// partitioned deterministically, every shard is fitted independently, and
-/// a sharded manifest is written at `--out` instead of a single artifact.
 /// `fit --progress`: narrates the pipeline on stderr as it runs. Phase,
 /// level and shard lines print as each completes; the contrast-evaluation
 /// ticker is throttled to about one line per second (the hook fires from
@@ -517,15 +514,15 @@ impl FitObserver for ProgressObserver {
     }
 }
 
-/// Attaches the stderr progress observer when `--progress` was given.
-fn maybe_observe(builder: FitBuilder, progress: bool) -> FitBuilder {
-    if progress {
-        builder.observe(Arc::new(ProgressObserver::new()))
-    } else {
-        builder
-    }
-}
-
+/// `fit`: subspace search packaged into a binary model artifact for
+/// `score` / `serve`, through one source and one builder. A dataset store
+/// is read zero-copy from its memory map and arrives normalised at import
+/// time; a CSV/ARFF input is loaded and normalised here, once, in place.
+/// `--shards S` picks the sharded fit (rows partitioned deterministically,
+/// every shard fitted independently, a manifest written at `--out`) over
+/// the single artifact; both stream every artifact through the same writer,
+/// so a text input, its imported store and a one-shard fit write the same
+/// bytes.
 fn cmd_fit(args: &Args) -> Result<(), CliError> {
     let input = args.require("input")?;
     let out = args.require("out")?;
@@ -548,7 +545,6 @@ fn cmd_fit(args: &Args) -> Result<(), CliError> {
     // Fits store the hoods section in the artifact by default, so opens
     // and reloads skip the all-points kNN pass.
     let precompute = !args.flag("no-precompute");
-    let progress = args.flag("progress");
     let shards: Option<usize> = args
         .get("shards")
         .map(str::parse)
@@ -560,18 +556,8 @@ fn cmd_fit(args: &Args) -> Result<(), CliError> {
             ))
         })?;
 
-    // A store input is detected by content, not extension.
-    let store: Option<DatasetStore> =
-        if hics_store::sniff_file(Path::new(input))? == FileKind::Store {
-            Some(DatasetStore::open_mmap(Path::new(input))?)
-        } else {
-            None
-        };
-    let watch = Stopwatch::start();
-
-    if let Some(shards) = shards {
-        // Sharded fit: over the store (zero-copy) or the loaded dataset.
-        let spec = ShardFitSpec {
+    let spec = match shards {
+        Some(shards) => Some(ShardFitSpec {
             shards,
             partition: args
                 .get("shard-partition")
@@ -584,115 +570,81 @@ fn cmd_fit(args: &Args) -> Result<(), CliError> {
                 .parse::<ShardAggregation>()
                 .map_err(ArgError)?,
             parallel: args.get_or("shard-parallel", 0)?,
+        }),
+        None => None,
+    };
+
+    let watch = Stopwatch::start();
+    // A store input is detected by content, not extension. For a store the
+    // user's --normalize reaches the builder, whose source-fit check
+    // rejects it (stores are normalised at import time); a text input is
+    // normalised here and reaches the builder pre-normalised.
+    let (source, builder_norm): (Box<dyn DatasetSource>, NormKind) =
+        if hics_store::sniff_file(Path::new(input))? == FileKind::Store {
+            (Box::new(DatasetStore::open_mmap(Path::new(input))?), norm)
+        } else {
+            let (data, norm_params) = normalize_dataset(load(args)?.dataset, norm);
+            let source = PrenormalizedSource {
+                data,
+                norm_kind: norm,
+                norm_params,
+            };
+            (Box::new(source), NormKind::None)
         };
-        let builder = maybe_observe(
-            FitBuilder::new(params)
-                .scorer(scorer)
-                .index(index)
-                .precompute(precompute),
-            progress,
-        );
-        let manifest = match &store {
-            // The user's --normalize reaches the builder so a stray one on
-            // a store input is rejected by its source-fit check (stores
-            // arrive pre-normalised at import time).
-            Some(store) => builder
-                .normalize(norm)
-                .fit_sharded_to(store, &spec, Path::new(out))?,
-            None => {
-                // Text inputs are normalised up front, then sharded.
-                let data = load(args)?;
-                let (trained, norm_params) =
-                    hics_data::model::apply_normalization(&data.dataset, norm);
-                let prenorm = PrenormalizedSource {
-                    data: trained,
-                    norm_kind: norm,
-                    norm_params,
-                };
-                builder.fit_sharded_to(&prenorm, &spec, Path::new(out))?
-            }
-        };
-        println!(
-            "# sharded fit: {} rows x {} attrs into {} shards ({} partition, {} aggregation, \
-             {} scorer, {} index), {:.2}s",
-            manifest.total_n,
-            manifest.d,
-            manifest.shards.len(),
-            manifest.partition.name(),
-            manifest.aggregation.name(),
-            scorer.kind.name(),
-            index.name(),
-            watch.seconds()
-        );
-        for (entry, path) in manifest
-            .shards
-            .iter()
-            .zip(manifest.shard_paths(Path::new(out)))
-        {
-            println!("#   shard {} ({} rows)", path.display(), entry.n);
-        }
-        println!("# wrote sharded manifest to {out}");
-        return Ok(());
+    let mut builder = FitBuilder::new(params)
+        .normalize(builder_norm)
+        .scorer(scorer)
+        .index(index)
+        .precompute(precompute);
+    if args.flag("progress") {
+        builder = builder.observe(Arc::new(ProgressObserver::new()));
     }
 
-    if let Some(store) = &store {
-        // As above: --normalize flows into the builder so its source-fit
-        // check rejects it with the canonical message.
-        let summary = maybe_observe(
-            FitBuilder::new(params)
-                .normalize(norm)
-                .scorer(scorer)
-                .index(index)
-                .precompute(precompute),
-            progress,
-        )
-        .fit_source_to(store, Path::new(out))?;
+    let Some(spec) = spec else {
+        let summary = builder.fit_source_to(&*source, Path::new(out))?;
         println!(
-            "# fitted {} x {} model from store (zero-copy columns): {} subspaces, {} scorer \
-             (k={}), {} normalization (import-time), {} index, v{} artifact, {:.2}s",
+            "# fitted {} x {} model: {} subspaces, {} scorer (k={}), {} normalization, \
+             {} index, v{} artifact, {:.2}s",
             summary.n,
             summary.d,
             summary.subspaces,
             scorer.kind.name(),
             scorer.k,
-            store.norm_kind().name(),
+            source.norm_kind().name(),
             index.name(),
             summary.version,
             watch.seconds()
         );
         println!("# wrote model artifact to {out}");
         return Ok(());
-    }
-
-    let data = load(args)?;
-    let model = maybe_observe(
-        FitBuilder::new(params)
-            .normalize(norm)
-            .scorer(scorer)
-            .index(index)
-            .precompute(precompute),
-        progress,
-    )
-    .fit(&data.dataset);
-    model.save(Path::new(out))?;
+    };
+    let manifest = builder.fit_sharded_to(&*source, &spec, Path::new(out))?;
     println!(
-        "# fitted {} x {} model: {} subspaces, {} scorer (k={}), {} normalization, \
-         {} index, {:.2}s",
-        model.n(),
-        model.d(),
-        model.subspaces().len(),
-        model.scorer().kind.name(),
-        model.scorer().k,
-        model.norm_kind().name(),
+        "# sharded fit: {} rows x {} attrs into {} shards ({} partition, {} aggregation, \
+         {} scorer, {} index), {:.2}s",
+        manifest.total_n,
+        manifest.d,
+        manifest.shards.len(),
+        manifest.partition.name(),
+        manifest.aggregation.name(),
+        scorer.kind.name(),
         index.name(),
         watch.seconds()
     );
-    println!("# wrote model artifact to {out}");
+    for (entry, path) in manifest
+        .shards
+        .iter()
+        .zip(manifest.shard_paths(Path::new(out)))
+    {
+        println!("#   shard {} ({} rows)", path.display(), entry.n);
+    }
+    println!("# wrote sharded manifest to {out}");
     Ok(())
 }
 
 /// A pre-normalised in-memory source: what a CSV/ARFF input becomes before
-/// a sharded fit, so every shard inherits the same global transform.
+/// the fit, so the artifact (or every shard) carries the one transform
+/// computed over all rows.
 struct PrenormalizedSource {
     data: hics_data::Dataset,
     norm_kind: NormKind,

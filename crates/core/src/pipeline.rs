@@ -165,56 +165,33 @@ impl FitBuilder {
 
     /// Runs the subspace search on the (normalised) data and packages the
     /// result — columns, rank index, subspaces, scorer config and optional
-    /// prebuilt index — into a [`HicsModel`] for `hics score` /
-    /// `hics serve`.
+    /// prebuilt index — into an in-memory [`HicsModel`], for library
+    /// callers and tests. File outputs never build one: they stream from
+    /// [`FitBuilder::fit_source_to`] and [`FitBuilder::fit_sharded_to`],
+    /// which write exactly `self.fit(..).to_bytes()`.
     ///
     /// The stored columns are the *normalised* ones, so a query engine
     /// built from the model scores in-sample points bit-for-bit like
     /// [`Hics::run`] on the normalised dataset.
     pub fn fit(&self, data: &Dataset) -> HicsModel {
         let (trained, norm_params) = apply_normalization(data, self.norm);
-        self.fit_prenormalized(trained, self.norm, norm_params)
-    }
-
-    /// [`FitBuilder::fit`] for data whose normalisation has **already**
-    /// happened (out-of-core stores normalise at import; shard fits inherit
-    /// the source's global transform): runs the search on `trained` as-is
-    /// and stamps the given transform into the model so raw query points
-    /// still map into the trained value space.
-    ///
-    /// # Panics
-    /// Panics if `norm_params` does not match the data's attribute count.
-    pub fn fit_prenormalized(
-        &self,
-        trained: Dataset,
-        norm_kind: NormKind,
-        norm_params: Vec<NormParam>,
-    ) -> HicsModel {
-        self.fit_timed(trained, norm_kind, norm_params).0
-    }
-
-    /// [`FitBuilder::fit_prenormalized`], also returning the nanoseconds
-    /// spent in the `"precompute"` phase (0 without it).
-    fn fit_timed(
-        &self,
-        trained: Dataset,
-        norm_kind: NormKind,
-        norm_params: Vec<NormParam>,
-    ) -> (HicsModel, u64) {
-        let view = ColumnsView::from_dataset(&trained);
-        let (model_subspaces, _rank) = self.search(&view);
-        let (index, hoods, precompute_nanos) = self.index_and_hoods(&view, &model_subspaces);
+        let (subspaces, index, hoods) = {
+            let view = ColumnsView::from_dataset(&trained);
+            let (subspaces, _rank) = self.search(&view);
+            let (index, hoods, _) = self.index_and_hoods(&view, &subspaces);
+            (subspaces, index, hoods)
+        };
         let mut model = HicsModel::new(
             trained,
-            norm_kind,
+            self.norm,
             norm_params,
-            model_subspaces,
+            subspaces,
             self.scorer,
             self.aggregation_kind(),
         );
         model.set_index(index);
         model.set_hoods(hoods);
-        (model, precompute_nanos)
+        model
     }
 
     /// The `"search"` phase: the subspace search over `view`, returning
@@ -313,15 +290,56 @@ impl FitBuilder {
         Ok(())
     }
 
+    /// The one fit-to-file writer: the `"search"`, `"index"`,
+    /// `"precompute"` and `"save"` phases over `view`, streaming the
+    /// artifact to `out` with `norm` stamped in as its transform. The
+    /// search's rank index becomes the order-permutation section, so no
+    /// column is argsorted twice and no artifact-sized buffer is built.
+    /// Returns the summary and the precompute phase's nanoseconds.
+    fn write_fit(
+        &self,
+        view: &ColumnsView<'_>,
+        norm_kind: NormKind,
+        norm: &[NormParam],
+        out: &Path,
+    ) -> Result<(FitSummary, u64), HicsError> {
+        let (model_subspaces, rank) = self.search(view);
+        let (index, hoods, precompute_nanos) = self.index_and_hoods(view, &model_subspaces);
+        let parts = ModelParts {
+            view,
+            norm_kind,
+            norm,
+            subspaces: &model_subspaces,
+            scorer: self.scorer,
+            aggregation: self.aggregation_kind(),
+            index: index.as_ref(),
+            hoods: hoods.as_ref(),
+            order: Some(&rank),
+        };
+        self.observer.phase_started("save");
+        let save_start = Instant::now();
+        save_model_streaming(out, &parts)?;
+        self.observer
+            .phase_finished("save", save_start.elapsed().as_nanos() as u64);
+        let summary = FitSummary {
+            n: view.n(),
+            d: view.d(),
+            subspaces: model_subspaces.len(),
+            version: parts.version(),
+        };
+        Ok((summary, precompute_nanos))
+    }
+
     /// Fits a model **directly from a column source** and streams the
-    /// artifact to `out` — the out-of-core fit: for an mmap-backed dataset
-    /// store the training matrix is read zero-copy out of the map and is
-    /// never materialised on the heap (the search's index structures and
-    /// one transient argsort column are the only O(N) allocations). The
-    /// artifact is byte-identical to `self.fit(&materialised).save(out)`.
+    /// artifact to `out`. For an mmap-backed dataset store the training
+    /// matrix is read zero-copy out of the map and is never materialised on
+    /// the heap (the search's index structures and one transient argsort
+    /// column are the only O(N) allocations). The artifact is
+    /// byte-identical to `self.fit(&materialised).to_bytes()`.
     ///
     /// The source's stored normalisation is stamped into the artifact;
-    /// configure normalisation at import time, not on the builder.
+    /// normalise before the fit (at import time for a store), not on the
+    /// builder.
     pub fn fit_source_to<S: DatasetSource + ?Sized>(
         &self,
         source: &S,
@@ -330,41 +348,22 @@ impl FitBuilder {
         self.check_source_fit()?;
         let view = ColumnsView::from_source(source);
         let norm = source.norm_params();
-        let (model_subspaces, rank) = self.search(&view);
-        let (index, hoods, _) = self.index_and_hoods(&view, &model_subspaces);
-        let parts = ModelParts {
-            view: &view,
-            norm_kind: source.norm_kind(),
-            norm: &norm,
-            subspaces: &model_subspaces,
-            scorer: self.scorer,
-            aggregation: self.aggregation_kind(),
-            index: index.as_ref(),
-            hoods: hoods.as_ref(),
-            // The search already argsorted every column; reuse its index
-            // for the order-permutation section.
-            order: Some(&rank),
-        };
-        self.observer.phase_started("save");
-        let save_start = Instant::now();
-        save_model_streaming(out, &parts)?;
-        self.observer
-            .phase_finished("save", save_start.elapsed().as_nanos() as u64);
-        Ok(FitSummary {
-            n: view.n(),
-            d: view.d(),
-            subspaces: model_subspaces.len(),
-            version: parts.version(),
-        })
+        Ok(self.write_fit(&view, source.norm_kind(), &norm, out)?.0)
     }
 
     /// Sharded fit: deterministically partitions the source's rows into
-    /// `spec.shards` shards, fits each shard **independently through the
-    /// unchanged pipeline** (same search parameters and seed), writes one
-    /// artifact per shard next to `out`, and writes the sharded manifest
+    /// `spec.shards` shards and fits each shard **independently through the
+    /// same writer as [`FitBuilder::fit_source_to`]** (same search
+    /// parameters and seed, the source's transform stamped in). It writes
+    /// one artifact per shard next to `out` and the sharded manifest
     /// (version-3 envelope) at `out` itself. `hics score`/`hics serve` on
     /// the manifest score queries against every shard and combine with
     /// `spec.aggregation`.
+    ///
+    /// Every shard reports the `"search"`, `"index"`, `"precompute"` and
+    /// `"save"` phases through [`FitObserver::phase_finished`], then one
+    /// [`FitObserver::shard_phase`] `"fit"`: the shard's wall time minus
+    /// its precompute, not counting the row gather.
     ///
     /// Shards fit `spec.parallel` at a time (0 = one worker per shard, up
     /// to the thread budget); peak memory is the largest `parallel`
@@ -401,7 +400,7 @@ impl FitBuilder {
             }
         }
         let norm_kind = source.norm_kind();
-        let norm = source.norm_params().into_owned();
+        let norm = source.norm_params();
         let threads = self.params.search.max_threads.max(1);
         let parallel = if spec.parallel == 0 {
             spec.shards.min(threads)
@@ -424,16 +423,15 @@ impl FitBuilder {
                 params.search.max_threads = inner_threads;
                 let builder = FitBuilder {
                     params,
-                    norm: NormKind::None,
-                    scorer: self.scorer,
-                    index: self.index,
-                    precompute: self.precompute,
-                    observer: Arc::clone(&self.observer),
+                    ..self.clone()
                 };
                 let fit_start = Instant::now();
-                let (model, precompute_nanos) =
-                    builder.fit_timed(shard_data, norm_kind, norm.clone());
-                model.save(&dir.join(&files[k]))?;
+                let (_, precompute_nanos) = builder.write_fit(
+                    &ColumnsView::from_dataset(&shard_data),
+                    norm_kind,
+                    &norm,
+                    &dir.join(&files[k]),
+                )?;
                 // The shard's "fit" covers search, index and save; its
                 // hoods are reported as the "precompute" phase.
                 let fit_nanos = fit_start.elapsed().as_nanos() as u64;

@@ -27,6 +27,9 @@ pub trait FitObserver: Send + Sync {
     }
 
     /// A named pipeline phase finished after `nanos` wall nanoseconds.
+    /// Every fit-to-file path reports the same phases: `"search"`, then
+    /// `"index"` (VP-tree fits), `"precompute"` (with stored hoods) and
+    /// `"save"`. A sharded fit reports them once per shard.
     fn phase_finished(&self, phase: &str, nanos: u64) {
         let _ = (phase, nanos);
     }
@@ -44,9 +47,10 @@ pub trait FitObserver: Send + Sync {
     }
 
     /// One shard of a sharded fit finished a named phase in `nanos` wall
-    /// nanoseconds: `"fit"`, the shard's search, index and save. The
-    /// shard's own phases (including `"precompute"`) also arrive through
-    /// [`FitObserver::phase_finished`].
+    /// nanoseconds: `"fit"`, the shard's search, index and save (its wall
+    /// time minus the precompute). The shard's own phases — `"search"`,
+    /// `"index"`, `"precompute"` and `"save"` — also arrive through
+    /// [`FitObserver::phase_finished`], before its `"fit"`.
     fn shard_phase(&self, shard: usize, phase: &str, nanos: u64) {
         let _ = (shard, phase, nanos);
     }

@@ -19,7 +19,7 @@ use crate::contrast::{ContrastEstimator, StatTest};
 use crate::progress::{FitObserver, NoopObserver};
 use crate::slice::SliceSizing;
 use crate::subspace::Subspace;
-use hics_data::{ColumnsView, Dataset, DatasetSource, RankIndex};
+use hics_data::{ColumnsView, Dataset, RankIndex};
 use hics_outlier::parallel::par_map_init;
 use std::collections::HashSet;
 use std::time::Instant;
@@ -114,41 +114,18 @@ impl SubspaceSearch {
     /// # Panics
     /// Panics if the dataset has fewer than 2 attributes.
     pub fn run(&self, data: &Dataset) -> Vec<ScoredSubspace> {
-        self.run_detailed(data).result
-    }
-
-    /// Runs the search over any [`DatasetSource`] — for an mmap-backed
-    /// dataset store the columns are read zero-copy out of the map; only
-    /// the search's own index structures touch the heap. Identical
-    /// results (bit for bit) to [`SubspaceSearch::run`] on the
-    /// materialised data.
-    pub fn run_source<S: DatasetSource + ?Sized>(&self, source: &S) -> Vec<ScoredSubspace> {
-        self.run_detailed_view(&ColumnsView::from_source(source))
+        self.run_view_observed(&ColumnsView::from_dataset(data), &NoopObserver)
+            .0
             .result
     }
 
-    /// Runs the search, returning per-level diagnostics as well.
-    pub fn run_detailed(&self, data: &Dataset) -> SearchReport {
-        self.run_detailed_view(&ColumnsView::from_dataset(data))
-    }
-
-    /// [`SubspaceSearch::run_detailed`] over a gathered column view (the
-    /// shared implementation of the owned and the out-of-core paths).
-    pub fn run_detailed_view(&self, view: &ColumnsView<'_>) -> SearchReport {
-        self.run_view_with_index(view).0
-    }
-
-    /// [`SubspaceSearch::run_detailed_view`], also yielding the rank index
-    /// the search built over the view — the store-backed fit reuses it for
-    /// the artifact's order-permutation section instead of re-argsorting
-    /// every column.
-    pub fn run_view_with_index(&self, view: &ColumnsView<'_>) -> (SearchReport, RankIndex) {
-        self.run_view_observed(view, &NoopObserver)
-    }
-
-    /// [`SubspaceSearch::run_view_with_index`] with a progress observer:
+    /// The search over a column view — an owned dataset's columns or an
+    /// mmap-backed store's, read zero-copy — with a progress observer:
     /// `obs` sees every contrast evaluation (from worker threads) and every
-    /// completed level. Results are identical to the unobserved run.
+    /// completed level. Results are identical to the unobserved run. Also
+    /// yields the rank index the search built over the view; the fit
+    /// reuses it as the artifact's order-permutation section instead of
+    /// argsorting every column again.
     pub fn run_view_observed(
         &self,
         view: &ColumnsView<'_>,
@@ -373,7 +350,8 @@ mod tests {
         let g = SyntheticConfig::new(200, 12).with_seed(4).generate();
         let mut p = quick_params();
         p.candidate_cutoff = 10;
-        let report = SubspaceSearch::new(p).run_detailed(&g.dataset);
+        let (report, _) = SubspaceSearch::new(p)
+            .run_view_observed(&ColumnsView::from_dataset(&g.dataset), &NoopObserver);
         // Level 2 evaluates all 66 pairs, but level 3 candidates can only
         // come from 10 retained parents → at most C(10,2) = 45 joins.
         assert_eq!(report.evaluated_per_level[0].len(), 66);
@@ -387,7 +365,8 @@ mod tests {
         let g = SyntheticConfig::new(200, 10).with_seed(6).generate();
         let mut p = quick_params();
         p.max_dim = Some(2);
-        let report = SubspaceSearch::new(p).run_detailed(&g.dataset);
+        let (report, _) = SubspaceSearch::new(p)
+            .run_view_observed(&ColumnsView::from_dataset(&g.dataset), &NoopObserver);
         assert_eq!(report.evaluated_per_level.len(), 1);
         assert!(report.result.iter().all(|s| s.subspace.len() == 2));
     }

@@ -202,7 +202,8 @@ fn version_4_open_adopts_and_scores_like_a_computed_open() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Records phase names in completion order.
+/// Records phase names in completion order, shard phases as
+/// `"shard {k} {phase}"`.
 #[derive(Default)]
 struct Phases(Mutex<Vec<String>>);
 
@@ -210,10 +211,18 @@ impl FitObserver for Phases {
     fn phase_finished(&self, phase: &str, _nanos: u64) {
         self.0.lock().unwrap().push(phase.to_string());
     }
+
+    fn shard_phase(&self, shard: usize, phase: &str, _nanos: u64) {
+        self.0
+            .lock()
+            .unwrap()
+            .push(format!("shard {shard} {phase}"));
+    }
 }
 
 /// The fused fit still reports index, precompute and save as separate
-/// phases, in that order, so per-layer timings keep adding up.
+/// phases, in that order, so per-layer timings keep adding up — and every
+/// shard of a sharded fit reports the same four, then its one `"fit"`.
 #[test]
 fn fused_fit_reports_separate_phases() {
     let dir = temp_dir("hics-hoods-equivalence-phases");
@@ -229,6 +238,29 @@ fn fused_fit_reports_separate_phases() {
     assert_eq!(
         *phases.0.lock().unwrap(),
         ["search", "index", "precompute", "save"]
+    );
+
+    // S = 2, one shard at a time so the two shards' events do not
+    // interleave.
+    let phases = Arc::new(Phases::default());
+    let spec = ShardFitSpec {
+        shards: 2,
+        parallel: 1,
+        ..ShardFitSpec::default()
+    };
+    builder(ScorerKind::Lof, IndexKind::VpTree)
+        .observe(Arc::clone(&phases) as Arc<dyn FitObserver>)
+        .fit_sharded_to(&store, &spec, &dir.join("sharded.hics"))
+        .expect("sharded fit");
+    let shard = |k: usize| {
+        ["search", "index", "precompute", "save"]
+            .map(String::from)
+            .into_iter()
+            .chain([format!("shard {k} fit")])
+    };
+    assert_eq!(
+        *phases.0.lock().unwrap(),
+        shard(0).chain(shard(1)).collect::<Vec<_>>()
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -72,7 +72,7 @@ proptest! {
         let cols: Vec<Vec<f64>> =
             (0..4).map(|_| (0..n).map(|_| rng.gen()).collect()).collect();
         let data = Dataset::from_columns(cols);
-        let idx = data.sorted_indices();
+        let idx = data.rank_index();
         let sub = Subspace::new([0, 1, 2]);
         let mut sampler =
             SliceSampler::new(&data, &idx, &sub, alpha, SliceSizing::PaperRoot);

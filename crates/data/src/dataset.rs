@@ -6,7 +6,7 @@
 //! selected columns. A `Vec<Vec<f64>>` of columns keeps every hot loop
 //! cache-friendly without the complexity of a strided matrix type.
 
-use crate::index::{RankIndex, SortedIndices};
+use crate::index::RankIndex;
 
 /// An immutable, column-major table of `N` objects with `D` real-valued
 /// attributes (the database `DB` of the paper, Section III-A).
@@ -87,6 +87,12 @@ impl Dataset {
         &self.cols
     }
 
+    /// Mutable column access for in-place transforms inside the crate (the
+    /// values must stay finite).
+    pub(crate) fn columns_mut(&mut self) -> &mut [Vec<f64>] {
+        &mut self.cols
+    }
+
     /// Value of object `i` in attribute `j`.
     #[inline]
     pub fn value(&self, i: usize, j: usize) -> f64 {
@@ -125,11 +131,6 @@ impl Dataset {
     /// one-dimensional index structures for all attributes").
     pub fn rank_index(&self) -> RankIndex {
         RankIndex::build(self)
-    }
-
-    /// Backwards-compatible alias of [`Dataset::rank_index`].
-    pub fn sorted_indices(&self) -> SortedIndices {
-        self.rank_index()
     }
 
     /// Returns a new dataset restricted to the given attribute indices, in

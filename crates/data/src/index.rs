@@ -28,10 +28,6 @@ pub struct RankIndex {
     n: usize,
 }
 
-/// Backwards-compatible name for [`RankIndex`] (the pre-rank-engine type
-/// only carried the argsort direction).
-pub type SortedIndices = RankIndex;
-
 /// Inverts one argsort permutation into a rank array.
 fn invert(order: &[u32]) -> Vec<u32> {
     let mut rank = vec![0u32; order.len()];
@@ -106,11 +102,6 @@ impl RankIndex {
         &self.order[j]
     }
 
-    /// Alias of [`RankIndex::order`] kept from the `SortedIndices` days.
-    pub fn attr(&self, j: usize) -> &[u32] {
-        &self.order[j]
-    }
-
     /// The inverse permutation of attribute `j`: `rank(j)[id]` is the sorted
     /// position of object `id`.
     pub fn rank(&self, j: usize) -> &[u32] {
@@ -175,11 +166,11 @@ mod tests {
     #[test]
     fn sorted_order_per_attribute() {
         let data = Dataset::from_columns(vec![vec![3.0, 1.0, 2.0], vec![0.5, 0.7, 0.1]]);
-        let idx = data.sorted_indices();
+        let idx = data.rank_index();
         assert_eq!(idx.n(), 3);
         assert_eq!(idx.d(), 2);
-        assert_eq!(idx.attr(0), &[1, 2, 0]);
-        assert_eq!(idx.attr(1), &[2, 0, 1]);
+        assert_eq!(idx.order(0), &[1, 2, 0]);
+        assert_eq!(idx.order(1), &[2, 0, 1]);
     }
 
     #[test]
@@ -201,7 +192,7 @@ mod tests {
     #[test]
     fn blocks_are_windows_of_sorted_order() {
         let data = Dataset::from_columns(vec![vec![5.0, 4.0, 3.0, 2.0, 1.0]]);
-        let idx = data.sorted_indices();
+        let idx = data.rank_index();
         assert_eq!(idx.block(0, 0, 2), &[4, 3]);
         assert_eq!(idx.block(0, 3, 2), &[1, 0]);
     }
@@ -210,7 +201,7 @@ mod tests {
     fn block_values_are_contiguous_in_value_space() {
         let col = vec![0.9, 0.1, 0.5, 0.3, 0.7];
         let data = Dataset::from_columns(vec![col.clone()]);
-        let idx = data.sorted_indices();
+        let idx = data.rank_index();
         let block = idx.block(0, 1, 3);
         let vals: Vec<f64> = block.iter().map(|&i| col[i as usize]).collect();
         // The slice selects a value-contiguous range: [0.3, 0.5, 0.7].
@@ -220,9 +211,9 @@ mod tests {
     #[test]
     fn ties_keep_all_duplicates_addressable() {
         let data = Dataset::from_columns(vec![vec![1.0, 1.0, 1.0, 0.0]]);
-        let idx = data.sorted_indices();
-        assert_eq!(idx.attr(0)[0], 3);
-        assert_eq!(idx.attr(0).len(), 4);
+        let idx = data.rank_index();
+        assert_eq!(idx.order(0)[0], 3);
+        assert_eq!(idx.order(0).len(), 4);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use artifact::ModelArtifact;
 pub use bitset::SliceMask;
 pub use dataset::Dataset;
 pub use error::{ArtifactSection, HicsError};
-pub use index::{RankIndex, SortedIndices};
+pub use index::RankIndex;
 pub use manifest::{PartitionKind, ShardAggregation, ShardEntry, ShardManifest};
 pub use mmap::{write_atomic, write_atomic_with};
 pub use model::{

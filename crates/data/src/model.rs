@@ -293,49 +293,107 @@ impl NormParam {
     }
 }
 
-/// Computes the per-attribute normalisation of `kind` for `data` and returns
-/// the transformed dataset together with the parameters — the fit-time
-/// counterpart of [`NormParam::apply`]. The arithmetic matches
+/// Per-attribute normalisation accumulator: fed one attribute's values in
+/// row order, it yields that attribute's [`NormParam`]. The one computation
+/// of the transform, shared by fit-time ([`normalize_dataset`]) and
+/// import-time (the dataset store's streaming writer) normalisation, so
+/// both produce the same bits. The arithmetic matches
 /// [`Dataset::normalize_min_max`] / [`Dataset::normalize_z_score`]
-/// expression-for-expression, so results are bit-identical.
-pub fn apply_normalization(data: &Dataset, kind: NormKind) -> (Dataset, Vec<NormParam>) {
-    let params: Vec<NormParam> = match kind {
-        NormKind::None => vec![NormParam::IDENTITY; data.d()],
-        NormKind::MinMax => data
-            .ranges()
-            .iter()
-            .map(|&(lo, hi)| {
+/// expression for expression.
+#[derive(Debug, Clone)]
+pub enum NormAcc {
+    /// No normalisation: the identity transform.
+    None,
+    /// Running minimum and maximum.
+    MinMax {
+        /// Smallest value seen.
+        lo: f64,
+        /// Largest value seen.
+        hi: f64,
+    },
+    /// Running mean and population variance.
+    ZScore(hics_stats::Moments),
+}
+
+impl NormAcc {
+    /// An empty accumulator for `kind`.
+    pub fn new(kind: NormKind) -> Self {
+        match kind {
+            NormKind::None => NormAcc::None,
+            NormKind::MinMax => NormAcc::MinMax {
+                lo: f64::INFINITY,
+                hi: f64::NEG_INFINITY,
+            },
+            NormKind::ZScore => NormAcc::ZScore(hics_stats::Moments::new()),
+        }
+    }
+
+    /// Feeds the next value of the attribute.
+    #[inline]
+    pub fn push(&mut self, v: f64) {
+        match self {
+            NormAcc::None => {}
+            NormAcc::MinMax { lo, hi } => {
+                *lo = lo.min(v);
+                *hi = hi.max(v);
+            }
+            NormAcc::ZScore(m) => m.push(v),
+        }
+    }
+
+    /// The transform of the values fed so far. A constant attribute gets a
+    /// zero divisor, which [`NormParam::apply`] maps to `0.0`.
+    pub fn param(&self) -> NormParam {
+        match self {
+            NormAcc::None => NormParam::IDENTITY,
+            NormAcc::MinMax { lo, hi } => {
                 let width = hi - lo;
                 NormParam {
-                    offset: lo,
+                    offset: *lo,
                     divisor: if width > 0.0 { width } else { 0.0 },
                 }
-            })
-            .collect(),
-        NormKind::ZScore => data
-            .columns()
-            .iter()
-            .map(|c| {
-                let m = hics_stats::Moments::from_slice(c);
+            }
+            NormAcc::ZScore(m) => {
                 let sd = m.population_variance().sqrt();
                 NormParam {
                     offset: m.mean(),
                     divisor: if sd > 0.0 { sd } else { 0.0 },
                 }
-            })
-            .collect(),
-    };
-    if kind == NormKind::None {
-        return (data.clone(), params);
+            }
+        }
     }
-    let cols = data
+}
+
+/// Computes the per-attribute normalisation of `kind` for `data`,
+/// transforms the columns in place and returns them together with the
+/// parameters — the fit-time counterpart of [`NormParam::apply`]. Taking
+/// the dataset by value means no second copy of the columns is made.
+pub fn normalize_dataset(mut data: Dataset, kind: NormKind) -> (Dataset, Vec<NormParam>) {
+    let params: Vec<NormParam> = data
         .columns()
         .iter()
-        .zip(&params)
-        .map(|(c, p)| c.iter().map(|&v| p.apply(v)).collect())
+        .map(|c| {
+            let mut acc = NormAcc::new(kind);
+            for &v in c {
+                acc.push(v);
+            }
+            acc.param()
+        })
         .collect();
-    let names = data.names().to_vec();
-    (Dataset::from_columns_named(cols, names), params)
+    if kind != NormKind::None {
+        for (c, p) in data.columns_mut().iter_mut().zip(&params) {
+            for v in c.iter_mut() {
+                *v = p.apply(*v);
+            }
+        }
+    }
+    (data, params)
+}
+
+/// [`normalize_dataset`] on a copy of `data`, for callers that keep the raw
+/// columns.
+pub fn apply_normalization(data: &Dataset, kind: NormKind) -> (Dataset, Vec<NormParam>) {
+    normalize_dataset(data.clone(), kind)
 }
 
 /// One selected subspace with its Monte-Carlo contrast.

@@ -48,10 +48,11 @@
 //! final file by walking the spill **per column** (one sequential page read
 //! per chunk) — peak memory is `O(d · chunk_rows)`, never `O(n · d)`.
 //!
-//! Normalisation happens in the same pass: min/max bounds or Welford
-//! moments accumulate per column while rows stream in (in row order —
-//! bit-identical to `apply_normalization` on the materialised data, which
-//! folds each column in the same order), and the transform is applied as
+//! Normalisation happens in the same pass: `hics-data`'s `NormAcc`
+//! accumulates min/max bounds or Welford moments per column while rows
+//! stream in (in row order — bit-identical to `apply_normalization` on the
+//! materialised data, which feeds the same accumulator in the same order),
+//! and the transform is applied as
 //! pages are copied into the final file. The resulting params are stored in
 //! the file, and a fit over the store records them in the model artifact so
 //! raw query points map into the trained value space at serve time.
@@ -60,12 +61,12 @@
 
 use hics_data::mmap::{AlignedBytes, ByteStorage};
 use hics_data::model::{
-    artifact_checksum, fnv1a, peek_artifact_version, Reader, FNV_OFFSET, MAGIC as MODEL_MAGIC,
+    artifact_checksum, fnv1a, peek_artifact_version, NormAcc, Reader, FNV_OFFSET,
+    MAGIC as MODEL_MAGIC,
 };
 use hics_data::{
     ArtifactSection, ColumnsView, Dataset, DatasetSource, HicsError, NormKind, NormParam,
 };
-use hics_stats::Moments;
 use std::borrow::Cow;
 use std::io::{Read as _, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -80,61 +81,6 @@ pub const STORE_VERSION: u32 = 1;
 pub const DEFAULT_CHUNK_ROWS: usize = 65_536;
 
 const HEADER_LEN: usize = 72;
-
-/// Per-column normalisation accumulator, fed in row order so the resulting
-/// parameters are bit-identical to `apply_normalization` on the
-/// materialised columns.
-#[derive(Debug, Clone)]
-enum NormAcc {
-    None,
-    MinMax { lo: f64, hi: f64 },
-    ZScore(Moments),
-}
-
-impl NormAcc {
-    fn new(kind: NormKind) -> Self {
-        match kind {
-            NormKind::None => NormAcc::None,
-            NormKind::MinMax => NormAcc::MinMax {
-                lo: f64::INFINITY,
-                hi: f64::NEG_INFINITY,
-            },
-            NormKind::ZScore => NormAcc::ZScore(Moments::new()),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, v: f64) {
-        match self {
-            NormAcc::None => {}
-            NormAcc::MinMax { lo, hi } => {
-                *lo = lo.min(v);
-                *hi = hi.max(v);
-            }
-            NormAcc::ZScore(m) => m.push(v),
-        }
-    }
-
-    fn param(&self) -> NormParam {
-        match self {
-            NormAcc::None => NormParam::IDENTITY,
-            NormAcc::MinMax { lo, hi } => {
-                let width = hi - lo;
-                NormParam {
-                    offset: *lo,
-                    divisor: if width > 0.0 { width } else { 0.0 },
-                }
-            }
-            NormAcc::ZScore(m) => {
-                let sd = m.population_variance().sqrt();
-                NormParam {
-                    offset: m.mean(),
-                    divisor: if sd > 0.0 { sd } else { 0.0 },
-                }
-            }
-        }
-    }
-}
 
 /// Summary of a completed [`StoreWriter`] run.
 #[derive(Debug, Clone)]
