@@ -5,8 +5,8 @@ use crate::progress::{FitObserver, NoopObserver};
 use crate::search::{ScoredSubspace, SearchParams, SubspaceSearch};
 use hics_data::manifest::{PartitionKind, ShardAggregation, ShardEntry, ShardManifest};
 use hics_data::model::{
-    apply_normalization, save_model_streaming, AggregationKind, HicsModel, ModelHoods, ModelIndex,
-    ModelParts, ModelSubspace, NormKind, NormParam, ScorerKind, ScorerSpec,
+    apply_normalization, check_object_count, save_model_streaming, AggregationKind, HicsModel,
+    ModelHoods, ModelIndex, ModelParts, ModelSubspace, NormKind, NormParam, ScorerKind, ScorerSpec,
 };
 use hics_data::{ColumnsView, Dataset, DatasetSource, HicsError, RankIndex};
 use hics_outlier::aggregate::{aggregate_scores, Aggregation};
@@ -223,13 +223,12 @@ impl FitBuilder {
             IndexKind::VpTree => {
                 self.observer.phase_started("index");
                 let start = Instant::now();
-                let indexes = subspaces
-                    .iter()
-                    .map(|s| {
-                        let sub = SubspaceView::from_columns_view(view, &s.dims);
-                        SubspaceIndex::build(&sub, IndexKind::VpTree)
-                    })
-                    .collect();
+                // Trees are a deterministic function of their points, so
+                // building them in parallel never changes a byte.
+                let indexes = par_map(subspaces.len(), self.params.search.max_threads, |s| {
+                    let sub = SubspaceView::from_columns_view(view, &subspaces[s].dims);
+                    SubspaceIndex::build(&sub, IndexKind::VpTree)
+                });
                 self.observer
                     .phase_finished("index", start.elapsed().as_nanos() as u64);
                 indexes
@@ -303,6 +302,9 @@ impl FitBuilder {
         norm: &[NormParam],
         out: &Path,
     ) -> Result<(FitSummary, u64), HicsError> {
+        // The artifact's own limits, checked before any phase runs (the
+        // kNN pass cannot run on a single object).
+        check_object_count(view.n())?;
         let (model_subspaces, rank) = self.search(view);
         let (index, hoods, precompute_nanos) = self.index_and_hoods(view, &model_subspaces);
         let parts = ModelParts {
@@ -772,6 +774,42 @@ mod tests {
             let view = SubspaceView::new(indexed.dataset(), &sub.dims);
             assert_eq!(&trees[s], VpTree::build(&view).as_data(), "subspace {s}");
         }
+    }
+
+    #[test]
+    fn one_row_fit_is_rejected_before_the_search() {
+        let dir = std::env::temp_dir().join(format!("hics-one-row-fit-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let store_path = dir.join("one.hicsstore");
+        let data = Dataset::from_rows(&[vec![0.5, 0.25, 0.75]]);
+        hics_store::write_dataset_store(&store_path, &data, 61, NormKind::None).expect("store");
+        let store = hics_store::DatasetStore::open_mmap(&store_path).expect("open store");
+        let out = dir.join("one.hics");
+        for (index, precompute) in [
+            (IndexKind::VpTree, true),
+            (IndexKind::Brute, true),
+            (IndexKind::VpTree, false),
+        ] {
+            let builder = Hics::new(quick())
+                .fitter()
+                .index(index)
+                .precompute(precompute);
+            match builder.fit_source_to(&store, &out) {
+                Err(HicsError::InvalidInput(msg)) => assert_eq!(
+                    msg,
+                    "a servable model needs at least two reference objects, got 1"
+                ),
+                other => panic!("{index:?}/{precompute}: expected InvalidInput, got {other:?}"),
+            }
+            let mut left: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            left.sort();
+            assert_eq!(left, ["one.hicsstore"], "the failed fit left files behind");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

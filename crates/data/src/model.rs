@@ -1391,6 +1391,24 @@ pub struct ModelParts<'a> {
     pub order: Option<&'a RankIndex>,
 }
 
+/// The object-count limits of a written artifact: at least two reference
+/// objects (every scorer works on kNN neighbourhoods) and at most
+/// `u32::MAX` (object ids are stored as `u32`). A fit checks them before it
+/// runs any phase; [`save_model_streaming`] checks them again.
+pub fn check_object_count(n: usize) -> Result<(), HicsError> {
+    if n < 2 {
+        return Err(HicsError::InvalidInput(format!(
+            "a servable model needs at least two reference objects, got {n}"
+        )));
+    }
+    if u32::try_from(n).is_err() {
+        return Err(HicsError::InvalidInput(format!(
+            "object count {n} exceeds the u32 artifact cap"
+        )));
+    }
+    Ok(())
+}
+
 impl ModelParts<'_> {
     /// The format version the parts encode as: 4 with hoods, 2 with an
     /// index only, 1 otherwise.
@@ -1416,16 +1434,7 @@ impl ModelParts<'_> {
                 )));
             }
         }
-        if n < 2 {
-            return Err(invalid(format!(
-                "a servable model needs at least two reference objects, got {n}"
-            )));
-        }
-        if u32::try_from(n).is_err() {
-            return Err(invalid(format!(
-                "object count {n} exceeds the u32 artifact cap"
-            )));
-        }
+        check_object_count(n)?;
         if self.norm.len() != d {
             return Err(invalid(format!(
                 "{} norm params for {d} attributes",

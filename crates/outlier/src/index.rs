@@ -23,15 +23,29 @@
 //!   `sqrt` rounding in the triangle-inequality bounds, so boundary ties are
 //!   always visited, never lost.
 //!
+//! The contract covers the all-points **self-join** the fit's hoods
+//! precompute runs ([`knn_all_indexed`] and the crate's flat form behind
+//! [`crate::subspace_hoods`]). It walks the queries in the tree's
+//! depth-first order (vantage, inner subtree, outer subtree) and reads
+//! row-major packed copies of the leaf and vantage rows. The order changes
+//! only which subtrees get pruned, never the member set. The packed rows
+//! feed the same `(q − r)²` axis-order sum. And a point query and the
+//! self-join run one traversal, generic only over where the rows are read
+//! from.
+//!
 //! When does brute still win? Tiny `N` (the whole scan fits in L1 and the
 //! tree adds pointer chasing) and large `k/N` ratios (the pruning radius
 //!  stays so wide the tree degenerates to a scan with overhead). The
 //! `bench_query` bin quantifies the crossover.
 
 use crate::distance::Points;
-use crate::knn::{knn_query, knn_query_point, neighborhood_from_members, Neighborhood};
-use crate::parallel::{par_map, par_map_init};
+use crate::knn::{
+    knn_query_members, knn_query_point, neighborhood_from_members, FlatNeighborhoods, FlatPart,
+    Neighborhood,
+};
+use crate::parallel::par_map;
 use hics_data::model::{VpNodeData, VpTreeData, VP_NONE};
+use std::ops::Range;
 
 /// Which neighbour-search backend to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -138,24 +152,81 @@ impl VpTree {
         exclude: Option<usize>,
     ) -> Neighborhood {
         debug_assert_eq!(points.n(), count_objects(&self.data));
-        let mut search = Search {
-            tree: &self.data,
-            points,
-            point,
-            exclude,
-            heap: KSmallest::new(k),
-            cands: Vec::with_capacity(2 * k + 16),
-            compact_at: (4 * k).max(64),
-        };
-        search.visit(0);
-        let k_sq = search.heap.bound();
+        // No indexed id equals VP_NONE (ids stay below the u32 cap), so it
+        // doubles as "exclude nothing", as does any id past the cap.
+        let exclude = exclude
+            .and_then(|e| u32::try_from(e).ok())
+            .unwrap_or(VP_NONE);
+        let mut scratch = KnnScratch::new(k);
+        scratch.point.extend_from_slice(point);
+        let k_sq = scratch.search(&self.data, &PointRows(points), exclude);
         debug_assert!(k_sq.is_finite() || point.iter().any(|v| !v.is_finite()));
-        let members: Vec<(f64, u32)> = search
-            .cands
-            .into_iter()
-            .filter(|&(d, _)| d <= k_sq)
-            .collect();
-        neighborhood_from_members(members, k_sq)
+        neighborhood_from_members(&mut scratch.cands, k_sq)
+    }
+
+    /// The all-points self-join: every object's k-distance neighbourhood
+    /// among the others (`k` already clamped to `N − 1`), bit-identical to
+    /// one [`VpTree::knn`] per object with that object excluded.
+    ///
+    /// The queries run in the tree's depth-first order (see
+    /// [`VpTree::tree_order`]), so consecutive queries are near each other
+    /// and descend the same paths; the order is cut into `runs` contiguous
+    /// runs (see [`join`]), and every result carries its object id. The
+    /// rows are first packed row-major in traversal layout
+    /// ([`PackedRows`]), so a leaf scan reads contiguous memory.
+    fn knn_all<P: Points>(&self, points: &P, k: usize, runs: usize) -> FlatNeighborhoods {
+        debug_assert_eq!(points.n(), count_objects(&self.data));
+        // A compile-time row length for the subspace sizes the benchmark
+        // workloads select (2 and 3): on 20 such subspaces of 2·10⁴
+        // points it cut the pass by about 10% against the runtime length
+        // (2 vCPUs).
+        match points.dims() {
+            2 => self.join_packed(points, Fixed::<2>, k, runs),
+            3 => self.join_packed(points, Fixed::<3>, k, runs),
+            dims => self.join_packed(points, dims, k, runs),
+        }
+    }
+
+    /// [`VpTree::knn_all`] over rows packed with row length `stride`.
+    fn join_packed<P: Points, S: Stride>(
+        &self,
+        points: &P,
+        stride: S,
+        k: usize,
+        runs: usize,
+    ) -> FlatNeighborhoods {
+        let order = self.tree_order();
+        let rows = PackedRows::pack(points, &self.data, stride);
+        join(
+            order.len(),
+            |t| order[t],
+            k,
+            runs,
+            |scratch, q| {
+                points.gather_into(q as usize, &mut scratch.point);
+                scratch.search(&self.data, &rows, q)
+            },
+        )
+    }
+
+    /// Every indexed object once, in depth-first order: a node's vantage,
+    /// then its inner subtree, then its outer subtree; a leaf's ids in
+    /// storage order.
+    fn tree_order(&self) -> Vec<u32> {
+        fn walk(data: &VpTreeData, node: u32, out: &mut Vec<u32>) {
+            let nd = data.nodes[node as usize];
+            if nd.vantage == VP_NONE {
+                let start = nd.start as usize;
+                out.extend_from_slice(&data.ids[start..start + nd.len as usize]);
+            } else {
+                out.push(nd.vantage);
+                walk(data, nd.inner, out);
+                walk(data, nd.outer, out);
+            }
+        }
+        let mut out = Vec::with_capacity(count_objects(&self.data));
+        walk(&self.data, 0, &mut out);
+        out
     }
 }
 
@@ -230,29 +301,216 @@ fn build_rec<P: Points>(
     node_id
 }
 
-/// One in-flight kNN traversal.
-struct Search<'a, P: Points> {
-    tree: &'a VpTreeData,
-    points: &'a P,
-    point: &'a [f64],
-    exclude: Option<usize>,
+/// Where a traversal reads the indexed rows from: the squared distance
+/// from the query point to the object at a vantage node or at a leaf slot
+/// (an index into [`VpTreeData::ids`]). Every implementation computes
+/// `Σ_t (q_t − r_t)²` in axis order — the expression of
+/// [`Points::sq_dist_to_point`] — so the source never changes a bit.
+trait QueryRows {
+    /// Squared distance to `node`'s vantage, object `id`.
+    fn vantage_sq(&self, point: &[f64], node: usize, id: u32) -> f64;
+    /// Squared distance to the leaf entry at `slot`, object `id`.
+    fn leaf_sq(&self, point: &[f64], slot: usize, id: u32) -> f64;
+}
+
+/// Rows read through a [`Points`] implementation.
+struct PointRows<'a, P>(&'a P);
+
+impl<P: Points> QueryRows for PointRows<'_, P> {
+    #[inline]
+    fn vantage_sq(&self, point: &[f64], _node: usize, id: u32) -> f64 {
+        self.0.sq_dist_to_point(id as usize, point)
+    }
+
+    #[inline]
+    fn leaf_sq(&self, point: &[f64], _slot: usize, id: u32) -> f64 {
+        self.0.sq_dist_to_point(id as usize, point)
+    }
+}
+
+/// The row length of [`PackedRows`]: a compile-time [`Fixed`] length, so
+/// the distance loop unrolls, or a runtime `usize`.
+trait Stride: Copy + Sync {
+    fn len(self) -> usize;
+}
+
+#[derive(Clone, Copy)]
+struct Fixed<const D: usize>;
+
+impl<const D: usize> Stride for Fixed<D> {
+    #[inline(always)]
+    fn len(self) -> usize {
+        D
+    }
+}
+
+impl Stride for usize {
+    #[inline(always)]
+    fn len(self) -> usize {
+        self
+    }
+}
+
+/// A tree's rows copied row-major in traversal layout: the leaf rows in
+/// [`VpTreeData::ids`] order and one vantage row per node (zeros for
+/// leaves), so a leaf scan reads contiguous memory.
+struct PackedRows<S> {
+    stride: S,
+    leaf: Vec<f64>,
+    vantage: Vec<f64>,
+}
+
+impl<S: Stride> PackedRows<S> {
+    fn pack<P: Points>(points: &P, tree: &VpTreeData, stride: S) -> Self {
+        let dims = stride.len();
+        debug_assert_eq!(points.dims(), dims);
+        let mut leaf = Vec::with_capacity(tree.ids.len() * dims);
+        for &id in &tree.ids {
+            leaf.extend((0..dims).map(|t| points.coord(id as usize, t)));
+        }
+        let mut vantage = Vec::with_capacity(tree.nodes.len() * dims);
+        for nd in &tree.nodes {
+            if nd.vantage == VP_NONE {
+                vantage.extend(std::iter::repeat_n(0.0, dims));
+            } else {
+                vantage.extend((0..dims).map(|t| points.coord(nd.vantage as usize, t)));
+            }
+        }
+        Self {
+            stride,
+            leaf,
+            vantage,
+        }
+    }
+
+    #[inline(always)]
+    fn sq_dist(&self, point: &[f64], rows: &[f64], at: usize) -> f64 {
+        let dims = self.stride.len();
+        let row = &rows[at * dims..(at + 1) * dims];
+        let mut acc = 0.0;
+        for (&p, &r) in point[..dims].iter().zip(row) {
+            let d = p - r;
+            acc += d * d;
+        }
+        acc
+    }
+}
+
+impl<S: Stride> QueryRows for PackedRows<S> {
+    #[inline]
+    fn vantage_sq(&self, point: &[f64], node: usize, _id: u32) -> f64 {
+        self.sq_dist(point, &self.vantage, node)
+    }
+
+    #[inline]
+    fn leaf_sq(&self, point: &[f64], slot: usize, _id: u32) -> f64 {
+        self.sq_dist(point, &self.leaf, slot)
+    }
+}
+
+/// Cuts `0..n` into `runs` contiguous ranges, in order, whose lengths
+/// differ by at most one (`n` ranges when `n < runs`, so none is empty).
+fn split(n: usize, runs: usize) -> Vec<Range<usize>> {
+    let runs = runs.min(n).max(1);
+    (0..runs)
+        .map(|r| r * n / runs..(r + 1) * n / runs)
+        .collect()
+}
+
+/// Answers the queries `id_of(0), …, id_of(n − 1)`, cut into `runs`
+/// contiguous runs (see [`split`]) that the worker threads share, each
+/// run with its own [`KnnScratch`], and keeps the finalised
+/// neighbourhoods in query order. `solve` leaves a query's tied members
+/// in the scratch's candidate buffer and returns its squared k-distance.
+/// Neither the number of runs nor the number of threads changes a bit of
+/// the result.
+fn join<Q, F>(n: usize, id_of: Q, k: usize, runs: usize, solve: F) -> FlatNeighborhoods
+where
+    Q: Fn(usize) -> u32 + Sync,
+    F: Fn(&mut KnnScratch, u32) -> f64 + Sync,
+{
+    let runs = split(n, runs);
+    let parts = par_map(runs.len(), runs.len(), |r| {
+        let mut scratch = KnnScratch::new(k);
+        let mut out = FlatPart::with_capacity(runs[r].len(), k);
+        for q in runs[r].clone().map(&id_of) {
+            let k_sq = solve(&mut scratch, q);
+            out.push(q, &mut scratch.cands, k_sq);
+        }
+        out
+    });
+    FlatNeighborhoods::from_parts(parts)
+}
+
+/// Per-run buffers of the kNN traversal, reused from query to query.
+struct KnnScratch {
+    /// The query point.
+    point: Vec<f64>,
     heap: KSmallest,
+    /// Candidates within the running bound; after a search, exactly the
+    /// tied member set.
     cands: Vec<(f64, u32)>,
+}
+
+impl KnnScratch {
+    fn new(k: usize) -> Self {
+        Self {
+            point: Vec::new(),
+            heap: KSmallest::new(k),
+            cands: Vec::with_capacity(2 * k + 16),
+        }
+    }
+
+    /// One kNN traversal of `tree` for the query point `self.point`,
+    /// reading the indexed rows from `rows` and skipping object `exclude`
+    /// (`VP_NONE` skips nothing). Leaves the tied member set in
+    /// `self.cands` and returns the squared k-distance.
+    fn search<R: QueryRows>(&mut self, tree: &VpTreeData, rows: &R, exclude: u32) -> f64 {
+        let Self { point, heap, cands } = self;
+        heap.clear();
+        cands.clear();
+        let compact_at = (4 * heap.k).max(64);
+        let mut search = Search {
+            tree,
+            rows,
+            point,
+            exclude,
+            heap,
+            cands,
+            compact_at,
+        };
+        search.visit(0);
+        let k_sq = self.heap.bound;
+        self.cands.retain(|&(d, _)| d <= k_sq);
+        k_sq
+    }
+}
+
+/// One in-flight kNN traversal — the only one: point queries and the
+/// self-join differ only in where `rows` reads from.
+struct Search<'a, R> {
+    tree: &'a VpTreeData,
+    rows: &'a R,
+    point: &'a [f64],
+    exclude: u32,
+    heap: &'a mut KSmallest,
+    cands: &'a mut Vec<(f64, u32)>,
     /// Buffer length at which the next compaction runs; doubles with the
     /// surviving buffer so compaction stays amortised O(1) per candidate
     /// even when everything ties and nothing can be dropped.
     compact_at: usize,
 }
 
-impl<P: Points> Search<'_, P> {
+impl<R: QueryRows> Search<'_, R> {
     fn visit(&mut self, node: u32) {
         let nd = self.tree.nodes[node as usize];
         if nd.vantage == VP_NONE {
             // Leaf: scan the id range.
             let start = nd.start as usize;
-            for &id in &self.tree.ids[start..start + nd.len as usize] {
-                if Some(id as usize) != self.exclude {
-                    let d_sq = self.points.sq_dist_to_point(id as usize, self.point);
+            let ids = &self.tree.ids[start..start + nd.len as usize];
+            for (slot, &id) in (start..).zip(ids) {
+                if id != self.exclude {
+                    let d_sq = self.rows.leaf_sq(self.point, slot, id);
                     self.offer(d_sq, id);
                 }
             }
@@ -260,10 +518,8 @@ impl<P: Points> Search<'_, P> {
         }
         // Internal: the vantage is itself a candidate, and its distance
         // routes the traversal.
-        let d_sq = self
-            .points
-            .sq_dist_to_point(nd.vantage as usize, self.point);
-        if Some(nd.vantage as usize) != self.exclude {
+        let d_sq = self.rows.vantage_sq(self.point, node as usize, nd.vantage);
+        if nd.vantage != self.exclude {
             self.offer(d_sq, nd.vantage);
         }
         let d = d_sq.sqrt();
@@ -273,17 +529,17 @@ impl<P: Points> Search<'_, P> {
         let eps = (d + nd.mu) * 1e-12;
         if d < nd.mu {
             // Query inside the ball: the inner child is the nearer side.
-            if d - nd.mu <= self.heap.bound_dist() + eps {
+            if d - nd.mu <= self.heap.bound_dist + eps {
                 self.visit(nd.inner);
             }
-            if nd.mu - d <= self.heap.bound_dist() + eps {
+            if nd.mu - d <= self.heap.bound_dist + eps {
                 self.visit(nd.outer);
             }
         } else {
-            if nd.mu - d <= self.heap.bound_dist() + eps {
+            if nd.mu - d <= self.heap.bound_dist + eps {
                 self.visit(nd.outer);
             }
-            if d - nd.mu <= self.heap.bound_dist() + eps {
+            if d - nd.mu <= self.heap.bound_dist + eps {
                 self.visit(nd.inner);
             }
         }
@@ -293,7 +549,7 @@ impl<P: Points> Search<'_, P> {
     /// buffer. Non-strict bound comparisons keep every potential tie.
     #[inline]
     fn offer(&mut self, d_sq: f64, id: u32) {
-        if d_sq <= self.heap.bound() {
+        if d_sq <= self.heap.bound {
             self.heap.offer(d_sq);
             self.cands.push((d_sq, id));
             // Keep the buffer from ballooning on adversarial visit orders:
@@ -302,7 +558,7 @@ impl<P: Points> Search<'_, P> {
             // (where nothing is droppable) pays O(1) amortised, not a full
             // rescan per offer.
             if self.cands.len() >= self.compact_at {
-                let bound = self.heap.bound();
+                let bound = self.heap.bound;
                 self.cands.retain(|&(d, _)| d <= bound);
                 self.compact_at = (2 * self.cands.len()).max(4 * self.heap.k).max(64);
             }
@@ -310,12 +566,15 @@ impl<P: Points> Search<'_, P> {
     }
 }
 
-/// A max-heap of the k smallest squared distances seen so far. The top is
-/// the running k-distance bound; `+∞` until k candidates have been seen
-/// (nothing may be pruned before that).
+/// A max-heap of the k smallest squared distances seen so far. `bound` is
+/// the running squared k-distance (the top; `+∞` until k candidates have
+/// been seen — nothing may be pruned before that) and `bound_dist` its
+/// `sqrt`, both cached so pruning takes no `sqrt` per node.
 struct KSmallest {
     heap: Vec<f64>,
     k: usize,
+    bound: f64,
+    bound_dist: f64,
 }
 
 impl KSmallest {
@@ -324,25 +583,18 @@ impl KSmallest {
         Self {
             heap: Vec::with_capacity(k),
             k,
+            bound: f64::INFINITY,
+            bound_dist: f64::INFINITY,
         }
     }
 
-    /// The current squared k-distance bound.
-    #[inline]
-    fn bound(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::INFINITY
-        } else {
-            self.heap[0]
-        }
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.bound = f64::INFINITY;
+        self.bound_dist = f64::INFINITY;
     }
 
-    /// The current k-distance bound (metric space, for pruning).
     #[inline]
-    fn bound_dist(&self) -> f64 {
-        self.bound().sqrt()
-    }
-
     fn offer(&mut self, d_sq: f64) {
         if self.heap.len() < self.k {
             self.heap.push(d_sq);
@@ -355,6 +607,9 @@ impl KSmallest {
                 } else {
                     break;
                 }
+            }
+            if self.heap.len() < self.k {
+                return;
             }
         } else if d_sq.total_cmp(&self.heap[0]).is_lt() {
             // Strictly smaller than the current k-th: replace the top. An
@@ -376,7 +631,11 @@ impl KSmallest {
                 self.heap.swap(i, largest);
                 i = largest;
             }
+        } else {
+            return;
         }
+        self.bound = self.heap[0];
+        self.bound_dist = self.bound.sqrt();
     }
 }
 
@@ -466,22 +725,36 @@ pub fn knn_all_indexed<P: Points>(
     k: usize,
     max_threads: usize,
 ) -> Vec<Neighborhood> {
+    knn_all_flat(points, index, k, max_threads).into_neighborhoods()
+}
+
+/// [`knn_all_indexed`] in flat (CSR) form, without a [`Neighborhood`] per
+/// object: the brute scan in object order, or the VP-tree's tree-order
+/// self-join. The queries are cut into `max_threads` runs whatever the
+/// host's core count (see [`join`]); the threads are capped at the cores.
+///
+/// # Panics
+/// Panics if the point set has fewer than 2 objects or `k == 0`.
+pub(crate) fn knn_all_flat<P: Points>(
+    points: &P,
+    index: &SubspaceIndex,
+    k: usize,
+    max_threads: usize,
+) -> FlatNeighborhoods {
     let n = points.n();
     assert!(n >= 2, "kNN requires at least two objects");
     assert!(k >= 1, "k must be at least 1");
     let k = k.min(n - 1);
     match index {
         // The brute in-sample path never materialises the query row.
-        SubspaceIndex::Brute => par_map(n, max_threads, |i| knn_query(points, i, k)),
-        SubspaceIndex::VpTree(tree) => par_map_init(
+        SubspaceIndex::Brute => join(
             n,
+            |i| i as u32,
+            k,
             max_threads,
-            || Vec::with_capacity(points.dims()),
-            |row, i| {
-                points.gather_into(i, row);
-                tree.knn(points, row, k, Some(i))
-            },
+            |scratch, q| knn_query_members(points, q as usize, k, &mut scratch.cands),
         ),
+        SubspaceIndex::VpTree(tree) => tree.knn_all(points, k, max_threads),
     }
 }
 
@@ -590,6 +863,204 @@ mod tests {
             }
             let q = tree.knn_point(&view, &[0.25], 1, None);
             assert_eq!(q.neighbors[0], 0);
+        }
+    }
+
+    /// Bitwise equality of two neighbourhoods (ids, distance bits,
+    /// k-distance bits).
+    fn assert_bitwise_hoods(want: &[Neighborhood], got: &[Neighborhood], what: &str) {
+        assert_eq!(want.len(), got.len(), "{what}");
+        for (i, (w, g)) in want.iter().zip(got).enumerate() {
+            let bits = |h: &Neighborhood| -> (Vec<u64>, u64) {
+                (
+                    h.distances.iter().map(|d| d.to_bits()).collect(),
+                    h.k_distance.to_bits(),
+                )
+            };
+            assert_eq!(w.neighbors, g.neighbors, "{what}: object {i}");
+            assert_eq!(bits(w), bits(g), "{what}: object {i}");
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The hoods an open would compute, re-derived from the brute
+    /// per-object reference and the public per-neighbourhood formulas.
+    fn reference_hoods(
+        layout: &SubspaceLayout,
+        scorer: hics_data::model::ScorerSpec,
+    ) -> hics_data::model::HoodsData {
+        use crate::knn_score::KnnScoreKind;
+        use crate::lof::{lof_from_neighborhoods, lrd_from_neighborhoods};
+        use hics_data::model::ScorerKind;
+        let hoods = knn_all(layout, scorer.k as usize, 1);
+        let (lrd, scores) = match scorer.kind {
+            ScorerKind::Lof => (
+                lrd_from_neighborhoods(&hoods),
+                lof_from_neighborhoods(&hoods),
+            ),
+            ScorerKind::KnnMean => (
+                Vec::new(),
+                hoods.iter().map(|h| KnnScoreKind::Mean.score(h)).collect(),
+            ),
+            ScorerKind::KnnKth => (
+                Vec::new(),
+                hoods.iter().map(|h| KnnScoreKind::Kth.score(h)).collect(),
+            ),
+        };
+        let finite_max = scores
+            .iter()
+            .copied()
+            .filter(|s: &f64| s.is_finite())
+            .fold(f64::NEG_INFINITY, f64::max);
+        hics_data::model::HoodsData {
+            clamp: if finite_max.is_finite() {
+                finite_max
+            } else {
+                0.0
+            },
+            k_distance: hoods.iter().map(|h| h.k_distance).collect(),
+            lrd,
+        }
+    }
+
+    /// Checks the self-join (expanded and flat-derived) against the brute
+    /// reference on `layout` for every `k` and thread count.
+    fn check_self_join(layout: &SubspaceLayout, what: &str) {
+        use hics_data::model::{ScorerKind, ScorerSpec};
+        let tree = SubspaceIndex::build(layout, IndexKind::VpTree);
+        for k in [1, 6, 10, 25] {
+            let want = knn_all(layout, k, 1);
+            for threads in [1, 2, 3] {
+                let what = format!("{what} k={k} threads={threads}");
+                assert_bitwise_hoods(&want, &knn_all_indexed(layout, &tree, k, threads), &what);
+                for kind in [ScorerKind::Lof, ScorerKind::KnnMean, ScorerKind::KnnKth] {
+                    let scorer = ScorerSpec { kind, k: k as u32 };
+                    let reference = reference_hoods(layout, scorer);
+                    for index in [&tree, &SubspaceIndex::Brute] {
+                        let got = crate::query::subspace_hoods(layout, index, scorer, threads);
+                        let what = format!("{what} {kind:?} {:?}", index.kind());
+                        assert_eq!(got.clamp.to_bits(), reference.clamp.to_bits(), "{what}");
+                        assert_eq!(bits(&got.k_distance), bits(&reference.k_distance), "{what}");
+                        assert_eq!(bits(&got.lrd), bits(&reference.lrd), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random coordinates in `[0, 1)`, every fourth
+    /// row snapped to a coarse grid so exact ties and duplicates occur.
+    fn random_layout(n: usize, dims: usize, seed: u64) -> SubspaceLayout {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut cols = vec![Vec::with_capacity(n); dims];
+        for i in 0..n {
+            for col in cols.iter_mut() {
+                let v = next();
+                col.push(if i % 4 == 3 {
+                    (v * 4.0).floor() / 4.0
+                } else {
+                    v
+                });
+            }
+        }
+        SubspaceLayout::from_cols(cols)
+    }
+
+    #[test]
+    fn self_join_matches_brute_for_small_sets_in_every_dimensionality() {
+        // dims 2 and 3 take a compile-time row length, the others the
+        // runtime one; n ≤ LEAF_SIZE is a single leaf, k ≥ n − 1 clamps.
+        for dims in 1..=6 {
+            for n in 2..=30 {
+                let layout = random_layout(n, dims, (dims * 100 + n) as u64);
+                check_self_join(&layout, &format!("dims={dims} n={n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn self_join_matches_brute_on_deeper_trees() {
+        for dims in 1..=6 {
+            let layout = random_layout(257, dims, 7 + dims as u64);
+            check_self_join(&layout, &format!("dims={dims} n=257"));
+        }
+    }
+
+    #[test]
+    fn self_join_matches_brute_on_a_duplicate_tie_grid() {
+        for dims in [2, 3] {
+            let mut cols = vec![Vec::new(); dims];
+            for cell in 0..4usize.pow(dims as u32) {
+                for _copy in 0..2 {
+                    let mut c = cell;
+                    for col in cols.iter_mut() {
+                        col.push((c % 4) as f64);
+                        c /= 4;
+                    }
+                }
+            }
+            check_self_join(
+                &SubspaceLayout::from_cols(cols),
+                &format!("grid dims={dims}"),
+            );
+        }
+    }
+
+    #[test]
+    fn split_cuts_balanced_contiguous_runs() {
+        for n in 0..40 {
+            for runs in 1..=9 {
+                let cut = split(n, runs);
+                assert_eq!(cut.len(), runs.min(n).max(1), "n={n} runs={runs}");
+                assert_eq!(cut[0].start, 0);
+                assert_eq!(cut[cut.len() - 1].end, n);
+                for pair in cut.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start);
+                }
+                let lens: Vec<usize> = cut.iter().map(|r| r.len()).collect();
+                let (lo, hi) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(hi - lo <= 1, "n={n} runs={runs}: {lens:?}");
+                assert!(n == 0 || *lo >= 1, "n={n} runs={runs}: an empty run");
+            }
+        }
+    }
+
+    #[test]
+    fn self_join_does_not_depend_on_the_number_of_runs() {
+        // The runs are cut from the thread budget alone, not from the
+        // host's core count, so 7 runs are 7 runs on any machine.
+        for dims in [2, 3, 6] {
+            let layout = random_layout(500, dims, 40 + dims as u64);
+            let tree = SubspaceIndex::build(&layout, IndexKind::VpTree);
+            let want = knn_all(&layout, 10, 1);
+            for index in [&tree, &SubspaceIndex::Brute] {
+                for runs in [1, 2, 3, 7] {
+                    let got = knn_all_flat(&layout, index, 10, runs).into_neighborhoods();
+                    let what = format!("dims={dims} {:?} runs={runs}", index.kind());
+                    assert_bitwise_hoods(&want, &got, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tree_order_visits_every_object_once() {
+        for n in [1, 12, 13, 200] {
+            let layout = random_layout(n, 2, n as u64);
+            let tree = VpTree::build(&layout);
+            let mut order = tree.tree_order();
+            assert_eq!(order[0], 0, "the root's vantage comes first");
+            order.sort_unstable();
+            assert_eq!(order, (0..n as u32).collect::<Vec<_>>());
         }
     }
 

@@ -12,6 +12,12 @@
 //! but every entry point is generic over [`Points`], and the index-backed
 //! counterparts in [`crate::index`] produce bit-identical neighbourhoods in
 //! `O(log N)` expected time per query.
+//!
+//! All-points passes inside the crate return a `FlatNeighborhoods`: the
+//! k-distances plus every neighbourhood in CSR form (one flat neighbour
+//! array, one flat distance array and per-neighbourhood offsets), so a
+//! pass over `N` objects allocates a handful of arrays instead of `N`
+//! neighbourhoods.
 
 use crate::distance::Points;
 use crate::parallel::par_map;
@@ -44,15 +50,28 @@ pub fn knn_all<P: Points>(view: &P, k: usize, max_threads: usize) -> Vec<Neighbo
 }
 
 /// The k-distance neighbourhood of a single query.
-pub(crate) fn knn_query<P: Points>(view: &P, i: usize, k: usize) -> Neighborhood {
-    let n = view.n();
-    let mut dists: Vec<(f64, u32)> = Vec::with_capacity(n - 1);
-    for j in 0..n {
+fn knn_query<P: Points>(view: &P, i: usize, k: usize) -> Neighborhood {
+    let mut members = Vec::with_capacity(view.n() - 1);
+    let k_sq = knn_query_members(view, i, k, &mut members);
+    neighborhood_from_members(&mut members, k_sq)
+}
+
+/// The brute scan behind [`knn_query`]: fills `members` (cleared first)
+/// with object `i`'s tied k-distance members among the other objects and
+/// returns the squared k-distance.
+pub(crate) fn knn_query_members<P: Points>(
+    view: &P,
+    i: usize,
+    k: usize,
+    members: &mut Vec<(f64, u32)>,
+) -> f64 {
+    members.clear();
+    for j in 0..view.n() {
         if j != i {
-            dists.push((view.sq_dist(i, j), j as u32));
+            members.push((view.sq_dist(i, j), j as u32));
         }
     }
-    neighborhood_from_sq_dists(dists, k)
+    retain_k_smallest(members, k)
 }
 
 /// The k-distance neighbourhood of an **external query point** among the
@@ -91,32 +110,158 @@ pub fn knn_query_point<P: Points>(
         "query needs at least one candidate neighbour"
     );
     let k = k.min(dists.len());
-    neighborhood_from_sq_dists(dists, k)
+    let k_sq = retain_k_smallest(&mut dists, k);
+    neighborhood_from_members(&mut dists, k_sq)
 }
 
-/// Selects the k-distance neighbourhood out of candidate squared distances
-/// (the shared tail of [`knn_query`] and [`knn_query_point`]; the VP-tree
-/// assembles through [`crate::knn::neighborhood_from_members`] instead, but
-/// both paths end in the same `(d², id)` sort and `sqrt`).
-fn neighborhood_from_sq_dists(mut dists: Vec<(f64, u32)>, k: usize) -> Neighborhood {
+/// Cuts candidate squared distances down to the tied k-distance member set
+/// (everything with `d² ≤` the k-th smallest `d²`) and returns that squared
+/// k-distance. `k` must be in `1..=dists.len()`.
+fn retain_k_smallest(dists: &mut Vec<(f64, u32)>, k: usize) -> f64 {
     // Partition so the k smallest squared distances are in front.
     dists.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0));
     let k_sq = dists[k - 1].0;
-    // Gather the full tied neighbourhood (everything with d² <= k-dist²).
-    let members: Vec<(f64, u32)> = dists.iter().copied().filter(|&(d, _)| d <= k_sq).collect();
-    neighborhood_from_members(members, k_sq)
+    dists.retain(|&(d, _)| d <= k_sq);
+    k_sq
 }
 
 /// Assembles a [`Neighborhood`] from the tied member set and the squared
-/// k-distance: one `(d², id)` sort, `sqrt` at the very end — the **only**
-/// place a neighbourhood is finalised, so the brute scan and the VP-tree
-/// cannot disagree on ordering, tie-breaks, or rounding.
-pub(crate) fn neighborhood_from_members(mut members: Vec<(f64, u32)>, k_sq: f64) -> Neighborhood {
+/// k-distance through [`finalize_members`].
+pub(crate) fn neighborhood_from_members(members: &mut [(f64, u32)], k_sq: f64) -> Neighborhood {
+    let mut h = Neighborhood {
+        neighbors: Vec::with_capacity(members.len()),
+        distances: Vec::with_capacity(members.len()),
+        k_distance: 0.0,
+    };
+    h.k_distance = finalize_members(members, k_sq, &mut h.neighbors, &mut h.distances);
+    h
+}
+
+/// Finalises one neighbourhood from its tied member set and squared
+/// k-distance: one `(d², id)` sort, then the ids and the `sqrt`ed
+/// distances are appended to `neighbors`/`distances` and the k-distance is
+/// returned. This is the **only** place a neighbourhood is finalised: the
+/// per-query [`Neighborhood`] (brute scan and VP-tree point query) and the
+/// flat all-points result (brute scan and VP-tree self-join) all end here.
+/// So no backend or query order can change ordering, tie-breaks, or
+/// rounding.
+pub(crate) fn finalize_members(
+    members: &mut [(f64, u32)],
+    k_sq: f64,
+    neighbors: &mut Vec<u32>,
+    distances: &mut Vec<f64>,
+) -> f64 {
     members.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    Neighborhood {
-        neighbors: members.iter().map(|&(_, j)| j).collect(),
-        distances: members.iter().map(|&(d, _)| d.sqrt()).collect(),
-        k_distance: k_sq.sqrt(),
+    neighbors.extend(members.iter().map(|&(_, j)| j));
+    distances.extend(members.iter().map(|&(d, _)| d.sqrt()));
+    k_sq.sqrt()
+}
+
+/// The k-distance neighbourhoods of a whole point set in flat (CSR) form,
+/// kept as the [`FlatPart`]s the worker threads computed (joining them
+/// would copy every array once more). Each neighbourhood holds exactly
+/// what the per-query [`Neighborhood`] holds, bit for bit.
+#[derive(Debug)]
+pub(crate) struct FlatNeighborhoods {
+    parts: Vec<FlatPart>,
+}
+
+/// A run of neighbourhoods in the order they were computed. The `j`-th
+/// belongs to object `ids[j]` and has k-distance `k_distance[j]`. Its
+/// neighbours are `neighbors[offsets[j]..offsets[j+1]]`, with their
+/// distances at the same positions of `distances`.
+#[derive(Debug)]
+pub(crate) struct FlatPart {
+    ids: Vec<u32>,
+    k_distance: Vec<f64>,
+    offsets: Vec<usize>,
+    neighbors: Vec<u32>,
+    distances: Vec<f64>,
+}
+
+impl FlatPart {
+    /// An empty run with room for `n` neighbourhoods of about `k` members
+    /// each.
+    pub fn with_capacity(n: usize, k: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        Self {
+            ids: Vec::with_capacity(n),
+            k_distance: Vec::with_capacity(n),
+            offsets,
+            neighbors: Vec::with_capacity(n * k),
+            distances: Vec::with_capacity(n * k),
+        }
+    }
+
+    /// Appends object `id`'s neighbourhood, finalised from its tied member
+    /// set and squared k-distance.
+    pub fn push(&mut self, id: u32, members: &mut [(f64, u32)], k_sq: f64) {
+        let k_distance = finalize_members(members, k_sq, &mut self.neighbors, &mut self.distances);
+        self.ids.push(id);
+        self.k_distance.push(k_distance);
+        self.offsets.push(self.neighbors.len());
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (usize, &[u32], &[f64], f64)> {
+        self.ids.iter().enumerate().map(|(j, &id)| {
+            let range = self.offsets[j]..self.offsets[j + 1];
+            (
+                id as usize,
+                &self.neighbors[range.clone()],
+                &self.distances[range],
+                self.k_distance[j],
+            )
+        })
+    }
+}
+
+impl FlatNeighborhoods {
+    /// The neighbourhoods of parts that together cover every object
+    /// exactly once.
+    pub fn from_parts(parts: Vec<FlatPart>) -> Self {
+        Self { parts }
+    }
+
+    /// Number of neighbourhoods (= objects).
+    fn len(&self) -> usize {
+        self.parts.iter().map(|p| p.ids.len()).sum()
+    }
+
+    /// Every neighbourhood in storage order, as `(object id, neighbour
+    /// ids, distances, k-distance)`.
+    fn iter(&self) -> impl Iterator<Item = (usize, &[u32], &[f64], f64)> {
+        self.parts.iter().flat_map(FlatPart::iter)
+    }
+
+    /// One value per object, indexed by object id: `f` of each
+    /// neighbourhood, called as `f(id, neighbours, distances, k-distance)`
+    /// in storage order.
+    pub fn map_by_id(&self, mut f: impl FnMut(usize, &[u32], &[f64], f64) -> f64) -> Vec<f64> {
+        let mut out = vec![0.0; self.len()];
+        for (id, neighbors, distances, k_distance) in self.iter() {
+            out[id] = f(id, neighbors, distances, k_distance);
+        }
+        out
+    }
+
+    /// Expands into one [`Neighborhood`] per object, indexed by object id.
+    pub fn into_neighborhoods(self) -> Vec<Neighborhood> {
+        let mut out: Vec<Neighborhood> = (0..self.len())
+            .map(|_| Neighborhood {
+                neighbors: Vec::new(),
+                distances: Vec::new(),
+                k_distance: 0.0,
+            })
+            .collect();
+        for (id, neighbors, distances, k_distance) in self.iter() {
+            out[id] = Neighborhood {
+                neighbors: neighbors.to_vec(),
+                distances: distances.to_vec(),
+                k_distance,
+            };
+        }
+        out
     }
 }
 

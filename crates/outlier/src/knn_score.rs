@@ -8,7 +8,7 @@
 //! that extension, plus the ablation bench that compares it against LOF.
 
 use crate::distance::SubspaceView;
-use crate::index::{knn_all_indexed, IndexKind, SubspaceIndex};
+use crate::index::{knn_all_flat, IndexKind, SubspaceIndex};
 use crate::knn::Neighborhood;
 use crate::scorer::SubspaceScorer;
 use hics_data::Dataset;
@@ -29,9 +29,16 @@ impl KnnScoreKind {
     /// statistic.
     #[inline]
     pub fn score(self, h: &Neighborhood) -> f64 {
+        self.score_of(&h.distances, h.k_distance)
+    }
+
+    /// [`KnnScoreKind::score`] of a neighbourhood given as its distances
+    /// and k-distance.
+    #[inline]
+    pub(crate) fn score_of(self, distances: &[f64], k_distance: f64) -> f64 {
         match self {
-            KnnScoreKind::Mean => h.distances.iter().sum::<f64>() / h.distances.len() as f64,
-            KnnScoreKind::Kth => h.k_distance,
+            KnnScoreKind::Mean => distances.iter().sum::<f64>() / distances.len() as f64,
+            KnnScoreKind::Kth => k_distance,
         }
     }
 }
@@ -81,8 +88,8 @@ impl KnnScorer {
     pub fn scores(&self, data: &Dataset, dims: &[usize]) -> Vec<f64> {
         let view = SubspaceView::new(data, dims);
         let index = SubspaceIndex::build(&view, self.index);
-        let hoods = knn_all_indexed(&view, &index, self.k, self.max_threads);
-        hoods.iter().map(|h| self.kind.score(h)).collect()
+        let hoods = knn_all_flat(&view, &index, self.k, self.max_threads);
+        hoods.map_by_id(|_, _, distances, k_distance| self.kind.score_of(distances, k_distance))
     }
 }
 

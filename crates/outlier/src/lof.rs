@@ -13,8 +13,8 @@
 //! of duplicates is not an outlier), matching ELKI's behaviour.
 
 use crate::distance::SubspaceView;
-use crate::index::{knn_all_indexed, IndexKind, SubspaceIndex};
-use crate::knn::Neighborhood;
+use crate::index::{knn_all_flat, IndexKind, SubspaceIndex};
+use crate::knn::{FlatNeighborhoods, Neighborhood};
 use crate::scorer::SubspaceScorer;
 use hics_data::Dataset;
 
@@ -82,8 +82,9 @@ impl Lof {
     pub fn scores(&self, data: &Dataset, dims: &[usize]) -> Vec<f64> {
         let view = SubspaceView::new(data, dims);
         let index = SubspaceIndex::build(&view, self.params.index);
-        let hoods = knn_all_indexed(&view, &index, self.params.k, self.params.max_threads);
-        lof_from_neighborhoods(&hoods)
+        let hoods = knn_all_flat(&view, &index, self.params.k, self.params.max_threads);
+        let k_distance = hoods.map_by_id(|_, _, _, k_distance| k_distance);
+        lof_from_flat(&hoods, &lrd_from_flat(&hoods, &k_distance))
     }
 }
 
@@ -104,22 +105,34 @@ impl SubspaceScorer for Lof {
 /// query path can keep the per-object densities around and score new points
 /// against them without recomputing the batch.
 pub fn lrd_from_neighborhoods(hoods: &[Neighborhood]) -> Vec<f64> {
-    let mut lrd = vec![0.0f64; hoods.len()];
-    for (i, h) in hoods.iter().enumerate() {
-        let mut sum_reach = 0.0;
-        for (&o, &d) in h.neighbors.iter().zip(&h.distances) {
-            sum_reach += d.max(hoods[o as usize].k_distance);
-        }
-        lrd[i] = lrd_from_reach_sum(h.neighbors.len(), sum_reach);
-    }
-    lrd
+    hoods
+        .iter()
+        .map(|h| lrd_of(&h.neighbors, &h.distances, |o| hoods[o].k_distance))
+        .collect()
 }
 
-/// `lrd = |N| / Σ reach-dist`, with the empty/degenerate convention `∞`.
+/// [`lrd_from_neighborhoods`] over a flat all-points result and its
+/// k-distances by object id.
+pub(crate) fn lrd_from_flat(hoods: &FlatNeighborhoods, k_distance: &[f64]) -> Vec<f64> {
+    hoods.map_by_id(|_, neighbors, distances, _| lrd_of(neighbors, distances, |o| k_distance[o]))
+}
+
+/// The local reachability density of one neighbourhood, given its
+/// neighbours' k-distances: `lrd = |N| / Σ reach-dist`, with the
+/// empty/degenerate convention `∞` — shared by the batch paths and the
+/// serving-time query scorer.
 #[inline]
-pub(crate) fn lrd_from_reach_sum(neighbors: usize, sum_reach: f64) -> f64 {
+pub(crate) fn lrd_of(
+    neighbors: &[u32],
+    distances: &[f64],
+    k_distance: impl Fn(usize) -> f64,
+) -> f64 {
+    let mut sum_reach = 0.0;
+    for (&o, &d) in neighbors.iter().zip(distances) {
+        sum_reach += d.max(k_distance(o as usize));
+    }
     if sum_reach > 0.0 {
-        neighbors as f64 / sum_reach
+        neighbors.len() as f64 / sum_reach
     } else {
         f64::INFINITY
     }
@@ -134,6 +147,12 @@ pub fn lof_from_neighborhoods(hoods: &[Neighborhood]) -> Vec<f64> {
         .enumerate()
         .map(|(i, h)| lof_of_query(&lrd, &h.neighbors, lrd[i]))
         .collect()
+}
+
+/// [`lof_from_neighborhoods`] over a flat all-points result and its
+/// densities.
+pub(crate) fn lof_from_flat(hoods: &FlatNeighborhoods, lrd: &[f64]) -> Vec<f64> {
+    hoods.map_by_id(|i, neighbors, _, _| lof_of_query(lrd, neighbors, lrd[i]))
 }
 
 /// `LOF(q)` from the trained per-object densities, the query's neighbour

@@ -32,11 +32,9 @@
 
 use crate::aggregate::Aggregation;
 use crate::distance::SubspaceLayout;
-use crate::index::{knn_all_indexed, IndexKind, SubspaceIndex, VpTree};
+use crate::index::{knn_all_flat, IndexKind, SubspaceIndex, VpTree};
 use crate::knn_score::KnnScoreKind;
-use crate::lof::{
-    lof_from_neighborhoods, lof_of_query, lrd_from_neighborhoods, lrd_from_reach_sum,
-};
+use crate::lof::{lof_from_flat, lof_of_query, lrd_from_flat, lrd_of};
 use crate::parallel::par_map;
 use hics_data::model::{AggregationKind, HicsModel, HoodsData, NormParam, ScorerKind, ScorerSpec};
 use hics_data::{HicsError, ModelArtifact};
@@ -373,11 +371,7 @@ impl QueryEngine {
         let h = sub.index.knn_point(&sub.layout, q_sub, self.k, exclude);
         match self.kind {
             ScorerKind::Lof => {
-                let mut sum_reach = 0.0;
-                for (&o, &d) in h.neighbors.iter().zip(&h.distances) {
-                    sum_reach += d.max(sub.hoods.k_distance[o as usize]);
-                }
-                let lrd_q = lrd_from_reach_sum(h.neighbors.len(), sum_reach);
+                let lrd_q = lrd_of(&h.neighbors, &h.distances, |o| sub.hoods.k_distance[o]);
                 lof_of_query(&sub.hoods.lrd, &h.neighbors, lrd_q)
             }
             ScorerKind::KnnMean | ScorerKind::KnnKth => knn_stat(self.kind).score(&h),
@@ -422,6 +416,13 @@ fn float_key(v: f64) -> u64 {
 /// every object's k-distance, the LOF reachability densities (LOF only)
 /// and the non-finite clamp — the largest finite training score.
 ///
+/// The pass returns every neighbourhood in one flat (CSR) result — with
+/// the VP-tree, from the tree-order self-join — and the densities, scores
+/// and clamp are computed straight from it; no per-object
+/// [`crate::Neighborhood`] is built. Every value equals, bit for bit, what
+/// [`crate::knn_all_indexed`] plus [`crate::lrd_from_neighborhoods`] /
+/// [`crate::lof_from_neighborhoods`] or [`KnnScoreKind::score`] give.
+///
 /// This is the one computation behind both the fit's hoods section and
 /// the engine's fallback for artifacts without one, so a stored section
 /// holds exactly what an open would otherwise compute.
@@ -431,20 +432,24 @@ pub fn subspace_hoods(
     scorer: ScorerSpec,
     max_threads: usize,
 ) -> HoodsData {
-    let hoods = knn_all_indexed(layout, index, scorer.k as usize, max_threads);
+    let hoods = knn_all_flat(layout, index, scorer.k as usize, max_threads);
+    let k_distance = hoods.map_by_id(|_, _, _, k_distance| k_distance);
     let (lrd, batch_scores) = match scorer.kind {
-        ScorerKind::Lof => (
-            lrd_from_neighborhoods(&hoods),
-            lof_from_neighborhoods(&hoods),
-        ),
+        ScorerKind::Lof => {
+            let lrd = lrd_from_flat(&hoods, &k_distance);
+            let lof = lof_from_flat(&hoods, &lrd);
+            (lrd, lof)
+        }
         ScorerKind::KnnMean | ScorerKind::KnnKth => {
             let stat = knn_stat(scorer.kind);
-            (Vec::new(), hoods.iter().map(|h| stat.score(h)).collect())
+            let scores =
+                hoods.map_by_id(|_, _, distances, k_distance| stat.score_of(distances, k_distance));
+            (Vec::new(), scores)
         }
     };
     HoodsData {
         clamp: finite_clamp(&batch_scores),
-        k_distance: hoods.iter().map(|h| h.k_distance).collect(),
+        k_distance,
         lrd,
     }
 }
