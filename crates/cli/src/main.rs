@@ -4,7 +4,7 @@
 //! ```text
 //! hics generate --n 1000 --d 10 --seed 0 --out data.csv
 //! hics search   --input data.csv [--m 50] [--alpha 0.1] [--cutoff 400]
-//!               [--top-k 100] [--test welch|ks|mwu] [--seed 0]
+//!               [--top-k 100] [--test welch|ks|ksp|mwu] [--seed 0]
 //! hics rank     --input data.csv [--labels] [--k 10] [--top 20] [--out scores.csv]
 //!               (`.arff` inputs are detected automatically and carry labels)
 //! hics evaluate --input data.csv --labels [--methods lof,hics,enclus,ris,randsub]
@@ -177,7 +177,7 @@ fn print_usage() {
     println!("commands:");
     println!("  generate  --n <objects> --d <attrs> [--seed S] --out <file.csv>");
     println!("  search    --input <file.csv> [--labels] [--m 50] [--alpha 0.1]");
-    println!("            [--cutoff 400] [--top-k 100] [--test welch|ks|mwu] [--seed 0]");
+    println!("            [--cutoff 400] [--top-k 100] [--test welch|ks|ksp|mwu] [--seed 0]");
     println!("  rank      --input <file.csv> [--labels] [--k 10] [--top 20] [--out <scores.csv>]");
     println!("  evaluate  --input <file.csv> --labels [--methods lof,hics,...] [--k 10]");
     println!("  import    --input <file.csv|.arff> --out <data.hicsstore> [--labels]");

@@ -5,22 +5,26 @@
 //! slice's reference attribute with a two-sample statistical test.
 //!
 //! The marginal side of every test is precomputed once per dataset
-//! ([`MarginalStats`]: moments for Welch, the argsort permutation and sorted
-//! values for the rank-aware KS and Mann–Whitney walks). A single
-//! Monte-Carlo iteration therefore costs one bitset slice draw plus one
-//! **sort-free, allocation-free** test on the selection: Welch accumulates
-//! streaming moments over the set bits, KS and Mann–Whitney walk the
-//! precomputed marginal order with `O(1)` mask probes.
+//! ([`MarginalStats`]: moments for Welch, sorted values for the rank-aware
+//! KS and Mann–Whitney walks, which follow the rank index's argsort
+//! permutation). The `M` iterations run in batches of up to [`LANES`]: one
+//! batch is that many bitset slice draws plus one **sort-free,
+//! allocation-free** test pass over the selections. Welch advances the
+//! moment chains of every slice of the batch together in one lockstep walk
+//! over the set bits; KS and Mann–Whitney walk the precomputed marginal
+//! order once per slice with `O(1)` mask probes. Batching changes no bit:
+//! the draws, the per-slice arithmetic and the summation order are those of
+//! one slice at a time.
 
-use crate::slice::{SliceSampler, SliceSizing, SliceView};
+use crate::slice::{SliceBatch, SliceSampler, SliceSizing, SliceView};
 use crate::subspace::Subspace;
 use hics_data::{ColumnsView, Dataset, RankIndex};
 use hics_stats::ecdf::Ecdf;
 use hics_stats::masked::{
-    masked_ks_distance, masked_ks_test, masked_mann_whitney, masked_mean_variance,
+    masked_ks_distance, masked_ks_test, masked_mann_whitney, masked_mean_variance_lanes,
+    MaskedLane, LANES,
 };
 use hics_stats::moments::Moments;
-use hics_stats::rank::argsort;
 use hics_stats::two_sample::welch_t_test_from_moments;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,21 +37,18 @@ pub struct MarginalStats {
     pub moments: Moments,
     /// ECDF of the full column (owns the values in sorted order).
     pub ecdf: Ecdf,
-    /// Argsort permutation of the column: `order[k]` is the object id at
-    /// sorted position `k` (drives the rank-aware test walks).
-    pub order: Vec<u32>,
 }
 
 impl MarginalStats {
-    /// Computes the marginal statistics of a column (one argsort; the
-    /// sorted values are gathered through the permutation).
-    pub fn from_column(col: &[f64]) -> Self {
-        let order = argsort(col);
+    /// Computes the marginal statistics of a column from its argsort
+    /// permutation (the rank index's `order`; the sorted values are
+    /// gathered through it, so no column is sorted twice).
+    pub fn from_order(col: &[f64], order: &[u32]) -> Self {
+        debug_assert_eq!(col.len(), order.len());
         let sorted: Vec<f64> = order.iter().map(|&i| col[i as usize]).collect();
         Self {
             moments: Moments::from_slice(col),
             ecdf: Ecdf::from_sorted(sorted),
-            order,
         }
     }
 
@@ -61,26 +62,53 @@ impl MarginalStats {
 /// to the conditional sample selected by a slice (paper Section III-E).
 ///
 /// The conditional sample arrives as a borrowed [`SliceView`] — a bitset
-/// over object ids plus the reference column — so implementations can test
-/// without materialising, sorting, or allocating.
+/// over object ids plus the reference column and its sorted order — so
+/// implementations can test without materialising, sorting, or allocating.
 pub trait DeviationTest: Sync {
     /// Returns a deviation in `[0, 1]`; larger = stronger disagreement
     /// between marginal and conditional distribution.
     fn deviation(&self, marginal: &MarginalStats, slice: &SliceView<'_>) -> f64;
+
+    /// The batch form: sets `out[i]` to the [`DeviationTest::deviation`] of
+    /// slice `i` of `batch` against `marginals[ref_attr]`, for every slice
+    /// with at least two members; the entries of smaller slices are left
+    /// untouched. The default runs the one-slice test per slice.
+    fn deviations(&self, marginals: &[MarginalStats], batch: &SliceBatch<'_>, out: &mut [f64]) {
+        for (o, slice) in out.iter_mut().zip(batch.iter()) {
+            if slice.len() >= 2 {
+                *o = self.deviation(&marginals[slice.ref_attr], &slice);
+            }
+        }
+    }
 
     /// Test name for experiment output.
     fn name(&self) -> &'static str;
 }
 
 /// `HiCS_WT`: Welch's t-test; deviation is `1 − p` (paper Section III-E).
-/// The conditional moments stream over the selection's set bits.
+/// The conditional moments stream over the selection's set bits — for a
+/// batch, over every slice's set bits in one lockstep lanes pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WelchDeviation;
 
 impl DeviationTest for WelchDeviation {
     fn deviation(&self, marginal: &MarginalStats, slice: &SliceView<'_>) -> f64 {
-        let cond = masked_mean_variance(slice.column(), slice.iter_ids());
-        1.0 - welch_t_test_from_moments(&marginal.moments, &cond).p_value
+        let cond = masked_mean_variance_lanes(&[slice.lane()]);
+        1.0 - welch_t_test_from_moments(&marginal.moments, &cond[0]).p_value
+    }
+
+    fn deviations(&self, marginals: &[MarginalStats], batch: &SliceBatch<'_>, out: &mut [f64]) {
+        let mut lanes = [MaskedLane::EMPTY; LANES];
+        for (lane, slice) in lanes.iter_mut().zip(batch.iter()) {
+            *lane = slice.lane();
+        }
+        let cond = masked_mean_variance_lanes(&lanes[..batch.len()]);
+        for ((o, slice), cond) in out.iter_mut().zip(batch.iter()).zip(&cond) {
+            if slice.len() >= 2 {
+                let marginal = &marginals[slice.ref_attr].moments;
+                *o = 1.0 - welch_t_test_from_moments(marginal, cond).p_value;
+            }
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -97,12 +125,9 @@ pub struct KsDeviation;
 
 impl DeviationTest for KsDeviation {
     fn deviation(&self, marginal: &MarginalStats, slice: &SliceView<'_>) -> f64 {
-        masked_ks_distance(
-            &marginal.order,
-            marginal.sorted_values(),
-            slice.len(),
-            |id| slice.contains(id),
-        )
+        masked_ks_distance(slice.order(), marginal.sorted_values(), slice.len(), |id| {
+            slice.contains(id)
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -117,12 +142,9 @@ pub struct KsPValueDeviation;
 
 impl DeviationTest for KsPValueDeviation {
     fn deviation(&self, marginal: &MarginalStats, slice: &SliceView<'_>) -> f64 {
-        let r = masked_ks_test(
-            &marginal.order,
-            marginal.sorted_values(),
-            slice.len(),
-            |id| slice.contains(id),
-        );
+        let r = masked_ks_test(slice.order(), marginal.sorted_values(), slice.len(), |id| {
+            slice.contains(id)
+        });
         1.0 - r.p_value
     }
 
@@ -139,12 +161,9 @@ pub struct MwuDeviation;
 
 impl DeviationTest for MwuDeviation {
     fn deviation(&self, marginal: &MarginalStats, slice: &SliceView<'_>) -> f64 {
-        let r = masked_mann_whitney(
-            &marginal.order,
-            marginal.sorted_values(),
-            slice.len(),
-            |id| slice.contains(id),
-        );
+        let r = masked_mann_whitney(slice.order(), marginal.sorted_values(), slice.len(), |id| {
+            slice.contains(id)
+        });
         1.0 - r.p_value
     }
 
@@ -232,7 +251,11 @@ impl<'a> ContrastEstimator<'a> {
             "alpha must be in (0,1), got {alpha}"
         );
         let indices = RankIndex::build_columns(view.iter_cols());
-        let marginals = view.iter_cols().map(MarginalStats::from_column).collect();
+        let marginals = view
+            .iter_cols()
+            .enumerate()
+            .map(|(j, col)| MarginalStats::from_order(col, indices.order(j)))
+            .collect();
         Self {
             view,
             indices,
@@ -314,22 +337,26 @@ impl<'a> ContrastEstimator<'a> {
         self.contrast_loop(sampler, &mut rng)
     }
 
-    /// The shared `M`-iteration Monte-Carlo loop of Algorithm 1.
+    /// The shared `M`-iteration Monte-Carlo loop of Algorithm 1, in batches
+    /// of up to [`LANES`] slices; deviations are summed in draw order.
     fn contrast_loop(&self, sampler: &mut SliceSampler<'_>, rng: &mut StdRng) -> f64 {
         let mut acc = 0.0;
-        for _ in 0..self.m {
-            let slice = sampler.draw(rng);
-            acc += if slice.len() < 2 {
-                // A (near-)empty slice is essentially impossible under
-                // independence (expected size N·α₁^(|S|−1)); observing one is
-                // itself maximal evidence of dependence. Moment-based tests
-                // cannot express this, so score it explicitly.
-                1.0
-            } else {
-                self.test
-                    .deviation(&self.marginals[slice.ref_attr], &slice)
-                    .clamp(0.0, 1.0)
-            };
+        let mut left = self.m;
+        while left > 0 {
+            let k = left.min(LANES);
+            let batch = sampler.draw_batch(rng, k);
+            // A (near-)empty slice is essentially impossible under
+            // independence (expected size N·α₁^(|S|−1)); observing one is
+            // itself maximal evidence of dependence. Moment-based tests
+            // cannot express this, so it keeps this explicit score: the test
+            // leaves slices under two members untouched.
+            let mut devs = [1.0; LANES];
+            self.test
+                .deviations(&self.marginals, &batch, &mut devs[..k]);
+            for d in &devs[..k] {
+                acc += d.clamp(0.0, 1.0);
+            }
+            left -= k;
         }
         acc / self.m as f64
     }

@@ -19,11 +19,18 @@
 //!    reads across the `4N`-byte inverse-permutation array cost more than
 //!    scattered writes into the `N/8`-byte mask);
 //! 3. the statistical test consumes the selection as a borrowed
-//!    [`SliceView`]: set-bit iteration for streaming moments, rank probes
-//!    for the sort-free KS / Mann–Whitney walks.
+//!    [`SliceView`]: set-bit walks for streaming moments, rank probes for
+//!    the sort-free KS / Mann–Whitney walks.
+//!
+//! The sampler holds [`LANES`] selection masks. A batch draw
+//! ([`SliceSampler::draw_batch`]) runs up to that many consecutive
+//! iterations, each into its own mask, so the Welch test can advance all of
+//! their moment chains in one lockstep pass; the RNG is consumed exactly as
+//! by the same number of single draws.
 
 use crate::subspace::Subspace;
 use hics_data::{ColumnsView, Dataset, RankIndex, SliceMask};
+use hics_stats::masked::{MaskedLane, LANES};
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -63,13 +70,14 @@ pub struct SliceSample {
 }
 
 /// A borrowed view of one drawn slice: the selection bitset plus the
-/// reference attribute's column. Lives until the next
-/// [`SliceSampler::draw`]; nothing is copied.
+/// reference attribute's column and sorted order. Lives until the next
+/// draw; nothing is copied.
 #[derive(Debug)]
 pub struct SliceView<'a> {
     /// The attribute whose marginal/conditional distributions are compared.
     pub ref_attr: usize,
     col: &'a [f64],
+    order: &'a [u32],
     mask: &'a SliceMask,
     len: usize,
 }
@@ -101,6 +109,21 @@ impl<'a> SliceView<'a> {
         self.col
     }
 
+    /// The reference attribute's argsort permutation (the marginal order
+    /// the rank-aware test walks follow).
+    pub fn order(&self) -> &'a [u32] {
+        self.order
+    }
+
+    /// The selection as one lane of the Welch lanes kernel.
+    pub(crate) fn lane(&self) -> MaskedLane<'a> {
+        MaskedLane {
+            values: self.col,
+            words: self.mask.words(),
+            len: self.len,
+        }
+    }
+
     /// Selected object ids, ascending.
     pub fn iter_ids(&self) -> impl Iterator<Item = u32> + 'a {
         self.mask.iter()
@@ -122,11 +145,45 @@ impl<'a> SliceView<'a> {
     }
 }
 
+/// The slices of one [`SliceSampler::draw_batch`]: lanes `0..len()`, in
+/// draw order. Lives until the next draw; nothing is copied.
+pub struct SliceBatch<'a> {
+    sampler: &'a SliceSampler<'a>,
+    len: usize,
+}
+
+impl<'a> SliceBatch<'a> {
+    /// Number of slices drawn.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the batch holds no slices.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The slice drawn into lane `i`.
+    ///
+    /// # Panics
+    /// Panics if `i >= len()`.
+    pub fn get(&self, i: usize) -> SliceView<'a> {
+        assert!(i < self.len, "lane {i} outside a batch of {}", self.len);
+        self.sampler.lane_view(i)
+    }
+
+    /// The slices in draw order.
+    pub fn iter(&self) -> impl Iterator<Item = SliceView<'a>> + '_ {
+        (0..self.len).map(|i| self.get(i))
+    }
+}
+
 /// Draws adaptive subspace slices for one subspace.
 ///
-/// Holds the selection mask, the per-attribute condition-mask cache and the
-/// permutation scratch, so the `M` Monte-Carlo iterations of a contrast
-/// computation perform **zero heap allocations** after the first draw.
+/// Holds [`LANES`] selection masks (one per slice of a batch draw, `N/8`
+/// bytes each), the per-attribute condition-mask cache and the permutation
+/// scratch, so the `M` Monte-Carlo iterations of a contrast computation
+/// perform **zero heap allocations** after the first draw.
 ///
 /// The cache keeps, for every subspace attribute, the block mask of its most
 /// recent condition together with the block's start position. Across the `M`
@@ -146,8 +203,10 @@ pub struct SliceSampler<'a> {
     sizing: SliceSizing,
     /// Scratch: permutation of `dims`.
     perm: Vec<usize>,
-    /// Scratch: the selection bitset, reused across draws.
-    mask: SliceMask,
+    /// Scratch: one selection bitset per lane, reused across draws.
+    masks: Vec<SliceMask>,
+    /// Per lane: the reference attribute and size of the slice drawn into it.
+    drawn: [(usize, usize); LANES],
     /// Per-attribute cached condition masks, aligned with `dims`.
     cache: Vec<CachedCondition>,
 }
@@ -229,7 +288,8 @@ impl<'a> SliceSampler<'a> {
             block_len,
             alpha,
             sizing,
-            mask: SliceMask::new(n),
+            masks: (0..LANES).map(|_| SliceMask::new(n)).collect(),
+            drawn: [(0, 0); LANES],
             cache,
         }
     }
@@ -282,7 +342,45 @@ impl<'a> SliceSampler<'a> {
 
     /// Draws one slice: permutes the attributes, applies `|S| − 1` random
     /// block conditions through the rank engine, and returns a borrowed
-    /// view of the surviving selection (Algorithm 1, steps 1–2).
+    /// view of the surviving selection (Algorithm 1, steps 1–2). This is the
+    /// one-slice form of [`SliceSampler::draw_batch`] (lane 0).
+    pub fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> SliceView<'_> {
+        self.draw_into(rng, 0);
+        self.lane_view(0)
+    }
+
+    /// Draws `k` consecutive slices into lanes `0..k` — the RNG stream and
+    /// every selection are those of `k` calls to [`SliceSampler::draw`].
+    ///
+    /// # Panics
+    /// Panics unless `1 <= k <= LANES`.
+    pub fn draw_batch<R: Rng + ?Sized>(&mut self, rng: &mut R, k: usize) -> SliceBatch<'_> {
+        assert!(
+            (1..=LANES).contains(&k),
+            "batch of {k} slices outside 1..={LANES}"
+        );
+        for lane in 0..k {
+            self.draw_into(rng, lane);
+        }
+        SliceBatch {
+            sampler: self,
+            len: k,
+        }
+    }
+
+    /// The view of the slice last drawn into `lane`.
+    fn lane_view(&self, lane: usize) -> SliceView<'_> {
+        let (ref_attr, len) = self.drawn[lane];
+        SliceView {
+            ref_attr,
+            col: self.view.col(ref_attr),
+            order: self.indices.order(ref_attr),
+            mask: &self.masks[lane],
+            len,
+        }
+    }
+
+    /// The draw body: one slice into the selection mask of `lane`.
     ///
     /// Each condition's sorted block lives in that attribute's **cached**
     /// mask: an identical window start reuses it outright, a window
@@ -292,7 +390,7 @@ impl<'a> SliceSampler<'a> {
     /// word AND (`O(N/64)`), the last one fused with the popcount. No heap
     /// allocation, no `O(N)` per-object scan, and the selection is the same
     /// bit pattern the uncached sampler produced.
-    pub fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> SliceView<'_> {
+    fn draw_into<R: Rng + ?Sized>(&mut self, rng: &mut R, lane: usize) {
         let n = self.view.n();
         self.perm.copy_from_slice(&self.dims);
         self.perm.shuffle(rng);
@@ -350,22 +448,17 @@ impl<'a> SliceSampler<'a> {
             cached.start = Some(start);
 
             let cond_mask = &self.cache[slot].mask;
+            let mask = &mut self.masks[lane];
             if ci == 0 {
-                self.mask.copy_from(cond_mask);
+                mask.copy_from(cond_mask);
             } else if ci == cond_attrs.len() - 1 {
-                fused_len = Some(self.mask.and_assign_popcount(cond_mask));
+                fused_len = Some(mask.and_assign_popcount(cond_mask));
             } else {
-                self.mask.and_assign(cond_mask);
+                mask.and_assign(cond_mask);
             }
         }
         // A single condition selects exactly one block of `block_len` ids.
-        let len = fused_len.unwrap_or(self.block_len);
-        SliceView {
-            ref_attr,
-            col: self.view.col(ref_attr),
-            mask: &self.mask,
-            len,
-        }
+        self.drawn[lane] = (ref_attr, fused_len.unwrap_or(self.block_len));
     }
 
     /// Draws one slice and materialises it (compatibility path for tests,
@@ -561,6 +654,41 @@ mod tests {
                 assert_eq!(got.conditional, want.conditional, "draw {i} of {sub}");
             }
         }
+    }
+
+    #[test]
+    fn batch_draws_match_single_draws() {
+        let (data, idx) = sampler_fixture(600, 6, 17);
+        let sub = Subspace::new([0, 2, 3, 5]);
+        let mut batched = SliceSampler::new(&data, &idx, &sub, 0.2, SliceSizing::PaperRoot);
+        let mut single = SliceSampler::new(&data, &idx, &sub, 0.2, SliceSizing::PaperRoot);
+        let mut rng_b = StdRng::seed_from_u64(4);
+        let mut rng_s = StdRng::seed_from_u64(4);
+        for k in [LANES, 1, 3, LANES, 2] {
+            let batch = batched.draw_batch(&mut rng_b, k);
+            assert_eq!(batch.len(), k);
+            for (i, got) in batch.iter().enumerate() {
+                let want = single.draw(&mut rng_s);
+                assert_eq!(got.ref_attr, want.ref_attr, "lane {i}");
+                assert_eq!(got.len(), want.len(), "lane {i}");
+                assert_eq!(got.mask(), want.mask(), "lane {i}");
+                assert_eq!(got.order(), idx.order(got.ref_attr));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn batch_rejects_more_than_lane_width() {
+        let (data, idx) = sampler_fixture(100, 4, 13);
+        let mut s = SliceSampler::new(
+            &data,
+            &idx,
+            &Subspace::pair(0, 1),
+            0.1,
+            SliceSizing::PaperRoot,
+        );
+        s.draw_batch(&mut StdRng::seed_from_u64(1), LANES + 1);
     }
 
     #[test]

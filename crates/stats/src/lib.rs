@@ -9,7 +9,8 @@
 //! * [`rank`] — argsort, midranks, tie groups.
 //! * [`two_sample`] — Welch's t-test, two-sample KS test, Mann–Whitney U.
 //! * [`masked`] — rank-aware masked-subsample tests (sort-free, alloc-free
-//!   KS / Mann–Whitney / moments against a precomputed marginal order).
+//!   KS / Mann–Whitney against a precomputed marginal order) and the
+//!   lockstep Welch lanes kernel (moments of up to six masks per pass).
 //! * [`correlation`] — Pearson, Spearman, Kendall baselines.
 //! * [`histogram`] — sparse grid histograms + Shannon entropy (for Enclus).
 //!
@@ -31,7 +32,8 @@ pub mod two_sample;
 pub use dist::{ChiSquared, Kolmogorov, Normal, StudentsT};
 pub use ecdf::Ecdf;
 pub use masked::{
-    masked_ks_distance, masked_ks_test, masked_mann_whitney, masked_mean_variance, masked_moments,
+    masked_ks_distance, masked_ks_test, masked_mann_whitney, masked_mean_variance_lanes,
+    masked_moments, MaskedLane, LANES,
 };
 pub use moments::{MeanVariance, Moments, SampleMoments};
 pub use two_sample::{
