@@ -15,7 +15,7 @@
 //!
 //! The artifact format was designed for this from day one: every section
 //! starts on an 8-byte boundary from the start of the file (see the format
-//! table in [`crate::model`]), and a memory map is page-aligned, so the
+//! table in [`crate::envelope`]), and a memory map is page-aligned, so the
 //! `d × n × f64` columns section can be reinterpreted as `&[f64]` slices
 //! in place — no parse, no copy. [`ModelArtifact::column`] hands those
 //! slices out as [`Cow`]s: borrowed on the aligned little-endian fast path
@@ -29,11 +29,12 @@
 //! checked finite, and every stored hoods value was already checked inside
 //! its domain.
 
+use crate::envelope;
 use crate::error::HicsError;
-use crate::mmap::{AlignedBytes, ByteStorage};
+use crate::mmap::ByteStorage;
 use crate::model::{
-    f64_at, AggregationKind, ArtifactLayout, HicsModel, HoodsData, ModelIndex, ModelSubspace,
-    NormKind, NormParam, ScorerSpec,
+    AggregationKind, ArtifactLayout, HicsModel, HoodsData, ModelIndex, ModelSubspace, NormKind,
+    NormParam, ScorerSpec,
 };
 use std::borrow::Cow;
 use std::path::Path;
@@ -52,34 +53,15 @@ impl ModelArtifact {
     /// map. On platforms without `mmap` this transparently falls back to an
     /// aligned heap read with the same semantics.
     pub fn open_mmap(path: &Path) -> Result<Self, HicsError> {
-        let file = std::fs::File::open(path).map_err(|e| HicsError::io_path("opening", path, e))?;
-        let len = file
-            .metadata()
-            .map_err(|e| HicsError::io_path("inspecting", path, e))?
-            .len();
-        let len = usize::try_from(len).map_err(|_| {
-            HicsError::InvalidInput(format!("{} exceeds the address space", path.display()))
-        })?;
-        if len == 0 {
-            // mmap(2) rejects zero-length maps; an empty file is just a
-            // truncated artifact.
-            return Err(ArtifactLayout::parse(&[]).expect_err("empty artifact"));
-        }
-        let storage = ByteStorage::map_file(&file, len)
-            .map_err(|e| HicsError::io_path("memory-mapping", path, e))?;
-        let layout = ArtifactLayout::parse(storage.as_slice())?;
+        let (storage, layout) = envelope::open_mmap(path, ArtifactLayout::parse)?;
         Ok(Self { storage, layout })
     }
 
     /// Validates an artifact from in-memory bytes, copying them into an
     /// 8-aligned heap buffer so column views still borrow.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, HicsError> {
-        let aligned = AlignedBytes::copy_from(bytes);
-        let layout = ArtifactLayout::parse(aligned.as_slice())?;
-        Ok(Self {
-            storage: ByteStorage::Heap(aligned),
-            layout,
-        })
+        let (storage, layout) = envelope::from_bytes(bytes, ArtifactLayout::parse)?;
+        Ok(Self { storage, layout })
     }
 
     /// Whether the bytes are a live memory map of the artifact file (as
@@ -168,20 +150,7 @@ impl ModelArtifact {
     /// Panics if `j >= d`.
     pub fn column(&self, j: usize) -> Cow<'_, [f64]> {
         assert!(j < self.d(), "column {j} out of range");
-        let n = self.layout.n;
-        let start = self.layout.columns_offset + j * n * 8;
-        let bytes = &self.bytes()[start..start + n * 8];
-        if cfg!(target_endian = "little")
-            && (bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<f64>())
-        {
-            // SAFETY: the range is in bounds (parse validated the section),
-            // the pointer is 8-aligned (just checked), every f64 bit
-            // pattern is a valid value (and parse checked them finite), and
-            // the storage is immutable for `self`'s lifetime.
-            Cow::Borrowed(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f64, n) })
-        } else {
-            Cow::Owned((0..n).map(|i| f64_at(bytes, i * 8)).collect())
-        }
+        envelope::column(self.bytes(), self.layout.columns_offset, self.layout.n, j)
     }
 
     /// Value of object `i` in attribute `j`, read in place.
@@ -191,9 +160,12 @@ impl ModelArtifact {
     #[inline]
     pub fn value(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.n() && j < self.d(), "({i}, {j}) out of range");
-        f64_at(
+        envelope::value(
             self.bytes(),
-            self.layout.columns_offset + (j * self.layout.n + i) * 8,
+            self.layout.columns_offset,
+            self.layout.n,
+            i,
+            j,
         )
     }
 

@@ -16,6 +16,9 @@
 //!   columns, rank index, subspaces, scorer config and optional VP-trees
 //!   and neighbourhood state) behind `hics fit` / `hics score` /
 //!   `hics serve`, written by one encoder.
+//! * [`envelope`] — the file envelope every on-disk format shares: one
+//!   72-byte header, checksum, hashing writer, shared-section codec and
+//!   map-or-copy opener for the model, the manifest and the store.
 //! * [`artifact`] — zero-copy (memory-mapped) access to a model artifact:
 //!   validated borrowed column views instead of heap materialisation.
 //! * [`error`] — the workspace-wide typed [`HicsError`] with artifact
@@ -38,6 +41,7 @@ pub mod artifact;
 pub mod bitset;
 pub mod csv;
 pub mod dataset;
+pub mod envelope;
 pub mod error;
 pub mod index;
 pub mod manifest;

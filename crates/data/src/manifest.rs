@@ -14,26 +14,19 @@
 //!
 //! # On-disk format (version 3)
 //!
-//! The manifest reuses the model artifact's magic, 72-byte header shape and
-//! FNV-1a checksum scheme, under format version **3** — a version no model
-//! artifact uses, so the model parser rejects a manifest with
-//! `UnsupportedVersion(3)` instead of misdecoding, and
-//! [`crate::model::peek_artifact_version`] routes a path to the right
-//! loader:
+//! The shared envelope ([`crate::envelope`]) under the model artifact's
+//! magic and format version **3** — a version no model artifact uses, so
+//! the model parser rejects a manifest with `UnsupportedVersion(3)` instead
+//! of misdecoding, and [`crate::model::peek_artifact_version`] routes a
+//! path to the right loader. `n` is the total row count across shards. The
+//! manifest's header words and section:
 //!
 //! ```text
 //! offset  size  field
-//!      0     8  magic "HICSMDL\0"
-//!      8     4  format version (u32, = 3)
-//!     12     4  header length  (u32, = 72)
-//!     16     8  total n across shards (u64)
-//!     24     8  d — attributes (u64)
 //!     32     8  shard count    (u64)
 //!     40     4  aggregation    (u32: 0 mean, 1 max)
 //!     44     4  partition      (u32: 0 contiguous, 1 hash)
 //!     48     8  reserved (0)
-//!     56     8  payload length (u64)
-//!     64     8  checksum       (u64, FNV-1a over bytes 0..64 and 72..end)
 //! ----- shard table, one entry per shard -----
 //!            n          u64   rows fitted into this shard
 //!            file len   u32   length of the file name
@@ -41,10 +34,9 @@
 //!                             manifest's directory; zero-padded to 8 B
 //! ```
 
+use crate::envelope::{encode_to_vec, fnv1a, header, parse_header, WordCode, FNV_OFFSET};
 use crate::error::{ArtifactSection, HicsError};
-use crate::model::{
-    artifact_checksum, fnv1a, pad8, push_u32, push_u64, Reader, FNV_OFFSET, HEADER_LEN, MAGIC,
-};
+use crate::model::MAGIC;
 use std::path::{Path, PathBuf};
 
 /// Format version of the sharded-manifest envelope.
@@ -60,22 +52,12 @@ pub enum ShardAggregation {
     Max,
 }
 
+impl WordCode for ShardAggregation {
+    const ALL: &'static [Self] = &[ShardAggregation::Mean, ShardAggregation::Max];
+    const WHAT: &'static str = "shard aggregation";
+}
+
 impl ShardAggregation {
-    fn code(self) -> u32 {
-        match self {
-            ShardAggregation::Mean => 0,
-            ShardAggregation::Max => 1,
-        }
-    }
-
-    fn from_code(c: u32) -> Result<Self, String> {
-        match c {
-            0 => Ok(ShardAggregation::Mean),
-            1 => Ok(ShardAggregation::Max),
-            other => Err(format!("unknown shard aggregation {other}")),
-        }
-    }
-
     /// Display name (CLI option spelling).
     pub fn name(self) -> &'static str {
         match self {
@@ -112,22 +94,12 @@ pub enum PartitionKind {
     Hash,
 }
 
+impl WordCode for PartitionKind {
+    const ALL: &'static [Self] = &[PartitionKind::Contiguous, PartitionKind::Hash];
+    const WHAT: &'static str = "partition kind";
+}
+
 impl PartitionKind {
-    fn code(self) -> u32 {
-        match self {
-            PartitionKind::Contiguous => 0,
-            PartitionKind::Hash => 1,
-        }
-    }
-
-    fn from_code(c: u32) -> Result<Self, String> {
-        match c {
-            0 => Ok(PartitionKind::Contiguous),
-            1 => Ok(PartitionKind::Hash),
-            other => Err(format!("unknown partition kind {other}")),
-        }
-    }
-
     /// Display name (CLI option spelling).
     pub fn name(self) -> &'static str {
         match self {
@@ -203,82 +175,64 @@ pub struct ShardManifest {
 impl ShardManifest {
     /// Serialises the manifest (see the module docs for the format).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(HEADER_LEN + self.shards.len() * 48);
-        buf.extend_from_slice(&MAGIC);
-        push_u32(&mut buf, MANIFEST_VERSION);
-        push_u32(&mut buf, HEADER_LEN as u32);
-        push_u64(&mut buf, self.total_n);
-        push_u64(&mut buf, self.d as u64);
-        push_u64(&mut buf, self.shards.len() as u64);
-        push_u32(&mut buf, self.aggregation.code());
-        push_u32(&mut buf, self.partition.code());
-        push_u64(&mut buf, 0); // reserved
-        push_u64(&mut buf, 0); // payload length, patched below
-        push_u64(&mut buf, 0); // checksum, patched below
-        debug_assert_eq!(buf.len(), HEADER_LEN);
-        for shard in &self.shards {
-            push_u64(&mut buf, shard.n);
-            push_u32(&mut buf, shard.file.len() as u32);
-            buf.extend_from_slice(shard.file.as_bytes());
-            pad8(&mut buf);
-        }
-        let payload = (buf.len() - HEADER_LEN) as u64;
-        buf[56..64].copy_from_slice(&payload.to_le_bytes());
-        let checksum = artifact_checksum(&buf);
-        buf[64..72].copy_from_slice(&checksum.to_le_bytes());
-        buf
+        let words: [&[u8]; 4] = [
+            &(self.shards.len() as u64).to_le_bytes(),
+            &self.aggregation.code().to_le_bytes(),
+            &self.partition.code().to_le_bytes(),
+            &0u64.to_le_bytes(), // reserved
+        ];
+        let entry_len = |s: &ShardEntry| (12 + s.file.len()).next_multiple_of(8);
+        let payload = self.shards.iter().map(entry_len).sum();
+        let header = header(
+            &MAGIC,
+            MANIFEST_VERSION,
+            self.total_n,
+            self.d,
+            &words,
+            payload,
+        );
+        encode_to_vec(header, |w| {
+            for shard in &self.shards {
+                w.put(&shard.n.to_le_bytes())?;
+                w.put(&(shard.file.len() as u32).to_le_bytes())?;
+                w.put(shard.file.as_bytes())?;
+                w.pad8()?;
+            }
+            Ok(())
+        })
     }
 
     /// Decodes and validates a manifest.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, HicsError> {
-        let mut r = Reader::new(bytes);
-        let magic = r.take(8)?;
-        if magic != MAGIC {
-            return Err(HicsError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != MANIFEST_VERSION {
-            return Err(r.invalid(format!(
-                "format version {version} is not a sharded manifest (expected {MANIFEST_VERSION})"
-            )));
-        }
-        let header_len = r.u32()? as usize;
-        if header_len != HEADER_LEN {
-            return Err(r.invalid(format!("header length {header_len}, expected {HEADER_LEN}")));
-        }
-        let total_n = r.u64()?;
-        let d = r.usize_field("attribute count")?;
-        let shard_count = r.usize_field("shard count")?;
-        let aggregation = ShardAggregation::from_code(r.u32()?).map_err(|m| r.invalid(m))?;
-        let partition = PartitionKind::from_code(r.u32()?).map_err(|m| r.invalid(m))?;
-        let reserved = r.u64()?;
-        if reserved != 0 {
-            return Err(r.invalid("non-zero reserved header field".into()));
-        }
-        let payload_len = r.u64()? as usize;
-        let stored_checksum = r.u64()?;
-        debug_assert_eq!(r.offset, HEADER_LEN);
-        if d == 0 {
-            return Err(r.invalid("manifest needs at least one attribute".into()));
-        }
-        if shard_count == 0 {
-            return Err(r.invalid("manifest references no shards".into()));
-        }
-        if bytes.len() != HEADER_LEN + payload_len {
-            return Err(HicsError::Truncated {
-                section: ArtifactSection::Header,
-                offset: HEADER_LEN,
-                needed: payload_len,
-                available: bytes.len().saturating_sub(HEADER_LEN),
-            });
-        }
-        let computed = artifact_checksum(bytes);
-        if computed != stored_checksum {
-            return Err(HicsError::ChecksumMismatch {
-                stored: stored_checksum,
-                computed,
-            });
-        }
+        let (header, mut r) = parse_header(
+            bytes,
+            &MAGIC,
+            "total row count",
+            |r, version| {
+                if version != MANIFEST_VERSION {
+                    return Err(r.invalid(format!(
+                        "format version {version} is not a sharded manifest \
+                         (expected {MANIFEST_VERSION})"
+                    )));
+                }
+                Ok(())
+            },
+            |r| {
+                let shard_count = r.usize_field("shard count")?;
+                let (aggregation, partition) = (r.code()?, r.code()?);
+                if r.u64()? != 0 {
+                    return Err(r.invalid("non-zero reserved header field".into()));
+                }
+                Ok((shard_count, aggregation, partition))
+            },
+            |&(shard_count, ..), _, d| match (d, shard_count) {
+                (0, _) => Err("manifest needs at least one attribute".into()),
+                (_, 0) => Err("manifest references no shards".into()),
+                _ => Ok(()),
+            },
+        )?;
+        let (total_n, d) = (header.n, header.d);
+        let (shard_count, aggregation, partition) = header.words;
         // Every entry needs at least 16 bytes; bound the count before
         // allocating from it.
         if shard_count > bytes.len() / 16 {
@@ -305,7 +259,7 @@ impl ShardManifest {
             if file.is_empty() {
                 return Err(r.invalid(format!("shard {s} has an empty file name")));
             }
-            if file.contains('/') || file.contains('\\') || file == ".." {
+            if file.contains('/') || file.contains('\\') || file == "." || file == ".." {
                 return Err(r.invalid(format!(
                     "shard {s} file name {file:?} must be a plain sibling file name"
                 )));
@@ -356,6 +310,7 @@ impl ShardManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::HEADER_LEN;
 
     fn sample() -> ShardManifest {
         ShardManifest {
@@ -437,6 +392,11 @@ mod tests {
         let mut m = sample();
         m.shards[0].file = "../escape.hics".into();
         assert!(ShardManifest::from_bytes(&m.to_bytes()).is_err());
+        for name in [".", ".."] {
+            let mut m = sample();
+            m.shards[0].file = name.into();
+            assert!(ShardManifest::from_bytes(&m.to_bytes()).is_err(), "{name}");
+        }
         let mut m = sample();
         m.shards.clear();
         m.total_n = 0;
@@ -446,6 +406,22 @@ mod tests {
         m.total_n = 501;
         assert!(ShardManifest::from_bytes(&m.to_bytes()).is_err());
     }
+
+    /// Pins the encoded bytes of the sample manifest, as `hoods_pinned`
+    /// pins a model artifact's (the constants predate the shared envelope
+    /// module).
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        let bytes = sample().to_bytes();
+        assert_eq!(
+            (bytes.len(), fnv1a(FNV_OFFSET, &bytes)),
+            (PINNED_LEN, PINNED_FNV1A),
+            "the manifest's bytes moved"
+        );
+    }
+
+    const PINNED_LEN: usize = 136;
+    const PINNED_FNV1A: u64 = 10_395_985_956_518_455_845;
 
     #[test]
     fn contiguous_partition_is_order_preserving_and_balanced() {

@@ -20,28 +20,19 @@
 //!
 //! # On-disk format (versions 1, 2 and 4)
 //!
-//! Little-endian throughout. A fixed 72-byte header, then sections that each
-//! begin on an 8-byte boundary from the start of the file, so a memory map
-//! of the file yields naturally aligned `f64` / `u32` slices:
+//! The shared envelope ([`crate::envelope`]: header, checksum, 8-aligned
+//! sections) under magic `"HICSMDL\0"`, with `n` the object count. The
+//! model's header words and sections:
 //!
 //! ```text
 //! offset  size  field
-//!      0     8  magic "HICSMDL\0"
-//!      8     4  format version (u32, 1, 2 or 4)
-//!     12     4  header length  (u32, = 72)
-//!     16     8  n — objects    (u64)
-//!     24     8  d — attributes (u64)
 //!     32     8  subspace count (u64)
 //!     40     4  scorer kind    (u32: 0 LOF, 1 kNN-mean, 2 kNN-kth)
 //!     44     4  scorer k       (u32)
 //!     48     4  aggregation    (u32: 0 average, 1 max)
 //!     52     4  normalisation  (u32: 0 none, 1 min-max, 2 z-score)
-//!     56     8  payload length (u64, bytes after the header)
-//!     64     8  checksum       (u64, FNV-1a over bytes 0..64 and 72..end)
 //! ----- sections, each padded to an 8-byte boundary -----
-//!            names       d × (u32 len + utf-8 bytes)
-//!            norm params d × (offset f64, divisor f64)
-//!            columns     d × n × f64
+//!            names, norm params, columns   (the envelope's shared sections)
 //!            order       d × n × u32   (argsort permutations)
 //!            sub lens    count × u32
 //!            sub dims    Σ lens × u32  (flattened, ascending per subspace)
@@ -76,12 +67,6 @@
 //! from the order permutations in `O(D·N)` at load time (and validating the
 //! permutations requires that pass anyway).
 //!
-//! The checksum covers every byte except its own field. Because each FNV-1a
-//! step `h ← (h ⊕ b) · p` is injective in `h` (the prime is odd) and in `b`,
-//! any single corrupted byte is guaranteed to change the checksum — so
-//! bit-rot in a stored artifact is detected rather than silently shifting
-//! scores.
-//!
 //! # Decoding paths
 //!
 //! All validation lives in one place, `ArtifactLayout::parse`, which walks
@@ -96,11 +81,16 @@
 //!   exactly the same byte streams.
 
 use crate::dataset::Dataset;
+use crate::envelope::{
+    f64_at, parse_header, u32_slice_le_bytes, HashingWriter, Peek, Reader, WordCode, HEADER_LEN,
+};
 use crate::error::{ArtifactSection, HicsError};
 use crate::index::RankIndex;
 use crate::source::ColumnsView;
 use std::io::{Read, Write};
 use std::path::Path;
+
+pub use crate::envelope::{artifact_checksum, fnv1a, FNV_OFFSET};
 
 /// Current (maximum) on-disk format version: the version of an artifact
 /// carrying the hoods section. Versions 1 (no index) and 2 (index only)
@@ -110,29 +100,6 @@ pub const FORMAT_VERSION: u32 = 4;
 
 /// File magic, first eight bytes of every model artifact.
 pub const MAGIC: [u8; 8] = *b"HICSMDL\0";
-
-pub(crate) const HEADER_LEN: usize = 72;
-
-/// FNV-1a offset basis (shared with the dataset-store format in
-/// `hics-store`, which uses the same checksum scheme).
-pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-/// Continues an FNV-1a hash over `bytes`.
-pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// The artifact checksum: FNV-1a over the header (minus the checksum field
-/// itself, bytes 64..72) and the payload. The dataset-store format
-/// (`hics-store`) shares this exact scheme, so the single-byte-corruption
-/// detection argument in the module docs covers both file kinds.
-pub fn artifact_checksum(bytes: &[u8]) -> u64 {
-    fnv1a(fnv1a(FNV_OFFSET, &bytes[..64]), &bytes[HEADER_LEN..])
-}
 
 /// Which density-based scorer the model was fit for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,26 +113,12 @@ pub enum ScorerKind {
     KnnKth,
 }
 
+impl WordCode for ScorerKind {
+    const ALL: &'static [Self] = &[ScorerKind::Lof, ScorerKind::KnnMean, ScorerKind::KnnKth];
+    const WHAT: &'static str = "scorer kind";
+}
+
 impl ScorerKind {
-    /// The on-disk code of the kind (artifact header).
-    fn code(self) -> u32 {
-        match self {
-            ScorerKind::Lof => 0,
-            ScorerKind::KnnMean => 1,
-            ScorerKind::KnnKth => 2,
-        }
-    }
-
-    /// Decodes [`ScorerKind::code`]; an unknown code is an error message.
-    fn from_code(c: u32) -> Result<Self, String> {
-        match c {
-            0 => Ok(ScorerKind::Lof),
-            1 => Ok(ScorerKind::KnnMean),
-            2 => Ok(ScorerKind::KnnKth),
-            other => Err(format!("unknown scorer kind {other}")),
-        }
-    }
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -204,21 +157,9 @@ pub enum AggregationKind {
     Max,
 }
 
-impl AggregationKind {
-    fn code(self) -> u32 {
-        match self {
-            AggregationKind::Average => 0,
-            AggregationKind::Max => 1,
-        }
-    }
-
-    fn from_code(c: u32) -> Result<Self, String> {
-        match c {
-            0 => Ok(AggregationKind::Average),
-            1 => Ok(AggregationKind::Max),
-            other => Err(format!("unknown aggregation {other}")),
-        }
-    }
+impl WordCode for AggregationKind {
+    const ALL: &'static [Self] = &[AggregationKind::Average, AggregationKind::Max];
+    const WHAT: &'static str = "aggregation";
 }
 
 /// The normalisation applied to the training data at fit time (and to every
@@ -234,24 +175,12 @@ pub enum NormKind {
     ZScore,
 }
 
+impl WordCode for NormKind {
+    const ALL: &'static [Self] = &[NormKind::None, NormKind::MinMax, NormKind::ZScore];
+    const WHAT: &'static str = "normalisation kind";
+}
+
 impl NormKind {
-    fn code(self) -> u32 {
-        match self {
-            NormKind::None => 0,
-            NormKind::MinMax => 1,
-            NormKind::ZScore => 2,
-        }
-    }
-
-    fn from_code(c: u32) -> Result<Self, String> {
-        match c {
-            0 => Ok(NormKind::None),
-            1 => Ok(NormKind::MinMax),
-            2 => Ok(NormKind::ZScore),
-            other => Err(format!("unknown normalisation kind {other}")),
-        }
-    }
-
     /// Display name (CLI option spelling).
     pub fn name(self) -> &'static str {
         match self {
@@ -669,66 +598,45 @@ pub(crate) struct ArtifactLayout {
 impl ArtifactLayout {
     /// Walks and validates one artifact byte stream. See the type docs.
     pub(crate) fn parse(bytes: &[u8]) -> Result<Self, HicsError> {
-        let mut r = Reader::new(bytes);
-        let magic = r.take(8)?;
-        if magic != MAGIC {
-            return Err(HicsError::BadMagic);
-        }
-        let version = r.u32()?;
-        // Version 3 is the sharded manifest's envelope (same magic and
-        // header shape): never decode one as a model.
-        if version == crate::manifest::MANIFEST_VERSION {
-            return Err(HicsError::UnsupportedVersion(version));
-        }
-        if version == 0 || version > FORMAT_VERSION {
-            return Err(HicsError::UnsupportedVersion(version));
-        }
-        let header_len = r.u32()? as usize;
-        if header_len != HEADER_LEN {
-            return Err(r.invalid(format!("header length {header_len}, expected {HEADER_LEN}")));
-        }
-        let n = r.usize_field("object count")?;
-        let d = r.usize_field("attribute count")?;
-        let sub_count = r.usize_field("subspace count")?;
-        let scorer_kind = ScorerKind::from_code(r.u32()?).map_err(|m| r.invalid(m))?;
-        let scorer_k = r.u32()?;
-        let aggregation = AggregationKind::from_code(r.u32()?).map_err(|m| r.invalid(m))?;
-        let norm_kind = NormKind::from_code(r.u32()?).map_err(|m| r.invalid(m))?;
-        let payload_len = r.u64()? as usize;
-        let stored_checksum = r.u64()?;
-        debug_assert_eq!(r.offset, HEADER_LEN);
-
-        if n < 2 || d == 0 {
-            // Every downstream consumer scores with kNN neighbourhoods,
-            // which need at least two reference objects.
-            return Err(r.invalid(format!(
-                "model needs at least 2 objects and 1 attribute, got {n} x {d}"
-            )));
-        }
-        if u32::try_from(n).is_err() {
-            return Err(r.invalid(format!("object count {n} exceeds u32")));
-        }
-        if sub_count == 0 {
-            return Err(r.invalid("model has no subspaces".into()));
-        }
-        if scorer_k == 0 {
-            return Err(r.invalid("scorer k must be >= 1".into()));
-        }
-        if bytes.len() != HEADER_LEN + payload_len {
-            return Err(HicsError::Truncated {
-                section: ArtifactSection::Header,
-                offset: HEADER_LEN,
-                needed: payload_len,
-                available: bytes.len().saturating_sub(HEADER_LEN),
-            });
-        }
-        let computed = artifact_checksum(bytes);
-        if computed != stored_checksum {
-            return Err(HicsError::ChecksumMismatch {
-                stored: stored_checksum,
-                computed,
-            });
-        }
+        let (header, mut r) = parse_header(
+            bytes,
+            &MAGIC,
+            "object count",
+            // Version 3 is the sharded manifest's envelope (same magic):
+            // never decode one as a model.
+            |_, version| match version {
+                1 | 2 | FORMAT_VERSION => Ok(()),
+                _ => Err(HicsError::UnsupportedVersion(version)),
+            },
+            |r| {
+                let sub_count = r.usize_field("subspace count")?;
+                let kind = r.code()?;
+                let k = r.u32()?;
+                Ok((sub_count, ScorerSpec { kind, k }, r.code()?, r.code()?))
+            },
+            |&(sub_count, scorer, ..), n, d| {
+                if n < 2 || d == 0 {
+                    // Every downstream consumer scores with kNN
+                    // neighbourhoods, which need at least two reference
+                    // objects.
+                    return Err(format!(
+                        "model needs at least 2 objects and 1 attribute, got {n} x {d}"
+                    ));
+                }
+                if u32::try_from(n).is_err() {
+                    return Err(format!("object count {n} exceeds u32"));
+                }
+                if sub_count == 0 {
+                    return Err("model has no subspaces".into());
+                }
+                if scorer.k == 0 {
+                    return Err("scorer k must be >= 1".into());
+                }
+                Ok(())
+            },
+        )?;
+        let (version, n, d) = (header.version, header.n as usize, header.d);
+        let (sub_count, scorer, aggregation, norm_kind) = header.words;
         // The counts come straight from the (attacker-suppliable) header;
         // cross-check them against what the payload could possibly hold
         // BEFORE sizing any allocation from them, or a crafted header makes
@@ -756,40 +664,9 @@ impl ArtifactLayout {
             )));
         }
 
-        // Names.
-        r.section = ArtifactSection::Names;
-        let mut names = Vec::with_capacity(d);
-        for j in 0..d {
-            let len = r.u32()? as usize;
-            let raw = r.take(len)?;
-            let name = std::str::from_utf8(raw)
-                .map_err(|_| r.invalid(format!("attribute {j} name is not UTF-8")))?;
-            names.push(name.to_string());
-        }
-        r.align8()?;
-        // Normalisation parameters.
-        r.section = ArtifactSection::NormParams;
-        let mut norm = Vec::with_capacity(d);
-        for j in 0..d {
-            let offset = r.f64()?;
-            let divisor = r.f64()?;
-            if !offset.is_finite() || !divisor.is_finite() {
-                return Err(r.invalid(format!(
-                    "non-finite normalisation parameters for attribute {j}"
-                )));
-            }
-            norm.push(NormParam { offset, divisor });
-        }
+        let (names, norm) = crate::envelope::read_attributes(&mut r, d)?;
         // Columns: validated in place, not materialised.
-        r.section = ArtifactSection::Columns;
-        let columns_offset = r.offset;
-        for j in 0..d {
-            for _ in 0..n {
-                if !r.f64()?.is_finite() {
-                    return Err(r.invalid(format!("non-finite value in column {j}")));
-                }
-            }
-        }
+        let columns_offset = crate::envelope::read_columns(&mut r, n, d, ArtifactSection::Columns)?;
         // Order permutations: validated in place, not materialised.
         r.section = ArtifactSection::Order;
         let order_offset = r.offset;
@@ -875,7 +752,7 @@ impl ArtifactLayout {
         // the scorer, so one length check bounds the whole walk.
         r.section = ArtifactSection::Hoods;
         let hoods_offset = if version == FORMAT_VERSION {
-            let lof = scorer_kind == ScorerKind::Lof;
+            let lof = scorer.kind == ScorerKind::Lof;
             let stride = Self::hoods_stride(n, lof);
             let remaining = bytes.len() - r.offset;
             if stride.checked_mul(sub_count) != Some(remaining) {
@@ -919,10 +796,7 @@ impl ArtifactLayout {
             version,
             n,
             d,
-            scorer: ScorerSpec {
-                kind: scorer_kind,
-                k: scorer_k,
-            },
+            scorer,
             aggregation,
             norm_kind,
             names,
@@ -1173,12 +1047,7 @@ impl HicsModel {
     pub fn to_bytes(&self) -> Vec<u8> {
         let view = ColumnsView::from_dataset(&self.dataset);
         let parts = self.parts(&view);
-        let mut buf = Vec::with_capacity(parts.encoded_len());
-        let checksum = parts
-            .encode(&mut buf)
-            .expect("writing into a Vec cannot fail");
-        buf[64..72].copy_from_slice(&checksum.to_le_bytes());
-        buf
+        crate::envelope::encode_to_vec(parts.header(), |w| parts.encode(w))
     }
 
     /// The model as input of the artifact encoder, over `view` (a view of
@@ -1220,16 +1089,9 @@ impl HicsModel {
     /// Materialises a model from an already-parsed layout over its bytes.
     pub(crate) fn from_layout(layout: &ArtifactLayout, bytes: &[u8]) -> Self {
         let (n, d) = (layout.n, layout.d);
-        let mut cols = Vec::with_capacity(d);
-        let mut off = layout.columns_offset;
-        for _ in 0..d {
-            let mut col = Vec::with_capacity(n);
-            for _ in 0..n {
-                col.push(f64_at(bytes, off));
-                off += 8;
-            }
-            cols.push(col);
-        }
+        let cols = (0..d)
+            .map(|j| crate::envelope::column(bytes, layout.columns_offset, n, j).into_owned())
+            .collect();
         let mut order = Vec::with_capacity(d);
         let mut off = layout.order_offset;
         for _ in 0..d {
@@ -1288,79 +1150,12 @@ impl HicsModel {
 /// section — and version 3 is a sharded model manifest, see
 /// [`crate::manifest`]).
 pub fn peek_artifact_version(path: &Path) -> Result<u32, HicsError> {
-    let mut f = std::fs::File::open(path).map_err(|e| HicsError::io_path("opening", path, e))?;
-    let mut head = [0u8; 12];
-    let mut got = 0usize;
-    while got < head.len() {
-        match f.read(&mut head[got..]) {
-            Ok(0) => {
-                return Err(HicsError::Truncated {
-                    section: ArtifactSection::Header,
-                    offset: got,
-                    needed: head.len() - got,
-                    available: 0,
-                })
-            }
-            Ok(k) => got += k,
-            Err(e) => return Err(HicsError::io_path("reading", path, e)),
-        }
-    }
-    if head[..8] != MAGIC {
+    let head = Peek::file(path)?;
+    let version = head.version()?;
+    if head.magic() != Some(MAGIC) {
         return Err(HicsError::BadMagic);
     }
-    Ok(u32::from_le_bytes(head[8..12].try_into().expect("4 bytes")))
-}
-
-/// The `f64` values of `col` as little-endian bytes — borrowed (an in-place
-/// cast) on little-endian targets, copied elsewhere.
-pub(crate) fn f64_slice_le_bytes(col: &[f64]) -> std::borrow::Cow<'_, [u8]> {
-    if cfg!(target_endian = "little") {
-        // SAFETY: every f64 is 8 plain bytes with no invalid patterns, the
-        // slice covers exactly `size_of_val(col)` initialised bytes, and u8
-        // has no alignment requirement.
-        std::borrow::Cow::Borrowed(unsafe {
-            std::slice::from_raw_parts(col.as_ptr() as *const u8, std::mem::size_of_val(col))
-        })
-    } else {
-        std::borrow::Cow::Owned(col.iter().flat_map(|v| v.to_le_bytes()).collect())
-    }
-}
-
-/// The `u32` values of `ids` as little-endian bytes (same contract as
-/// [`f64_slice_le_bytes`]).
-pub(crate) fn u32_slice_le_bytes(ids: &[u32]) -> std::borrow::Cow<'_, [u8]> {
-    if cfg!(target_endian = "little") {
-        // SAFETY: as above — u32s are 4 plain bytes each.
-        std::borrow::Cow::Borrowed(unsafe {
-            std::slice::from_raw_parts(ids.as_ptr() as *const u8, std::mem::size_of_val(ids))
-        })
-    } else {
-        std::borrow::Cow::Owned(ids.iter().flat_map(|v| v.to_le_bytes()).collect())
-    }
-}
-
-/// A writer that FNV-hashes everything it forwards — the streaming
-/// counterpart of [`artifact_checksum`].
-struct HashingWriter<W: Write> {
-    inner: W,
-    hash: u64,
-}
-
-impl<W: Write> HashingWriter<W> {
-    fn put(&mut self, bytes: &[u8]) -> Result<(), std::io::Error> {
-        self.hash = fnv1a(self.hash, bytes);
-        self.inner.write_all(bytes)
-    }
-
-    fn pad8(&mut self, written: usize) -> Result<usize, std::io::Error> {
-        let rem = written % 8;
-        if rem == 0 {
-            return Ok(0);
-        }
-        let pad = [0u8; 8];
-        self.put(&pad[..8 - rem])?;
-        Ok(8 - rem)
-    }
+    Ok(version)
 }
 
 /// Everything one model artifact holds, borrowed from wherever it lives —
@@ -1479,16 +1274,24 @@ impl ModelParts<'_> {
         Ok(())
     }
 
-    /// The exact encoded length in bytes, header included.
-    fn encoded_len(&self) -> usize {
+    /// The artifact header (see the module docs).
+    fn header(&self) -> [u8; HEADER_LEN] {
+        let words: [&[u8]; 5] = [
+            &(self.subspaces.len() as u64).to_le_bytes(),
+            &self.scorer.kind.code().to_le_bytes(),
+            &self.scorer.k.to_le_bytes(),
+            &self.aggregation.code().to_le_bytes(),
+            &self.norm_kind.code().to_le_bytes(),
+        ];
+        let (n, d) = (self.view.n() as u64, self.view.d());
+        crate::envelope::header(&MAGIC, self.version(), n, d, &words, self.payload_len())
+    }
+
+    /// The exact payload length in bytes (everything after the header).
+    fn payload_len(&self) -> usize {
         let (n, d) = (self.view.n(), self.view.d());
         let pad = |o: usize| o.next_multiple_of(8);
-        let mut off = HEADER_LEN;
-        for name in self.view.names() {
-            off += 4 + name.len();
-        }
-        off = pad(off);
-        off += d * 16; // norm params
+        let mut off = HEADER_LEN + crate::envelope::attributes_len(self.view.names());
         off += d * n * 8; // columns
         off += d * n * 4; // order permutations
         off = pad(off);
@@ -1510,49 +1313,16 @@ impl ModelParts<'_> {
         for h in self.hoods.iter().flat_map(|h| &h.subspaces) {
             off += 8 * (1 + h.k_distance.len() + h.lrd.len());
         }
-        off
+        off - HEADER_LEN
     }
 
-    /// Writes the artifact to `out` with a zeroed checksum field, flushes,
-    /// and returns the checksum the caller patches into bytes 64..72.
-    fn encode<W: Write>(&self, out: W) -> Result<u64, std::io::Error> {
-        let (n, d) = (self.view.n(), self.view.d());
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&MAGIC);
-        push_u32(&mut header, self.version());
-        push_u32(&mut header, HEADER_LEN as u32);
-        push_u64(&mut header, n as u64);
-        push_u64(&mut header, d as u64);
-        push_u64(&mut header, self.subspaces.len() as u64);
-        push_u32(&mut header, self.scorer.kind.code());
-        push_u32(&mut header, self.scorer.k);
-        push_u32(&mut header, self.aggregation.code());
-        push_u32(&mut header, self.norm_kind.code());
-        push_u64(&mut header, (self.encoded_len() - HEADER_LEN) as u64);
-        push_u64(&mut header, 0); // checksum, patched by the caller
-        debug_assert_eq!(header.len(), HEADER_LEN);
-
-        let mut w = HashingWriter {
-            inner: out,
-            hash: fnv1a(FNV_OFFSET, &header[..64]),
-        };
-        w.inner.write_all(&header)?;
-        // Names.
-        let mut written = 0usize;
-        for name in self.view.names() {
-            w.put(&(name.len() as u32).to_le_bytes())?;
-            w.put(name.as_bytes())?;
-            written += 4 + name.len();
-        }
-        w.pad8(written)?;
-        // Normalisation parameters.
-        for p in self.norm {
-            w.put(&p.offset.to_le_bytes())?;
-            w.put(&p.divisor.to_le_bytes())?;
-        }
+    /// Writes the artifact's payload to `w`.
+    fn encode<W: Write>(&self, w: &mut HashingWriter<W>) -> Result<(), std::io::Error> {
+        let d = self.view.d();
+        w.put_attributes(self.view.names(), self.norm)?;
         // Columns, one at a time straight from the view.
         for j in 0..d {
-            w.put(&f64_slice_le_bytes(self.view.col(j)))?;
+            w.put_f64s(self.view.col(j))?;
         }
         // Order permutations: reused from the caller's rank index when
         // available, one transient argsort per column otherwise.
@@ -1566,20 +1336,18 @@ impl ModelParts<'_> {
             }
         }
         // d·n·4 order bytes follow 8-aligned sections, so realign.
-        w.pad8(d * n * 4)?;
+        w.pad8()?;
         // Subspaces: lens, flattened dims, contrasts.
         for s in self.subspaces {
             w.put(&(s.dims.len() as u32).to_le_bytes())?;
         }
-        w.pad8(self.subspaces.len() * 4)?;
-        written = 0;
+        w.pad8()?;
         for s in self.subspaces {
             for &dim in &s.dims {
                 w.put(&(dim as u32).to_le_bytes())?;
             }
-            written += s.dims.len() * 4;
         }
-        w.pad8(written)?;
+        w.pad8()?;
         for s in self.subspaces {
             w.put(&s.contrast.to_le_bytes())?;
         }
@@ -1601,17 +1369,16 @@ impl ModelParts<'_> {
                     w.put(&node.mu.to_le_bytes())?;
                 }
                 w.put(&u32_slice_le_bytes(&tree.ids))?;
-                w.pad8(tree.ids.len() * 4)?;
+                w.pad8()?;
             }
         }
         // Version 4: the hoods section.
         for h in self.hoods.iter().flat_map(|h| &h.subspaces) {
             w.put(&h.clamp.to_le_bytes())?;
-            w.put(&f64_slice_le_bytes(&h.k_distance))?;
-            w.put(&f64_slice_le_bytes(&h.lrd))?;
+            w.put_f64s(&h.k_distance)?;
+            w.put_f64s(&h.lrd)?;
         }
-        w.inner.flush()?;
-        Ok(w.hash)
+        Ok(())
     }
 }
 
@@ -1636,129 +1403,18 @@ impl ModelParts<'_> {
 /// the rename), so a serving process with the old artifact mapped never
 /// sees a torn file.
 pub fn save_model_streaming(path: &Path, parts: &ModelParts<'_>) -> Result<(), HicsError> {
-    use std::io::Seek;
     parts.validate()?;
-    crate::mmap::write_atomic_with(path, |file, tmp| {
-        let checksum = parts
-            .encode(std::io::BufWriter::new(&mut *file))
-            .map_err(|e| HicsError::io_path("writing", tmp, e))?;
-        file.seek(std::io::SeekFrom::Start(64))
-            .map_err(|e| HicsError::io_path("seeking in", tmp, e))?;
-        file.write_all(&checksum.to_le_bytes())
-            .map_err(|e| HicsError::io_path("patching checksum in", tmp, e))
+    crate::envelope::save_streaming(path, parts.header(), |w, tmp| {
+        parts
+            .encode(w)
+            .map_err(|e| HicsError::io_path("writing", tmp, e))
     })
-}
-
-/// Reads the little-endian `f64` at `off` (bounds already validated by
-/// [`ArtifactLayout::parse`]).
-#[inline]
-pub(crate) fn f64_at(bytes: &[u8], off: usize) -> f64 {
-    f64::from_le_bytes(bytes[off..off + 8].try_into().expect("8 bytes"))
 }
 
 /// Reads the little-endian `u32` at `off`.
 #[inline]
-pub(crate) fn u32_at(bytes: &[u8], off: usize) -> u32 {
+fn u32_at(bytes: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes"))
-}
-
-pub(crate) fn push_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn push_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn pad8(buf: &mut Vec<u8>) {
-    while !buf.len().is_multiple_of(8) {
-        buf.push(0);
-    }
-}
-
-/// Bounds-checked little-endian reader over a byte slice, carrying the
-/// artifact section it is currently inside so every error is located —
-/// the shared parsing substrate of the model artifact, the sharded
-/// manifest ([`crate::manifest`]) and the dataset store (`hics-store`),
-/// which all report failures through the same [`HicsError`]
-/// section/offset vocabulary.
-pub struct Reader<'a> {
-    /// The byte stream under decode.
-    pub bytes: &'a [u8],
-    /// Current read position.
-    pub offset: usize,
-    /// The section errors are attributed to.
-    pub section: ArtifactSection,
-}
-
-impl<'a> Reader<'a> {
-    /// Starts a reader at offset 0, inside the header section.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self {
-            bytes,
-            offset: 0,
-            section: ArtifactSection::Header,
-        }
-    }
-
-    /// An [`HicsError::InvalidModel`] at the current section and offset.
-    pub fn invalid(&self, msg: String) -> HicsError {
-        HicsError::InvalidModel {
-            section: self.section,
-            offset: self.offset,
-            msg,
-        }
-    }
-
-    /// Consumes `len` bytes, or fails with a located truncation error.
-    pub fn take(&mut self, len: usize) -> Result<&'a [u8], HicsError> {
-        if self.bytes.len() - self.offset < len {
-            return Err(HicsError::Truncated {
-                section: self.section,
-                offset: self.offset,
-                needed: len,
-                available: self.bytes.len() - self.offset,
-            });
-        }
-        let s = &self.bytes[self.offset..self.offset + len];
-        self.offset += len;
-        Ok(s)
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, HicsError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, HicsError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Reads a little-endian `f64` (any bit pattern).
-    pub fn f64(&mut self) -> Result<f64, HicsError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `u64` header field that must fit a `usize`.
-    pub fn usize_field(&mut self, what: &str) -> Result<usize, HicsError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| self.invalid(format!("{what} {v} exceeds usize")))
-    }
-
-    /// Skips the zero padding up to the next 8-byte boundary.
-    pub fn align8(&mut self) -> Result<(), HicsError> {
-        let rem = self.offset % 8;
-        if rem != 0 {
-            let pad = self.take(8 - rem)?;
-            if pad.iter().any(|&b| b != 0) {
-                return Err(self.invalid("non-zero section padding".into()));
-            }
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

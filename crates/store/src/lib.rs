@@ -11,30 +11,20 @@
 //!
 //! # On-disk format (version 1)
 //!
-//! Little-endian throughout, with the model artifact's 72-byte header
-//! shape and FNV-1a checksum scheme (`hics_data::model::artifact_checksum`;
-//! any single corrupted byte is guaranteed to change the checksum). Every
-//! section starts on an 8-byte boundary from the start of the file, so a
-//! memory map yields naturally aligned `f64` column slices in place:
+//! The shared envelope of `hics_data::envelope` (72-byte header, FNV-1a
+//! checksum, 8-aligned sections, so a memory map yields naturally aligned
+//! `f64` column slices in place) under magic `"HICSSTR\0"`, with `n` the
+//! row count (not capped at u32 — only per-shard model artifacts carry that
+//! cap). The store's header words and sections:
 //!
 //! ```text
 //! offset  size  field
-//!      0     8  magic "HICSSTR\0"
-//!      8     4  format version (u32, = 1)
-//!     12     4  header length  (u32, = 72)
-//!     16     8  n — rows       (u64; not capped at u32 — only per-shard
-//!                               model artifacts carry that cap)
-//!     24     8  d — attributes (u64)
 //!     32     8  reserved (0)
 //!     40     4  normalisation  (u32: 0 none, 1 min-max, 2 z-score)
 //!     44     4  reserved (0)
 //!     48     8  reserved (0)
-//!     56     8  payload length (u64, bytes after the header)
-//!     64     8  checksum       (u64, FNV-1a over bytes 0..64 and 72..end)
-//! ----- sections, each starting on an 8-byte boundary -----
-//!            names       d × (u32 len + utf-8 bytes), zero-padded to 8 B
-//!            norm params d × (offset f64, divisor f64)
-//!            columns     d × n × f64   (column-contiguous)
+//! ----- sections -----
+//!            names, norm params, columns   (the envelope's shared sections)
 //! ```
 //!
 //! # Bounded-memory import
@@ -59,11 +49,9 @@
 
 #![warn(missing_docs)]
 
-use hics_data::mmap::{AlignedBytes, ByteStorage};
-use hics_data::model::{
-    artifact_checksum, fnv1a, peek_artifact_version, NormAcc, Reader, FNV_OFFSET,
-    MAGIC as MODEL_MAGIC,
-};
+use hics_data::envelope::{self, f64_slice_le_bytes, Peek, WordCode, HEADER_LEN};
+use hics_data::mmap::ByteStorage;
+use hics_data::model::{NormAcc, MAGIC as MODEL_MAGIC};
 use hics_data::{
     ArtifactSection, ColumnsView, Dataset, DatasetSource, HicsError, NormKind, NormParam,
 };
@@ -80,8 +68,6 @@ pub const STORE_VERSION: u32 = 1;
 /// Default rows per import chunk (≈ 4 MB of chunk buffer at d = 8).
 pub const DEFAULT_CHUNK_ROWS: usize = 65_536;
 
-const HEADER_LEN: usize = 72;
-
 /// Summary of a completed [`StoreWriter`] run.
 #[derive(Debug, Clone)]
 pub struct StoreSummary {
@@ -96,7 +82,9 @@ pub struct StoreSummary {
 }
 
 /// Streams rows into a dataset store with bounded memory (see the module
-/// docs for the spill-and-assemble scheme).
+/// docs for the spill-and-assemble scheme). Dropping the writer — after
+/// [`StoreWriter::finish`] or instead of it, as a failed import does —
+/// removes its spill file.
 pub struct StoreWriter {
     path: PathBuf,
     spill_path: PathBuf,
@@ -187,7 +175,7 @@ impl StoreWriter {
         let spill = self.spill.as_mut().expect("just ensured");
         for col in &mut self.chunk {
             spill
-                .write_all(&f64s_le(col))
+                .write_all(&f64_slice_le_bytes(col))
                 .map_err(|e| HicsError::io_path("spilling to", &self.spill_path, e))?;
             col.clear();
         }
@@ -197,14 +185,7 @@ impl StoreWriter {
 
     /// Assembles and atomically writes the final store file, returning its
     /// summary. `names` defaults to `attr0..attrD`.
-    pub fn finish(mut self, names: Option<Vec<String>>) -> Result<StoreSummary, HicsError> {
-        let result = self.finish_inner(names);
-        // The spill is working state either way.
-        std::fs::remove_file(&self.spill_path).ok();
-        result
-    }
-
-    fn finish_inner(&mut self, names: Option<Vec<String>>) -> Result<StoreSummary, HicsError> {
+    pub fn finish(self, names: Option<Vec<String>>) -> Result<StoreSummary, HicsError> {
         if self.n == 0 {
             return Err(HicsError::InvalidInput(
                 "store needs at least one row".into(),
@@ -219,51 +200,17 @@ impl StoreWriter {
             )));
         }
         let params: Vec<NormParam> = self.norm.iter().map(NormAcc::param).collect();
-
-        // Exact payload length.
-        let names_bytes: usize = names.iter().map(|s| 4 + s.len()).sum();
-        let payload = (HEADER_LEN + names_bytes).next_multiple_of(8) - HEADER_LEN
-            + d * 16
-            + d * (self.n as usize) * 8;
-
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        header.extend_from_slice(&STORE_MAGIC);
-        header.extend_from_slice(&STORE_VERSION.to_le_bytes());
-        header.extend_from_slice(&(HEADER_LEN as u32).to_le_bytes());
-        header.extend_from_slice(&self.n.to_le_bytes());
-        header.extend_from_slice(&(d as u64).to_le_bytes());
-        header.extend_from_slice(&0u64.to_le_bytes());
-        header.extend_from_slice(&norm_code(self.norm_kind).to_le_bytes());
-        header.extend_from_slice(&0u32.to_le_bytes());
-        header.extend_from_slice(&0u64.to_le_bytes());
-        header.extend_from_slice(&(payload as u64).to_le_bytes());
-        header.extend_from_slice(&0u64.to_le_bytes()); // checksum, patched below
-        debug_assert_eq!(header.len(), HEADER_LEN);
-
-        let bytes = hics_data::write_atomic_with(&self.path, |file, tmp| {
+        let payload = envelope::attributes_len(&names) + d * (self.n as usize) * 8;
+        let words: [&[u8]; 4] = [
+            &0u64.to_le_bytes(), // reserved
+            &self.norm_kind.code().to_le_bytes(),
+            &0u32.to_le_bytes(), // reserved
+            &0u64.to_le_bytes(), // reserved
+        ];
+        let header = envelope::header(&STORE_MAGIC, STORE_VERSION, self.n, d, &words, payload);
+        envelope::save_streaming(&self.path, header, |w, tmp| {
             let io = |e: std::io::Error| HicsError::io_path("writing", tmp, e);
-            let mut w = std::io::BufWriter::new(&mut *file);
-            let mut hash = fnv1a(FNV_OFFSET, &header[..64]);
-            let mut put = |w: &mut std::io::BufWriter<&mut std::fs::File>,
-                           bytes: &[u8]|
-             -> Result<(), HicsError> {
-                hash = fnv1a(hash, bytes);
-                w.write_all(bytes).map_err(io)
-            };
-            w.write_all(&header).map_err(io)?;
-            let mut written = 0usize;
-            for name in &names {
-                put(&mut w, &(name.len() as u32).to_le_bytes())?;
-                put(&mut w, name.as_bytes())?;
-                written += 4 + name.len();
-            }
-            if !written.is_multiple_of(8) {
-                put(&mut w, &[0u8; 8][..8 - written % 8])?;
-            }
-            for p in &params {
-                put(&mut w, &p.offset.to_le_bytes())?;
-                put(&mut w, &p.divisor.to_le_bytes())?;
-            }
+            w.put_attributes(&names, &params).map_err(io)?;
             // Columns: per attribute, the spilled pages in chunk order,
             // then the in-memory tail — transformed on the fly.
             let mut page: Vec<f64> = Vec::with_capacity(self.chunk_rows);
@@ -293,7 +240,7 @@ impl StoreWriter {
                         page.resize(rows, 0.0);
                         read_f64s(spill, &mut page, &self.spill_path)?;
                         transform(&mut page, self.norm_kind, p);
-                        put(&mut w, &f64s_le(&page))?;
+                        w.put_f64s(&page).map_err(io)?;
                     }
                 }
                 // The unspilled tail.
@@ -301,27 +248,27 @@ impl StoreWriter {
                     page.clear();
                     page.extend_from_slice(&self.chunk[j]);
                     transform(&mut page, self.norm_kind, p);
-                    put(&mut w, &f64s_le(&page))?;
+                    w.put_f64s(&page).map_err(io)?;
                 }
             }
-            let checksum = hash;
-            w.into_inner()
-                .map_err(|e| HicsError::io_path("flushing", tmp, e.into()))?;
-            file.seek(SeekFrom::Start(64))
-                .map_err(|e| HicsError::io_path("seeking in", tmp, e))?;
-            file.write_all(&checksum.to_le_bytes())
-                .map_err(|e| HicsError::io_path("patching checksum in", tmp, e))?;
-            Ok(file
-                .metadata()
-                .map_err(|e| HicsError::io_path("inspecting", tmp, e))?
-                .len())
+            Ok(())
         })?;
         Ok(StoreSummary {
             n: self.n,
             d,
-            bytes,
+            bytes: (HEADER_LEN + payload) as u64,
             spilled_chunks: self.spilled.len(),
         })
+    }
+}
+
+impl Drop for StoreWriter {
+    /// The spill is working state: it goes whether the import finished,
+    /// failed or was abandoned.
+    fn drop(&mut self) {
+        if self.spill.take().is_some() {
+            std::fs::remove_file(&self.spill_path).ok();
+        }
     }
 }
 
@@ -335,20 +282,6 @@ fn transform(page: &mut [f64], kind: NormKind, p: NormParam) {
     }
 }
 
-/// One column's values as little-endian bytes (in-place cast on
-/// little-endian targets).
-fn f64s_le(col: &[f64]) -> Cow<'_, [u8]> {
-    if cfg!(target_endian = "little") {
-        // SAFETY: f64s are plain bytes; the slice covers exactly
-        // `size_of_val(col)` initialised bytes; u8 needs no alignment.
-        Cow::Borrowed(unsafe {
-            std::slice::from_raw_parts(col.as_ptr() as *const u8, std::mem::size_of_val(col))
-        })
-    } else {
-        Cow::Owned(col.iter().flat_map(|v| v.to_le_bytes()).collect())
-    }
-}
-
 /// Fills `page` from the reader (little-endian f64s).
 fn read_f64s(r: &mut std::fs::File, page: &mut [f64], path: &Path) -> Result<(), HicsError> {
     let mut buf = vec![0u8; page.len() * 8];
@@ -358,23 +291,6 @@ fn read_f64s(r: &mut std::fs::File, page: &mut [f64], path: &Path) -> Result<(),
         *v = f64::from_le_bytes(chunk.try_into().expect("8 bytes"));
     }
     Ok(())
-}
-
-fn norm_code(kind: NormKind) -> u32 {
-    match kind {
-        NormKind::None => 0,
-        NormKind::MinMax => 1,
-        NormKind::ZScore => 2,
-    }
-}
-
-fn norm_from_code(c: u32) -> Result<NormKind, String> {
-    match c {
-        0 => Ok(NormKind::None),
-        1 => Ok(NormKind::MinMax),
-        2 => Ok(NormKind::ZScore),
-        other => Err(format!("unknown normalisation kind {other}")),
-    }
 }
 
 /// Writes an in-memory dataset as a store file (tests, benches and the
@@ -411,51 +327,32 @@ struct StoreLayout {
 
 impl StoreLayout {
     fn parse(bytes: &[u8]) -> Result<Self, HicsError> {
-        let mut r = Reader::new(bytes);
-        let magic = r.take(8)?;
-        if magic != STORE_MAGIC {
-            return Err(HicsError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version == 0 || version > STORE_VERSION {
-            return Err(HicsError::UnsupportedVersion(version));
-        }
-        let header_len = r.u32()? as usize;
-        if header_len != HEADER_LEN {
-            return Err(r.invalid(format!("header length {header_len}, expected {HEADER_LEN}")));
-        }
-        let n = r.usize_field("row count")?;
-        let d = r.usize_field("attribute count")?;
-        let reserved_mid = r.u64()?;
-        let norm_kind = norm_from_code(r.u32()?).map_err(|m| r.invalid(m))?;
-        let reserved32 = r.u32()?;
-        let reserved64 = r.u64()?;
-        if reserved_mid != 0 || reserved32 != 0 || reserved64 != 0 {
-            return Err(r.invalid("non-zero reserved header field".into()));
-        }
-        let payload_len = r.u64()? as usize;
-        let stored_checksum = r.u64()?;
-        debug_assert_eq!(r.offset, HEADER_LEN);
-        if n == 0 || d == 0 {
-            return Err(r.invalid(format!(
-                "store needs at least 1 row and 1 attribute, got {n} x {d}"
-            )));
-        }
-        if bytes.len() != HEADER_LEN + payload_len {
-            return Err(HicsError::Truncated {
-                section: ArtifactSection::Header,
-                offset: HEADER_LEN,
-                needed: payload_len,
-                available: bytes.len().saturating_sub(HEADER_LEN),
-            });
-        }
-        let computed = artifact_checksum(bytes);
-        if computed != stored_checksum {
-            return Err(HicsError::ChecksumMismatch {
-                stored: stored_checksum,
-                computed,
-            });
-        }
+        let (header, mut r) = envelope::parse_header(
+            bytes,
+            &STORE_MAGIC,
+            "row count",
+            |_, version| match version {
+                STORE_VERSION => Ok(()),
+                _ => Err(HicsError::UnsupportedVersion(version)),
+            },
+            |r| {
+                let reserved_mid = r.u64()?;
+                let norm_kind = r.code()?;
+                let reserved32 = r.u32()?;
+                let reserved64 = r.u64()?;
+                if reserved_mid != 0 || reserved32 != 0 || reserved64 != 0 {
+                    return Err(r.invalid("non-zero reserved header field".into()));
+                }
+                Ok(norm_kind)
+            },
+            |_, n, d| match (n, d) {
+                (0, _) | (_, 0) => Err(format!(
+                    "store needs at least 1 row and 1 attribute, got {n} x {d}"
+                )),
+                _ => Ok(()),
+            },
+        )?;
+        let (n, d) = (header.n as usize, header.d);
         // Cross-check the (attacker-suppliable) counts against what the
         // payload can hold before sizing any allocation from them: every
         // attribute needs ≥ 4 (name length) + 16 (norm params) + 8·n
@@ -472,38 +369,9 @@ impl StoreLayout {
                 bytes.len()
             )));
         }
-        r.section = ArtifactSection::Names;
-        let mut names = Vec::with_capacity(d);
-        for j in 0..d {
-            let len = r.u32()? as usize;
-            let raw = r.take(len)?;
-            let name = std::str::from_utf8(raw)
-                .map_err(|_| r.invalid(format!("attribute {j} name is not UTF-8")))?;
-            names.push(name.to_string());
-        }
-        r.align8()?;
-        r.section = ArtifactSection::NormParams;
-        let mut norm = Vec::with_capacity(d);
-        for j in 0..d {
-            let offset = r.f64()?;
-            let divisor = r.f64()?;
-            if !offset.is_finite() || !divisor.is_finite() {
-                return Err(r.invalid(format!(
-                    "non-finite normalisation parameters for attribute {j}"
-                )));
-            }
-            norm.push(NormParam { offset, divisor });
-        }
+        let (names, norm) = envelope::read_attributes(&mut r, d)?;
         // Column pages: validated in place, never materialised.
-        r.section = ArtifactSection::Pages;
-        let columns_offset = r.offset;
-        for j in 0..d {
-            for _ in 0..n {
-                if !r.f64()?.is_finite() {
-                    return Err(r.invalid(format!("non-finite value in column {j}")));
-                }
-            }
-        }
+        let columns_offset = envelope::read_columns(&mut r, n, d, ArtifactSection::Pages)?;
         if r.offset != bytes.len() {
             return Err(r.invalid(format!(
                 "{} trailing bytes after the column pages",
@@ -513,7 +381,7 @@ impl StoreLayout {
         Ok(Self {
             n,
             d,
-            norm_kind,
+            norm_kind: header.words,
             names,
             norm,
             columns_offset,
@@ -536,32 +404,15 @@ impl DatasetStore {
     /// platforms without `mmap` this transparently falls back to an aligned
     /// heap read with the same semantics.
     pub fn open_mmap(path: &Path) -> Result<Self, HicsError> {
-        let file = std::fs::File::open(path).map_err(|e| HicsError::io_path("opening", path, e))?;
-        let len = file
-            .metadata()
-            .map_err(|e| HicsError::io_path("inspecting", path, e))?
-            .len();
-        let len = usize::try_from(len).map_err(|_| {
-            HicsError::InvalidInput(format!("{} exceeds the address space", path.display()))
-        })?;
-        if len == 0 {
-            return Err(StoreLayout::parse(&[]).expect_err("empty store"));
-        }
-        let storage = ByteStorage::map_file(&file, len)
-            .map_err(|e| HicsError::io_path("memory-mapping", path, e))?;
-        let layout = StoreLayout::parse(storage.as_slice())?;
+        let (storage, layout) = envelope::open_mmap(path, StoreLayout::parse)?;
         Ok(Self { storage, layout })
     }
 
     /// Validates a store from in-memory bytes, copied into an 8-aligned
     /// buffer so column views still borrow.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, HicsError> {
-        let aligned = AlignedBytes::copy_from(bytes);
-        let layout = StoreLayout::parse(aligned.as_slice())?;
-        Ok(Self {
-            storage: ByteStorage::Heap(aligned),
-            layout,
-        })
+        let (storage, layout) = envelope::from_bytes(bytes, StoreLayout::parse)?;
+        Ok(Self { storage, layout })
     }
 
     /// Whether the bytes are a live memory map of the store file.
@@ -602,25 +453,8 @@ impl DatasetStore {
     /// Panics if `j >= d`.
     pub fn column(&self, j: usize) -> Cow<'_, [f64]> {
         assert!(j < self.d(), "column {j} out of range");
-        let n = self.layout.n;
-        let start = self.layout.columns_offset + j * n * 8;
-        let bytes = &self.storage.as_slice()[start..start + n * 8];
-        if cfg!(target_endian = "little")
-            && (bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<f64>())
-        {
-            // SAFETY: the range is in bounds (parse validated the section),
-            // the pointer is 8-aligned (just checked), every f64 bit
-            // pattern is a valid value (and parse checked them finite), and
-            // the storage is immutable for `self`'s lifetime.
-            Cow::Borrowed(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f64, n) })
-        } else {
-            Cow::Owned(
-                bytes
-                    .chunks_exact(8)
-                    .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-                    .collect(),
-            )
-        }
+        let (bytes, layout) = (self.storage.as_slice(), &self.layout);
+        envelope::column(bytes, layout.columns_offset, layout.n, j)
     }
 
     /// Value of row `i` in attribute `j`, read in place.
@@ -630,12 +464,8 @@ impl DatasetStore {
     #[inline]
     pub fn value(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.n() && j < self.d(), "({i}, {j}) out of range");
-        let off = self.layout.columns_offset + (j * self.layout.n + i) * 8;
-        f64::from_le_bytes(
-            self.storage.as_slice()[off..off + 8]
-                .try_into()
-                .expect("8 bytes"),
-        )
+        let (bytes, layout) = (self.storage.as_slice(), &self.layout);
+        envelope::value(bytes, layout.columns_offset, layout.n, i, j)
     }
 
     /// A zero-copy view over all columns (the form the fit pipeline
@@ -690,26 +520,18 @@ pub enum FileKind {
     Other,
 }
 
-/// Sniffs the first bytes of `path` (see [`FileKind`]). I/O failures other
-/// than "too short" are reported; a short or unrecognised file is `Other`.
+/// Sniffs the first bytes of `path` (see [`FileKind`]). I/O failures are
+/// reported. A file shorter than 8 bytes, or one starting with neither
+/// magic, is `Other`; a file that starts with the model magic but is
+/// shorter than 12 bytes (no complete version field) is
+/// [`HicsError::Truncated`], like [`hics_data::peek_artifact_version`].
 pub fn sniff_file(path: &Path) -> Result<FileKind, HicsError> {
-    let mut f = std::fs::File::open(path).map_err(|e| HicsError::io_path("opening", path, e))?;
-    let mut head = [0u8; 8];
-    let mut got = 0usize;
-    while got < head.len() {
-        match f.read(&mut head[got..]) {
-            Ok(0) => return Ok(FileKind::Other),
-            Ok(k) => got += k,
-            Err(e) => return Err(HicsError::io_path("reading", path, e)),
-        }
-    }
-    if head == STORE_MAGIC {
-        return Ok(FileKind::Store);
-    }
-    if head == MODEL_MAGIC {
-        return Ok(FileKind::Model(peek_artifact_version(path)?));
-    }
-    Ok(FileKind::Other)
+    let head = Peek::file(path)?;
+    Ok(match head.magic() {
+        Some(STORE_MAGIC) => FileKind::Store,
+        Some(MODEL_MAGIC) => FileKind::Model(head.version()?),
+        _ => FileKind::Other,
+    })
 }
 
 #[cfg(test)]
@@ -792,6 +614,29 @@ mod tests {
         let empty = StoreWriter::create(&path, 8, NormKind::None);
         assert!(empty.finish(None).is_err(), "empty store accepted");
         assert!(!path.exists());
+    }
+
+    /// A writer dropped after a bad row (as a failed `hics import` drops
+    /// it) removes its spill file and writes no store.
+    #[test]
+    fn dropped_writer_removes_its_spill() {
+        let dir = temp_path("drop-spill");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s.hicsstore");
+        let mut w = StoreWriter::create(&path, 2, NormKind::None);
+        for i in 0..5 {
+            w.push_row(&[i as f64, 1.0]).unwrap();
+        }
+        assert!(w.spill_path.exists(), "two full chunks were spilled");
+        assert!(w.push_row(&[f64::NAN, 1.0]).is_err(), "NaN accepted");
+        drop(w);
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert!(left.is_empty(), "left behind: {left:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

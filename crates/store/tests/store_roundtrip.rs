@@ -3,7 +3,8 @@
 //! and corrupted or truncated stores are rejected with located errors,
 //! never panics or silent misreads.
 
-use hics_data::{ArtifactSection, Dataset, HicsError, NormKind};
+use hics_data::model::{fnv1a, FNV_OFFSET};
+use hics_data::{ArtifactSection, Dataset, HicsError, NormKind, SyntheticConfig};
 use hics_store::{write_dataset_store, DatasetStore, StoreWriter};
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -229,3 +230,30 @@ fn error_classes_share_the_artifact_exit_codes() {
     assert_eq!(e.exit_code(), 4);
     assert!(e.to_string().contains("pages"), "{e}");
 }
+
+/// Pins the bytes of a min-max store written through the spill path, as
+/// `hoods_pinned` pins the model artifact's: any change to the header, the
+/// checksum, the shared sections or the spill reassembly that moves a
+/// single bit fails here.
+#[test]
+fn spilled_minmax_store_bytes_are_pinned() {
+    let data = SyntheticConfig::new(500, 6)
+        .with_seed(11)
+        .generate()
+        .dataset;
+    let path = temp_path("pinned");
+    let summary = write_dataset_store(&path, &data, 64, NormKind::MinMax).expect("write");
+    let bytes = std::fs::read(&path).expect("read back");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(summary.spilled_chunks, 500 / 64, "the writer must spill");
+    assert_eq!(
+        (bytes.len(), fnv1a(FNV_OFFSET, &bytes)),
+        (PINNED_STORE_LEN, PINNED_STORE_FNV1A),
+        "the store's bytes moved"
+    );
+}
+
+/// Length and FNV-1a of the pinned store as first written, before the
+/// three file kinds shared one envelope module.
+const PINNED_STORE_LEN: usize = 24_224;
+const PINNED_STORE_FNV1A: u64 = 6_919_687_527_049_034_265;
