@@ -60,7 +60,7 @@ impl SymMatrix {
 
     /// Sum of squares of all off-diagonal elements (Jacobi convergence
     /// criterion).
-    pub fn off_diagonal_norm(&self) -> f64 {
+    fn off_diagonal_norm(&self) -> f64 {
         let mut s = 0.0;
         for i in 0..self.n {
             for j in 0..self.n {

@@ -50,11 +50,6 @@ impl Pca {
         }
     }
 
-    /// Eigenvalues (descending) — the variance captured per component.
-    pub fn explained_variance(&self) -> &[f64] {
-        &self.eigen.values
-    }
-
     /// Projects the dataset onto its leading `k` principal components.
     ///
     /// # Panics
@@ -153,7 +148,7 @@ mod tests {
         let v = &pca.eigen.vectors[0];
         let ratio = (v[0] / v[1]).abs();
         assert!((ratio - 1.0).abs() < 0.05, "PC1 {v:?}");
-        assert!(pca.explained_variance()[0] > 10.0 * pca.explained_variance()[1]);
+        assert!(pca.eigen.values[0] > 10.0 * pca.eigen.values[1]);
     }
 
     #[test]

@@ -31,13 +31,6 @@ pub fn hics_params(seed: u64) -> HicsParams {
     p
 }
 
-/// The HiCS method with paper defaults.
-pub fn hics_method(seed: u64) -> Box<dyn OutlierMethod> {
-    Box::new(HicsMethod {
-        params: hics_params(seed),
-    })
-}
-
 /// All seven methods of the Fig. 4 quality experiment, in figure order:
 /// LOF, HiCS, ENCLUS, RIS, RANDSUB, PCALOF1, PCALOF2.
 pub fn all_methods(seed: u64) -> Vec<Box<dyn OutlierMethod>> {
@@ -52,7 +45,9 @@ pub fn all_methods(seed: u64) -> Vec<Box<dyn OutlierMethod>> {
 /// (Figs. 5–6): HiCS, ENCLUS, RIS, RANDSUB.
 pub fn subspace_methods(seed: u64) -> Vec<Box<dyn OutlierMethod>> {
     vec![
-        hics_method(seed),
+        Box::new(HicsMethod {
+            params: hics_params(seed),
+        }),
         Box::new(EnclusMethod {
             params: EnclusParams::default(),
             lof_k: LOF_K,

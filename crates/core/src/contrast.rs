@@ -138,7 +138,7 @@ impl DeviationTest for KsDeviation {
 /// Extension: KS converted to `1 − p` with the asymptotic Kolmogorov
 /// distribution — normalised like the Welch variant, unlike Eq. 11.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct KsPValueDeviation;
+struct KsPValueDeviation;
 
 impl DeviationTest for KsPValueDeviation {
     fn deviation(&self, marginal: &MarginalStats, slice: &SliceView<'_>) -> f64 {
@@ -295,19 +295,7 @@ impl<'a> ContrastEstimator<'a> {
     /// count.
     pub fn contrast(&self, subspace: &Subspace, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed ^ subspace_stream(subspace));
-        self.contrast_with_rng(subspace, &mut rng)
-    }
-
-    /// Estimates `contrast(S)` using the caller's RNG (Algorithm 1).
-    pub fn contrast_with_rng(&self, subspace: &Subspace, rng: &mut StdRng) -> f64 {
-        let mut sampler = SliceSampler::from_view(
-            self.view.clone(),
-            &self.indices,
-            subspace,
-            self.alpha,
-            self.sizing,
-        );
-        self.contrast_loop(&mut sampler, rng)
+        self.contrast_loop(&mut self.sampler(subspace), &mut rng)
     }
 
     /// Creates a sampler usable with [`ContrastEstimator::contrast_with_sampler`]

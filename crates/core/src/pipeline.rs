@@ -14,7 +14,7 @@ use hics_outlier::index::{IndexKind, SubspaceIndex};
 use hics_outlier::lof::Lof;
 use hics_outlier::parallel::par_map;
 use hics_outlier::scorer::{score_subspaces, SubspaceScorer};
-use hics_outlier::{subspace_hoods, SubspaceLayout, SubspaceView};
+use hics_outlier::{subspace_hoods, SubspaceView};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,12 +44,6 @@ impl HicsParams {
     /// Sets the base RNG seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.search.seed = seed;
-        self
-    }
-
-    /// Sets the LOF neighbourhood size.
-    pub fn with_lof_k(mut self, k: usize) -> Self {
-        self.lof_k = k;
         self
     }
 }
@@ -209,9 +203,10 @@ impl FitBuilder {
     /// The `"index"` and `"precompute"` phases over the searched
     /// subspaces: builds the VP-trees (when configured), then — with
     /// precompute on — each subspace's hoods from the trees still in
-    /// memory and a layout gathered exactly as `QueryEngine` gathers it,
+    /// memory and the same borrowed column view the trees were built from,
     /// through the one [`subspace_hoods`] computation an open would
-    /// otherwise run. Returns the index, the hoods and the precompute
+    /// otherwise run (the engine's owned layout gives bit-identical
+    /// distances). Returns the index, the hoods and the precompute
     /// phase's nanoseconds.
     fn index_and_hoods(
         &self,
@@ -244,10 +239,8 @@ impl FitBuilder {
                     .iter()
                     .zip(&indexes)
                     .map(|(s, index)| {
-                        let layout = SubspaceLayout::from_cols(
-                            s.dims.iter().map(|&j| view.col(j).to_vec()).collect(),
-                        );
-                        subspace_hoods(&layout, index, self.scorer, threads)
+                        let sub = SubspaceView::from_columns_view(view, &s.dims);
+                        subspace_hoods(&sub, index, self.scorer, threads)
                     })
                     .collect(),
             };
@@ -613,18 +606,6 @@ impl Hics {
     pub fn fitter(&self) -> FitBuilder {
         FitBuilder::new(self.params)
     }
-
-    /// Ranks outliers in a caller-provided list of subspaces (skipping the
-    /// search step) — useful for comparing subspace selections.
-    pub fn rank_in_subspaces<S: SubspaceScorer>(
-        &self,
-        data: &Dataset,
-        subspaces: &[Vec<usize>],
-        scorer: &S,
-    ) -> Vec<f64> {
-        let per = score_subspaces(data, subspaces, scorer, self.params.search.max_threads);
-        aggregate_scores(&per, self.params.aggregation)
-    }
 }
 
 #[cfg(test)]
@@ -810,14 +791,5 @@ mod tests {
             assert_eq!(left, ["one.hicsstore"], "the failed fit left files behind");
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn rank_in_subspaces_skips_search() {
-        let g = SyntheticConfig::new(150, 6).with_seed(27).generate();
-        let hics = Hics::new(quick());
-        let scores =
-            hics.rank_in_subspaces(&g.dataset, &[vec![0, 1], vec![2, 3]], &KnnScorer::new(5));
-        assert_eq!(scores.len(), 150);
     }
 }

@@ -124,23 +124,13 @@ impl<'a> SliceView<'a> {
         }
     }
 
-    /// Selected object ids, ascending.
-    pub fn iter_ids(&self) -> impl Iterator<Item = u32> + 'a {
-        self.mask.iter()
-    }
-
-    /// Conditional sample values in ascending object-id order (the order a
-    /// hits-counting sampler materialised them in).
-    pub fn iter_values(&self) -> impl Iterator<Item = f64> + 'a {
-        let col = self.col;
-        self.mask.iter().map(move |id| col[id as usize])
-    }
-
-    /// Copies the view into an owned [`SliceSample`] (tests/diagnostics).
+    /// Copies the view into an owned [`SliceSample`] (tests/diagnostics):
+    /// the conditional values in ascending object-id order.
     pub fn to_sample(&self) -> SliceSample {
+        let col = self.col;
         SliceSample {
             ref_attr: self.ref_attr,
-            conditional: self.iter_values().collect(),
+            conditional: self.mask.iter().map(|id| col[id as usize]).collect(),
         }
     }
 }
@@ -460,13 +450,6 @@ impl<'a> SliceSampler<'a> {
         // A single condition selects exactly one block of `block_len` ids.
         self.drawn[lane] = (ref_attr, fused_len.unwrap_or(self.block_len));
     }
-
-    /// Draws one slice and materialises it (compatibility path for tests,
-    /// diagnostics and the ablation bench; consumes RNG identically to
-    /// [`SliceSampler::draw`]).
-    pub fn draw_sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> SliceSample {
-        self.draw(rng).to_sample()
-    }
 }
 
 #[cfg(test)]
@@ -541,15 +524,12 @@ mod tests {
         let mut s = SliceSampler::new(&data, &idx, &sub, 0.2, SliceSizing::PaperRoot);
         let mut rng = StdRng::seed_from_u64(2);
         let view = s.draw(&mut rng);
-        let ids: Vec<u32> = view.iter_ids().collect();
+        let ids: Vec<u32> = view.mask().iter().collect();
         assert_eq!(ids.len(), view.len());
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending id order");
         assert!(ids.iter().all(|&id| view.contains(id)));
-        let values: Vec<f64> = view.iter_values().collect();
         let col = data.col(view.ref_attr);
-        for (&id, &v) in ids.iter().zip(&values) {
-            assert_eq!(col[id as usize], v);
-        }
+        let values: Vec<f64> = ids.iter().map(|&id| col[id as usize]).collect();
         assert_eq!(view.to_sample().conditional, values);
     }
 
@@ -595,7 +575,7 @@ mod tests {
             let mut s = SliceSampler::new(&data, &idx, &sub, 0.2, SliceSizing::PaperRoot);
             let mut rng = StdRng::seed_from_u64(seed);
             (0..5)
-                .map(|_| s.draw_sample(&mut rng).conditional)
+                .map(|_| s.draw(&mut rng).to_sample().conditional)
                 .collect::<Vec<_>>()
         };
         assert_eq!(draw(9), draw(9));
@@ -617,13 +597,13 @@ mod tests {
             reused.retarget(sub);
             let mut rng = StdRng::seed_from_u64(99);
             let reused_draws: Vec<SliceSample> =
-                (0..10).map(|_| reused.draw_sample(&mut rng)).collect();
+                (0..10).map(|_| reused.draw(&mut rng).to_sample()).collect();
             // …must match a sampler constructed from scratch, bit for bit.
             let mut fresh = SliceSampler::new(&data, &idx, sub, 0.15, SliceSizing::PaperRoot);
             let mut rng = StdRng::seed_from_u64(99);
             for (d, r) in reused_draws
                 .iter()
-                .zip((0..10).map(|_| fresh.draw_sample(&mut rng)))
+                .zip((0..10).map(|_| fresh.draw(&mut rng).to_sample()))
             {
                 assert_eq!(d.ref_attr, r.ref_attr);
                 assert_eq!(d.conditional, r.conditional);

@@ -73,7 +73,7 @@ pub struct ArffData {
 /// Streaming ARFF row reader: the `@relation`/`@attribute`/`@data` header
 /// is parsed eagerly (it is a handful of lines), then data rows stream one
 /// at a time through a reused line/row buffer — the bounded-memory
-/// substrate under [`read_arff`] and the out-of-core importer.
+/// substrate under [`read_arff_file`] and the out-of-core importer.
 pub struct ArffReader<R: BufRead> {
     reader: R,
     relation: String,
@@ -156,18 +156,13 @@ impl<R: BufRead> ArffReader<R> {
         })
     }
 
-    /// The relation name from `@relation`.
-    pub fn relation(&self) -> &str {
-        &self.relation
-    }
-
     /// Names of the numeric attributes (the label attribute is excluded).
     pub fn names(&self) -> &[String] {
         &self.names
     }
 
     /// Whether the file declares an outlier/class label attribute.
-    pub fn has_labels(&self) -> bool {
+    fn has_labels(&self) -> bool {
         self.kinds.iter().any(|k| matches!(k, AttrKind::Nominal(_)))
     }
 
@@ -236,7 +231,7 @@ impl<R: BufRead> ArffReader<R> {
 }
 
 /// Reads an ARFF document from a buffered reader.
-pub fn read_arff<R: BufRead>(reader: R) -> Result<ArffData, ArffError> {
+fn read_arff<R: BufRead>(reader: R) -> Result<ArffData, ArffError> {
     let mut stream = ArffReader::new(reader)?;
     let mut columns: Vec<Vec<f64>> = vec![Vec::new(); stream.names().len()];
     let mut labels: Vec<bool> = Vec::new();

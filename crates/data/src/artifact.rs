@@ -2,7 +2,7 @@
 //! (ideally a memory map of the file), and column views are served borrowed
 //! straight out of them.
 //!
-//! [`HicsModel::load`] materialises every section into owned vectors — the
+//! [`crate::model::HicsModel::load`] materialises every section into owned vectors — the
 //! right call for the offline pipeline, which mutates nothing but reads
 //! everything many times. Serving wants the opposite trade: a
 //! [`crate::model::HicsModel`]-shaped *view* over the file so that loading a
@@ -24,8 +24,8 @@
 //!
 //! Validation is **identical** to the heap path: both run
 //! `ArtifactLayout::parse`, so a byte stream is accepted by
-//! [`ModelArtifact::open_mmap`] exactly when [`HicsModel::from_bytes`]
-//! accepts it, every value a borrowed column view can yield was already
+//! [`ModelArtifact::open_mmap`] exactly when
+//! [`crate::model::HicsModel::from_bytes`] accepts it, every value a borrowed column view can yield was already
 //! checked finite, and every stored hoods value was already checked inside
 //! its domain.
 
@@ -33,8 +33,8 @@ use crate::envelope;
 use crate::error::HicsError;
 use crate::mmap::ByteStorage;
 use crate::model::{
-    AggregationKind, ArtifactLayout, HicsModel, HoodsData, ModelIndex, ModelSubspace, NormKind,
-    NormParam, ScorerSpec,
+    AggregationKind, ArtifactLayout, HoodsData, ModelIndex, ModelSubspace, NormKind, NormParam,
+    ScorerSpec,
 };
 use std::borrow::Cow;
 use std::path::Path;
@@ -168,18 +168,12 @@ impl ModelArtifact {
             j,
         )
     }
-
-    /// Materialises the artifact into an owned [`HicsModel`] (exactly what
-    /// [`HicsModel::from_bytes`] on the same bytes returns).
-    pub fn to_model(&self) -> HicsModel {
-        HicsModel::from_layout(&self.layout, self.bytes())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{apply_normalization, ScorerKind};
+    use crate::model::{apply_normalization, HicsModel, ScorerKind};
     use crate::synth::SyntheticConfig;
 
     fn sample_model() -> HicsModel {
@@ -227,7 +221,7 @@ mod tests {
         assert_eq!(artifact.norm_params(), model.norm_params());
         assert_eq!(artifact.scorer(), model.scorer());
         assert_eq!(artifact.subspaces(), model.subspaces());
-        assert_eq!(artifact.to_model(), model);
+        assert_eq!(HicsModel::from_bytes(artifact.bytes()).unwrap(), model);
         std::fs::remove_file(&path).ok();
     }
 
@@ -263,7 +257,7 @@ mod tests {
             assert!(matches!(col, Cow::Borrowed(_)), "aligned heap borrows");
             assert_eq!(col.as_ref(), model.dataset().col(j));
         }
-        assert_eq!(artifact.to_model(), model);
+        assert_eq!(HicsModel::from_bytes(artifact.bytes()).unwrap(), model);
     }
 
     #[test]
@@ -333,10 +327,10 @@ mod tests {
 
         // The live map still reads the first artifact, byte for byte.
         assert_eq!(mapped.bytes(), &before[..]);
-        assert_eq!(mapped.to_model(), first);
+        assert_eq!(HicsModel::from_bytes(mapped.bytes()).unwrap(), first);
         // A fresh open sees the second.
         let fresh = ModelArtifact::open_mmap(&path).expect("open second");
-        assert_eq!(fresh.to_model(), second);
+        assert_eq!(HicsModel::from_bytes(fresh.bytes()).unwrap(), second);
         std::fs::remove_file(&path).ok();
     }
 

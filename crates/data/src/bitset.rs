@@ -9,14 +9,16 @@
 //! counter updates of a hits-counting sampler.
 //!
 //! The mask deliberately has no growth or set-algebra bells: exactly the
-//! operations the slice engine, the RIS neighbourhood counter and the KDE
-//! box prefilter need — clear, fill-from-id-block, in-place AND, rank-window
+//! operations the slice engine and the RIS neighbourhood counter's box
+//! prefilter need — clear, fill-from-id-block, in-place AND, rank-window
 //! refinement, popcount, and set-bit iteration in ascending id order.
 
 /// A bitset over object ids `0..n`, one `u64` word per 64 objects.
 ///
 /// Bits at positions `>= n` in the last word are never set; every operation
-/// preserves that invariant, so [`SliceMask::count_ones`] needs no masking.
+/// preserves that invariant when given in-range ids (see
+/// [`SliceMask::fill_from_ids`]), so [`SliceMask::count_ones`] needs no
+/// masking.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SliceMask {
     words: Vec<u64>,
@@ -45,9 +47,13 @@ impl SliceMask {
     /// Sets the bits of every id in `ids` (does not clear first).
     ///
     /// This is the "set from sorted block" entry: `ids` is typically a
-    /// contiguous window of one attribute's argsort permutation. Ids are
-    /// debug-asserted in range (callers pass index-derived ids); an
-    /// out-of-range id panics on the word bounds check either way.
+    /// contiguous window of one attribute's argsort permutation.
+    ///
+    /// Ids must lie in `0..n`, which only debug builds check: every caller
+    /// passes ids from an in-process argsort or from a permutation the
+    /// model loader validated. In a release build an id `>= n` that still
+    /// falls inside the last word silently sets a padding bit (breaking the
+    /// invariant above); only an id past the last word panics.
     #[inline]
     pub fn fill_from_ids(&mut self, ids: &[u32]) {
         for &id in ids {
@@ -61,6 +67,11 @@ impl SliceMask {
     /// [`SliceMask::fill_from_ids`], used to shift a cached rank-window mask
     /// incrementally: clear the ids leaving the window, set the ids entering
     /// it, instead of rebuilding the whole block.
+    ///
+    /// Ids must lie in `0..n`, checked only in debug builds, as for
+    /// [`SliceMask::fill_from_ids`]: in a release build an id `>= n` inside
+    /// the last word silently clears a padding bit, and only an id past
+    /// the last word panics.
     #[inline]
     pub fn clear_ids(&mut self, ids: &[u32]) {
         for &id in ids {
@@ -338,6 +349,9 @@ mod tests {
         assert_eq!(m.iter().collect::<Vec<_>>(), vec![0, 69]);
     }
 
+    // The range check is a `debug_assert`: in a release build id 10 of a
+    // 10-bit mask lands in the last word's padding and sets a bit instead.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn rejects_out_of_range_id() {

@@ -45,7 +45,7 @@ impl RankIndex {
 
     /// Builds the index for an explicit set of columns (used by consumers
     /// that only need a subspace projection, e.g. the RIS neighbourhood
-    /// counter and the KDE box prefilter).
+    /// counter's box prefilter).
     ///
     /// # Panics
     /// Panics if columns have unequal lengths or there are none.
@@ -124,7 +124,7 @@ impl RankIndex {
     ///
     /// # Panics
     /// Panics if `col` has the wrong length.
-    pub fn value_window(&self, j: usize, col: &[f64], lo: f64, hi: f64) -> (usize, usize) {
+    fn value_window(&self, j: usize, col: &[f64], lo: f64, hi: f64) -> (usize, usize) {
         assert_eq!(col.len(), self.n, "column/index length mismatch");
         let order = &self.order[j];
         let start = order.partition_point(|&id| col[id as usize] < lo);
@@ -133,10 +133,9 @@ impl RankIndex {
     }
 
     /// Intersects per-attribute value windows `|value − center| <= radius`
-    /// over the listed attributes into `mask` (cleared first): the shared
-    /// block-selection kernel of the RIS neighbourhood counter and the KDE
-    /// box prefilter. `cols[k]` must be the column attribute `k` of this
-    /// index was built from.
+    /// over the listed attributes into `mask` (cleared first): the
+    /// block-selection kernel of the RIS neighbourhood counter. `cols[k]`
+    /// must be the column attribute `k` of this index was built from.
     ///
     /// The first window fills the mask from its sorted block (`O(window)`);
     /// every further window is a rank-probe refinement (`O(popcount)`).

@@ -109,7 +109,7 @@ impl PartitionKind {
     }
 
     /// The shard row `i` of `n` belongs to, out of `shards`.
-    pub fn shard_of(self, i: u64, n: u64, shards: usize) -> usize {
+    fn shard_of(self, i: u64, n: u64, shards: usize) -> usize {
         debug_assert!(i < n && shards >= 1);
         match self {
             PartitionKind::Contiguous => {

@@ -1083,11 +1083,6 @@ impl HicsModel {
     /// the zero-copy alternative see [`crate::artifact::ModelArtifact`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, HicsError> {
         let layout = ArtifactLayout::parse(bytes)?;
-        Ok(Self::from_layout(&layout, bytes))
-    }
-
-    /// Materialises a model from an already-parsed layout over its bytes.
-    pub(crate) fn from_layout(layout: &ArtifactLayout, bytes: &[u8]) -> Self {
         let (n, d) = (layout.n, layout.d);
         let cols = (0..d)
             .map(|j| crate::envelope::column(bytes, layout.columns_offset, n, j).into_owned())
@@ -1109,17 +1104,17 @@ impl HicsModel {
                 .map(|s| layout.hoods(bytes, s).expect("section present"))
                 .collect(),
         });
-        Self {
+        Ok(Self {
             dataset,
             norm_kind: layout.norm_kind,
-            norm: layout.norm.clone(),
-            subspaces: layout.subspaces.clone(),
+            norm: layout.norm,
+            subspaces: layout.subspaces,
             scorer: layout.scorer,
             aggregation: layout.aggregation,
             rank,
-            index: layout.index.clone(),
+            index: layout.index,
             hoods,
-        }
+        })
     }
 
     /// Writes the artifact to `path` atomically (temp file + sync + rename,

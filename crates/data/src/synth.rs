@@ -100,23 +100,10 @@ impl SyntheticConfig {
         self
     }
 
-    /// Sets the number of planted outliers per block.
-    pub fn with_outliers_per_subspace(mut self, k: usize) -> Self {
-        self.outliers_per_subspace = k;
-        self
-    }
-
     /// Sets the number of trailing pure-noise attributes.
     pub fn with_noise_dims(mut self, k: usize) -> Self {
         assert!(k + 2 <= self.d, "noise dims leave no room for blocks");
         self.noise_dims = k;
-        self
-    }
-
-    /// Sets the cluster standard deviation.
-    pub fn with_cluster_sd(mut self, sd: f64) -> Self {
-        assert!(sd > 0.0, "cluster sd must be positive");
-        self.cluster_sd = sd;
         self
     }
 

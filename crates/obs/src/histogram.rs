@@ -87,11 +87,6 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// The relative quantile-error bound, `2^-sub_bits`.
-    pub fn relative_error(&self) -> f64 {
-        1.0 / (1u64 << self.sub_bits) as f64
-    }
-
     /// A point-in-time copy of the whole distribution (taken off the hot
     /// path — e.g. by the `/metrics` renderer).
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -226,10 +221,10 @@ mod tests {
                 "q={q}: bucket upper bound {got} below true {truth}"
             );
             let rel = (got - truth) / truth;
+            let bound = 1.0 / (1u64 << sub_bits) as f64;
             assert!(
-                rel <= h.relative_error() + 1e-12,
-                "q={q}: relative error {rel} exceeds {}",
-                h.relative_error()
+                rel <= bound + 1e-12,
+                "q={q}: relative error {rel} exceeds {bound}"
             );
         }
         assert_eq!(snap.count(), 100_000);

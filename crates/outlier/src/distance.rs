@@ -11,11 +11,12 @@ use hics_data::Dataset;
 /// every neighbour-search backend ([`crate::index::SubspaceIndex`] users,
 /// the brute scan and the VP-tree alike) is generic over.
 ///
-/// The two implementations are the borrowed [`SubspaceView`] (batch path:
-/// column slices straight out of the [`Dataset`]) and the owned
-/// [`SubspaceLayout`] (serving path: columns gathered once per model load).
-/// Both compute distances with the **same floating-point expressions**, so
-/// swapping one for the other never changes a single bit of any score.
+/// The two implementations are the borrowed [`SubspaceView`] (fit path:
+/// column slices straight out of the [`Dataset`] or a mapped store) and the
+/// owned [`SubspaceLayout`] (serving path: columns gathered once per model
+/// load). Both compute distances through the **same column kernels**
+/// (`sq_dist_cols`, `sq_dist_to_point_cols`), so swapping one for the other
+/// never changes a single bit of any score.
 pub trait Points: Sync {
     /// Number of objects.
     fn n(&self) -> usize;
@@ -80,62 +81,45 @@ impl<'a> SubspaceView<'a> {
         let cols: Vec<&[f64]> = dims.iter().map(|&j| view.col(j)).collect();
         Self { n: view.n(), cols }
     }
+}
 
-    /// Number of objects.
-    pub fn n(&self) -> usize {
-        self.n
+/// Squared Euclidean distance between objects `a` and `b` over subspace
+/// columns `cols`, accumulated in axis order — the one in-sample distance
+/// expression of every [`Points`] implementation.
+#[inline]
+fn sq_dist_cols<C: AsRef<[f64]>>(cols: &[C], a: usize, b: usize) -> f64 {
+    let mut acc = 0.0;
+    for c in cols {
+        let c = c.as_ref();
+        let d = c[a] - c[b];
+        acc += d * d;
     }
+    acc
+}
 
-    /// Subspace dimensionality.
-    pub fn dims(&self) -> usize {
-        self.cols.len()
+/// Squared Euclidean distance between an external query point (`point[t]`
+/// pairs with `cols[t]`) and object `j`. The difference is taken
+/// query-minus-object, the orientation of [`sq_dist_cols`], so a query that
+/// coincides bitwise with a stored object reproduces the in-sample
+/// distances bit-for-bit.
+#[inline]
+fn sq_dist_to_point_cols<C: AsRef<[f64]>>(cols: &[C], j: usize, point: &[f64]) -> f64 {
+    debug_assert_eq!(point.len(), cols.len());
+    let mut acc = 0.0;
+    for (c, &p) in cols.iter().zip(point) {
+        let d = p - c.as_ref()[j];
+        acc += d * d;
     }
-
-    /// Squared Euclidean distance between objects `a` and `b` within the
-    /// subspace.
-    #[inline]
-    pub fn sq_dist(&self, a: usize, b: usize) -> f64 {
-        let mut acc = 0.0;
-        for c in &self.cols {
-            let d = c[a] - c[b];
-            acc += d * d;
-        }
-        acc
-    }
-
-    /// Euclidean distance between objects `a` and `b` within the subspace.
-    #[inline]
-    pub fn dist(&self, a: usize, b: usize) -> f64 {
-        self.sq_dist(a, b).sqrt()
-    }
-
-    /// Squared Euclidean distance between an external query point (given by
-    /// its coordinates *in subspace order*, `point[t]` pairing with the
-    /// view's `t`-th column) and object `j`.
-    ///
-    /// The difference is computed query-minus-object, mirroring
-    /// [`SubspaceView::sq_dist`]'s query-minus-other orientation, so a query
-    /// that coincides bitwise with a stored object reproduces the in-sample
-    /// distances bit-for-bit.
-    #[inline]
-    pub fn sq_dist_to_point(&self, j: usize, point: &[f64]) -> f64 {
-        debug_assert_eq!(point.len(), self.cols.len());
-        let mut acc = 0.0;
-        for (c, &p) in self.cols.iter().zip(point) {
-            let d = p - c[j];
-            acc += d * d;
-        }
-        acc
-    }
+    acc
 }
 
 impl Points for SubspaceView<'_> {
     fn n(&self) -> usize {
-        SubspaceView::n(self)
+        self.n
     }
 
     fn dims(&self) -> usize {
-        SubspaceView::dims(self)
+        self.cols.len()
     }
 
     #[inline]
@@ -145,12 +129,12 @@ impl Points for SubspaceView<'_> {
 
     #[inline]
     fn sq_dist(&self, a: usize, b: usize) -> f64 {
-        SubspaceView::sq_dist(self, a, b)
+        sq_dist_cols(&self.cols, a, b)
     }
 
     #[inline]
     fn sq_dist_to_point(&self, j: usize, point: &[f64]) -> f64 {
-        SubspaceView::sq_dist_to_point(self, j, point)
+        sq_dist_to_point_cols(&self.cols, j, point)
     }
 }
 
@@ -159,8 +143,7 @@ impl Points for SubspaceView<'_> {
 /// request re-derives nothing: no column-reference gathering, no attribute
 /// indirection, just contiguous coordinate slices.
 ///
-/// Distance arithmetic mirrors [`SubspaceView`] expression for expression
-/// (both loop over columns accumulating `(p − c[j])²` in axis order), so a
+/// Distances run through the same column kernels as [`SubspaceView`], so a
 /// layout gathered from the same dataset produces bit-identical distances.
 #[derive(Debug, Clone)]
 pub struct SubspaceLayout {
@@ -217,29 +200,22 @@ impl Points for SubspaceLayout {
 
     #[inline]
     fn sq_dist(&self, a: usize, b: usize) -> f64 {
-        let mut acc = 0.0;
-        for c in &self.cols {
-            let d = c[a] - c[b];
-            acc += d * d;
-        }
-        acc
+        sq_dist_cols(&self.cols, a, b)
     }
 
     #[inline]
     fn sq_dist_to_point(&self, j: usize, point: &[f64]) -> f64 {
-        debug_assert_eq!(point.len(), self.cols.len());
-        let mut acc = 0.0;
-        for (c, &p) in self.cols.iter().zip(point) {
-            let d = p - c[j];
-            acc += d * d;
-        }
-        acc
+        sq_dist_to_point_cols(&self.cols, j, point)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn dist(v: &SubspaceView<'_>, a: usize, b: usize) -> f64 {
+        v.sq_dist(a, b).sqrt()
+    }
 
     fn data() -> Dataset {
         Dataset::from_rows(&[
@@ -253,7 +229,7 @@ mod tests {
     fn full_space_distance() {
         let d = data();
         let v = SubspaceView::new(&d, &[0, 1, 2]);
-        assert_eq!(v.dist(0, 1), 5.0);
+        assert_eq!(dist(&v, 0, 1), 5.0);
         assert_eq!(v.dims(), 3);
         assert_eq!(v.n(), 3);
     }
@@ -263,8 +239,8 @@ mod tests {
         let d = data();
         // Only attribute 2: |5 - 5| = 0 even though rows differ elsewhere.
         let v = SubspaceView::new(&d, &[2]);
-        assert_eq!(v.dist(0, 1), 0.0);
-        assert_eq!(v.dist(1, 2), 4.0);
+        assert_eq!(dist(&v, 0, 1), 0.0);
+        assert_eq!(dist(&v, 1, 2), 4.0);
     }
 
     #[test]
@@ -272,9 +248,9 @@ mod tests {
         let d = data();
         let v = SubspaceView::new(&d, &[0, 1]);
         for a in 0..3 {
-            assert_eq!(v.dist(a, a), 0.0);
+            assert_eq!(dist(&v, a, a), 0.0);
             for b in 0..3 {
-                assert_eq!(v.dist(a, b), v.dist(b, a));
+                assert_eq!(dist(&v, a, b), dist(&v, b, a));
             }
         }
     }
@@ -286,7 +262,7 @@ mod tests {
         for a in 0..3 {
             for b in 0..3 {
                 for c in 0..3 {
-                    assert!(v.dist(a, c) <= v.dist(a, b) + v.dist(b, c) + 1e-12);
+                    assert!(dist(&v, a, c) <= dist(&v, a, b) + dist(&v, b, c) + 1e-12);
                 }
             }
         }

@@ -216,14 +216,6 @@ impl Engine {
             },
         }
     }
-
-    /// The shard ensemble, if this is one (diagnostics/tests).
-    pub fn as_sharded(&self) -> Option<&ShardedEngine> {
-        match self {
-            Engine::Sharded(e) => Some(e),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -341,7 +333,9 @@ mod tests {
         let engine = Engine::open_mmap(&path, None, 2).unwrap();
         assert_eq!(engine.shard_count(), 3);
         assert!(engine.index_stats().precomputed);
-        let sharded = engine.as_sharded().expect("manifest engine");
+        let Engine::Sharded(sharded) = &engine else {
+            panic!("manifest engine");
+        };
         assert!(sharded.shards().iter().all(|s| s.index_stats().precomputed));
 
         model(20, ScorerKind::KnnMean)
@@ -349,9 +343,10 @@ mod tests {
             .unwrap();
         let engine = Engine::open_mmap(&path, None, 2).unwrap();
         assert!(!engine.index_stats().precomputed);
-        let per: Vec<bool> = engine
-            .as_sharded()
-            .unwrap()
+        let Engine::Sharded(sharded) = &engine else {
+            panic!("manifest engine");
+        };
+        let per: Vec<bool> = sharded
             .shards()
             .iter()
             .map(|s| s.index_stats().precomputed)

@@ -20,14 +20,14 @@
 //!
 //! # Retired-generation LRU
 //!
-//! Every swap **retires** the displaced engine into a bounded LRU
-//! ([`EngineHandle::retain_limit`], default 2): the most recent
-//! generations stay resident — mmap-backed engines keep their artifact
-//! pages mapped, so a rollback reload of a just-replaced model re-uses the
-//! warm page cache — while anything older is evicted and dropped. Once the
+//! Every swap **retires** the displaced engine into a bounded LRU of
+//! `RETAIN_LIMIT` (2) generations: the most recent generations stay
+//! resident — mmap-backed engines keep their artifact pages mapped, so a
+//! rollback reload of a just-replaced model re-uses the warm page cache —
+//! while anything older is evicted and dropped. Once the
 //! last in-flight `Arc` of an evicted engine goes, its artifact unmaps;
 //! a server reloading every few minutes therefore pins at most
-//! `retain_limit + 1` mapped artifacts instead of growing its address
+//! `RETAIN_LIMIT + 1` mapped artifacts instead of growing its address
 //! space without bound.
 
 use crate::engine::Engine;
@@ -35,8 +35,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Default number of retired engine generations kept resident.
-pub const DEFAULT_RETAIN_LIMIT: usize = 2;
+/// Number of retired engine generations kept resident.
+const RETAIN_LIMIT: usize = 2;
 
 /// A shared, hot-swappable handle to the current [`Engine`].
 #[derive(Debug)]
@@ -44,9 +44,8 @@ pub struct EngineHandle {
     engine: RwLock<Arc<Engine>>,
     generation: AtomicU64,
     /// Retired `(generation, engine)` pairs, oldest first, capped at
-    /// `retain_limit`.
+    /// `RETAIN_LIMIT`.
     retired: Mutex<VecDeque<(u64, Arc<Engine>)>>,
-    retain_limit: usize,
 }
 
 impl EngineHandle {
@@ -55,24 +54,12 @@ impl EngineHandle {
         Self::from_arc(Arc::new(engine.into()))
     }
 
-    /// [`EngineHandle::new`] with an explicit retired-generation cap
-    /// (0 = drop displaced engines immediately).
-    pub fn with_retain_limit(engine: impl Into<Engine>, retain_limit: usize) -> Self {
-        Self {
-            engine: RwLock::new(Arc::new(engine.into())),
-            generation: AtomicU64::new(1),
-            retired: Mutex::new(VecDeque::new()),
-            retain_limit,
-        }
-    }
-
     /// Wraps an already-shared engine as generation 1.
     pub fn from_arc(engine: Arc<Engine>) -> Self {
         Self {
             engine: RwLock::new(engine),
             generation: AtomicU64::new(1),
             retired: Mutex::new(VecDeque::new()),
-            retain_limit: DEFAULT_RETAIN_LIMIT,
         }
     }
 
@@ -102,7 +89,7 @@ impl EngineHandle {
         let old_generation = self.generation.fetch_add(1, Ordering::SeqCst);
         let mut retired = self.retired.lock().expect("retired list poisoned");
         retired.push_back((old_generation, Arc::clone(&old)));
-        while retired.len() > self.retain_limit {
+        while retired.len() > RETAIN_LIMIT {
             // Evicted engines drop here; their artifacts unmap as soon as
             // the last in-flight request's Arc goes.
             retired.pop_front();
@@ -115,11 +102,6 @@ impl EngineHandle {
     /// +1 per swap).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::SeqCst)
-    }
-
-    /// The configured retired-generation cap.
-    pub fn retain_limit(&self) -> usize {
-        self.retain_limit
     }
 
     /// Generations currently held in the retirement LRU, oldest first.
@@ -223,7 +205,7 @@ mod tests {
     /// artifacts in the mmap-backed case.
     #[test]
     fn retirement_lru_is_bounded_and_evicts_oldest() {
-        let handle = EngineHandle::with_retain_limit(engine(10), 2);
+        let handle = EngineHandle::new(engine(10));
         let mut weaks = Vec::new();
         for seed in 11..16 {
             let old = handle.swap(engine(seed));
@@ -244,15 +226,5 @@ mod tests {
         // The warm-rollback hook serves a retained generation.
         let rollback = handle.retired(5).expect("generation 5 retained");
         assert!(rollback.score(&[0.1, 0.2, 0.3]).is_ok());
-    }
-
-    #[test]
-    fn zero_retain_limit_drops_displaced_engines_immediately() {
-        let handle = EngineHandle::with_retain_limit(engine(20), 0);
-        let old = handle.swap(engine(21));
-        let weak = Arc::downgrade(&old);
-        drop(old);
-        assert!(weak.upgrade().is_none(), "engine outlived a 0-cap LRU");
-        assert!(handle.retired_generations().is_empty());
     }
 }

@@ -10,7 +10,6 @@
 //! * [`metrics`] — the embedder-installed [`metrics::ScoreRecorder`] hook:
 //!   per-shard score latency and neighbour-index traffic, reported at batch
 //!   granularity so the uninstrumented path stays hot.
-//! * [`kde_score`] — adaptive-bandwidth KDE score (OUTRES-flavoured).
 //! * [`aggregate`] — Definition 1 score aggregation (average / max).
 //! * [`ensemble`] — the pinned mean|max ensemble fold shared bit-for-bit
 //!   by the in-process [`ShardedEngine`] and the `hics route` tier.
@@ -40,7 +39,6 @@ pub mod engine;
 pub mod ensemble;
 pub mod handle;
 pub mod index;
-pub mod kde_score;
 pub mod knn;
 pub mod knn_score;
 pub mod lof;
@@ -56,7 +54,6 @@ pub use engine::{Engine, RemoteBatch, RemoteEngine};
 pub use ensemble::{fold, Fold};
 pub use handle::EngineHandle;
 pub use index::{knn_all_indexed, IndexKind, SubspaceIndex, VpTree};
-pub use kde_score::KdeScorer;
 pub use knn::{knn_all, knn_query_point, Neighborhood};
 pub use knn_score::{KnnScoreKind, KnnScorer};
 pub use lof::{lof_from_neighborhoods, lrd_from_neighborhoods, Lof, LofParams};

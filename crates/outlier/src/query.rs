@@ -31,7 +31,7 @@
 //! `crates/core/tests/serve_equivalence.rs`).
 
 use crate::aggregate::Aggregation;
-use crate::distance::SubspaceLayout;
+use crate::distance::{Points, SubspaceLayout};
 use crate::index::{knn_all_flat, IndexKind, SubspaceIndex, VpTree};
 use crate::knn_score::KnnScoreKind;
 use crate::lof::{lof_from_flat, lof_of_query, lrd_from_flat, lrd_of};
@@ -411,7 +411,9 @@ fn float_key(v: f64) -> u64 {
     }
 }
 
-/// Computes one subspace's neighbourhood state over its trained points:
+/// Computes one subspace's neighbourhood state over its trained points
+/// (any [`Points`]: the fit passes a borrowed [`crate::SubspaceView`], the
+/// engine its owned [`SubspaceLayout`]; the distances are bit-identical):
 /// the all-points kNN pass through `index` (up to `max_threads` workers),
 /// every object's k-distance, the LOF reachability densities (LOF only)
 /// and the non-finite clamp — the largest finite training score.
@@ -426,13 +428,13 @@ fn float_key(v: f64) -> u64 {
 /// This is the one computation behind both the fit's hoods section and
 /// the engine's fallback for artifacts without one, so a stored section
 /// holds exactly what an open would otherwise compute.
-pub fn subspace_hoods(
-    layout: &SubspaceLayout,
+pub fn subspace_hoods<P: Points>(
+    points: &P,
     index: &SubspaceIndex,
     scorer: ScorerSpec,
     max_threads: usize,
 ) -> HoodsData {
-    let hoods = knn_all_flat(layout, index, scorer.k as usize, max_threads);
+    let hoods = knn_all_flat(points, index, scorer.k as usize, max_threads);
     let k_distance = hoods.map_by_id(|_, _, _, k_distance| k_distance);
     let (lrd, batch_scores) = match scorer.kind {
         ScorerKind::Lof => {

@@ -53,17 +53,6 @@ impl ShardedEngine {
         max_threads: usize,
     ) -> Result<Self, HicsError> {
         let manifest = ShardManifest::load(manifest_path)?;
-        Self::from_manifest(&manifest, manifest_path, index, max_threads)
-    }
-
-    /// [`ShardedEngine::open`] over an already-loaded manifest (paths are
-    /// still resolved against `manifest_path`'s directory).
-    pub fn from_manifest(
-        manifest: &ShardManifest,
-        manifest_path: &Path,
-        index: Option<IndexKind>,
-        max_threads: usize,
-    ) -> Result<Self, HicsError> {
         let paths = manifest.shard_paths(manifest_path);
         // Shards open in parallel: the outer fan-out takes one thread per
         // shard (capped at max_threads) and each shard's own neighbourhood

@@ -69,7 +69,7 @@ struct Job {
 
 /// Upper bounds of the legacy `/stats` batch-size buckets (rows per
 /// executed batch); the last bucket is open-ended.
-pub const BATCH_SIZE_BUCKETS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
+const BATCH_SIZE_BUCKETS: [u64; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
 /// Batch-size histograms keep every count below `2^8 = 256 … 511` exact,
 /// so the legacy power-of-two `/stats` buckets re-bin without error.
@@ -103,15 +103,9 @@ pub struct BatchStats {
 }
 
 impl Default for BatchStats {
-    fn default() -> Self {
-        Self::unregistered()
-    }
-}
-
-impl BatchStats {
     /// Free-standing instruments, not attached to any registry — for
     /// embedders that use [`Batcher::start`] directly.
-    pub fn unregistered() -> Self {
+    fn default() -> Self {
         Self {
             requests: Arc::new(Counter::new()),
             rows: Arc::new(Counter::new()),
@@ -122,7 +116,9 @@ impl BatchStats {
             batch_size: Arc::new(Histogram::new(SIZE_SUB_BITS, SIZE_MAX)),
         }
     }
+}
 
+impl BatchStats {
     /// Instruments registered into `registry` under the `hics_*` metric
     /// names, so one scrape sees them alongside the rest of the server.
     pub fn registered(registry: &Registry) -> Self {
@@ -159,9 +155,10 @@ impl BatchStats {
     }
 
     /// A snapshot of the batch-size histogram in the legacy `/stats` shape
-    /// (same order as [`BATCH_SIZE_BUCKETS`], plus the open-ended overflow
-    /// bucket). Exact: the underlying histogram keeps one bucket per value
-    /// below 512, so the power-of-two boundaries re-bin without error.
+    /// (the power-of-two upper bounds 1, 2, 4, …, 256, plus the open-ended
+    /// overflow bucket). Exact: the underlying histogram keeps one bucket
+    /// per value below 512, so the power-of-two boundaries re-bin without
+    /// error.
     pub fn batch_size_snapshot(&self) -> [u64; BATCH_SIZE_BUCKETS.len() + 1] {
         let snap = self.batch_size.snapshot();
         let mut out = [0u64; BATCH_SIZE_BUCKETS.len() + 1];
@@ -305,11 +302,6 @@ impl Batcher {
     /// The batching counters.
     pub fn stats(&self) -> &BatchStats {
         &self.stats
-    }
-
-    /// A cloneable reference to the batching counters.
-    pub fn stats_arc(&self) -> Arc<BatchStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Signals shutdown and joins the workers (idempotent). Queued jobs are

@@ -159,24 +159,14 @@ pub fn write_response<S: Write>(
     body: &str,
     close: bool,
 ) -> std::io::Result<()> {
-    write_response_typed(stream, status, "application/json", body, close)
+    write_response_traced(stream, status, "application/json", body, close, None)
 }
 
 /// [`write_response`] with an explicit `Content-Type` (the `/metrics`
-/// endpoint answers Prometheus text exposition, everything else JSON).
-pub fn write_response_typed<S: Write>(
-    stream: &mut S,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    close: bool,
-) -> std::io::Result<()> {
-    write_response_traced(stream, status, content_type, body, close, None)
-}
-
-/// [`write_response_typed`] with an optional `x-hics-trace` echo. With
-/// `trace: None` the emitted bytes are **identical** to the untraced
-/// writer — the wire contract with tracing disabled rides on that.
+/// endpoint answers Prometheus text exposition, everything else JSON) and
+/// an optional `x-hics-trace` echo. With `trace: None` the emitted bytes
+/// are **identical** to the untraced writer — the wire contract with
+/// tracing disabled rides on that.
 pub fn write_response_traced<S: Write>(
     stream: &mut S,
     status: u16,
@@ -363,7 +353,7 @@ mod tests {
     #[test]
     fn traced_writer_is_byte_identical_without_a_trace() {
         let mut plain = Vec::new();
-        write_response_typed(&mut plain, 200, "application/json", "{}", false).unwrap();
+        write_response(&mut plain, 200, "{}", false).unwrap();
         let mut untraced = Vec::new();
         write_response_traced(&mut untraced, 200, "application/json", "{}", false, None).unwrap();
         assert_eq!(plain, untraced);

@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 pub(crate) type WakeSet = Arc<Mutex<Vec<Box<dyn Fn() + Send + Sync>>>>;
 
 /// A read-only admin endpoint body producer (see [`Server::register_admin`]).
-pub type AdminHandler = Arc<dyn Fn() -> (u16, String) + Send + Sync>;
+pub(crate) type AdminHandler = Arc<dyn Fn() -> (u16, String) + Send + Sync>;
 
 /// Extra `GET` routes registered by the embedder (e.g. the scatter-gather
 /// router's `/route`), consulted after the built-in endpoints.

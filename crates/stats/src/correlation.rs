@@ -47,44 +47,6 @@ pub fn spearman(x: &[f64], y: &[f64]) -> f64 {
     pearson(&midranks(x), &midranks(y))
 }
 
-/// Kendall's tau-b rank correlation with tie correction. `O(n²)` — intended
-/// for analysis and tests, not hot paths.
-///
-/// # Panics
-/// Panics if the slices differ in length or are shorter than 2.
-pub fn kendall_tau(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "kendall requires equal-length samples");
-    assert!(x.len() >= 2, "kendall requires at least 2 observations");
-    let n = x.len();
-    let mut concordant = 0i64;
-    let mut discordant = 0i64;
-    let mut ties_x = 0i64;
-    let mut ties_y = 0i64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let dx = x[i] - x[j];
-            let dy = y[i] - y[j];
-            if dx == 0.0 && dy == 0.0 {
-                // Joint tie: excluded from both tie counts (tau-b convention).
-            } else if dx == 0.0 {
-                ties_x += 1;
-            } else if dy == 0.0 {
-                ties_y += 1;
-            } else if dx * dy > 0.0 {
-                concordant += 1;
-            } else {
-                discordant += 1;
-            }
-        }
-    }
-    let n0 = (n * (n - 1) / 2) as f64;
-    let denom = ((n0 - ties_x as f64) * (n0 - ties_y as f64)).sqrt();
-    if denom == 0.0 {
-        return f64::NAN;
-    }
-    ((concordant - discordant) as f64 / denom).clamp(-1.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,22 +85,6 @@ mod tests {
         // rank vectors is 4.5/sqrt(4.5*5) = 0.9486832980505138.
         let r = spearman(&[1.0, 2.0, 2.0, 3.0], &[1.0, 3.0, 2.0, 4.0]);
         assert!((r - 0.9486832980505138).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kendall_perfect_orders() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        assert!((kendall_tau(&x, &x) - 1.0).abs() < 1e-12);
-        let rev = [4.0, 3.0, 2.0, 1.0];
-        assert!((kendall_tau(&x, &rev) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kendall_reference_with_ties() {
-        // Hand-computed tau-b: 5 concordant, 0 discordant, one x-tie:
-        // 5/sqrt(5*6) = 0.9128709291752769.
-        let r = kendall_tau(&[1.0, 2.0, 2.0, 3.0], &[1.0, 3.0, 2.0, 4.0]);
-        assert!((r - 0.9128709291752769).abs() < 1e-9);
     }
 
     #[test]

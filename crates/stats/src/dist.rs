@@ -1,13 +1,13 @@
 //! Probability distributions needed by the HiCS statistical machinery.
 //!
-//! Each distribution exposes `pdf`, `cdf` and `survival` (`1 - cdf` computed
-//! without cancellation where it matters). The Student-t distribution is the
-//! workhorse of `HiCS_WT` (Welch's t-test); the Kolmogorov distribution
-//! provides the optional p-value variant of the KS test; the normal and
-//! chi-squared distributions support the Mann–Whitney extension and the
-//! synthetic data generators.
+//! The distributions expose the `cdf` and `survival` functions (`1 - cdf`,
+//! computed without cancellation where it matters) that the statistical
+//! tests read. The Student-t distribution is the workhorse of `HiCS_WT`
+//! (Welch's t-test); the Kolmogorov distribution provides the optional
+//! p-value variant of the KS test; the normal and chi-squared distributions
+//! support the Mann–Whitney extension and the synthetic data generators.
 
-use crate::special::{betai, erfc, gammap, gammaq, ln_gamma};
+use crate::special::{betai, erfc, gammap, gammaq};
 
 /// The normal (Gaussian) distribution `N(mean, sd²)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,8 +41,9 @@ impl Normal {
         self.sd
     }
 
-    /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
+    /// Probability density function (the Newton slope of
+    /// [`Normal::quantile`]).
+    fn pdf(&self, x: f64) -> f64 {
         let z = (x - self.mean) / self.sd;
         (-0.5 * z * z).exp() / (self.sd * (2.0 * std::f64::consts::PI).sqrt())
     }
@@ -70,8 +71,8 @@ impl Normal {
         // not on any hot path.
         let mut z = 0.0_f64;
         for _ in 0..80 {
-            let c = 0.5 * erfc(-z / std::f64::consts::SQRT_2);
-            let d = (-0.5 * z * z).exp() / (2.0 * std::f64::consts::PI).sqrt();
+            let c = Self::STANDARD.cdf(z);
+            let d = Self::STANDARD.pdf(z);
             if d < 1e-300 {
                 break;
             }
@@ -107,15 +108,6 @@ impl StudentsT {
     /// Degrees of freedom.
     pub fn nu(&self) -> f64 {
         self.nu
-    }
-
-    /// Probability density function.
-    pub fn pdf(&self, t: f64) -> f64 {
-        let nu = self.nu;
-        let ln_coeff = ln_gamma((nu + 1.0) / 2.0)
-            - ln_gamma(nu / 2.0)
-            - 0.5 * (nu * std::f64::consts::PI).ln();
-        (ln_coeff - (nu + 1.0) / 2.0 * (1.0 + t * t / nu).ln()).exp()
     }
 
     /// Cumulative distribution function `P(T <= t)`.
@@ -163,24 +155,6 @@ impl ChiSquared {
     /// Degrees of freedom.
     pub fn k(&self) -> f64 {
         self.k
-    }
-
-    /// Probability density function.
-    pub fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            return 0.0;
-        }
-        if x == 0.0 {
-            return if self.k < 2.0 {
-                f64::INFINITY
-            } else if self.k == 2.0 {
-                0.5
-            } else {
-                0.0
-            };
-        }
-        let half_k = self.k / 2.0;
-        ((half_k - 1.0) * x.ln() - x / 2.0 - half_k * 2.0_f64.ln() - ln_gamma(half_k)).exp()
     }
 
     /// Cumulative distribution function.
@@ -323,14 +297,6 @@ mod tests {
         // I_{7.3/(7.3+2.25)}(3.65, 0.5) = 0.17556309280308605.
         let t = StudentsT::new(7.3);
         assert_close(t.two_tailed_p(1.5), 0.17556309280308605, 1e-8);
-    }
-
-    #[test]
-    fn t_pdf_symmetric_and_normalized_at_zero() {
-        let t = StudentsT::new(5.0);
-        assert_close(t.pdf(1.0), t.pdf(-1.0), 1e-14);
-        // scipy.stats.t.pdf(0, 5) = 0.3796066898224944.
-        assert_close(t.pdf(0.0), 0.3796066898224944, 1e-12);
     }
 
     #[test]

@@ -62,12 +62,6 @@ impl Ecdf {
         idx as f64 / self.sorted.len() as f64
     }
 
-    /// Evaluates the strict variant `P(Y < x)` used verbatim in Eq. 10.
-    pub fn eval_strict(&self, x: f64) -> f64 {
-        let idx = self.sorted.partition_point(|&v| v < x);
-        idx as f64 / self.sorted.len() as f64
-    }
-
     /// Empirical quantile: smallest sample value `v` with `F(v) >= p`.
     ///
     /// # Panics
@@ -139,7 +133,8 @@ mod tests {
     #[test]
     fn eval_strict_vs_right_continuous() {
         let e = Ecdf::new(&[1.0, 1.0, 2.0]);
-        assert_eq!(e.eval_strict(1.0), 0.0);
+        // Left of the jump at 1.0 nothing is counted; at it, both ties are.
+        assert_eq!(e.eval(0.999), 0.0);
         assert!((e.eval(1.0) - 2.0 / 3.0).abs() < 1e-15);
     }
 

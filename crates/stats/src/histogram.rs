@@ -68,11 +68,6 @@ impl GridHistogram {
         }
     }
 
-    /// Number of non-empty cells.
-    pub fn occupied_cells(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Total number of objects.
     pub fn total(&self) -> u64 {
         self.total
@@ -103,34 +98,6 @@ impl GridHistogram {
         }
         h
     }
-
-    /// Iterates over `(cell_probability)` values of non-empty cells.
-    pub fn probabilities(&self) -> impl Iterator<Item = f64> + '_ {
-        let n = self.total as f64;
-        self.counts.values().map(move |&c| c as f64 / n)
-    }
-}
-
-/// Shannon entropy (bits) of an arbitrary discrete probability vector.
-/// Entries must be non-negative; they are normalised by their sum.
-///
-/// # Panics
-/// Panics on negative entries or an all-zero vector.
-pub fn shannon_entropy(probabilities: &[f64]) -> f64 {
-    assert!(
-        probabilities.iter().all(|&p| p >= 0.0),
-        "probabilities must be non-negative"
-    );
-    let sum: f64 = probabilities.iter().sum();
-    assert!(sum > 0.0, "probability mass must be positive");
-    let mut h = 0.0;
-    for &p in probabilities {
-        if p > 0.0 {
-            let q = p / sum;
-            h -= q * q.log2();
-        }
-    }
-    h
 }
 
 #[cfg(test)]
@@ -142,7 +109,7 @@ mod tests {
         // 4 points in 4 distinct cells of a 1-d 4-bin grid → H = 2 bits.
         let col = [0.1, 0.3, 0.6, 0.9];
         let h = GridHistogram::build(&[&col], &[(0.0, 1.0)], 4);
-        assert_eq!(h.occupied_cells(), 4);
+        assert_eq!(h.counts.len(), 4);
         assert!((h.entropy() - 2.0).abs() < 1e-12);
     }
 
@@ -150,7 +117,7 @@ mod tests {
     fn concentrated_grid_has_zero_entropy() {
         let col = [0.1, 0.12, 0.13, 0.11];
         let h = GridHistogram::build(&[&col], &[(0.0, 1.0)], 4);
-        assert_eq!(h.occupied_cells(), 1);
+        assert_eq!(h.counts.len(), 1);
         assert_eq!(h.entropy(), 0.0);
     }
 
@@ -160,7 +127,7 @@ mod tests {
         let x = [0.1, 0.9, 0.1, 0.9];
         let y = [0.1, 0.1, 0.9, 0.9];
         let h = GridHistogram::build(&[&x, &y], &[(0.0, 1.0), (0.0, 1.0)], 2);
-        assert_eq!(h.occupied_cells(), 4);
+        assert_eq!(h.counts.len(), 4);
         assert!((h.entropy() - 2.0).abs() < 1e-12);
         assert_eq!(h.dims(), 2);
     }
@@ -169,14 +136,14 @@ mod tests {
     fn upper_boundary_goes_to_last_bin() {
         let col = [1.0];
         let h = GridHistogram::build(&[&col], &[(0.0, 1.0)], 10);
-        assert_eq!(h.occupied_cells(), 1);
+        assert_eq!(h.counts.len(), 1);
     }
 
     #[test]
     fn degenerate_range_single_bin() {
         let col = [3.0, 3.0, 3.0];
         let h = GridHistogram::build(&[&col], &[(3.0, 3.0)], 5);
-        assert_eq!(h.occupied_cells(), 1);
+        assert_eq!(h.counts.len(), 1);
         assert_eq!(h.entropy(), 0.0);
     }
 
@@ -191,23 +158,11 @@ mod tests {
     }
 
     #[test]
-    fn shannon_entropy_normalizes() {
-        // Unnormalised [2, 2] behaves like [0.5, 0.5] → 1 bit.
-        assert!((shannon_entropy(&[2.0, 2.0]) - 1.0).abs() < 1e-12);
-        assert_eq!(shannon_entropy(&[1.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn shannon_entropy_rejects_negative() {
-        shannon_entropy(&[0.5, -0.5]);
-    }
-
-    #[test]
     fn probabilities_sum_to_one() {
         let col = [0.1, 0.2, 0.5, 0.9, 0.95];
         let h = GridHistogram::build(&[&col], &[(0.0, 1.0)], 3);
-        let s: f64 = h.probabilities().sum();
+        let n = h.total() as f64;
+        let s: f64 = h.counts.values().map(|&c| c as f64 / n).sum();
         assert!((s - 1.0).abs() < 1e-12);
     }
 }

@@ -4,15 +4,16 @@
 //!
 //! * [`special`] — log-gamma, regularized incomplete beta/gamma, erf.
 //! * [`dist`] — Normal, Student-t, Chi-squared, Kolmogorov distributions.
-//! * [`moments`] — Welford streaming moments (mean/variance/skew/kurtosis).
+//! * [`moments`] — Welford streaming moments (mean/variance/kurtosis).
 //! * [`ecdf`] — empirical CDFs and the exact two-sample KS supremum.
 //! * [`rank`] — argsort, midranks, tie groups.
 //! * [`two_sample`] — Welch's t-test, two-sample KS test, Mann–Whitney U.
 //! * [`masked`] — rank-aware masked-subsample tests (sort-free, alloc-free
 //!   KS / Mann–Whitney against a precomputed marginal order) and the
 //!   lockstep Welch lanes kernel (moments of up to six masks per pass).
-//! * [`correlation`] — Pearson, Spearman, Kendall baselines.
-//! * [`histogram`] — sparse grid histograms + Shannon entropy (for Enclus).
+//! * [`correlation`] — Pearson and Spearman baselines.
+//! * [`histogram`] — sparse grid histograms and their Shannon entropy
+//!   (for Enclus).
 //!
 //! These are the statistical instantiations of the HiCS `deviation` function
 //! (paper Section III-E) plus everything the competitor methods need.

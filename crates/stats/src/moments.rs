@@ -5,7 +5,8 @@
 //! of the hottest pieces of the contrast computation. The accumulator is a
 //! plain value type that can be folded over a slice or built incrementally.
 
-/// Online accumulator for count, mean, variance, skewness and kurtosis.
+/// Online accumulator for count, mean, variance and kurtosis (the third
+/// central moment is kept because the fourth-moment update reads it).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Moments {
     n: u64,
@@ -118,15 +119,6 @@ impl Moments {
         self.variance().sqrt()
     }
 
-    /// Sample skewness (biased, moment-based `g1`). `NaN` when undefined.
-    pub fn skewness(&self) -> f64 {
-        if self.n < 2 || self.m2 == 0.0 {
-            return f64::NAN;
-        }
-        let n = self.n as f64;
-        n.sqrt() * self.m3 / self.m2.powf(1.5)
-    }
-
     /// Sample excess kurtosis (`g2`). `NaN` when undefined.
     pub fn kurtosis(&self) -> f64 {
         if self.n < 2 || self.m2 == 0.0 {
@@ -161,8 +153,8 @@ impl SampleMoments for Moments {
 }
 
 /// Two-moment Welford accumulator (count / mean / M2 only) for hot paths
-/// that never read skewness or kurtosis — one third the flops of
-/// [`Moments`] per observation.
+/// that never read kurtosis — one third the flops of [`Moments`] per
+/// observation.
 ///
 /// The `mean` and `m2` update expressions are kept literally identical to
 /// [`Moments::push`], so the results are bitwise equal, not just close.
@@ -275,7 +267,7 @@ mod tests {
         assert_eq!(merged.count(), seq.count());
         assert!((merged.mean() - seq.mean()).abs() < 1e-10);
         assert!((merged.variance() - seq.variance()).abs() < 1e-10);
-        assert!((merged.skewness() - seq.skewness()).abs() < 1e-8);
+        assert!((merged.m3 - seq.m3).abs() < 1e-8);
         assert!((merged.kurtosis() - seq.kurtosis()).abs() < 1e-8);
     }
 
@@ -293,14 +285,14 @@ mod tests {
     #[test]
     fn skewness_of_symmetric_sample_is_zero() {
         let m = Moments::from_slice(&[-3.0, -1.0, 0.0, 1.0, 3.0]);
-        assert!(m.skewness().abs() < 1e-12);
+        // The third central moment (which feeds the kurtosis update).
+        assert!(m.m3.abs() < 1e-12);
     }
 
     #[test]
     fn kurtosis_of_constant_is_nan() {
         let m = Moments::from_slice(&[5.0, 5.0, 5.0]);
         assert!(m.kurtosis().is_nan());
-        assert!(m.skewness().is_nan());
     }
 
     #[test]

@@ -60,10 +60,10 @@ use std::io::{Read as _, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// File magic, first eight bytes of every dataset store.
-pub const STORE_MAGIC: [u8; 8] = *b"HICSSTR\0";
+const STORE_MAGIC: [u8; 8] = *b"HICSSTR\0";
 
 /// Current store format version.
-pub const STORE_VERSION: u32 = 1;
+const STORE_VERSION: u32 = 1;
 
 /// Default rows per import chunk (≈ 4 MB of chunk buffer at d = 8).
 pub const DEFAULT_CHUNK_ROWS: usize = 65_536;
