@@ -16,7 +16,7 @@
 //! the draws, the per-slice arithmetic and the summation order are those of
 //! one slice at a time.
 
-use crate::slice::{SliceBatch, SliceSampler, SliceSizing, SliceView};
+use crate::slice::{RankWindows, SliceBatch, SliceSampler, SliceSizing, SliceView};
 use crate::subspace::Subspace;
 use hics_data::{ColumnsView, Dataset, RankIndex};
 use hics_stats::ecdf::Ecdf;
@@ -28,6 +28,7 @@ use hics_stats::moments::Moments;
 use hics_stats::two_sample::welch_t_test_from_moments;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// Precomputed marginal statistics of one attribute (the `p̂_s` side of
 /// every deviation test).
@@ -208,6 +209,8 @@ impl StatTest {
 pub struct ContrastEstimator<'a> {
     view: ColumnsView<'a>,
     indices: RankIndex,
+    /// The prefix masks every sampler of this estimator cuts windows from.
+    windows: RankWindows,
     marginals: Vec<MarginalStats>,
     m: usize,
     alpha: f64,
@@ -234,7 +237,8 @@ impl<'a> ContrastEstimator<'a> {
     /// Builds an estimator over an already-gathered column view — the
     /// out-of-core entry point: the columns stay wherever the view borrowed
     /// them from (typically a memory-mapped store); only the derived index
-    /// structures (rank index, marginal statistics) live on the heap.
+    /// structures (rank index, the samplers' prefix-mask table, marginal
+    /// statistics) live on the heap.
     ///
     /// # Panics
     /// Panics if `m == 0` or `alpha ∉ (0, 1)`.
@@ -251,6 +255,7 @@ impl<'a> ContrastEstimator<'a> {
             "alpha must be in (0,1), got {alpha}"
         );
         let indices = RankIndex::build_columns(view.iter_cols());
+        let windows = RankWindows::build(&indices);
         let marginals = view
             .iter_cols()
             .enumerate()
@@ -259,6 +264,7 @@ impl<'a> ContrastEstimator<'a> {
         Self {
             view,
             indices,
+            windows,
             marginals,
             m,
             alpha,
@@ -300,11 +306,13 @@ impl<'a> ContrastEstimator<'a> {
 
     /// Creates a sampler usable with [`ContrastEstimator::contrast_with_sampler`]
     /// — one per worker thread, reused across every subspace that worker
-    /// evaluates.
+    /// evaluates. Every sampler borrows the estimator's one prefix-mask
+    /// table.
     pub fn sampler(&self, subspace: &Subspace) -> SliceSampler<'_> {
-        SliceSampler::from_view(
+        SliceSampler::with_windows(
             self.view.clone(),
             &self.indices,
+            Cow::Borrowed(&self.windows),
             subspace,
             self.alpha,
             self.sizing,

@@ -17,7 +17,11 @@
 //!    AND (`O(N/64)`) — never a per-object counter scan and never a heap
 //!    allocation (a rank-probe refinement was benchmarked and lost: random
 //!    reads across the `4N`-byte inverse-permutation array cost more than
-//!    scattered writes into the `N/8`-byte mask);
+//!    scattered writes into the `N/8`-byte mask). The block is not written
+//!    id by id: it is cut out of a read-only table of prefix masks (the ids
+//!    below each of 16 evenly spaced ranks of the attribute's sorted order)
+//!    by one word XOR of the two prefixes nearest the block's ends, plus a
+//!    bit flip for each id between an end and its prefix;
 //! 3. the statistical test consumes the selection as a borrowed
 //!    [`SliceView`]: set-bit walks for streaming moments, rank probes for
 //!    the sort-free KS / Mann–Whitney walks.
@@ -33,6 +37,64 @@ use hics_data::{ColumnsView, Dataset, RankIndex, SliceMask};
 use hics_stats::masked::{MaskedLane, LANES};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::borrow::Cow;
+
+/// Prefix masks per attribute in a [`RankWindows`] table, past the empty
+/// one. More checkpoints mean fewer bit flips per window and a larger
+/// table: `(CHECKPOINTS + 1) · d · N / 8` bytes.
+const CHECKPOINTS: usize = 16;
+
+/// The read-only table the slice conditions' rank windows are cut from.
+///
+/// For every attribute it holds the prefix masks `P(0..=CHECKPOINTS)` of
+/// its sorted order: `P(c)` selects the ids of rank below `min(c · step, N)`,
+/// `step = ⌈N / CHECKPOINTS⌉`. The window `[s, e)` is `P(c_e) XOR P(c_s)`
+/// for the checkpoints `c_s`, `c_e` nearest `s` and `e`, with the ids
+/// between each end and its checkpoint flipped: one word pass plus at most
+/// `step / 2` scattered flips per end, instead of `e − s` scattered writes.
+#[derive(Debug, Clone)]
+pub(crate) struct RankWindows {
+    n: usize,
+    step: usize,
+    /// `prefixes[j · (CHECKPOINTS + 1) + c]` is `P(c)` of attribute `j`.
+    prefixes: Vec<SliceMask>,
+}
+
+impl RankWindows {
+    /// Builds the prefix masks of every attribute of `indices`.
+    pub(crate) fn build(indices: &RankIndex) -> Self {
+        let n = indices.n();
+        let step = n.div_ceil(CHECKPOINTS).max(1);
+        let mut prefixes = Vec::with_capacity(indices.d() * (CHECKPOINTS + 1));
+        for j in 0..indices.d() {
+            let order = indices.order(j);
+            let mut prefix = SliceMask::new(n);
+            prefixes.push(prefix.clone());
+            for c in 1..=CHECKPOINTS {
+                prefix.fill_from_ids(&order[((c - 1) * step).min(n)..(c * step).min(n)]);
+                prefixes.push(prefix.clone());
+            }
+        }
+        Self { n, step, prefixes }
+    }
+
+    /// The checkpoint nearest rank position `p` (`0..=N`) and its rank.
+    fn nearest(&self, p: usize) -> (usize, usize) {
+        let c = ((p + self.step / 2) / self.step).min(CHECKPOINTS);
+        (c, (c * self.step).min(self.n))
+    }
+
+    /// Overwrites `mask` with the ids of rank `s..e` of attribute `attr`,
+    /// whose sorted order is `order`.
+    fn window(&self, mask: &mut SliceMask, attr: usize, order: &[u32], s: usize, e: usize) {
+        let (cs, ps) = self.nearest(s);
+        let (ce, pe) = self.nearest(e);
+        let base = attr * (CHECKPOINTS + 1);
+        mask.xor_of(&self.prefixes[base + ce], &self.prefixes[base + cs]);
+        mask.toggle_ids(&order[s.min(ps)..s.max(ps)]);
+        mask.toggle_ids(&order[e.min(pe)..e.max(pe)]);
+    }
+}
 
 /// How the per-condition selectivity `α₁` is derived from the target
 /// conditional-sample fraction `α`.
@@ -171,19 +233,17 @@ impl<'a> SliceBatch<'a> {
 /// Draws adaptive subspace slices for one subspace.
 ///
 /// Holds [`LANES`] selection masks (one per slice of a batch draw, `N/8`
-/// bytes each), the per-attribute condition-mask cache and the permutation
-/// scratch, so the `M` Monte-Carlo iterations of a contrast computation
-/// perform **zero heap allocations** after the first draw.
+/// bytes each), one condition mask and the permutation scratch, so the `M`
+/// Monte-Carlo iterations of a contrast computation perform **zero heap
+/// allocations**.
 ///
-/// The cache keeps, for every subspace attribute, the block mask of its most
-/// recent condition together with the block's start position. Across the `M`
-/// iterations of one subspace the same attribute keeps drawing fresh random
-/// windows of the same length; when the new window overlaps the cached one
-/// by more than half, the mask is *shifted* — clear the ids leaving the
-/// window, set the ids entering — instead of cleared and refilled, and an
-/// identical start reuses the mask as is. The resulting bit pattern is the
-/// exact window either way, so contrast values stay bit-identical (asserted
-/// by the engine-equivalence regression tests).
+/// Every condition's rank window is cut from a read-only table of prefix
+/// masks per attribute (see the module docs). A sampler from
+/// [`crate::ContrastEstimator::sampler`] borrows the estimator's one table;
+/// [`SliceSampler::new`] and [`SliceSampler::from_view`] build their own.
+/// The window is the exact block either way, so the selections and contrast
+/// values are those of filling the block id by id (asserted by the
+/// engine-equivalence regression tests).
 pub struct SliceSampler<'a> {
     view: ColumnsView<'a>,
     indices: &'a RankIndex,
@@ -197,17 +257,10 @@ pub struct SliceSampler<'a> {
     masks: Vec<SliceMask>,
     /// Per lane: the reference attribute and size of the slice drawn into it.
     drawn: [(usize, usize); LANES],
-    /// Per-attribute cached condition masks, aligned with `dims`.
-    cache: Vec<CachedCondition>,
-}
-
-/// One attribute's cached condition mask: the materialised rank window
-/// `[start, start + block_len)` of that attribute's sorted order.
-struct CachedCondition {
-    mask: SliceMask,
-    /// The window start the mask currently materialises; `None` when the
-    /// mask content is stale (fresh sampler or after a retarget).
-    start: Option<usize>,
+    /// The prefix masks the conditions' windows are cut from.
+    windows: Cow<'a, RankWindows>,
+    /// Scratch: the window of every condition after the first.
+    condition: SliceMask,
 }
 
 impl<'a> SliceSampler<'a> {
@@ -246,6 +299,20 @@ impl<'a> SliceSampler<'a> {
         alpha: f64,
         sizing: SliceSizing,
     ) -> Self {
+        let windows = Cow::Owned(RankWindows::build(indices));
+        Self::with_windows(view, indices, windows, subspace, alpha, sizing)
+    }
+
+    /// Like [`SliceSampler::from_view`], cutting the windows from `windows`,
+    /// which must be built from `indices`.
+    pub(crate) fn with_windows(
+        view: ColumnsView<'a>,
+        indices: &'a RankIndex,
+        windows: Cow<'a, RankWindows>,
+        subspace: &Subspace,
+        alpha: f64,
+        sizing: SliceSizing,
+    ) -> Self {
         assert!(
             subspace.len() >= 2,
             "contrast needs |S| >= 2, got {subspace}"
@@ -261,15 +328,9 @@ impl<'a> SliceSampler<'a> {
             view.d()
         );
         let n = view.n();
+        debug_assert_eq!(windows.n, indices.n(), "windows built from another index");
         let alpha1 = sizing.alpha1(alpha, dims.len());
         let block_len = ((n as f64 * alpha1).ceil() as usize).clamp(1, n);
-        let cache = dims
-            .iter()
-            .map(|_| CachedCondition {
-                mask: SliceMask::new(n),
-                start: None,
-            })
-            .collect();
         Self {
             view,
             indices,
@@ -280,17 +341,16 @@ impl<'a> SliceSampler<'a> {
             sizing,
             masks: (0..LANES).map(|_| SliceMask::new(n)).collect(),
             drawn: [(0, 0); LANES],
-            cache,
+            windows,
+            condition: SliceMask::new(n),
         }
     }
 
     /// Re-points the sampler at another subspace of the **same dataset**,
     /// keeping the mask and permutation scratch — the per-thread reuse hook
     /// that lets one worker evaluate a whole level of the subspace search
-    /// with at most `O(|S|)` mask allocations per level (cached condition
-    /// masks are invalidated, and only a dimensionality *increase* allocates
-    /// new ones). Draw sequences after a retarget are bit-identical to those
-    /// of a freshly constructed sampler.
+    /// without allocating a mask. Draw sequences after a retarget are
+    /// bit-identical to those of a freshly constructed sampler.
     ///
     /// # Panics
     /// Panics on the same conditions as [`SliceSampler::new`].
@@ -311,18 +371,6 @@ impl<'a> SliceSampler<'a> {
         let n = self.view.n();
         let alpha1 = self.sizing.alpha1(self.alpha, self.dims.len());
         self.block_len = ((n as f64 * alpha1).ceil() as usize).clamp(1, n);
-        // The window length (and the attribute a slot belongs to) changed:
-        // every cached mask is stale. Slots beyond the new dimensionality
-        // stay allocated for the next wider subspace.
-        for c in &mut self.cache {
-            c.start = None;
-        }
-        while self.cache.len() < self.dims.len() {
-            self.cache.push(CachedCondition {
-                mask: SliceMask::new(n),
-                start: None,
-            });
-        }
     }
 
     /// The per-condition index-block length `N · α₁`.
@@ -372,83 +420,38 @@ impl<'a> SliceSampler<'a> {
 
     /// The draw body: one slice into the selection mask of `lane`.
     ///
-    /// Each condition's sorted block lives in that attribute's **cached**
-    /// mask: an identical window start reuses it outright, a window
-    /// overlapping the cached one by more than half is shifted incrementally
-    /// (clear the leaving ids, set the entering ids), and only a distant
-    /// window rebuilds from scratch. Conditions then combine by in-place
-    /// word AND (`O(N/64)`), the last one fused with the popcount. No heap
-    /// allocation, no `O(N)` per-object scan, and the selection is the same
-    /// bit pattern the uncached sampler produced.
+    /// The first condition's window is cut straight into the lane's mask,
+    /// every later one into the condition scratch and then ANDed in
+    /// (`O(N/64)`), the last AND fused with the popcount. No heap
+    /// allocation and no `O(N)` per-object scan.
     fn draw_into<R: Rng + ?Sized>(&mut self, rng: &mut R, lane: usize) {
         let n = self.view.n();
         self.perm.copy_from_slice(&self.dims);
         self.perm.shuffle(rng);
         let (&ref_attr, cond_attrs) = self.perm.split_last().expect("subspace is non-empty");
-
-        // The final AND is fused with the popcount (one pass instead of
-        // two); a 2-d subspace has a single condition, whose size is the
-        // block length by construction — no popcount at all.
-        let mut fused_len = None;
+        // A single condition selects exactly one block of `block_len` ids,
+        // so a 2-d subspace needs no popcount at all.
+        let mut len = self.block_len;
         for (ci, &attr) in cond_attrs.iter().enumerate() {
             // One RNG call per condition, in permutation order — the same
             // stream the hits-counting engine consumed.
             let start = rng.gen_range(0..=n - self.block_len);
-            let block_len = self.block_len;
-            let slot = self
-                .dims
-                .iter()
-                .position(|&a| a == attr)
-                .expect("condition attribute belongs to the subspace");
-            let cached = &mut self.cache[slot];
-            match cached.start {
-                // Same window: the mask is already exact.
-                Some(s0) if s0 == start => {}
-                // Overlapping window: shift — 2·Δ scattered bit flips beat
-                // a clear plus block_len scattered writes when Δ is small.
-                Some(s0) if s0.abs_diff(start) * 2 < block_len => {
-                    if start > s0 {
-                        cached
-                            .mask
-                            .clear_ids(self.indices.block(attr, s0, start - s0));
-                        cached.mask.fill_from_ids(self.indices.block(
-                            attr,
-                            s0 + block_len,
-                            start - s0,
-                        ));
-                    } else {
-                        cached.mask.clear_ids(self.indices.block(
-                            attr,
-                            start + block_len,
-                            s0 - start,
-                        ));
-                        cached
-                            .mask
-                            .fill_from_ids(self.indices.block(attr, start, s0 - start));
-                    }
-                }
-                // Distant or stale: rebuild the block from scratch.
-                _ => {
-                    cached.mask.clear();
-                    cached
-                        .mask
-                        .fill_from_ids(self.indices.block(attr, start, block_len));
-                }
-            }
-            cached.start = Some(start);
-
-            let cond_mask = &self.cache[slot].mask;
+            let end = start + self.block_len;
+            let order = self.indices.order(attr);
             let mask = &mut self.masks[lane];
             if ci == 0 {
-                mask.copy_from(cond_mask);
-            } else if ci == cond_attrs.len() - 1 {
-                fused_len = Some(mask.and_assign_popcount(cond_mask));
+                self.windows.window(mask, attr, order, start, end);
+                continue;
+            }
+            let condition = &mut self.condition;
+            self.windows.window(condition, attr, order, start, end);
+            if ci == cond_attrs.len() - 1 {
+                len = mask.and_assign_popcount(condition);
             } else {
-                mask.and_assign(cond_mask);
+                mask.and_assign(condition);
             }
         }
-        // A single condition selects exactly one block of `block_len` ids.
-        self.drawn[lane] = (ref_attr, fused_len.unwrap_or(self.block_len));
+        self.drawn[lane] = (ref_attr, len);
     }
 }
 
@@ -614,10 +617,9 @@ mod tests {
 
     #[test]
     fn cached_condition_masks_draw_identically_to_fresh_samplers() {
-        // A long draw sequence exercises every cache path — exact window
-        // hits, incremental shifts, from-scratch rebuilds — and each draw
-        // must equal what a cache-cold sampler produces for the same RNG
-        // state.
+        // A long draw sequence through one sampler, whose lane and
+        // condition masks still hold the previous draws, must equal what a
+        // fresh sampler produces for the same RNG state, draw by draw.
         for (sub, alpha) in [
             (Subspace::pair(1, 4), 0.1),
             (Subspace::new([0, 2, 3, 5]), 0.25),
@@ -632,6 +634,37 @@ mod tests {
                 let want = fresh.draw(&mut rng_replay).to_sample();
                 assert_eq!(got.ref_attr, want.ref_attr, "draw {i} of {sub}");
                 assert_eq!(got.conditional, want.conditional, "draw {i} of {sub}");
+            }
+        }
+    }
+
+    #[test]
+    fn rank_windows_equal_filled_blocks() {
+        // Every start of several window lengths, over orders that scramble
+        // ids against ranks. The starts cover windows on a checkpoint, one
+        // off it and windows ending at N; N = 1 and 2 have fewer ranks than
+        // checkpoints, N = 63/64/65 straddle a word boundary.
+        for n in [1usize, 2, 63, 64, 65, 100, 1000] {
+            let scrambled = |a: usize, b: usize| -> Vec<u32> {
+                (0..n).map(|i| ((i * a + b) % n) as u32).collect()
+            };
+            // 7919 and 104729 are primes no N here is a multiple of.
+            let orders = vec![scrambled(7919, 13), scrambled(104729, 5)];
+            let idx = RankIndex::from_order(orders.clone());
+            let table = RankWindows::build(&idx);
+            let step = table.step;
+            let lens = [1, 2, step - 1, step, step + 1, 5 * step / 2, n / 3, n];
+            // Reused across windows: each window must overwrite all of it.
+            let mut got = SliceMask::new(n);
+            for (attr, order) in orders.iter().enumerate() {
+                for &len in lens.iter().filter(|&&l| (1..=n).contains(&l)) {
+                    for s in 0..=n - len {
+                        let mut want = SliceMask::new(n);
+                        want.fill_from_ids(&order[s..s + len]);
+                        table.window(&mut got, attr, order, s, s + len);
+                        assert_eq!(got, want, "N {n}, attr {attr}, window {s}..{}", s + len);
+                    }
+                }
             }
         }
     }

@@ -10,8 +10,9 @@
 //!
 //! The mask deliberately has no growth or set-algebra bells: exactly the
 //! operations the slice engine and the RIS neighbourhood counter's box
-//! prefilter need — clear, fill-from-id-block, in-place AND, rank-window
-//! refinement, popcount, and set-bit iteration in ascending id order.
+//! prefilter need — clear, fill-from-id-block, XOR of two prefix masks,
+//! id toggles, in-place AND, rank-window refinement, popcount, and set-bit
+//! iteration in ascending id order.
 
 /// A bitset over object ids `0..n`, one `u64` word per 64 objects.
 ///
@@ -63,21 +64,37 @@ impl SliceMask {
         }
     }
 
-    /// Clears the bits of every id in `ids` — the inverse of
-    /// [`SliceMask::fill_from_ids`], used to shift a cached rank-window mask
-    /// incrementally: clear the ids leaving the window, set the ids entering
-    /// it, instead of rebuilding the whole block.
+    /// Flips the bits of every id in `ids`. The slice sampler cuts a rank
+    /// window out of two prefix masks with it: the ids between a window end
+    /// and the nearest prefix end are either in the XOR and not the window,
+    /// or the other way round, and one flip fixes either.
     ///
     /// Ids must lie in `0..n`, checked only in debug builds, as for
     /// [`SliceMask::fill_from_ids`]: in a release build an id `>= n` inside
-    /// the last word silently clears a padding bit, and only an id past
-    /// the last word panics.
+    /// the last word silently flips a padding bit, and only an id past the
+    /// last word panics.
     #[inline]
-    pub fn clear_ids(&mut self, ids: &[u32]) {
+    pub fn toggle_ids(&mut self, ids: &[u32]) {
         for &id in ids {
             let id = id as usize;
             debug_assert!(id < self.n, "object id {id} out of range 0..{}", self.n);
-            self.words[id >> 6] &= !(1u64 << (id & 63));
+            self.words[id >> 6] ^= 1u64 << (id & 63);
+        }
+    }
+
+    /// Overwrites this mask with `a XOR b` in one word pass. For two prefix
+    /// masks of one sorted order (the ids of rank below `p` and below `q`)
+    /// that is the rank window between `p` and `q`.
+    ///
+    /// # Panics
+    /// Panics if the masks range over different object counts.
+    pub fn xor_of(&mut self, a: &SliceMask, b: &SliceMask) {
+        assert!(
+            self.n == a.n && a.n == b.n,
+            "mask XOR requires equal domains"
+        );
+        for ((w, x), y) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
+            *w = x ^ y;
         }
     }
 
@@ -308,11 +325,32 @@ mod tests {
     }
 
     #[test]
-    fn clear_ids_is_inverse_of_fill() {
+    fn toggle_ids_flips_set_and_unset_bits() {
         let mut m = SliceMask::new(200);
         m.fill_from_ids(&[1, 5, 64, 150, 199]);
-        m.clear_ids(&[5, 150, 7]); // clearing an unset bit is a no-op
-        assert_eq!(m.iter().collect::<Vec<_>>(), vec![1, 64, 199]);
+        m.toggle_ids(&[5, 150, 7]);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![1, 7, 64, 199]);
+        m.toggle_ids(&[7, 5, 150]);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![1, 5, 64, 150, 199]);
+    }
+
+    #[test]
+    fn xor_of_overwrites_with_the_symmetric_difference() {
+        let mut a = SliceMask::new(130);
+        let mut b = SliceMask::new(130);
+        a.fill_from_ids(&[0, 3, 64, 100, 129]);
+        b.fill_from_ids(&[3, 64, 65]);
+        let mut m = SliceMask::new(130);
+        m.fill_from_ids(&[1, 2, 99]);
+        m.xor_of(&a, &b);
+        assert_eq!(m.iter().collect::<Vec<_>>(), vec![0, 65, 100, 129]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn xor_of_rejects_mismatched_domains() {
+        let mut m = SliceMask::new(10);
+        m.xor_of(&SliceMask::new(10), &SliceMask::new(11));
     }
 
     #[test]

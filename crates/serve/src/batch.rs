@@ -190,7 +190,7 @@ impl Batcher {
     /// installed in `handle`, coalescing up to `max_batch` rows per batch
     /// and giving each batch `threads` scoring threads. Batches are scored
     /// the moment a worker is free (`max_wait` zero); see
-    /// [`Batcher::start_with_max_wait`] to trade latency for depth.
+    /// [`Batcher::start_with_stats`] to trade latency for depth.
     ///
     /// # Panics
     /// Panics if `workers`, `max_batch` or `threads` is zero.
@@ -200,35 +200,22 @@ impl Batcher {
         max_batch: usize,
         threads: usize,
     ) -> Self {
-        Self::start_with_max_wait(handle, workers, max_batch, threads, Duration::ZERO)
-    }
-
-    /// [`Batcher::start`] with a batch-formation deadline: a worker that
-    /// claimed fewer than `max_batch` rows lingers up to `max_wait` for
-    /// more arrivals before scoring. Zero (the default) scores immediately.
-    ///
-    /// # Panics
-    /// Panics if `workers`, `max_batch` or `threads` is zero.
-    pub fn start_with_max_wait(
-        handle: Arc<EngineHandle>,
-        workers: usize,
-        max_batch: usize,
-        threads: usize,
-        max_wait: Duration,
-    ) -> Self {
         Self::start_with_stats(
             handle,
             workers,
             max_batch,
             threads,
-            max_wait,
+            Duration::ZERO,
             Arc::new(BatchStats::default()),
         )
     }
 
-    /// [`Batcher::start_with_max_wait`] recording into caller-provided
-    /// instruments — the server passes registry-backed [`BatchStats`] here
-    /// so the batcher's counters appear on `/stats` and `/metrics`.
+    /// [`Batcher::start`] with a batch-formation deadline, recording into
+    /// caller-provided instruments. A worker that claimed fewer than
+    /// `max_batch` rows lingers up to `max_wait` for more arrivals before
+    /// scoring; zero scores immediately. The server passes registry-backed
+    /// [`BatchStats`] here so the batcher's counters appear on `/stats` and
+    /// `/metrics`.
     ///
     /// # Panics
     /// Panics if `workers`, `max_batch` or `threads` is zero.
@@ -652,12 +639,13 @@ mod tests {
     #[test]
     fn max_wait_coalesces_quick_successors() {
         let engine = engine();
-        let batcher = Arc::new(Batcher::start_with_max_wait(
+        let batcher = Arc::new(Batcher::start_with_stats(
             handle_for(&engine),
             1,
             64,
             1,
             Duration::from_millis(40),
+            Arc::new(BatchStats::default()),
         ));
         let (tx, rx) = mpsc::channel();
         for _ in 0..4 {

@@ -95,7 +95,7 @@ pub struct ServeConfig {
     /// capped at 4 — scoring wants the cores more than the event loops do.
     pub reactor_threads: usize,
     /// How long a batch worker lingers for more rows before scoring a
-    /// non-full batch (see [`Batcher::start_with_max_wait`]). Zero scores
+    /// non-full batch (see [`Batcher::start_with_stats`]). Zero scores
     /// immediately.
     pub batch_max_wait: Duration,
     /// Backpressure threshold per connection (bytes): once this much

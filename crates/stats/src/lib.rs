@@ -4,7 +4,7 @@
 //!
 //! * [`special`] — log-gamma, regularized incomplete beta/gamma, erf.
 //! * [`dist`] — Normal, Student-t, Chi-squared, Kolmogorov distributions.
-//! * [`moments`] — Welford streaming moments (mean/variance/kurtosis).
+//! * [`moments`] — Welford streaming moments (mean/variance).
 //! * [`ecdf`] — empirical CDFs and the exact two-sample KS supremum.
 //! * [`rank`] — argsort, midranks, tie groups.
 //! * [`two_sample`] — Welch's t-test, two-sample KS test, Mann–Whitney U.
@@ -34,9 +34,9 @@ pub use dist::{ChiSquared, Kolmogorov, Normal, StudentsT};
 pub use ecdf::Ecdf;
 pub use masked::{
     masked_ks_distance, masked_ks_test, masked_mann_whitney, masked_mean_variance_lanes,
-    masked_moments, MaskedLane, LANES,
+    MaskedLane, LANES,
 };
-pub use moments::{MeanVariance, Moments, SampleMoments};
+pub use moments::{MeanVariance, Moments};
 pub use two_sample::{
     ks_test, ks_test_from_ecdfs, mann_whitney_u, welch_t_test, welch_t_test_from_moments, KsResult,
     MannWhitneyResult, WelchResult,

@@ -5,15 +5,12 @@
 //! of the hottest pieces of the contrast computation. The accumulator is a
 //! plain value type that can be folded over a slice or built incrementally.
 
-/// Online accumulator for count, mean, variance and kurtosis (the third
-/// central moment is kept because the fourth-moment update reads it).
+/// Online accumulator for count, mean and variance.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Moments {
     n: u64,
     mean: f64,
     m2: f64,
-    m3: f64,
-    m4: f64,
 }
 
 impl Moments {
@@ -32,18 +29,15 @@ impl Moments {
     }
 
     /// Adds one observation.
+    #[inline]
     pub fn push(&mut self, x: f64) {
         let n1 = self.n as f64;
         self.n += 1;
         let n = self.n as f64;
         let delta = x - self.mean;
         let delta_n = delta / n;
-        let delta_n2 = delta_n * delta_n;
         let term1 = delta * delta_n * n1;
         self.mean += delta_n;
-        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
-            - 4.0 * delta_n * self.m3;
-        self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
         self.m2 += term1;
     }
 
@@ -61,24 +55,11 @@ impl Moments {
         let n = na + nb;
         let delta = other.mean - self.mean;
         let delta2 = delta * delta;
-        let delta3 = delta2 * delta;
-        let delta4 = delta2 * delta2;
         let mean = self.mean + delta * nb / n;
         let m2 = self.m2 + other.m2 + delta2 * na * nb / n;
-        let m3 = self.m3
-            + other.m3
-            + delta3 * na * nb * (na - nb) / (n * n)
-            + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
-        let m4 = self.m4
-            + other.m4
-            + delta4 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
-            + 6.0 * delta2 * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
-            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n;
         self.n += other.n;
         self.mean = mean;
         self.m2 = m2;
-        self.m3 = m3;
-        self.m4 = m4;
     }
 
     /// Number of observations.
@@ -119,93 +100,18 @@ impl Moments {
         self.variance().sqrt()
     }
 
-    /// Sample excess kurtosis (`g2`). `NaN` when undefined.
-    pub fn kurtosis(&self) -> f64 {
-        if self.n < 2 || self.m2 == 0.0 {
-            return f64::NAN;
-        }
-        let n = self.n as f64;
-        n * self.m4 / (self.m2 * self.m2) - 3.0
-    }
-}
-
-/// The subset of moment accessors a Welch test needs, letting hot paths
-/// substitute a cheaper accumulator for [`Moments`].
-pub trait SampleMoments {
-    /// Number of observations.
-    fn count(&self) -> u64;
-    /// Sample mean. `NaN` when empty.
-    fn mean(&self) -> f64;
-    /// Unbiased sample variance. `NaN` for fewer than two observations.
-    fn variance(&self) -> f64;
-}
-
-impl SampleMoments for Moments {
-    fn count(&self) -> u64 {
-        Moments::count(self)
-    }
-    fn mean(&self) -> f64 {
-        Moments::mean(self)
-    }
-    fn variance(&self) -> f64 {
-        Moments::variance(self)
-    }
-}
-
-/// Two-moment Welford accumulator (count / mean / M2 only) for hot paths
-/// that never read kurtosis — one third the flops of [`Moments`] per
-/// observation.
-///
-/// The `mean` and `m2` update expressions are kept literally identical to
-/// [`Moments::push`], so the results are bitwise equal, not just close.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MeanVariance {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl MeanVariance {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
+    /// An accumulator from its parts: `n` observations with running mean
+    /// `mean` and sum of squared deviations `m2` (the Welch lanes keep these
+    /// per lane and share `n`).
     #[inline]
-    pub fn push(&mut self, x: f64) {
-        let n1 = self.n as f64;
-        self.n += 1;
-        let n = self.n as f64;
-        let delta = x - self.mean;
-        let delta_n = delta / n;
-        let term1 = delta * delta_n * n1;
-        self.mean += delta_n;
-        self.m2 += term1;
+    pub(crate) fn from_parts(n: u64, mean: f64, m2: f64) -> Self {
+        Self { n, mean, m2 }
     }
 }
 
-impl SampleMoments for MeanVariance {
-    fn count(&self) -> u64 {
-        self.n
-    }
-
-    fn mean(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    fn variance(&self) -> f64 {
-        if self.n < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.n as f64 - 1.0)
-        }
-    }
-}
+/// The Welch lanes' name for [`Moments`]: the conditional side of every
+/// Welch test accumulates in it.
+pub type MeanVariance = Moments;
 
 /// Convenience: mean of a slice (`NaN` when empty).
 pub fn mean(values: &[f64]) -> f64 {
@@ -267,8 +173,6 @@ mod tests {
         assert_eq!(merged.count(), seq.count());
         assert!((merged.mean() - seq.mean()).abs() < 1e-10);
         assert!((merged.variance() - seq.variance()).abs() < 1e-10);
-        assert!((merged.m3 - seq.m3).abs() < 1e-8);
-        assert!((merged.kurtosis() - seq.kurtosis()).abs() < 1e-8);
     }
 
     #[test]
@@ -280,19 +184,6 @@ mod tests {
         let mut e = Moments::new();
         e.merge(&before);
         assert_eq!(e, before);
-    }
-
-    #[test]
-    fn skewness_of_symmetric_sample_is_zero() {
-        let m = Moments::from_slice(&[-3.0, -1.0, 0.0, 1.0, 3.0]);
-        // The third central moment (which feeds the kurtosis update).
-        assert!(m.m3.abs() < 1e-12);
-    }
-
-    #[test]
-    fn kurtosis_of_constant_is_nan() {
-        let m = Moments::from_slice(&[5.0, 5.0, 5.0]);
-        assert!(m.kurtosis().is_nan());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::dist::{Kolmogorov, Normal, StudentsT};
 use crate::ecdf::Ecdf;
-use crate::moments::{Moments, SampleMoments};
+use crate::moments::Moments;
 use crate::rank::{midranks, tie_group_sizes};
 
 /// Result of Welch's t-test.
@@ -44,12 +44,8 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> WelchResult {
 /// Welch's t-test on precomputed moments. This is the hot-path entry used by
 /// the contrast estimator, which maintains the marginal moments once per
 /// attribute and only accumulates the conditional slice per iteration
-/// (typically as a [`crate::moments::MeanVariance`]).
-pub fn welch_t_test_from_moments<A, B>(a: &A, b: &B) -> WelchResult
-where
-    A: SampleMoments,
-    B: SampleMoments,
-{
+/// (through the Welch lanes of [`crate::masked`]).
+pub fn welch_t_test_from_moments(a: &Moments, b: &Moments) -> WelchResult {
     let (na, nb) = (a.count() as f64, b.count() as f64);
     if a.count() < 2 || b.count() < 2 {
         return WelchResult {
