@@ -1,26 +1,26 @@
 //! Zero-copy access to a model artifact: the bytes stay where they are
-//! (ideally a memory map of the file), and column views are served borrowed
-//! straight out of them.
+//! (ideally a memory map of the file), and column, VP-tree and hoods views
+//! are served borrowed straight out of them.
 //!
 //! [`crate::model::HicsModel::load`] materialises every section into owned vectors — the
 //! right call for the offline pipeline, which mutates nothing but reads
 //! everything many times. Serving wants the opposite trade: a
 //! [`crate::model::HicsModel`]-shaped *view* over the file so that loading a
 //! multi-gigabyte artifact costs one `mmap` plus one validation pass, and
-//! the column payload is shared page cache instead of private heap —
-//! across processes, and across the generations a hot-reloading server
-//! keeps mapped (consumers may still gather working copies of the columns
-//! they actually use, and copy a version-4 artifact's stored hoods; see
-//! `QueryEngine::from_artifact` in `hics-outlier`).
+//! the trained payload — columns, VP-trees and hoods — is shared page cache
+//! instead of private heap: across processes, and across the generations a
+//! hot-reloading server keeps mapped. `QueryEngine::from_artifact` in
+//! `hics-outlier` reads all three through the views below on every query.
 //!
 //! The artifact format was designed for this from day one: every section
 //! starts on an 8-byte boundary from the start of the file (see the format
 //! table in [`crate::envelope`]), and a memory map is page-aligned, so the
-//! `d × n × f64` columns section can be reinterpreted as `&[f64]` slices
-//! in place — no parse, no copy. [`ModelArtifact::column`] hands those
-//! slices out as [`Cow`]s: borrowed on the aligned little-endian fast path
-//! (always, in practice), owned only on exotic platforms where the cast is
-//! unsound.
+//! `d × n × f64` columns, the 32-byte VP-tree node records with their `u32`
+//! leaf ids, and the `f64` hoods can be reinterpreted as slices in place —
+//! no parse, no copy. [`ModelArtifact::column`], [`ModelArtifact::tree`]
+//! and [`ModelArtifact::hoods_view`] hand those slices out as [`Cow`]s:
+//! borrowed on the aligned little-endian fast path (always, in practice),
+//! owned only on exotic platforms where the cast is unsound.
 //!
 //! Validation is **identical** to the heap path: both run
 //! `ArtifactLayout::parse`, so a byte stream is accepted by
@@ -33,8 +33,8 @@ use crate::envelope;
 use crate::error::HicsError;
 use crate::mmap::ByteStorage;
 use crate::model::{
-    AggregationKind, ArtifactLayout, HoodsData, ModelIndex, ModelSubspace, NormKind, NormParam,
-    ScorerSpec,
+    AggregationKind, ArtifactLayout, HoodsData, HoodsView, ModelSubspace, NormKind, NormParam,
+    ScorerSpec, VpTreeView,
 };
 use std::borrow::Cow;
 use std::path::Path;
@@ -120,9 +120,20 @@ impl ModelArtifact {
         &self.layout.subspaces
     }
 
-    /// The prebuilt neighbor index of a version-2 or version-4 artifact.
-    pub fn index(&self) -> Option<&ModelIndex> {
-        self.layout.index.as_ref()
+    /// Whether the artifact carries prebuilt VP-trees (a version-2 or
+    /// version-4 artifact with a non-empty index section).
+    pub fn has_index(&self) -> bool {
+        self.layout.trees.is_some()
+    }
+
+    /// Subspace `s`'s prebuilt VP-tree, read in place from the index
+    /// section; `None` for an artifact without trees.
+    ///
+    /// # Panics
+    /// Panics if `s` is not a subspace index.
+    pub fn tree(&self, s: usize) -> Option<VpTreeView<'_>> {
+        assert!(s < self.subspaces().len(), "subspace {s} out of range");
+        self.layout.tree(self.bytes(), s)
     }
 
     /// Whether the artifact carries the version-4 hoods section.
@@ -130,15 +141,30 @@ impl ModelArtifact {
         self.layout.hoods_offset.is_some()
     }
 
-    /// Subspace `s`'s precomputed neighbourhood state, copied out of the
-    /// hoods section of a version-4 artifact; `None` for versions 1 and 2,
-    /// whose consumers compute it.
+    /// Subspace `s`'s precomputed neighbourhood state, read in place from
+    /// the hoods section of a version-4 artifact; `None` for versions 1
+    /// and 2, whose consumers compute it.
+    ///
+    /// # Panics
+    /// Panics if `s` is not a subspace index.
+    pub fn hoods_view(&self, s: usize) -> Option<HoodsView<'_>> {
+        assert!(s < self.subspaces().len(), "subspace {s} out of range");
+        self.layout.hoods(self.bytes(), s)
+    }
+
+    /// [`ModelArtifact::hoods_view`] copied into owned storage.
     ///
     /// # Panics
     /// Panics if `s` is not a subspace index.
     pub fn hoods(&self, s: usize) -> Option<HoodsData> {
-        assert!(s < self.subspaces().len(), "subspace {s} out of range");
-        self.layout.hoods(self.bytes(), s)
+        self.hoods_view(s).map(HoodsView::into_owned)
+    }
+
+    /// All `d` trained columns, one after another (column `j` is
+    /// `[j · n, (j + 1) · n)`), borrowed like [`ModelArtifact::column`].
+    pub fn columns(&self) -> Cow<'_, [f64]> {
+        let (n, d) = (self.layout.n, self.layout.d);
+        envelope::cast(self.bytes(), self.layout.columns_offset, d * n)
     }
 
     /// Column `j` of the trained data, borrowed from the artifact bytes
@@ -173,7 +199,10 @@ impl ModelArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{apply_normalization, HicsModel, ScorerKind};
+    use crate::model::{
+        apply_normalization, HicsModel, ModelHoods, ModelIndex, ScorerKind, VpNodeData, VpTreeData,
+        VP_NONE,
+    };
     use crate::synth::SyntheticConfig;
 
     fn sample_model() -> HicsModel {
@@ -240,6 +269,73 @@ mod tests {
             assert_eq!(col.as_ref(), model.dataset().col(j), "column {j}");
             for i in (0..model.n()).step_by(7) {
                 assert_eq!(artifact.value(i, j), model.dataset().value(i, j));
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `sample_model` with a single-leaf VP-tree per subspace and
+    /// synthetic hoods: a version-4 artifact with every section.
+    fn model_with_trees_and_hoods() -> HicsModel {
+        let mut model = sample_model();
+        let n = model.n() as u32;
+        let leaf = VpTreeData {
+            nodes: vec![VpNodeData {
+                vantage: VP_NONE,
+                inner: VP_NONE,
+                outer: VP_NONE,
+                start: 0,
+                len: n,
+                mu: 0.0,
+            }],
+            ids: (0..n).collect(),
+        };
+        model.set_index(Some(ModelIndex {
+            trees: vec![leaf; model.subspaces().len()],
+        }));
+        let hoods = (0..model.subspaces().len())
+            .map(|s| HoodsData {
+                clamp: 1.5 + s as f64,
+                k_distance: (0..n).map(|i| f64::from(i) * 0.25).collect(),
+                lrd: (0..n).map(|i| 1.0 / (1.0 + f64::from(i))).collect(),
+            })
+            .collect();
+        model.set_hoods(Some(ModelHoods { subspaces: hoods }));
+        model
+    }
+
+    /// VP-tree and hoods views borrow from the map, like the columns, and
+    /// hold exactly the model's values.
+    #[test]
+    fn tree_and_hoods_views_are_borrowed_and_equal() {
+        let model = model_with_trees_and_hoods();
+        let path = temp_path("mmap-views.hicsmodel");
+        model.save(&path).expect("save");
+        let mapped = ModelArtifact::open_mmap(&path).expect("open_mmap");
+        let heap = ModelArtifact::from_bytes(&model.to_bytes()).expect("from_bytes");
+        for artifact in [&mapped, &heap] {
+            assert_eq!(artifact.version(), 4);
+            assert!(artifact.has_index() && artifact.has_hoods());
+            assert!(matches!(artifact.columns(), Cow::Borrowed(_)));
+            for s in 0..model.subspaces().len() {
+                let tree = artifact.tree(s).expect("stored tree");
+                assert!(
+                    matches!(tree.nodes, Cow::Borrowed(_)),
+                    "tree {s} nodes copied"
+                );
+                assert!(matches!(tree.ids, Cow::Borrowed(_)), "tree {s} ids copied");
+                assert!(tree.is_borrowed());
+                assert_eq!(tree.into_owned(), model.index().unwrap().trees[s]);
+                let hoods = artifact.hoods_view(s).expect("stored hoods");
+                assert!(
+                    matches!(hoods.k_distance, Cow::Borrowed(_)),
+                    "hoods {s} copied"
+                );
+                assert!(matches!(hoods.lrd, Cow::Borrowed(_)), "hoods {s} copied");
+                assert!(hoods.is_borrowed());
+                let want = &model.hoods().unwrap().subspaces[s];
+                assert_eq!(&hoods.into_owned(), want);
+                assert_eq!(artifact.hoods(s).as_ref(), Some(want));
             }
         }
         std::fs::remove_file(&path).ok();

@@ -98,16 +98,6 @@ impl SliceMask {
         }
     }
 
-    /// Overwrites this mask with the contents of `other` (`O(N/64)` word
-    /// copy).
-    ///
-    /// # Panics
-    /// Panics if the masks range over different object counts.
-    pub fn copy_from(&mut self, other: &SliceMask) {
-        assert_eq!(self.n, other.n, "mask copy requires equal domains");
-        self.words.copy_from_slice(&other.words);
-    }
-
     /// Sets one bit.
     ///
     /// # Panics
@@ -351,24 +341,6 @@ mod tests {
     fn xor_of_rejects_mismatched_domains() {
         let mut m = SliceMask::new(10);
         m.xor_of(&SliceMask::new(10), &SliceMask::new(11));
-    }
-
-    #[test]
-    fn copy_from_replicates_exactly() {
-        let mut a = SliceMask::new(130);
-        a.fill_from_ids(&[0, 64, 129]);
-        let mut b = SliceMask::new(130);
-        b.fill_from_ids(&[1, 2, 3]);
-        b.copy_from(&a);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic]
-    fn copy_from_rejects_mismatched_domains() {
-        let mut a = SliceMask::new(10);
-        let b = SliceMask::new(11);
-        a.copy_from(&b);
     }
 
     #[test]

@@ -347,22 +347,63 @@ pub fn read_columns(
     Ok(offset)
 }
 
+/// A fixed-size value a section stores as little-endian records, which
+/// [`cast`] can read in place.
+///
+/// # Safety
+/// Every bit pattern of the type's `size_of::<Self>()` bytes must be a
+/// valid value (padding aside), and on a little-endian target its
+/// in-memory layout must be its record in the file: the in-place cast
+/// relies on both.
+pub(crate) unsafe trait Record: Copy {
+    /// Decodes one record from its `size_of::<Self>()` little-endian
+    /// bytes — the fallback where the cast is unsound.
+    fn from_le(bytes: &[u8]) -> Self;
+}
+
+// SAFETY: a primitive of 8 plain bytes; every pattern is some f64.
+unsafe impl Record for f64 {
+    fn from_le(bytes: &[u8]) -> Self {
+        f64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+    }
+}
+
+// SAFETY: a primitive of 4 plain bytes; every pattern is some u32.
+unsafe impl Record for u32 {
+    fn from_le(bytes: &[u8]) -> Self {
+        u32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+    }
+}
+
+/// The `count` records at `offset` in `bytes`, borrowed whenever the
+/// in-place cast is sound (little-endian target, `T`-aligned bytes — every
+/// map and every [`AlignedBytes`] buffer qualifies for every section the
+/// kinds lay out) and decoded into an owned copy otherwise.
+pub(crate) fn cast<T: Record>(bytes: &[u8], offset: usize, count: usize) -> Cow<'_, [T]> {
+    let size = std::mem::size_of::<T>();
+    let len = count
+        .checked_mul(size)
+        .expect("record count fits the address space");
+    let bytes = &bytes[offset..offset + len];
+    if cfg!(target_endian = "little")
+        && (bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>())
+    {
+        // SAFETY: the range is in bounds and exactly `count` records long
+        // (sliced above), the pointer is aligned for `T` (just checked),
+        // every bit pattern is a valid `T` and its layout is its
+        // little-endian record (the `Record` contract), and the borrow ties
+        // the result to the bytes' lifetime.
+        Cow::Borrowed(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), count) })
+    } else {
+        Cow::Owned(bytes.chunks_exact(size).map(T::from_le).collect())
+    }
+}
+
 /// Column `j` of the `n`-row column pages at `offset` in `bytes`, borrowed
 /// whenever the in-place cast is sound (8-aligned little-endian — every map
 /// and every [`AlignedBytes`] buffer qualifies), copied otherwise.
 pub fn column(bytes: &[u8], offset: usize, n: usize, j: usize) -> Cow<'_, [f64]> {
-    let start = offset + j * n * 8;
-    let bytes = &bytes[start..start + n * 8];
-    if cfg!(target_endian = "little")
-        && (bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<f64>())
-    {
-        // SAFETY: the range is in bounds (sliced above), the pointer is
-        // 8-aligned (just checked), every f64 bit pattern is a valid value,
-        // and the borrow ties the result to the bytes' lifetime.
-        Cow::Borrowed(unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f64, n) })
-    } else {
-        Cow::Owned((0..n).map(|i| f64_at(bytes, i * 8)).collect())
-    }
+    cast(bytes, offset + j * n * 8, n)
 }
 
 /// Value `(i, j)` of the `n`-row column pages at `offset`, read in place.
@@ -569,6 +610,26 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Aligned records are borrowed; misaligned ones are decoded into an
+    /// owned copy with the same values.
+    #[test]
+    fn cast_borrows_aligned_records_and_copies_misaligned_ones() {
+        let values = [1.5f64, -0.0, f64::INFINITY, 7e-300];
+        let raw: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let aligned = AlignedBytes::copy_from(&raw);
+        let borrowed = cast::<f64>(aligned.as_slice(), 0, 4);
+        assert!(cfg!(target_endian = "big") || matches!(borrowed, Cow::Borrowed(_)));
+        assert_eq!(bits(&borrowed), bits(&values));
+        let shifted = AlignedBytes::copy_from(&[&[0u8][..], &raw].concat());
+        let copied = cast::<f64>(shifted.as_slice(), 1, 4);
+        assert!(matches!(copied, Cow::Owned(_)));
+        assert_eq!(bits(&copied), bits(&values));
+        let words = cast::<u32>(shifted.as_slice(), 1, 2);
+        assert!(matches!(words, Cow::Owned(_)));
+        assert_eq!(&words[..], &[0, (1.5f64.to_bits() >> 32) as u32]);
+    }
 
     /// A hostile payload length is a located truncation, never an
     /// arithmetic overflow.

@@ -70,23 +70,27 @@
 //! # Decoding paths
 //!
 //! All validation lives in one place, `ArtifactLayout::parse`, which walks
-//! the byte stream once and records where the bulk sections (columns, order
-//! permutations) start. Two consumers share it:
+//! the byte stream once, validating the bulk sections (columns, order
+//! permutations, VP-trees, hoods) in place, and records where they start.
+//! Two consumers share it, and read the trees and hoods through the same
+//! in-place views ([`VpTreeView`], [`HoodsView`]):
 //!
-//! * [`HicsModel::from_bytes`] materialises everything into owned vectors —
-//!   the heap-loading path.
+//! * [`HicsModel::from_bytes`] copies everything into owned vectors — the
+//!   heap-loading path.
 //! * [`crate::artifact::ModelArtifact`] keeps the (typically memory-mapped)
-//!   bytes and serves *borrowed* column views out of them — the zero-copy
-//!   path. Because both run the identical parser, they accept and reject
-//!   exactly the same byte streams.
+//!   bytes and serves *borrowed* views out of them — the zero-copy path.
+//!   Because both run the identical parser, they accept and reject exactly
+//!   the same byte streams.
 
 use crate::dataset::Dataset;
 use crate::envelope::{
-    f64_at, parse_header, u32_slice_le_bytes, HashingWriter, Peek, Reader, WordCode, HEADER_LEN,
+    cast, f64_at, parse_header, u32_slice_le_bytes, HashingWriter, Peek, Reader, WordCode,
+    HEADER_LEN,
 };
 use crate::error::{ArtifactSection, HicsError};
 use crate::index::RankIndex;
 use crate::source::ColumnsView;
+use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -345,6 +349,11 @@ pub const VP_NONE: u32 = u32::MAX;
 /// The data carrier lives in `hics-data` so the artifact can serialise
 /// prebuilt trees; construction and querying live in `hics-outlier`, which
 /// owns the distance kernels.
+///
+/// `#[repr(C)]` makes the struct its own 32-byte index-section record (five
+/// `u32`s, the reserved `u32` as padding, then `mu`), so a mapped
+/// artifact's nodes are read in place ([`VpTreeView`]).
+#[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VpNodeData {
     /// Vantage object id ([`VP_NONE`] for leaves).
@@ -361,6 +370,29 @@ pub struct VpNodeData {
     pub mu: f64,
 }
 
+const _: () = assert!(
+    std::mem::size_of::<VpNodeData>() == 32 && std::mem::align_of::<VpNodeData>() == 8,
+    "VpNodeData is its 32-byte on-disk record"
+);
+
+// SAFETY: `#[repr(C)]` over five u32s, 4 bytes of padding and an f64
+// (the layout the assertion above pins), which is the record's
+// little-endian layout on a little-endian target; every pattern of each
+// field's bytes is a valid value, and the padding is never read.
+unsafe impl crate::envelope::Record for VpNodeData {
+    fn from_le(bytes: &[u8]) -> Self {
+        let word = |at: usize| u32_at(bytes, at);
+        VpNodeData {
+            vantage: word(0),
+            inner: word(4),
+            outer: word(8),
+            start: word(12),
+            len: word(16),
+            mu: f64_at(bytes, 24),
+        }
+    }
+}
+
 /// One subspace's VP-tree as flat arrays (node 0 is the root).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct VpTreeData {
@@ -368,6 +400,46 @@ pub struct VpTreeData {
     pub nodes: Vec<VpNodeData>,
     /// Object ids referenced by leaf ranges (vantages live in the nodes).
     pub ids: Vec<u32>,
+}
+
+impl VpTreeData {
+    /// The tree as a borrowed view.
+    pub fn view(&self) -> VpTreeView<'_> {
+        VpTreeView {
+            nodes: Cow::Borrowed(&self.nodes),
+            ids: Cow::Borrowed(&self.ids),
+        }
+    }
+}
+
+/// One VP-tree's arrays, borrowed: read in place from an artifact's index
+/// section ([`crate::ModelArtifact::tree`]; decoded copies only where the
+/// in-place cast is unsound), or lent by a [`VpTreeData`]. The form every
+/// traversal reads.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VpTreeView<'a> {
+    /// Tree nodes in construction order.
+    pub nodes: Cow<'a, [VpNodeData]>,
+    /// Object ids referenced by leaf ranges.
+    pub ids: Cow<'a, [u32]>,
+}
+
+impl VpTreeView<'_> {
+    /// Whether both arrays are borrowed rather than copied.
+    pub fn is_borrowed(&self) -> bool {
+        matches!(
+            (&self.nodes, &self.ids),
+            (Cow::Borrowed(_), Cow::Borrowed(_))
+        )
+    }
+
+    /// The tree in owned form.
+    pub fn into_owned(self) -> VpTreeData {
+        VpTreeData {
+            nodes: self.nodes.into_owned(),
+            ids: self.ids.into_owned(),
+        }
+    }
 }
 
 /// The prebuilt neighbor-index payload of a version-2 artifact: one VP-tree
@@ -394,6 +466,50 @@ pub struct HoodsData {
     pub lrd: Vec<f64>,
 }
 
+impl HoodsData {
+    /// The state as a borrowed view.
+    pub fn view(&self) -> HoodsView<'_> {
+        HoodsView {
+            clamp: self.clamp,
+            k_distance: Cow::Borrowed(&self.k_distance),
+            lrd: Cow::Borrowed(&self.lrd),
+        }
+    }
+}
+
+/// One subspace's neighbourhood state, borrowed: read in place from an
+/// artifact's hoods section ([`crate::ModelArtifact::hoods_view`]; decoded
+/// copies only where the in-place cast is unsound), or lent by a
+/// [`HoodsData`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct HoodsView<'a> {
+    /// The non-finite query clamp (see [`HoodsData::clamp`]).
+    pub clamp: f64,
+    /// k-distance of every training object.
+    pub k_distance: Cow<'a, [f64]>,
+    /// Local reachability density of every training object (LOF only).
+    pub lrd: Cow<'a, [f64]>,
+}
+
+impl HoodsView<'_> {
+    /// Whether both arrays are borrowed rather than copied.
+    pub fn is_borrowed(&self) -> bool {
+        matches!(
+            (&self.k_distance, &self.lrd),
+            (Cow::Borrowed(_), Cow::Borrowed(_))
+        )
+    }
+
+    /// The state in owned form.
+    pub fn into_owned(self) -> HoodsData {
+        HoodsData {
+            clamp: self.clamp,
+            k_distance: self.k_distance.into_owned(),
+            lrd: self.lrd.into_owned(),
+        }
+    }
+}
+
 /// The hoods payload of a version-4 artifact: one [`HoodsData`] per model
 /// subspace, aligned with [`HicsModel::subspaces`].
 #[derive(Debug, Clone, PartialEq)]
@@ -402,30 +518,23 @@ pub struct ModelHoods {
     pub subspaces: Vec<HoodsData>,
 }
 
-/// Little-endian `f64`s of `bytes` (a multiple of 8 long), in order.
-fn le_f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
-}
-
 /// The value domain of one subspace's hoods, shared by the byte parser and
 /// the in-memory check of [`HicsModel::set_hoods`]: a finite clamp,
 /// k-distances and LRDs `≥ 0` — never NaN or negative. `+∞` is legal for
 /// both: duplicate points give `lrd = ∞`, and a distance between extreme
 /// (finite) coordinates can overflow.
-fn check_hood_values(
-    clamp: f64,
-    k_distance: impl Iterator<Item = f64>,
-    lrd: impl Iterator<Item = f64>,
-) -> Result<(), String> {
+fn check_hood_values(hoods: &HoodsView<'_>) -> Result<(), String> {
+    let clamp = hoods.clamp;
     if !clamp.is_finite() {
         return Err(format!("non-finite clamp {clamp}"));
     }
-    if let Some((i, v)) = k_distance.enumerate().find(|(_, v)| v.is_nan() || *v < 0.0) {
+    let invalid = |values: &[f64]| values.iter().position(|v| v.is_nan() || *v < 0.0);
+    if let Some(i) = invalid(&hoods.k_distance) {
+        let v = hoods.k_distance[i];
         return Err(format!("invalid k-distance {v} for object {i}"));
     }
-    if let Some((i, v)) = lrd.enumerate().find(|(_, v)| v.is_nan() || *v < 0.0) {
+    if let Some(i) = invalid(&hoods.lrd) {
+        let v = hoods.lrd[i];
         return Err(format!("invalid LRD {v} for object {i}"));
     }
     Ok(())
@@ -460,8 +569,7 @@ fn validate_hoods(
                 h.lrd.len()
             )));
         }
-        check_hood_values(h.clamp, h.k_distance.iter().copied(), h.lrd.iter().copied())
-            .map_err(|msg| fail(format!("subspace {s}: {msg}")))?;
+        check_hood_values(&h.view()).map_err(|msg| fail(format!("subspace {s}: {msg}")))?;
     }
     Ok(())
 }
@@ -474,9 +582,10 @@ fn validate_hoods(
 ///
 /// `subspace` and `offset` locate the tree for the error: the subspace it
 /// belongs to and the byte offset its encoding starts at (`0` for trees
-/// validated in memory, e.g. via [`HicsModel::set_index`]).
+/// validated in memory, e.g. via [`HicsModel::set_index`]). A stored tree
+/// is validated where it lies, through its in-place view.
 fn validate_tree(
-    tree: &VpTreeData,
+    tree: &VpTreeView<'_>,
     n: usize,
     subspace: usize,
     offset: usize,
@@ -555,10 +664,11 @@ fn validate_tree(
 }
 
 /// The fully validated decoding of one artifact byte stream: every small
-/// section materialised, the two bulk sections (columns, order permutations)
-/// located by byte offset so consumers can choose between copying them out
-/// ([`HicsModel::from_bytes`]) and borrowing them in place
-/// ([`crate::artifact::ModelArtifact`]).
+/// section materialised, the bulk sections (columns, order permutations,
+/// trees, hoods) located by byte offset so consumers can choose between
+/// copying them out ([`HicsModel::from_bytes`]) and reading them in place
+/// ([`crate::artifact::ModelArtifact`]) — through the same views either
+/// way.
 ///
 /// `parse` performs **all** artifact validation: header sanity, payload
 /// length, checksum, UTF-8 names, finite values, permutation checks,
@@ -588,8 +698,9 @@ pub(crate) struct ArtifactLayout {
     pub order_offset: usize,
     /// Selected subspaces with contrasts (owned; tiny).
     pub subspaces: Vec<ModelSubspace>,
-    /// Prebuilt neighbor index of a version-2 or version-4 stream.
-    pub index: Option<ModelIndex>,
+    /// Where the prebuilt VP-trees of a version-2 or version-4 stream lie,
+    /// one per subspace.
+    pub trees: Option<Vec<TreeAt>>,
     /// Byte offset of the hoods section of a version-4 stream (8-aligned;
     /// per subspace a clamp, `n` k-distances and, for LOF, `n` LRDs).
     pub hoods_offset: Option<usize>,
@@ -729,7 +840,7 @@ impl ArtifactLayout {
         // stream ends here and downstream consumers fall back to the brute
         // scan.
         r.section = ArtifactSection::Index;
-        let index = if version >= 2 {
+        let trees = if version >= 2 {
             let kind = r.u32()?;
             // Kind 0 ("no trees") only exists so a version-4 stream can
             // carry hoods without an index.
@@ -769,16 +880,13 @@ impl ArtifactLayout {
             let start = r.offset;
             for s in 0..sub_count {
                 let at = r.offset;
-                let raw = r.take(stride)?;
-                check_hood_values(
-                    f64_at(raw, 0),
-                    le_f64s(&raw[8..8 + n * 8]),
-                    le_f64s(&raw[8 + n * 8..]),
-                )
-                .map_err(|msg| HicsError::InvalidModel {
-                    section: ArtifactSection::Hoods,
-                    offset: at,
-                    msg: format!("subspace {s}: {msg}"),
+                r.take(stride)?;
+                check_hood_values(&Self::hoods_at(bytes, at, n, lof)).map_err(|msg| {
+                    HicsError::InvalidModel {
+                        section: ArtifactSection::Hoods,
+                        offset: at,
+                        msg: format!("subspace {s}: {msg}"),
+                    }
                 })?;
             }
             Some(start)
@@ -804,57 +912,50 @@ impl ArtifactLayout {
             columns_offset,
             order_offset,
             subspaces,
-            index,
+            trees,
             hoods_offset,
         })
     }
 
-    /// Parses the VP-trees of the index section (after its kind and
-    /// reserved words), validating each one.
+    /// Walks the VP-trees of the index section (after its kind and
+    /// reserved words) field by field, validating each one in place, and
+    /// returns where they lie.
     fn parse_trees(
         r: &mut Reader<'_>,
         n: usize,
         sub_count: usize,
-    ) -> Result<ModelIndex, HicsError> {
-        let bytes = r.bytes;
+    ) -> Result<Vec<TreeAt>, HicsError> {
         let mut trees = Vec::with_capacity(sub_count);
         for s in 0..sub_count {
             let tree_offset = r.offset;
             let node_count = r.u32()? as usize;
             let ids_len = r.u32()? as usize;
-            // Reserve what the declared counts imply, capped by what the
-            // byte stream can actually still hold.
-            let mut nodes = Vec::with_capacity(node_count.min(bytes.len() / 32));
+            let nodes = r.offset;
             for _ in 0..node_count {
-                let vantage = r.u32()?;
-                let inner = r.u32()?;
-                let outer = r.u32()?;
-                let start = r.u32()?;
-                let len = r.u32()?;
-                let reserved = r.u32()?;
-                if reserved != 0 {
+                // vantage, inner, outer, start, len; then reserved and mu.
+                for _ in 0..5 {
+                    r.u32()?;
+                }
+                if r.u32()? != 0 {
                     return Err(r.invalid(format!("non-zero reserved node field in tree {s}")));
                 }
-                let mu = r.f64()?;
-                nodes.push(VpNodeData {
-                    vantage,
-                    inner,
-                    outer,
-                    start,
-                    len,
-                    mu,
-                });
+                r.f64()?;
             }
-            let mut ids = Vec::with_capacity(ids_len.min(bytes.len() / 4));
+            let ids = r.offset;
             for _ in 0..ids_len {
-                ids.push(r.u32()?);
+                r.u32()?;
             }
             r.align8()?;
-            let tree = VpTreeData { nodes, ids };
-            validate_tree(&tree, n, s, tree_offset)?;
-            trees.push(tree);
+            let at = TreeAt {
+                nodes,
+                node_count,
+                ids,
+                ids_len,
+            };
+            validate_tree(&at.view(r.bytes), n, s, tree_offset)?;
+            trees.push(at);
         }
-        Ok(ModelIndex { trees })
+        Ok(trees)
     }
 
     /// Bytes of one subspace's hoods: the clamp, `n` k-distances and, for
@@ -863,18 +964,47 @@ impl ArtifactLayout {
         8 + 8 * n * (1 + usize::from(lof))
     }
 
-    /// Subspace `s`'s hoods copied out of `bytes` (the stream this layout
-    /// was parsed from), or `None` for an artifact without the section.
-    pub(crate) fn hoods(&self, bytes: &[u8], s: usize) -> Option<HoodsData> {
-        let n = self.n;
-        let stride = Self::hoods_stride(n, self.scorer.kind == ScorerKind::Lof);
-        let start = self.hoods_offset? + s * stride;
-        let raw = &bytes[start..start + stride];
-        Some(HoodsData {
-            clamp: f64_at(raw, 0),
-            k_distance: le_f64s(&raw[8..8 + n * 8]).collect(),
-            lrd: le_f64s(&raw[8 + n * 8..]).collect(),
-        })
+    /// Subspace `s`'s stored VP-tree in `bytes` (the stream this layout
+    /// was parsed from), or `None` for an artifact without trees.
+    pub(crate) fn tree<'a>(&self, bytes: &'a [u8], s: usize) -> Option<VpTreeView<'a>> {
+        Some(self.trees.as_ref()?[s].view(bytes))
+    }
+
+    /// Subspace `s`'s hoods in `bytes` (the stream this layout was parsed
+    /// from), or `None` for an artifact without the section.
+    pub(crate) fn hoods<'a>(&self, bytes: &'a [u8], s: usize) -> Option<HoodsView<'a>> {
+        let lof = self.scorer.kind == ScorerKind::Lof;
+        let start = self.hoods_offset? + s * Self::hoods_stride(self.n, lof);
+        Some(Self::hoods_at(bytes, start, self.n, lof))
+    }
+
+    /// The hoods of one subspace starting at `start`.
+    fn hoods_at(bytes: &[u8], start: usize, n: usize, lof: bool) -> HoodsView<'_> {
+        HoodsView {
+            clamp: f64_at(bytes, start),
+            k_distance: cast(bytes, start + 8, n),
+            lrd: cast(bytes, start + 8 + n * 8, if lof { n } else { 0 }),
+        }
+    }
+}
+
+/// Where one stored VP-tree's arrays lie in an artifact byte stream.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TreeAt {
+    /// Byte offset of the node records (8-aligned).
+    nodes: usize,
+    node_count: usize,
+    /// Byte offset of the leaf ids (8-aligned).
+    ids: usize,
+    ids_len: usize,
+}
+
+impl TreeAt {
+    fn view(self, bytes: &[u8]) -> VpTreeView<'_> {
+        VpTreeView {
+            nodes: cast(bytes, self.nodes, self.node_count),
+            ids: cast(bytes, self.ids, self.ids_len),
+        }
     }
 }
 
@@ -1087,21 +1217,26 @@ impl HicsModel {
         let cols = (0..d)
             .map(|j| crate::envelope::column(bytes, layout.columns_offset, n, j).into_owned())
             .collect();
-        let mut order = Vec::with_capacity(d);
-        let mut off = layout.order_offset;
-        for _ in 0..d {
-            let mut perm = Vec::with_capacity(n);
-            for _ in 0..n {
-                perm.push(u32_at(bytes, off));
-                off += 4;
-            }
-            order.push(perm);
-        }
+        let order = (0..d)
+            .map(|j| cast(bytes, layout.order_offset + j * n * 4, n).into_owned())
+            .collect();
         let dataset = Dataset::from_columns_named(cols, layout.names.clone());
         let rank = RankIndex::from_order(order);
+        let subspaces = 0..layout.subspaces.len();
+        let index = layout.trees.as_ref().map(|_| ModelIndex {
+            trees: subspaces
+                .clone()
+                .map(|s| layout.tree(bytes, s).expect("section present").into_owned())
+                .collect(),
+        });
         let hoods = layout.hoods_offset.map(|_| ModelHoods {
-            subspaces: (0..layout.subspaces.len())
-                .map(|s| layout.hoods(bytes, s).expect("section present"))
+            subspaces: subspaces
+                .map(|s| {
+                    layout
+                        .hoods(bytes, s)
+                        .expect("section present")
+                        .into_owned()
+                })
                 .collect(),
         });
         Ok(Self {
@@ -1112,7 +1247,7 @@ impl HicsModel {
             scorer: layout.scorer,
             aggregation: layout.aggregation,
             rank,
-            index: layout.index,
+            index,
             hoods,
         })
     }
@@ -1260,7 +1395,7 @@ impl ModelParts<'_> {
                 )));
             }
             for (s, tree) in idx.trees.iter().enumerate() {
-                validate_tree(tree, n, s, 0)?;
+                validate_tree(&tree.view(), n, s, 0)?;
             }
         }
         if let Some(hoods) = self.hoods {

@@ -11,12 +11,13 @@ use hics_data::Dataset;
 /// every neighbour-search backend ([`crate::index::SubspaceIndex`] users,
 /// the brute scan and the VP-tree alike) is generic over.
 ///
-/// The two implementations are the borrowed [`SubspaceView`] (fit path:
-/// column slices straight out of the [`Dataset`] or a mapped store) and the
-/// owned [`SubspaceLayout`] (serving path: columns gathered once per model
-/// load). Both compute distances through the **same column kernels**
-/// (`sq_dist_cols`, `sq_dist_to_point_cols`), so swapping one for the other
-/// never changes a single bit of any score.
+/// The implementations are the borrowed [`SubspaceView`] (fit path: column
+/// slices straight out of the [`Dataset`] or a mapped store), the owned
+/// [`SubspaceLayout`] (columns gathered into private storage) and the
+/// crate's column-page view (serving path: the columns section of a model
+/// artifact, read in place). All compute distances through the **same
+/// column kernels** (`sq_dist_cols`, `sq_dist_to_point_cols`), so swapping
+/// one for another never changes a single bit of any score.
 pub trait Points: Sync {
     /// Number of objects.
     fn n(&self) -> usize;
@@ -87,10 +88,9 @@ impl<'a> SubspaceView<'a> {
 /// columns `cols`, accumulated in axis order — the one in-sample distance
 /// expression of every [`Points`] implementation.
 #[inline]
-fn sq_dist_cols<C: AsRef<[f64]>>(cols: &[C], a: usize, b: usize) -> f64 {
+fn sq_dist_cols<'c>(cols: impl IntoIterator<Item = &'c [f64]>, a: usize, b: usize) -> f64 {
     let mut acc = 0.0;
     for c in cols {
-        let c = c.as_ref();
         let d = c[a] - c[b];
         acc += d * d;
     }
@@ -103,11 +103,14 @@ fn sq_dist_cols<C: AsRef<[f64]>>(cols: &[C], a: usize, b: usize) -> f64 {
 /// coincides bitwise with a stored object reproduces the in-sample
 /// distances bit-for-bit.
 #[inline]
-fn sq_dist_to_point_cols<C: AsRef<[f64]>>(cols: &[C], j: usize, point: &[f64]) -> f64 {
-    debug_assert_eq!(point.len(), cols.len());
+fn sq_dist_to_point_cols<'c>(
+    cols: impl IntoIterator<Item = &'c [f64]>,
+    j: usize,
+    point: &[f64],
+) -> f64 {
     let mut acc = 0.0;
-    for (c, &p) in cols.iter().zip(point) {
-        let d = p - c.as_ref()[j];
+    for (c, &p) in cols.into_iter().zip(point) {
+        let d = p - c[j];
         acc += d * d;
     }
     acc
@@ -129,19 +132,19 @@ impl Points for SubspaceView<'_> {
 
     #[inline]
     fn sq_dist(&self, a: usize, b: usize) -> f64 {
-        sq_dist_cols(&self.cols, a, b)
+        sq_dist_cols(self.cols.iter().copied(), a, b)
     }
 
     #[inline]
     fn sq_dist_to_point(&self, j: usize, point: &[f64]) -> f64 {
-        sq_dist_to_point_cols(&self.cols, j, point)
+        debug_assert_eq!(point.len(), self.cols.len());
+        sq_dist_to_point_cols(self.cols.iter().copied(), j, point)
     }
 }
 
-/// An **owned** per-subspace gather of the selected columns — the point
-/// layout the query engine precomputes once per model load, so serving a
-/// request re-derives nothing: no column-reference gathering, no attribute
-/// indirection, just contiguous coordinate slices.
+/// An **owned** per-subspace gather of the selected columns: contiguous
+/// coordinate slices in private storage, for callers that hold no dataset
+/// or artifact to borrow from.
 ///
 /// Distances run through the same column kernels as [`SubspaceView`], so a
 /// layout gathered from the same dataset produces bit-identical distances.
@@ -164,9 +167,8 @@ impl SubspaceLayout {
         Self::from_cols(dims.iter().map(|&j| data.col(j).to_vec()).collect())
     }
 
-    /// Builds a layout from already-gathered subspace columns (axis order) —
-    /// the constructor the query engine uses when columns come from a
-    /// memory-mapped artifact rather than a [`Dataset`].
+    /// Builds a layout from already-gathered subspace columns (axis
+    /// order).
     ///
     /// # Panics
     /// Panics if `cols` is empty or ragged.
@@ -200,12 +202,67 @@ impl Points for SubspaceLayout {
 
     #[inline]
     fn sq_dist(&self, a: usize, b: usize) -> f64 {
-        sq_dist_cols(&self.cols, a, b)
+        sq_dist_cols(self.cols.iter().map(Vec::as_slice), a, b)
     }
 
     #[inline]
     fn sq_dist_to_point(&self, j: usize, point: &[f64]) -> f64 {
-        sq_dist_to_point_cols(&self.cols, j, point)
+        debug_assert_eq!(point.len(), self.cols.len());
+        sq_dist_to_point_cols(self.cols.iter().map(Vec::as_slice), j, point)
+    }
+}
+
+/// One subspace of column pages read in place: `pages` holds columns of
+/// `n` values one after another (a model artifact's columns section, see
+/// `hics_data::ModelArtifact::columns`), and axis `t` is the column
+/// starting at `starts[t]`. The query engine builds one per query and
+/// subspace, without allocating, so serving copies no column.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnPages<'a> {
+    pages: &'a [f64],
+    starts: &'a [usize],
+    n: usize,
+}
+
+impl<'a> ColumnPages<'a> {
+    /// The subspace whose axes start at `starts` in `pages`.
+    pub(crate) fn new(pages: &'a [f64], n: usize, starts: &'a [usize]) -> Self {
+        debug_assert!(starts.iter().all(|&s| s + n <= pages.len()));
+        Self { pages, starts, n }
+    }
+
+    /// The subspace's columns, in axis order.
+    #[inline]
+    fn cols(&self) -> impl Iterator<Item = &'a [f64]> + '_ {
+        let (pages, n) = (self.pages, self.n);
+        self.starts.iter().map(move |&s| &pages[s..s + n])
+    }
+}
+
+impl Points for ColumnPages<'_> {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn dims(&self) -> usize {
+        self.starts.len()
+    }
+
+    #[inline]
+    fn coord(&self, i: usize, t: usize) -> f64 {
+        debug_assert!(i < self.n);
+        self.pages[self.starts[t] + i]
+    }
+
+    #[inline]
+    fn sq_dist(&self, a: usize, b: usize) -> f64 {
+        sq_dist_cols(self.cols(), a, b)
+    }
+
+    #[inline]
+    fn sq_dist_to_point(&self, j: usize, point: &[f64]) -> f64 {
+        debug_assert_eq!(point.len(), self.starts.len());
+        sq_dist_to_point_cols(self.cols(), j, point)
     }
 }
 

@@ -44,7 +44,7 @@ use crate::knn::{
     Neighborhood,
 };
 use crate::parallel::par_map;
-use hics_data::model::{VpNodeData, VpTreeData, VP_NONE};
+use hics_data::model::{VpNodeData, VpTreeData, VpTreeView, VP_NONE};
 use std::ops::Range;
 
 /// Which neighbour-search backend to use.
@@ -151,88 +151,106 @@ impl VpTree {
         k: usize,
         exclude: Option<usize>,
     ) -> Neighborhood {
-        debug_assert_eq!(points.n(), count_objects(&self.data));
-        // No indexed id equals VP_NONE (ids stay below the u32 cap), so it
-        // doubles as "exclude nothing", as does any id past the cap.
-        let exclude = exclude
-            .and_then(|e| u32::try_from(e).ok())
-            .unwrap_or(VP_NONE);
-        let mut scratch = KnnScratch::new(k);
-        scratch.point.extend_from_slice(point);
-        let k_sq = scratch.search(&self.data, &PointRows(points), exclude);
-        debug_assert!(k_sq.is_finite() || point.iter().any(|v| !v.is_finite()));
-        neighborhood_from_members(&mut scratch.cands, k_sq)
-    }
-
-    /// The all-points self-join: every object's k-distance neighbourhood
-    /// among the others (`k` already clamped to `N − 1`), bit-identical to
-    /// one [`VpTree::knn`] per object with that object excluded.
-    ///
-    /// The queries run in the tree's depth-first order (see
-    /// [`VpTree::tree_order`]), so consecutive queries are near each other
-    /// and descend the same paths; the order is cut into `runs` contiguous
-    /// runs (see [`join`]), and every result carries its object id. The
-    /// rows are first packed row-major in traversal layout
-    /// ([`PackedRows`]), so a leaf scan reads contiguous memory.
-    fn knn_all<P: Points>(&self, points: &P, k: usize, runs: usize) -> FlatNeighborhoods {
-        debug_assert_eq!(points.n(), count_objects(&self.data));
-        // A compile-time row length for the subspace sizes the benchmark
-        // workloads select (2 and 3): on 20 such subspaces of 2·10⁴
-        // points it cut the pass by about 10% against the runtime length
-        // (2 vCPUs).
-        match points.dims() {
-            2 => self.join_packed(points, Fixed::<2>, k, runs),
-            3 => self.join_packed(points, Fixed::<3>, k, runs),
-            dims => self.join_packed(points, dims, k, runs),
-        }
-    }
-
-    /// [`VpTree::knn_all`] over rows packed with row length `stride`.
-    fn join_packed<P: Points, S: Stride>(
-        &self,
-        points: &P,
-        stride: S,
-        k: usize,
-        runs: usize,
-    ) -> FlatNeighborhoods {
-        let order = self.tree_order();
-        let rows = PackedRows::pack(points, &self.data, stride);
-        join(
-            order.len(),
-            |t| order[t],
-            k,
-            runs,
-            |scratch, q| {
-                points.gather_into(q as usize, &mut scratch.point);
-                scratch.search(&self.data, &rows, q)
-            },
-        )
-    }
-
-    /// Every indexed object once, in depth-first order: a node's vantage,
-    /// then its inner subtree, then its outer subtree; a leaf's ids in
-    /// storage order.
-    fn tree_order(&self) -> Vec<u32> {
-        fn walk(data: &VpTreeData, node: u32, out: &mut Vec<u32>) {
-            let nd = data.nodes[node as usize];
-            if nd.vantage == VP_NONE {
-                let start = nd.start as usize;
-                out.extend_from_slice(&data.ids[start..start + nd.len as usize]);
-            } else {
-                out.push(nd.vantage);
-                walk(data, nd.inner, out);
-                walk(data, nd.outer, out);
-            }
-        }
-        let mut out = Vec::with_capacity(count_objects(&self.data));
-        walk(&self.data, 0, &mut out);
-        out
+        tree_knn(&self.data.view(), points, point, k, exclude)
     }
 }
 
+/// [`VpTree::knn`] over any tree view — a tree read in place from an
+/// artifact or lent by a [`VpTreeData`].
+fn tree_knn<P: Points>(
+    tree: &VpTreeView<'_>,
+    points: &P,
+    point: &[f64],
+    k: usize,
+    exclude: Option<usize>,
+) -> Neighborhood {
+    debug_assert_eq!(points.n(), count_objects(tree));
+    // No indexed id equals VP_NONE (ids stay below the u32 cap), so it
+    // doubles as "exclude nothing", as does any id past the cap.
+    let exclude = exclude
+        .and_then(|e| u32::try_from(e).ok())
+        .unwrap_or(VP_NONE);
+    let mut scratch = KnnScratch::new(k);
+    scratch.point.extend_from_slice(point);
+    let k_sq = scratch.search(tree, &PointRows(points), exclude);
+    debug_assert!(k_sq.is_finite() || point.iter().any(|v| !v.is_finite()));
+    neighborhood_from_members(&mut scratch.cands, k_sq)
+}
+
+/// The all-points self-join over `tree`: every object's k-distance
+/// neighbourhood among the others (`k` already clamped to `N − 1`),
+/// bit-identical to one [`VpTree::knn`] per object with that object
+/// excluded.
+///
+/// The queries run in the tree's depth-first order (see [`tree_order`]),
+/// so consecutive queries are near each other and descend the same paths;
+/// the order is cut into `runs` contiguous runs (see [`join`]), and every
+/// result carries its object id. The rows are first packed row-major in
+/// traversal layout ([`PackedRows`]), so a leaf scan reads contiguous
+/// memory.
+fn self_join<P: Points>(
+    tree: &VpTreeView<'_>,
+    points: &P,
+    k: usize,
+    runs: usize,
+) -> FlatNeighborhoods {
+    debug_assert_eq!(points.n(), count_objects(tree));
+    // A compile-time row length for the subspace sizes the benchmark
+    // workloads select (2 and 3): on 20 such subspaces of 2·10⁴
+    // points it cut the pass by about 10% against the runtime length
+    // (2 vCPUs).
+    match points.dims() {
+        2 => join_packed(tree, points, Fixed::<2>, k, runs),
+        3 => join_packed(tree, points, Fixed::<3>, k, runs),
+        dims => join_packed(tree, points, dims, k, runs),
+    }
+}
+
+/// [`self_join`] over rows packed with row length `stride`.
+fn join_packed<P: Points, S: Stride>(
+    tree: &VpTreeView<'_>,
+    points: &P,
+    stride: S,
+    k: usize,
+    runs: usize,
+) -> FlatNeighborhoods {
+    let order = tree_order(tree);
+    let rows = PackedRows::pack(points, tree, stride);
+    join(
+        order.len(),
+        |t| order[t],
+        k,
+        runs,
+        |scratch, q| {
+            points.gather_into(q as usize, &mut scratch.point);
+            scratch.search(tree, &rows, q)
+        },
+    )
+}
+
+/// Every indexed object once, in depth-first order: a node's vantage, then
+/// its inner subtree, then its outer subtree; a leaf's ids in storage
+/// order.
+fn tree_order(tree: &VpTreeView<'_>) -> Vec<u32> {
+    fn walk(nodes: &[VpNodeData], ids: &[u32], node: u32, out: &mut Vec<u32>) {
+        let nd = nodes[node as usize];
+        if nd.vantage == VP_NONE {
+            let start = nd.start as usize;
+            out.extend_from_slice(&ids[start..start + nd.len as usize]);
+        } else {
+            out.push(nd.vantage);
+            walk(nodes, ids, nd.inner, out);
+            walk(nodes, ids, nd.outer, out);
+        }
+    }
+    let mut out = Vec::with_capacity(count_objects(tree));
+    walk(&tree.nodes, &tree.ids, 0, &mut out);
+    out
+}
+
 /// Total objects a tree references (vantages + leaf entries).
-fn count_objects(data: &VpTreeData) -> usize {
-    data.ids.len() + data.nodes.iter().filter(|n| n.vantage != VP_NONE).count()
+fn count_objects(tree: &VpTreeView<'_>) -> usize {
+    tree.ids.len() + tree.nodes.iter().filter(|n| n.vantage != VP_NONE).count()
 }
 
 /// Recursive median-split construction over `work[start..start+len]`.
@@ -361,15 +379,15 @@ struct PackedRows<S> {
 }
 
 impl<S: Stride> PackedRows<S> {
-    fn pack<P: Points>(points: &P, tree: &VpTreeData, stride: S) -> Self {
+    fn pack<P: Points>(points: &P, tree: &VpTreeView<'_>, stride: S) -> Self {
         let dims = stride.len();
         debug_assert_eq!(points.dims(), dims);
         let mut leaf = Vec::with_capacity(tree.ids.len() * dims);
-        for &id in &tree.ids {
+        for &id in tree.ids.iter() {
             leaf.extend((0..dims).map(|t| points.coord(id as usize, t)));
         }
         let mut vantage = Vec::with_capacity(tree.nodes.len() * dims);
-        for nd in &tree.nodes {
+        for nd in tree.nodes.iter() {
             if nd.vantage == VP_NONE {
                 vantage.extend(std::iter::repeat_n(0.0, dims));
             } else {
@@ -465,13 +483,14 @@ impl KnnScratch {
     /// reading the indexed rows from `rows` and skipping object `exclude`
     /// (`VP_NONE` skips nothing). Leaves the tied member set in
     /// `self.cands` and returns the squared k-distance.
-    fn search<R: QueryRows>(&mut self, tree: &VpTreeData, rows: &R, exclude: u32) -> f64 {
+    fn search<R: QueryRows>(&mut self, tree: &VpTreeView<'_>, rows: &R, exclude: u32) -> f64 {
         let Self { point, heap, cands } = self;
         heap.clear();
         cands.clear();
         let compact_at = (4 * heap.k).max(64);
         let mut search = Search {
-            tree,
+            nodes: &tree.nodes,
+            ids: &tree.ids,
             rows,
             point,
             exclude,
@@ -489,7 +508,8 @@ impl KnnScratch {
 /// One in-flight kNN traversal — the only one: point queries and the
 /// self-join differ only in where `rows` reads from.
 struct Search<'a, R> {
-    tree: &'a VpTreeData,
+    nodes: &'a [VpNodeData],
+    ids: &'a [u32],
     rows: &'a R,
     point: &'a [f64],
     exclude: u32,
@@ -503,11 +523,11 @@ struct Search<'a, R> {
 
 impl<R: QueryRows> Search<'_, R> {
     fn visit(&mut self, node: u32) {
-        let nd = self.tree.nodes[node as usize];
+        let nd = self.nodes[node as usize];
         if nd.vantage == VP_NONE {
             // Leaf: scan the id range.
             let start = nd.start as usize;
-            let ids = &self.tree.ids[start..start + nd.len as usize];
+            let ids = &self.ids[start..start + nd.len as usize];
             for (slot, &id) in (start..).zip(ids) {
                 if id != self.exclude {
                     let d_sq = self.rows.leaf_sq(self.point, slot, id);
@@ -675,6 +695,14 @@ impl SubspaceIndex {
         }
     }
 
+    /// The tree as a borrowed view (`None` for brute).
+    pub(crate) fn tree(&self) -> Option<VpTreeView<'_>> {
+        match self {
+            SubspaceIndex::Brute => None,
+            SubspaceIndex::VpTree(t) => Some(t.data.view()),
+        }
+    }
+
     /// The k-distance neighbourhood of an external query point — the
     /// backend-dispatched form of [`crate::knn::knn_query_point`], with the
     /// identical contract (tied neighbourhood, `k` clamped to the candidate
@@ -690,25 +718,35 @@ impl SubspaceIndex {
         k: usize,
         exclude: Option<usize>,
     ) -> Neighborhood {
-        match self {
-            SubspaceIndex::Brute => knn_query_point(points, point, k, exclude),
-            SubspaceIndex::VpTree(tree) => {
-                let n = points.n();
-                assert!(k >= 1, "k must be at least 1");
-                assert_eq!(
-                    point.len(),
-                    points.dims(),
-                    "query point arity must match the subspace"
-                );
-                let candidates = n - usize::from(exclude.is_some_and(|e| e < n));
-                assert!(
-                    candidates >= 1,
-                    "query needs at least one candidate neighbour"
-                );
-                tree.knn(points, point, k.min(candidates), exclude)
-            }
-        }
+        knn_point(self.tree().as_ref(), points, point, k, exclude)
     }
+}
+
+/// [`SubspaceIndex::knn_point`] through `tree`, or the brute scan for
+/// `None` — the form the query engine calls with trees read in place.
+pub(crate) fn knn_point<P: Points>(
+    tree: Option<&VpTreeView<'_>>,
+    points: &P,
+    point: &[f64],
+    k: usize,
+    exclude: Option<usize>,
+) -> Neighborhood {
+    let Some(tree) = tree else {
+        return knn_query_point(points, point, k, exclude);
+    };
+    let n = points.n();
+    assert!(k >= 1, "k must be at least 1");
+    assert_eq!(
+        point.len(),
+        points.dims(),
+        "query point arity must match the subspace"
+    );
+    let candidates = n - usize::from(exclude.is_some_and(|e| e < n));
+    assert!(
+        candidates >= 1,
+        "query needs at least one candidate neighbour"
+    );
+    tree_knn(tree, points, point, k.min(candidates), exclude)
 }
 
 /// Computes the k-distance neighbourhood of every object through the given
@@ -725,19 +763,19 @@ pub fn knn_all_indexed<P: Points>(
     k: usize,
     max_threads: usize,
 ) -> Vec<Neighborhood> {
-    knn_all_flat(points, index, k, max_threads).into_neighborhoods()
+    knn_all_flat(points, index.tree().as_ref(), k, max_threads).into_neighborhoods()
 }
 
 /// [`knn_all_indexed`] in flat (CSR) form, without a [`Neighborhood`] per
-/// object: the brute scan in object order, or the VP-tree's tree-order
-/// self-join. The queries are cut into `max_threads` runs whatever the
+/// object: the brute scan in object order (`tree` `None`), or the tree's
+/// tree-order self-join. The queries are cut into `max_threads` runs whatever the
 /// host's core count (see [`join`]); the threads are capped at the cores.
 ///
 /// # Panics
 /// Panics if the point set has fewer than 2 objects or `k == 0`.
 pub(crate) fn knn_all_flat<P: Points>(
     points: &P,
-    index: &SubspaceIndex,
+    tree: Option<&VpTreeView<'_>>,
     k: usize,
     max_threads: usize,
 ) -> FlatNeighborhoods {
@@ -745,16 +783,16 @@ pub(crate) fn knn_all_flat<P: Points>(
     assert!(n >= 2, "kNN requires at least two objects");
     assert!(k >= 1, "k must be at least 1");
     let k = k.min(n - 1);
-    match index {
+    match tree {
         // The brute in-sample path never materialises the query row.
-        SubspaceIndex::Brute => join(
+        None => join(
             n,
             |i| i as u32,
             k,
             max_threads,
             |scratch, q| knn_query_members(points, q as usize, k, &mut scratch.cands),
         ),
-        SubspaceIndex::VpTree(tree) => tree.knn_all(points, k, max_threads),
+        Some(tree) => self_join(tree, points, k, max_threads),
     }
 }
 
@@ -1044,7 +1082,8 @@ mod tests {
             let want = knn_all(&layout, 10, 1);
             for index in [&tree, &SubspaceIndex::Brute] {
                 for runs in [1, 2, 3, 7] {
-                    let got = knn_all_flat(&layout, index, 10, runs).into_neighborhoods();
+                    let got =
+                        knn_all_flat(&layout, index.tree().as_ref(), 10, runs).into_neighborhoods();
                     let what = format!("dims={dims} {:?} runs={runs}", index.kind());
                     assert_bitwise_hoods(&want, &got, &what);
                 }
@@ -1057,7 +1096,7 @@ mod tests {
         for n in [1, 12, 13, 200] {
             let layout = random_layout(n, 2, n as u64);
             let tree = VpTree::build(&layout);
-            let mut order = tree.tree_order();
+            let mut order = tree_order(&tree.as_data().view());
             assert_eq!(order[0], 0, "the root's vantage comes first");
             order.sort_unstable();
             assert_eq!(order, (0..n as u32).collect::<Vec<_>>());

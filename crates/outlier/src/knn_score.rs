@@ -88,7 +88,7 @@ impl KnnScorer {
     pub fn scores(&self, data: &Dataset, dims: &[usize]) -> Vec<f64> {
         let view = SubspaceView::new(data, dims);
         let index = SubspaceIndex::build(&view, self.index);
-        let hoods = knn_all_flat(&view, &index, self.k, self.max_threads);
+        let hoods = knn_all_flat(&view, index.tree().as_ref(), self.k, self.max_threads);
         hoods.map_by_id(|_, _, distances, k_distance| self.kind.score_of(distances, k_distance))
     }
 }

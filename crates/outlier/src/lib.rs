@@ -1,7 +1,8 @@
 //! # hics-outlier — density-based outlier ranking substrate
 //!
 //! * [`distance`] — subspace-restricted Euclidean metrics (the [`Points`]
-//!   seam shared by the borrowed batch view and the owned serving layout).
+//!   seam shared by the borrowed batch view, an owned layout and the
+//!   serving engine's in-place column pages).
 //! * [`index`] — the pluggable per-subspace neighbour-index layer: brute
 //!   scan and VP-tree behind one seam, bit-identical results.
 //! * [`knn`] — brute-force k-distance neighbourhoods with LOF tie handling.
@@ -16,8 +17,9 @@
 //! * [`scorer`] — the pluggable [`scorer::SubspaceScorer`] seam and parallel
 //!   multi-subspace driving.
 //! * [`query`] — query-point scoring against a trained model (the serving
-//!   path: score new points without re-running the search), over owned or
-//!   zero-copy memory-mapped columns, plus [`subspace_hoods`], the one
+//!   path: score new points without re-running the search), reading the
+//!   columns, VP-trees and hoods in place from the model artifact, plus
+//!   [`subspace_hoods`], the one
 //!   computation of per-subspace neighbourhood state (k-distances, LOF
 //!   densities, clamps) that the fit stores in the artifact and older
 //!   artifacts pay at open.

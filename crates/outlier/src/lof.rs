@@ -82,7 +82,12 @@ impl Lof {
     pub fn scores(&self, data: &Dataset, dims: &[usize]) -> Vec<f64> {
         let view = SubspaceView::new(data, dims);
         let index = SubspaceIndex::build(&view, self.params.index);
-        let hoods = knn_all_flat(&view, &index, self.params.k, self.params.max_threads);
+        let hoods = knn_all_flat(
+            &view,
+            index.tree().as_ref(),
+            self.params.k,
+            self.params.max_threads,
+        );
         let k_distance = hoods.map_by_id(|_, _, _, k_distance| k_distance);
         lof_from_flat(&hoods, &lrd_from_flat(&hoods, &k_distance))
     }

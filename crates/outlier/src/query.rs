@@ -4,23 +4,24 @@
 //! The batch pipeline scores the database against itself; serving needs the
 //! inverse: project a **new** point into each of the model's high-contrast
 //! subspaces and compute its density-based outlier score against the trained
-//! columns, without re-running the subspace search. [`QueryEngine`] holds
-//! everything that is derivable once per model load: per-subspace point
-//! layouts (columns gathered once, never re-derived per request), a
-//! per-subspace neighbour index (brute scan or VP-tree — stored trees from a
-//! version-2 or version-4 artifact are reused, otherwise built at load),
-//! the per-subspace neighbourhood state or "hoods" (k-distances, LOF
-//! reachability densities and the non-finite clamp — copied from a
-//! version-4 artifact's hoods section, computed by [`subspace_hoods`]
-//! otherwise), and a hash of the first trained column for `O(1)` in-sample
-//! detection. With the VP-tree a query costs `O(log N)` expected per
-//! subspace instead of the brute `O(N · |S|)` scan.
+//! columns, without re-running the subspace search. [`QueryEngine`] reads
+//! every trained value where the artifact holds it: the columns, a
+//! per-subspace neighbour index (brute scan or VP-tree — the stored trees of
+//! a version-2 or version-4 artifact) and the per-subspace neighbourhood
+//! state or "hoods" (k-distances, LOF reachability densities and the
+//! non-finite clamp of a version-4 artifact). With the VP-tree a query costs
+//! `O(log N)` expected per subspace instead of the brute `O(N · |S|)` scan.
 //!
-//! There is one storage: the engine always reads its trained columns out of
-//! an [`hics_data::ModelArtifact`] — a memory map of the file for every
-//! engine opened from disk ([`QueryEngine::open_mmap`]), the in-memory
-//! encoding of the model for one built from a [`HicsModel`]. Both run the
-//! same code on the same bytes.
+//! There is one storage: the engine always serves out of an
+//! [`hics_data::ModelArtifact`] — a memory map of the file for every engine
+//! opened from disk ([`QueryEngine::open_mmap`]), the in-memory encoding of
+//! the model for one built from a [`HicsModel`] — and borrows its views on
+//! every query instead of copying them at open. Only what the bytes do not
+//! hold is private: trees built at open for a version-1 artifact, hoods
+//! computed at open (by [`subspace_hoods`]'s computation) for versions 1
+//! and 2, and a hash of the first trained column for `O(1)` in-sample
+//! detection. Both kinds of artifact run the same code on the same
+//! bytes.
 //!
 //! **In-sample fidelity:** a query row that coincides bitwise with a
 //! training row is detected and scored with that object excluded from its
@@ -31,13 +32,17 @@
 //! `crates/core/tests/serve_equivalence.rs`).
 
 use crate::aggregate::Aggregation;
-use crate::distance::{Points, SubspaceLayout};
-use crate::index::{knn_all_flat, IndexKind, SubspaceIndex, VpTree};
+use crate::distance::{ColumnPages, Points};
+use crate::index::{knn_all_flat, knn_point, IndexKind, SubspaceIndex, VpTree};
 use crate::knn_score::KnnScoreKind;
 use crate::lof::{lof_from_flat, lof_of_query, lrd_from_flat, lrd_of};
 use crate::parallel::par_map;
-use hics_data::model::{AggregationKind, HicsModel, HoodsData, NormParam, ScorerKind, ScorerSpec};
+use hics_data::model::{
+    AggregationKind, HicsModel, HoodsData, HoodsView, NormParam, ScorerKind, ScorerSpec,
+    VpTreeData, VpTreeView,
+};
 use hics_data::{HicsError, ModelArtifact};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -92,20 +97,31 @@ impl From<QueryError> for HicsError {
     }
 }
 
-/// Per-subspace state derived from the trained columns at engine build time.
+/// A piece of trained state: read in place from the artifact on every
+/// query, or held privately — because the artifact does not hold it (built
+/// or computed at open) or cannot lend it (bytes the in-place cast cannot
+/// read, which never happens on a little-endian host).
+#[derive(Debug, Clone)]
+enum Held<T> {
+    InPlace,
+    Owned(T),
+}
+
+/// Where one subspace's state lives.
 #[derive(Debug, Clone)]
 struct TrainedSubspace {
     /// Attribute indices of the subspace, ascending.
     dims: Vec<usize>,
-    /// The subspace's columns gathered into owned storage once — request
-    /// handling never re-derives a point layout from the full dataset.
-    layout: SubspaceLayout,
-    /// The neighbour index every query in this subspace goes through.
-    index: SubspaceIndex,
+    /// Where each axis's column starts in the columns section
+    /// (`dims[t] · n`).
+    starts: Vec<usize>,
+    /// The VP-tree every query in this subspace goes through; `None` scans
+    /// brute force.
+    tree: Option<Held<VpTreeData>>,
     /// The training objects' k-distances and LOF densities, and the clamp
     /// applied to a non-finite query score (matching
     /// [`crate::aggregate_scores`]).
-    hoods: HoodsData,
+    hoods: Held<HoodsData>,
 }
 
 /// How the engine's neighbour index came to be — surfaced on the serving
@@ -118,8 +134,10 @@ pub struct IndexStats {
     pub from_artifact: bool,
     /// Total index nodes across subspaces (0 for brute).
     pub nodes: usize,
-    /// Wall-clock microseconds spent gathering layouts and building /
-    /// adopting indexes (excludes the neighbourhood precomputation).
+    /// Wall-clock microseconds spent on the indexes at open: building
+    /// trees the artifact does not carry, or locating the stored ones,
+    /// which are read in place (excludes the neighbourhood
+    /// precomputation).
     pub build_micros: u64,
     /// Whether the per-subspace neighbourhood state (k-distances, LOF
     /// densities, clamps) was adopted from the artifact's hoods section
@@ -133,6 +151,9 @@ pub struct IndexStats {
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     artifact: Arc<ModelArtifact>,
+    /// The trained columns, one after another (see
+    /// [`ModelArtifact::columns`]).
+    columns: Held<Vec<f64>>,
     norm: Vec<NormParam>,
     kind: ScorerKind,
     k: usize,
@@ -181,85 +202,104 @@ impl QueryEngine {
         Ok(Self::from_artifact(artifact, index, max_threads))
     }
 
-    /// Builds the engine over an artifact **without** copying the training
-    /// matrix: the order permutations and rank index are never
-    /// materialised, and in-sample candidate checks read through the
-    /// artifact bytes. What *is* copied are the per-subspace point layouts
-    /// (contiguous gathers of each subspace's columns — the serving hot path
-    /// depends on them), so resident memory scales with the attributes the
-    /// subspaces actually touch (HiCS subspaces are 2–5 wide), not with `d`.
-    /// `index` behaves exactly as in [`QueryEngine::from_model_with_index`].
+    /// Builds the engine over an artifact **without** copying its trained
+    /// state: the columns, the stored VP-trees and the stored hoods are
+    /// read in place on every query, through
+    /// [`ModelArtifact::columns`], [`ModelArtifact::tree`] and
+    /// [`ModelArtifact::hoods_view`]; the order permutations and rank index
+    /// are never touched. `index` behaves exactly as in
+    /// [`QueryEngine::from_model_with_index`].
     ///
-    /// A version-4 artifact's hoods are copied out of its hoods section
-    /// (the fit wrote them with [`subspace_hoods`], so they are exactly the
-    /// values computing would produce); older artifacts compute them here
-    /// with up to `max_threads` workers. [`IndexStats::precomputed`] says
-    /// which happened.
+    /// What the artifact does not hold is computed here and held privately:
+    /// the VP-trees of a version-1 artifact opened with
+    /// `Some(IndexKind::VpTree)`, and the hoods of a version-1 or version-2
+    /// artifact (the computation behind [`subspace_hoods`], with up to
+    /// `max_threads` workers, so a stored section holds exactly these
+    /// values). [`IndexStats::precomputed`] says whether the hoods were
+    /// stored.
     pub fn from_artifact(
         artifact: Arc<ModelArtifact>,
         index: Option<IndexKind>,
         max_threads: usize,
     ) -> Self {
         let spec = artifact.scorer();
-        let stored = artifact.index();
-        let chosen = index.unwrap_or(if stored.is_some() {
+        let n = artifact.n();
+        let chosen = index.unwrap_or(if artifact.has_index() {
             IndexKind::VpTree
         } else {
             IndexKind::Brute
         });
-        let build_start = Instant::now();
-        let mut from_artifact = false;
-        let prepared: Vec<(Vec<usize>, SubspaceLayout, SubspaceIndex)> = artifact
+        let columns = match artifact.columns() {
+            Cow::Borrowed(_) => Held::InPlace,
+            Cow::Owned(copy) => Held::Owned(copy),
+        };
+        let pages = match &columns {
+            Held::InPlace => artifact.columns(),
+            Held::Owned(copy) => Cow::Borrowed(&copy[..]),
+        };
+        let starts: Vec<Vec<usize>> = artifact
             .subspaces()
             .iter()
+            .map(|sub| sub.dims.iter().map(|&j| j * n).collect())
+            .collect();
+        let build_start = Instant::now();
+        let trees: Vec<Option<Held<VpTreeData>>> = starts
+            .iter()
             .enumerate()
-            .map(|(s, sub)| {
-                let dims = sub.dims.clone();
-                let layout = SubspaceLayout::from_cols(
-                    dims.iter()
-                        .map(|&j| artifact.column(j).into_owned())
-                        .collect(),
-                );
-                let index = match (chosen, stored) {
-                    (IndexKind::Brute, _) => SubspaceIndex::Brute,
-                    (IndexKind::VpTree, Some(stored)) => {
-                        // The stored tree is the deterministic build over
-                        // these very columns; adopting it skips the
-                        // O(N log N) construction.
-                        from_artifact = true;
-                        SubspaceIndex::VpTree(VpTree::from_data(stored.trees[s].clone()))
-                    }
-                    (IndexKind::VpTree, None) => SubspaceIndex::build(&layout, IndexKind::VpTree),
-                };
-                (dims, layout, index)
+            .map(|(s, starts)| match (chosen, artifact.tree(s)) {
+                (IndexKind::Brute, _) => None,
+                // The stored tree is the deterministic build over these very
+                // columns; reading it skips the O(N log N) construction.
+                (IndexKind::VpTree, Some(stored)) if stored.is_borrowed() => Some(Held::InPlace),
+                (IndexKind::VpTree, Some(stored)) => Some(Held::Owned(stored.into_owned())),
+                (IndexKind::VpTree, None) => {
+                    let points = ColumnPages::new(&pages, n, starts);
+                    Some(Held::Owned(VpTree::build(&points).into_data()))
+                }
             })
             .collect();
-        let index_stats = IndexStats {
-            kind: chosen,
-            from_artifact,
-            nodes: prepared.iter().map(|(_, _, i)| i.node_count()).sum(),
-            build_micros: build_start.elapsed().as_micros() as u64,
-            precomputed: artifact.has_hoods(),
-        };
-        let subspaces = prepared
-            .into_iter()
+        let build_micros = build_start.elapsed().as_micros() as u64;
+        let subspaces: Vec<TrainedSubspace> = artifact
+            .subspaces()
+            .iter()
+            .zip(starts)
+            .zip(trees)
             .enumerate()
-            .map(|(s, (dims, layout, index))| {
-                let hoods = artifact
-                    .hoods(s)
-                    .unwrap_or_else(|| subspace_hoods(&layout, &index, spec, max_threads));
+            .map(|(s, ((sub, starts), tree))| {
+                let hoods = match artifact.hoods_view(s) {
+                    Some(stored) if stored.is_borrowed() => Held::InPlace,
+                    Some(stored) => Held::Owned(stored.into_owned()),
+                    None => {
+                        let points = ColumnPages::new(&pages, n, &starts);
+                        let tree = tree.as_ref().map(|t| held_tree(&artifact, s, t));
+                        Held::Owned(hoods_through(&points, tree.as_ref(), spec, max_threads))
+                    }
+                };
                 TrainedSubspace {
-                    dims,
-                    layout,
-                    index,
+                    dims: sub.dims.clone(),
+                    starts,
+                    tree,
                     hoods,
                 }
             })
             .collect();
-        let mut coincident: HashMap<u64, Vec<u32>> = HashMap::with_capacity(artifact.n());
-        for (i, &v) in artifact.column(0).iter().enumerate() {
+        let index_stats = IndexStats {
+            kind: chosen,
+            from_artifact: chosen == IndexKind::VpTree && artifact.has_index(),
+            nodes: subspaces
+                .iter()
+                .enumerate()
+                .filter_map(|(s, sub)| Some(held_tree(&artifact, s, sub.tree.as_ref()?)))
+                .map(|tree| tree.nodes.len())
+                .sum(),
+            build_micros,
+            precomputed: artifact.has_hoods(),
+        };
+        let mut coincident: HashMap<u64, Vec<u32>> = HashMap::with_capacity(n);
+        for (i, &v) in pages[..n].iter().enumerate() {
             coincident.entry(float_key(v)).or_default().push(i as u32);
         }
+        drop(pages);
         Self {
             norm: artifact.norm_params().to_vec(),
             aggregation: match artifact.aggregation() {
@@ -268,6 +308,7 @@ impl QueryEngine {
             },
             kind: spec.kind,
             k: spec.k as usize,
+            columns,
             subspaces,
             coincident,
             index_stats,
@@ -326,12 +367,15 @@ impl QueryEngine {
             Aggregation::Average => 0.0,
             Aggregation::Max => f64::NEG_INFINITY,
         };
+        let pages = self.pages();
         let mut q_sub: Vec<f64> = Vec::new();
-        for sub in &self.subspaces {
+        for (s, sub) in self.subspaces.iter().enumerate() {
             q_sub.clear();
             q_sub.extend(sub.dims.iter().map(|&j| q[j]));
-            let s = self.score_in_subspace(sub, &q_sub, exclude);
-            let s = if s.is_finite() { s } else { sub.hoods.clamp };
+            let points = ColumnPages::new(&pages, self.n(), &sub.starts);
+            let hoods = self.hoods(s);
+            let s = self.score_in_subspace(s, &points, &hoods, &q_sub, exclude);
+            let s = if s.is_finite() { s } else { hoods.clamp };
             match self.aggregation {
                 Aggregation::Average => acc += s,
                 Aggregation::Max => acc = acc.max(s),
@@ -361,18 +405,41 @@ impl QueryEngine {
         out
     }
 
-    /// The density score of the (already normalised) query in one subspace.
+    /// The trained columns (see [`ModelArtifact::columns`]).
+    fn pages(&self) -> Cow<'_, [f64]> {
+        match &self.columns {
+            Held::InPlace => self.artifact.columns(),
+            Held::Owned(copy) => Cow::Borrowed(copy),
+        }
+    }
+
+    /// Subspace `s`'s hoods.
+    fn hoods(&self, s: usize) -> HoodsView<'_> {
+        match &self.subspaces[s].hoods {
+            Held::InPlace => self.artifact.hoods_view(s).expect("checked at open"),
+            Held::Owned(hoods) => hoods.view(),
+        }
+    }
+
+    /// The density score of the (already normalised) query in subspace `s`,
+    /// whose points and hoods the caller has resolved.
     fn score_in_subspace(
         &self,
-        sub: &TrainedSubspace,
+        s: usize,
+        points: &ColumnPages<'_>,
+        hoods: &HoodsView<'_>,
         q_sub: &[f64],
         exclude: Option<usize>,
     ) -> f64 {
-        let h = sub.index.knn_point(&sub.layout, q_sub, self.k, exclude);
+        let tree = self.subspaces[s]
+            .tree
+            .as_ref()
+            .map(|t| held_tree(&self.artifact, s, t));
+        let h = knn_point(tree.as_ref(), points, q_sub, self.k, exclude);
         match self.kind {
             ScorerKind::Lof => {
-                let lrd_q = lrd_of(&h.neighbors, &h.distances, |o| sub.hoods.k_distance[o]);
-                lof_of_query(&sub.hoods.lrd, &h.neighbors, lrd_q)
+                let lrd_q = lrd_of(&h.neighbors, &h.distances, |o| hoods.k_distance[o]);
+                lof_of_query(&hoods.lrd, &h.neighbors, lrd_q)
             }
             ScorerKind::KnnMean | ScorerKind::KnnKth => knn_stat(self.kind).score(&h),
         }
@@ -411,9 +478,22 @@ fn float_key(v: f64) -> u64 {
     }
 }
 
+/// Subspace `s`'s VP-tree: read in place from `artifact`, or lent by the
+/// engine's own copy.
+fn held_tree<'a>(
+    artifact: &'a ModelArtifact,
+    s: usize,
+    tree: &'a Held<VpTreeData>,
+) -> VpTreeView<'a> {
+    match tree {
+        Held::InPlace => artifact.tree(s).expect("checked at open"),
+        Held::Owned(tree) => tree.view(),
+    }
+}
+
 /// Computes one subspace's neighbourhood state over its trained points
 /// (any [`Points`]: the fit passes a borrowed [`crate::SubspaceView`], the
-/// engine its owned [`SubspaceLayout`]; the distances are bit-identical):
+/// engine its in-place column pages; the distances are bit-identical):
 /// the all-points kNN pass through `index` (up to `max_threads` workers),
 /// every object's k-distance, the LOF reachability densities (LOF only)
 /// and the non-finite clamp — the largest finite training score.
@@ -434,7 +514,17 @@ pub fn subspace_hoods<P: Points>(
     scorer: ScorerSpec,
     max_threads: usize,
 ) -> HoodsData {
-    let hoods = knn_all_flat(points, index, scorer.k as usize, max_threads);
+    hoods_through(points, index.tree().as_ref(), scorer, max_threads)
+}
+
+/// [`subspace_hoods`] through `tree`, or the brute scan for `None`.
+fn hoods_through<P: Points>(
+    points: &P,
+    tree: Option<&VpTreeView<'_>>,
+    scorer: ScorerSpec,
+    max_threads: usize,
+) -> HoodsData {
+    let hoods = knn_all_flat(points, tree, scorer.k as usize, max_threads);
     let k_distance = hoods.map_by_id(|_, _, _, k_distance| k_distance);
     let (lrd, batch_scores) = match scorer.kind {
         ScorerKind::Lof => {
@@ -484,6 +574,7 @@ fn finite_clamp(scores: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::aggregate::aggregate_scores;
+    use crate::distance::SubspaceLayout;
     use crate::lof::Lof;
     use crate::scorer::score_subspaces;
     use hics_data::model::{apply_normalization, ModelSubspace, NormKind, ScorerSpec};
@@ -653,7 +744,9 @@ mod tests {
 
     /// The engine's per-subspace hoods, for bitwise comparison.
     fn engine_hoods(engine: &QueryEngine) -> Vec<HoodsData> {
-        engine.subspaces.iter().map(|s| s.hoods.clone()).collect()
+        (0..engine.subspace_count())
+            .map(|s| engine.hoods(s).into_owned())
+            .collect()
     }
 
     /// The hoods section round-trips bit for bit for every scorer kind —
@@ -775,6 +868,76 @@ mod tests {
         assert!(stored.lrd.contains(&0.0));
         let back = HicsModel::from_bytes(&model.to_bytes()).expect("reloads");
         assert_eq!(back.hoods(), model.hoods());
+    }
+
+    /// Whether `part` lies inside `whole`'s memory.
+    fn lies_in<T>(part: &[T], whole: &[u8]) -> bool {
+        let (start, end) = (
+            part.as_ptr() as usize,
+            part.as_ptr() as usize + size_of_val(part),
+        );
+        let range = whole.as_ptr_range();
+        start >= range.start as usize && end <= range.end as usize
+    }
+
+    /// Over a version-4 artifact with trees, every column, tree node, leaf
+    /// id and hoods value a query reads lies inside the artifact's bytes:
+    /// the engine holds no copy of them.
+    #[test]
+    fn v4_engine_reads_every_trained_value_in_place() {
+        for kind in [ScorerKind::Lof, ScorerKind::KnnMean] {
+            let (model, g) = model_with(kind, NormKind::MinMax, AggregationKind::Average);
+            let mut model = with_hoods(model, IndexKind::VpTree);
+            let trees = model
+                .subspaces()
+                .iter()
+                .map(|s| {
+                    VpTree::build(&SubspaceLayout::gather(model.dataset(), &s.dims)).into_data()
+                })
+                .collect();
+            model.set_index(Some(hics_data::model::ModelIndex { trees }));
+            let engine = QueryEngine::from_model(&model, 2);
+            let bytes = engine.artifact.bytes();
+            assert_eq!(engine.artifact.version(), 4);
+            assert!(matches!(engine.columns, Held::InPlace));
+            assert!(lies_in(&engine.pages(), bytes));
+            for (s, sub) in engine.subspaces.iter().enumerate() {
+                let Some(held @ Held::InPlace) = &sub.tree else {
+                    panic!("{kind:?} subspace {s}: tree not read in place");
+                };
+                let tree = held_tree(&engine.artifact, s, held);
+                assert!(lies_in(&tree.nodes, bytes) && lies_in(&tree.ids, bytes));
+                assert!(matches!(sub.hoods, Held::InPlace), "{kind:?} subspace {s}");
+                let hoods = engine.hoods(s);
+                assert!(lies_in(&hoods.k_distance, bytes) && lies_in(&hoods.lrd, bytes));
+                assert_eq!(hoods.lrd.is_empty(), kind != ScorerKind::Lof);
+            }
+            let reference = QueryEngine::from_model(&model, 2);
+            for i in (0..g.dataset.n()).step_by(17) {
+                let row = g.dataset.row(i);
+                assert_eq!(engine.score(&row), reference.score(&row));
+            }
+        }
+    }
+
+    /// A version-1 artifact opened with the VP-tree holds the trees it
+    /// built and the hoods it computed; only the columns stay in place.
+    #[test]
+    fn v1_engine_holds_what_it_built() {
+        let (model, _) = model_with(ScorerKind::Lof, NormKind::None, AggregationKind::Average);
+        let artifact = Arc::new(ModelArtifact::from_bytes(&model.to_bytes()).expect("valid"));
+        assert_eq!(artifact.version(), 1);
+        let engine = QueryEngine::from_artifact(artifact, Some(IndexKind::VpTree), 2);
+        assert!(matches!(engine.columns, Held::InPlace));
+        for (s, sub) in engine.subspaces.iter().enumerate() {
+            let Some(Held::Owned(tree)) = &sub.tree else {
+                panic!("subspace {s}: the built tree is not held");
+            };
+            let want = VpTree::build(&SubspaceLayout::gather(model.dataset(), &sub.dims));
+            assert_eq!(tree, want.as_data(), "subspace {s}");
+            assert!(matches!(sub.hoods, Held::Owned(_)), "subspace {s}");
+        }
+        assert!(!engine.index_stats().from_artifact && !engine.index_stats().precomputed);
     }
 
     #[test]

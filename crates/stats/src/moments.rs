@@ -41,27 +41,6 @@ impl Moments {
         self.m2 += term1;
     }
 
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Moments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let na = self.n as f64;
-        let nb = other.n as f64;
-        let n = na + nb;
-        let delta = other.mean - self.mean;
-        let delta2 = delta * delta;
-        let mean = self.mean + delta * nb / n;
-        let m2 = self.m2 + other.m2 + delta2 * na * nb / n;
-        self.n += other.n;
-        self.mean = mean;
-        self.m2 = m2;
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -93,11 +72,6 @@ impl Moments {
         } else {
             self.m2 / self.n as f64
         }
-    }
-
-    /// Sample standard deviation.
-    pub fn sd(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// An accumulator from its parts: `n` observations with running mean
@@ -159,31 +133,6 @@ mod tests {
         let naive_mean = vals.iter().sum::<f64>() / vals.len() as f64;
         assert!((m.mean() - naive_mean).abs() < 1e-3);
         assert!(m.variance() > 0.0 && m.variance() < 10.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let a: Vec<f64> = (0..50).map(|i| (i as f64).sin()).collect();
-        let b: Vec<f64> = (0..80).map(|i| (i as f64 * 0.7).cos() * 3.0).collect();
-        let mut merged = Moments::from_slice(&a);
-        merged.merge(&Moments::from_slice(&b));
-        let mut all = a.clone();
-        all.extend_from_slice(&b);
-        let seq = Moments::from_slice(&all);
-        assert_eq!(merged.count(), seq.count());
-        assert!((merged.mean() - seq.mean()).abs() < 1e-10);
-        assert!((merged.variance() - seq.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut m = Moments::from_slice(&[1.0, 2.0, 3.0]);
-        let before = m;
-        m.merge(&Moments::new());
-        assert_eq!(m, before);
-        let mut e = Moments::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]
