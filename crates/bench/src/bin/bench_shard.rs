@@ -241,9 +241,9 @@ fn main() {
     lat_ms.sort_by(f64::total_cmp);
     let (p50, p99) = (percentile(&lat_ms, 0.50), percentile(&lat_ms, 0.99));
     let t = Instant::now();
-    let results = engine.score_batch(&queries, threads);
+    let batch = engine.score_batch(&queries, threads);
     let batch_s = t.elapsed().as_secs_f64();
-    assert!(results.iter().all(|r| r.is_ok()));
+    assert!(batch.results.iter().all(|r| r.is_ok()));
     let qps = queries.len() as f64 / batch_s;
     eprintln!("  p50 {p50:.2} ms / p99 {p99:.2} ms per query, {qps:.0} queries/s batched");
 

@@ -268,7 +268,7 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
     let d: usize = args.get_or("d", 10)?;
     let seed: u64 = args.get_or("seed", 0)?;
     let out = args.require("out")?;
-    let g = SyntheticConfig::new(n, d).with_seed(seed).generate();
+    let g = SyntheticConfig::checked(n, d)?.with_seed(seed).generate();
     write_csv_file(Path::new(out), &g.dataset, Some(&g.labels))
         .map_err(|e| HicsError::io(format!("writing {out}"), e))?;
     println!(

@@ -28,6 +28,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::dataset::Dataset;
+use crate::error::HicsError;
 use crate::rng_util::{gauss_with, sample_indices};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,10 +79,20 @@ pub struct SyntheticConfig {
 
 impl SyntheticConfig {
     /// A paper-like configuration for `n` objects and `d` attributes.
+    /// Panics where [`SyntheticConfig::checked`] fails.
     pub fn new(n: usize, d: usize) -> Self {
-        assert!(n >= 50, "need at least 50 objects, got {n}");
-        assert!(d >= 2, "need at least 2 attributes, got {d}");
-        Self {
+        Self::checked(n, d).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`SyntheticConfig::new`], or an input error naming the bounds when
+    /// `n < 50` or `d < 2`.
+    pub fn checked(n: usize, d: usize) -> Result<Self, HicsError> {
+        if n < 50 || d < 2 {
+            return Err(HicsError::InvalidInput(format!(
+                "a synthetic dataset needs at least 50 objects and 2 attributes, got {n} x {d}"
+            )));
+        }
+        Ok(Self {
             n,
             d,
             outliers_per_subspace: 5,
@@ -91,7 +102,7 @@ impl SyntheticConfig {
             outlier_separation: 5.0,
             noise_dims: 0,
             seed: 0,
-        }
+        })
     }
 
     /// Sets the RNG seed (builder style).
@@ -279,6 +290,24 @@ mod tests {
         assert_eq!(g.dataset.n(), 300);
         assert_eq!(g.dataset.d(), 10);
         assert_eq!(g.labels.len(), 300);
+    }
+
+    #[test]
+    fn checked_names_the_bounds_instead_of_panicking() {
+        for (n, d) in [(49, 4), (60, 1)] {
+            match SyntheticConfig::checked(n, d) {
+                Err(e @ HicsError::InvalidInput(_)) => {
+                    let msg = e.to_string();
+                    assert!(
+                        msg.contains("50 objects") && msg.contains("2 attributes"),
+                        "{msg}"
+                    );
+                    assert_eq!(e.exit_code(), 2);
+                }
+                other => panic!("{n} x {d}: expected an input error, got {other:?}"),
+            }
+        }
+        assert_eq!(SyntheticConfig::checked(50, 2).unwrap().n, 50);
     }
 
     #[test]

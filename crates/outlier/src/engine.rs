@@ -12,6 +12,12 @@
 //! `/v2/score`, `/admin/reload` — without those layers knowing how many
 //! artifacts sit behind a query.
 //!
+//! A batch has one scoring path: [`Engine::score_batch_partial`] hands
+//! back a [`ScoredBatch`] — the per-row scores plus each in-process
+//! shard's wall-clock scoring time — so the caller that scored the batch
+//! is the one that measures it; nothing here reports to process-wide
+//! state.
+//!
 //! Opening is cheap for a version-4 artifact: its neighbourhood state (the
 //! hoods) was computed at fit time and rides in the artifact, so the open
 //! copies it instead of running the all-points kNN pass that older
@@ -35,6 +41,20 @@ pub struct RemoteBatch {
     /// True when at least one shard was skipped (evicted or failing)
     /// and the fold ran over the survivors only.
     pub partial: bool,
+}
+
+/// One batch scored by an [`Engine`]: per-row results, the degraded-fold
+/// flag of a remote engine, and each in-process shard's scoring time.
+#[derive(Debug, Clone)]
+pub struct ScoredBatch {
+    /// One result per input row, in input order.
+    pub results: Vec<Result<f64, QueryError>>,
+    /// True when a remote engine folded over a partial shard set.
+    /// In-process engines are never partial.
+    pub partial: bool,
+    /// Wall-clock nanoseconds each in-process shard took to score the
+    /// whole batch, in shard order. Empty for a remote engine.
+    pub shard_nanos: Vec<u64>,
 }
 
 /// A scoring engine whose shards live in other processes — the seam the
@@ -107,25 +127,13 @@ impl Engine {
 
     /// Scores one raw query row. Higher is more outlying.
     pub fn score(&self, raw: &[f64]) -> Result<f64, QueryError> {
-        self.score_partial(raw).0
-    }
-
-    /// Scores one raw query row and reports whether a remote engine
-    /// served it degraded (folded over a partial shard set). In-process
-    /// engines are never partial.
-    pub fn score_partial(&self, raw: &[f64]) -> (Result<f64, QueryError>, bool) {
         match self {
-            Engine::Sharded(e) => (e.score(raw), false),
-            Engine::Remote(r) => {
-                let mut batch = r.score_rows(std::slice::from_ref(&raw.to_vec()));
-                match batch.results.pop() {
-                    Some(result) => (result, batch.partial),
-                    None => (
-                        Err(QueryError::Upstream("router returned no result".into())),
-                        batch.partial,
-                    ),
-                }
-            }
+            Engine::Sharded(e) => e.score(raw),
+            Engine::Remote(r) => r
+                .score_rows(std::slice::from_ref(&raw.to_vec()))
+                .results
+                .pop()
+                .unwrap_or_else(|| Err(QueryError::Upstream("router returned no result".into()))),
         }
     }
 
@@ -135,21 +143,22 @@ impl Engine {
         rows: &[Vec<f64>],
         max_threads: usize,
     ) -> Vec<Result<f64, QueryError>> {
-        self.score_batch_partial(rows, max_threads).0
+        self.score_batch_partial(rows, max_threads).results
     }
 
     /// Scores a batch and reports whether a remote engine served it
-    /// degraded. In-process engines are never partial.
-    pub fn score_batch_partial(
-        &self,
-        rows: &[Vec<f64>],
-        max_threads: usize,
-    ) -> (Vec<Result<f64, QueryError>>, bool) {
+    /// degraded, plus each in-process shard's scoring time (see
+    /// [`ShardedEngine::score_batch`]).
+    pub fn score_batch_partial(&self, rows: &[Vec<f64>], max_threads: usize) -> ScoredBatch {
         match self {
-            Engine::Sharded(e) => (e.score_batch(rows, max_threads), false),
+            Engine::Sharded(e) => e.score_batch(rows, max_threads),
             Engine::Remote(r) => {
                 let batch = r.score_rows(rows);
-                (batch.results, batch.partial)
+                ScoredBatch {
+                    results: batch.results,
+                    partial: batch.partial,
+                    shard_nanos: Vec::new(),
+                }
             }
         }
     }

@@ -8,9 +8,6 @@
 //! * [`knn`] — brute-force k-distance neighbourhoods with LOF tie handling.
 //! * [`lof`] — the Local Outlier Factor (Breunig et al. 2000), from scratch.
 //! * [`knn_score`] — kNN-distance scores (ORCA-flavoured future-work scorer).
-//! * [`metrics`] — the embedder-installed [`metrics::ScoreRecorder`] hook:
-//!   per-shard score latency and neighbour-index traffic, reported at batch
-//!   granularity so the uninstrumented path stays hot.
 //! * [`aggregate`] — Definition 1 score aggregation (average / max).
 //! * [`ensemble`] — the pinned mean|max ensemble fold shared bit-for-bit
 //!   by the in-process [`ShardedEngine`] and the `hics route` tier.
@@ -27,7 +24,8 @@
 //!   every shard of a sharded fit, scores mean/max-combined.
 //! * [`engine`] — the [`Engine`] seam (single model | shard ensemble) the
 //!   serving layer and CLI are written against, with the path-sniffing
-//!   mmap opener.
+//!   mmap opener; a batch comes back as a [`ScoredBatch`] carrying each
+//!   shard's scoring time for the caller to record.
 //! * [`handle`] — the atomically swappable [`EngineHandle`] behind hot
 //!   model reload, with a bounded LRU of retired generations so repeated
 //!   reloads eventually unmap dropped artifacts.
@@ -44,7 +42,6 @@ pub mod index;
 pub mod knn;
 pub mod knn_score;
 pub mod lof;
-pub mod metrics;
 pub mod parallel;
 pub mod query;
 pub mod scorer;
@@ -52,14 +49,13 @@ pub mod sharded;
 
 pub use aggregate::{aggregate_scores, Aggregation};
 pub use distance::{Points, SubspaceLayout, SubspaceView};
-pub use engine::{Engine, RemoteBatch, RemoteEngine};
+pub use engine::{Engine, RemoteBatch, RemoteEngine, ScoredBatch};
 pub use ensemble::{fold, Fold};
 pub use handle::EngineHandle;
 pub use index::{knn_all_indexed, IndexKind, SubspaceIndex, VpTree};
 pub use knn::{knn_all, knn_query_point, Neighborhood};
 pub use knn_score::{KnnScoreKind, KnnScorer};
 pub use lof::{lof_from_neighborhoods, lrd_from_neighborhoods, Lof, LofParams};
-pub use metrics::{install_recorder, ScoreRecorder};
 pub use query::{subspace_hoods, IndexStats, QueryEngine, QueryError};
 pub use scorer::{score_and_aggregate, score_subspaces, SubspaceScorer};
 pub use sharded::ShardedEngine;

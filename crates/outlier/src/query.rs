@@ -36,7 +36,6 @@ use crate::distance::{ColumnPages, Points};
 use crate::index::{knn_all_flat, knn_point, IndexKind, SubspaceIndex, VpTree};
 use crate::knn_score::KnnScoreKind;
 use crate::lof::{lof_from_flat, lof_of_query, lrd_from_flat, lrd_of};
-use crate::parallel::par_map;
 use hics_data::model::{
     AggregationKind, HicsModel, HoodsData, HoodsView, NormParam, ScorerKind, ScorerSpec,
     VpTreeData, VpTreeView,
@@ -387,24 +386,6 @@ impl QueryEngine {
         Ok(acc)
     }
 
-    /// Scores a batch of raw query rows in parallel.
-    pub fn score_batch(
-        &self,
-        rows: &[Vec<f64>],
-        max_threads: usize,
-    ) -> Vec<Result<f64, QueryError>> {
-        // The recorder is consulted once per batch, never per row: the
-        // uninstrumented path pays one RwLock read for the whole batch.
-        let recorder = crate::metrics::recorder();
-        let start = recorder.as_ref().map(|_| std::time::Instant::now());
-        let out = par_map(rows.len(), max_threads, |i| self.score(&rows[i]));
-        if let (Some(rec), Some(start)) = (recorder, start) {
-            rec.shard_scored(0, rows.len(), start.elapsed().as_nanos() as u64);
-            rec.index_queries((rows.len() * self.subspaces.len()) as u64);
-        }
-        out
-    }
-
     /// The trained columns (see [`ModelArtifact::columns`]).
     fn pages(&self) -> Cow<'_, [f64]> {
         match &self.columns {
@@ -682,9 +663,13 @@ mod tests {
         );
         let engine = QueryEngine::from_model(&model, 2);
         let rows: Vec<Vec<f64>> = (0..20).map(|i| g.dataset.row(i)).collect();
-        let batch = engine.score_batch(&rows, 4);
+        let batch = crate::Engine::from(engine.clone()).score_batch(&rows, 4);
         for (i, row) in rows.iter().enumerate() {
-            assert_eq!(batch[i], engine.score(row));
+            assert_eq!(
+                batch[i].as_ref().map(|s| s.to_bits()),
+                engine.score(row).as_ref().map(|s| s.to_bits()),
+                "row {i}"
+            );
         }
     }
 

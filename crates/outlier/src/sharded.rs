@@ -26,6 +26,7 @@
 //! the two coincide exactly (one shard holds every row — asserted by the
 //! shard-equivalence tests in `hics-core`).
 
+use crate::engine::ScoredBatch;
 use crate::ensemble::Fold;
 use crate::index::IndexKind;
 use crate::parallel::par_map;
@@ -33,6 +34,7 @@ use crate::query::{IndexStats, QueryEngine, QueryError};
 use hics_data::manifest::{ShardAggregation, ShardManifest};
 use hics_data::HicsError;
 use std::path::Path;
+use std::time::Instant;
 
 /// `S` per-shard query engines behind one scoring interface.
 #[derive(Debug)]
@@ -158,51 +160,38 @@ impl ShardedEngine {
         Ok(acc.finish())
     }
 
-    /// Scores a batch of raw query rows in parallel (rows fan out across
-    /// threads; each row visits every shard). With a
-    /// [`crate::metrics::ScoreRecorder`] installed the batch runs
-    /// shard-major so each shard's wall time is measurable — the per-row
-    /// fold order is preserved, so results are bit-identical either way.
-    pub fn score_batch(
-        &self,
-        rows: &[Vec<f64>],
-        max_threads: usize,
-    ) -> Vec<Result<f64, QueryError>> {
-        match crate::metrics::recorder() {
-            None => par_map(rows.len(), max_threads, |i| self.score(&rows[i])),
-            Some(rec) => self.score_batch_recorded(rows, max_threads, &*rec),
-        }
-    }
-
-    /// Shard-major batch scoring: every shard scores the whole batch (one
-    /// timed pass per shard), then each row folds its per-shard scores in
-    /// shard order — the same accumulation order as [`ShardedEngine::score`].
-    fn score_batch_recorded(
-        &self,
-        rows: &[Vec<f64>],
-        max_threads: usize,
-        rec: &dyn crate::metrics::ScoreRecorder,
-    ) -> Vec<Result<f64, QueryError>> {
-        let mut per_shard: Vec<Vec<Result<f64, QueryError>>> =
-            Vec::with_capacity(self.shards.len());
-        for (k, shard) in self.shards.iter().enumerate() {
-            let start = std::time::Instant::now();
-            per_shard.push(par_map(rows.len(), max_threads, |i| shard.score(&rows[i])));
-            rec.shard_scored(k, rows.len(), start.elapsed().as_nanos() as u64);
-            rec.index_queries((rows.len() * shard.subspace_count()) as u64);
-        }
-        (0..rows.len())
+    /// Scores a batch of raw query rows shard-major: every shard scores the
+    /// whole batch in parallel (rows fan out across threads) under its own
+    /// wall clock, then each row folds its per-shard scores in shard order —
+    /// the accumulation order of [`ShardedEngine::score`], so every result
+    /// is bit-identical to scoring the row alone. The batch carries one
+    /// timing per shard.
+    pub fn score_batch(&self, rows: &[Vec<f64>], max_threads: usize) -> ScoredBatch {
+        let mut shard_nanos = Vec::with_capacity(self.shards.len());
+        let per_shard: Vec<Vec<Result<f64, QueryError>>> = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let start = Instant::now();
+                let scores = par_map(rows.len(), max_threads, |i| shard.score(&rows[i]));
+                shard_nanos.push(start.elapsed().as_nanos() as u64);
+                scores
+            })
+            .collect();
+        let results = (0..rows.len())
             .map(|i| {
                 let mut acc = Fold::new(self.aggregation);
                 for scores in &per_shard {
-                    match &scores[i] {
-                        Ok(s) => acc.push(*s),
-                        Err(e) => return Err(e.clone()),
-                    }
+                    acc.push(scores[i].clone()?);
                 }
                 Ok(acc.finish())
             })
-            .collect()
+            .collect();
+        ScoredBatch {
+            results,
+            partial: false,
+            shard_nanos,
+        }
     }
 }
 
@@ -216,7 +205,6 @@ mod tests {
     };
     use hics_data::{Dataset, SyntheticConfig};
     use std::path::PathBuf;
-    use std::sync::{Arc, Mutex};
 
     fn shard_model(seed: u64, n: usize) -> HicsModel {
         let g = SyntheticConfig::new(n, 3).with_seed(seed).generate();
@@ -299,38 +287,34 @@ mod tests {
         let engine = ShardedEngine::open(&path, None, 2).expect("open");
         let rows = vec![vec![0.1, 0.2, 0.3], vec![0.9, 0.8, 0.7]];
         let batch = engine.score_batch(&rows, 2);
-        for (row, got) in rows.iter().zip(&batch) {
+        for (row, got) in rows.iter().zip(&batch.results) {
             assert_eq!(*got, engine.score(row));
         }
         assert!(engine.score(&[1.0]).is_err(), "wrong arity must fail");
         assert!(engine.score(&[1.0, f64::NAN, 0.0]).is_err());
     }
 
-    /// The shard-major recorded path must be bit-identical to the row-major
-    /// fold — same scores, same error for bad rows.
+    /// `batch` holds, bit for bit, what scoring each row alone gives.
+    fn assert_bitwise(batch: &[Result<f64, QueryError>], want: &[Result<f64, QueryError>]) {
+        assert_eq!(batch.len(), want.len());
+        for (i, (got, want)) in batch.iter().zip(want).enumerate() {
+            match (got, want) {
+                (Ok(g), Ok(w)) => assert_eq!(g.to_bits(), w.to_bits(), "row {i}"),
+                _ => assert_eq!(got, want, "row {i}"),
+            }
+        }
+    }
+
+    /// The shard-major batch is bit-identical to the per-row fold under
+    /// either aggregation — same scores, same error for a bad row — and
+    /// times every shard once.
     #[test]
-    fn recorded_batch_is_bit_identical_to_plain_fold() {
-        use crate::metrics::ScoreRecorder;
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        struct Tally {
-            rows: AtomicU64,
-            queries: AtomicU64,
-        }
-        impl ScoreRecorder for Tally {
-            fn shard_scored(&self, _shard: usize, rows: usize, _nanos: u64) {
-                self.rows.fetch_add(rows as u64, Ordering::Relaxed);
-            }
-            fn index_queries(&self, n: u64) {
-                self.queries.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-
+    fn batch_is_bit_identical_to_per_row_score() {
         for aggregation in [ShardAggregation::Mean, ShardAggregation::Max] {
             let (path, _) = write_ensemble(
                 match aggregation {
-                    ShardAggregation::Mean => "recorded-mean",
-                    ShardAggregation::Max => "recorded-max",
+                    ShardAggregation::Mean => "batch-mean",
+                    ShardAggregation::Max => "batch-max",
                 },
                 aggregation,
             );
@@ -342,19 +326,14 @@ mod tests {
                 vec![5.0, 5.0, 5.0],
             ];
             let plain: Vec<_> = rows.iter().map(|r| engine.score(r)).collect();
-            let tally = Arc::new(Tally {
-                rows: AtomicU64::new(0),
-                queries: AtomicU64::new(0),
-            });
-            let recorded = engine.score_batch_recorded(&rows, 2, &*tally);
-            assert_eq!(recorded, plain, "{aggregation:?}");
+            assert!(plain[2].is_err(), "the NaN row fails");
+            let batch = engine.score_batch(&rows, 2);
+            assert_bitwise(&batch.results, &plain);
+            assert!(!batch.partial);
             assert_eq!(
-                tally.rows.load(Ordering::Relaxed),
-                (rows.len() * engine.shard_count()) as u64
-            );
-            assert_eq!(
-                tally.queries.load(Ordering::Relaxed),
-                (rows.len() * engine.subspace_count()) as u64
+                batch.shard_nanos.len(),
+                engine.shard_count(),
+                "{aggregation:?}"
             );
         }
     }
@@ -427,40 +406,21 @@ mod tests {
         }
     }
 
-    /// The recorded (shard-major) batch path of a one-shard engine reports
-    /// exactly what a single model's batch reports: one
-    /// `shard_scored(0, rows, _)` and `rows × subspaces` index queries.
+    /// The batch of a one-shard engine is its single model's per-row
+    /// scores, bit for bit, with one shard timing — what a server records
+    /// as shard `0` — and the model's subspace count for its index-query
+    /// counter.
     #[test]
-    fn one_shard_recorded_batch_reports_like_a_single_model() {
-        use crate::metrics::ScoreRecorder;
-
-        #[derive(Default)]
-        struct Log {
-            scored: Mutex<Vec<(usize, usize)>>,
-            queries: Mutex<Vec<u64>>,
-        }
-        impl ScoreRecorder for Log {
-            fn shard_scored(&self, shard: usize, rows: usize, _nanos: u64) {
-                self.scored.lock().unwrap().push((shard, rows));
-            }
-            fn index_queries(&self, n: u64) {
-                self.queries.lock().unwrap().push(n);
-            }
-        }
-
+    fn one_shard_batch_reports_like_a_single_model() {
         let model = model_with_duplicates(ScorerKind::Lof, AggregationKind::Average);
         let single = QueryEngine::from_model(&model, 2);
         let engine = ShardedEngine::single(single.clone());
         let rows: Vec<Vec<f64>> = (0..7).map(|i| model.dataset().row(i)).collect();
-        let log = Arc::new(Log::default());
-        let recorded = engine.score_batch_recorded(&rows, 2, &*log);
+        let batch = engine.score_batch(&rows, 2);
         let plain: Vec<_> = rows.iter().map(|r| single.score(r)).collect();
-        assert_eq!(recorded, plain);
-        assert_eq!(*log.scored.lock().unwrap(), vec![(0, rows.len())]);
-        assert_eq!(
-            *log.queries.lock().unwrap(),
-            vec![(rows.len() * single.subspace_count()) as u64]
-        );
+        assert_bitwise(&batch.results, &plain);
+        assert_eq!(batch.shard_nanos.len(), 1);
+        assert_eq!(engine.subspace_count(), single.subspace_count());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! callers and tests). A small pool of batch workers drains the queue:
 //! whatever jobs have accumulated while the previous batch was scoring are
 //! coalesced — up to `max_batch` rows — and scored in one
-//! [`hics_outlier::QueryEngine::score_batch`] call, which fans the rows out
-//! over the engine's worker threads. Under load this amortises thread
+//! [`hics_outlier::Engine::score_batch_partial`] call, which fans the rows
+//! out over the engine's worker threads. Under load this amortises thread
 //! fan-out and keeps all cores on one contiguous batch instead of
 //! interleaving many tiny requests; when idle, a lone request is scored
 //! immediately (workers sleep on a condvar, no polling).
@@ -24,14 +24,17 @@
 //! legacy power-of-two `/stats` buckets re-bin exactly), how long its jobs
 //! waited in the queue, and how long scoring itself took — the queue-wait
 //! vs score-time split that tells a deployment whether `--batch-wait-us`
-//! is buying depth or just adding latency.
+//! is buying depth or just adding latency. The worker also records each
+//! shard's scoring time and rows, as the engine hands them back, and an
+//! in-process engine's index queries — into the registry of the server
+//! that scored the batch, the one place a batch is scored and measured.
 //!
 //! Workers resolve the engine through a shared [`EngineHandle`] **once per
 //! batch**, so a hot reload takes effect at the next batch boundary while
 //! the batch in flight finishes consistently against the model it started
 //! with.
 
-use hics_obs::{Counter, Histogram, Registry};
+use hics_obs::{Counter, Histogram, Registry, TraceContext};
 use hics_outlier::{EngineHandle, QueryError};
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -61,10 +64,10 @@ struct Job {
     rows: Vec<Vec<f64>>,
     enqueued: Instant,
     reply: Box<dyn FnOnce(BatchReply) + Send>,
-    /// Trace context captured from the submitting thread so a remote
-    /// engine's fan-out can parent its spans under the originating request
-    /// even though scoring happens on a batch-worker thread.
-    trace: Option<hics_obs::TraceContext>,
+    /// The submitting request's trace context, so a remote engine's
+    /// fan-out can parent its spans under the originating request even
+    /// though scoring happens on a batch-worker thread.
+    trace: Option<TraceContext>,
 }
 
 /// Upper bounds of the legacy `/stats` batch-size buckets (rows per
@@ -80,9 +83,10 @@ const LATENCY_SUB_BITS: u32 = 5;
 const LATENCY_MAX_NS: u64 = 1 << 36;
 const NANOS_TO_SECONDS: f64 = 1e-9;
 
-/// The batcher's instruments — [`hics_obs`] counters and histograms, either
-/// free-standing ([`BatchStats::default`]) or registered into a server's
-/// shared registry so `/stats` and `/metrics` read the same atomics.
+/// The batcher's instruments — [`hics_obs`] counters and histograms
+/// registered into a server's shared registry so `/stats` and `/metrics`
+/// read the same atomics ([`BatchStats::default`] registers them into a
+/// private one).
 #[derive(Debug)]
 pub struct BatchStats {
     /// Scoring requests accepted.
@@ -100,28 +104,25 @@ pub struct BatchStats {
     pub score_time: Arc<Histogram>,
     /// Rows per executed batch.
     pub batch_size: Arc<Histogram>,
+    /// Neighbour-index point queries: one per subspace per row an
+    /// in-process engine scored.
+    pub index_queries: Arc<Counter>,
+    /// The registry the per-shard families are created in on first use.
+    registry: Arc<Registry>,
 }
 
 impl Default for BatchStats {
-    /// Free-standing instruments, not attached to any registry — for
-    /// embedders that use [`Batcher::start`] directly.
+    /// The instruments over a private registry — for embedders that use
+    /// [`Batcher::start`] directly.
     fn default() -> Self {
-        Self {
-            requests: Arc::new(Counter::new()),
-            rows: Arc::new(Counter::new()),
-            batches: Arc::new(Counter::new()),
-            coalesced_batches: Arc::new(Counter::new()),
-            queue_wait: Arc::new(Histogram::new(LATENCY_SUB_BITS, LATENCY_MAX_NS)),
-            score_time: Arc::new(Histogram::new(LATENCY_SUB_BITS, LATENCY_MAX_NS)),
-            batch_size: Arc::new(Histogram::new(SIZE_SUB_BITS, SIZE_MAX)),
-        }
+        Self::registered(&Arc::new(Registry::new()))
     }
 }
 
 impl BatchStats {
     /// Instruments registered into `registry` under the `hics_*` metric
     /// names, so one scrape sees them alongside the rest of the server.
-    pub fn registered(registry: &Registry) -> Self {
+    pub fn registered(registry: &Arc<Registry>) -> Self {
         Self {
             requests: registry.counter("hics_requests_total", "Scoring requests accepted."),
             rows: registry.counter("hics_rows_total", "Query rows scored."),
@@ -151,7 +152,33 @@ impl BatchStats {
                 SIZE_MAX,
                 1.0,
             ),
+            index_queries: registry.counter(
+                "hics_index_queries_total",
+                "Neighbour-index point queries (one per subspace per scored row).",
+            ),
+            registry: Arc::clone(registry),
         }
+    }
+
+    /// Shard `shard` scored `rows` rows in `nanos` wall nanoseconds.
+    fn shard_scored(&self, shard: usize, rows: usize, nanos: u64) {
+        self.registry
+            .histogram_with(
+                "hics_shard_score_seconds",
+                "Batch score latency per shard.",
+                vec![("shard", shard.to_string())],
+                LATENCY_SUB_BITS,
+                LATENCY_MAX_NS,
+                NANOS_TO_SECONDS,
+            )
+            .record(nanos);
+        self.registry
+            .counter_with(
+                "hics_shard_rows_total",
+                "Rows scored per shard.",
+                vec![("shard", shard.to_string())],
+            )
+            .add(rows as u64);
     }
 
     /// A snapshot of the batch-size histogram in the legacy `/stats` shape
@@ -254,8 +281,15 @@ impl Batcher {
     /// Enqueues one request's rows without blocking; `reply` is invoked
     /// exactly once — with the scores when the batch executes (on a worker
     /// thread), or with `None` if the batcher shuts down first (immediately,
-    /// on the caller's thread, when it is already down).
-    pub fn submit(&self, rows: Vec<Vec<f64>>, reply: Box<dyn FnOnce(BatchReply) + Send>) {
+    /// on the caller's thread, when it is already down). `trace` is the
+    /// request's trace context: a remote engine parents its fan-out spans
+    /// under it.
+    pub fn submit(
+        &self,
+        rows: Vec<Vec<f64>>,
+        trace: Option<TraceContext>,
+        reply: Box<dyn FnOnce(BatchReply) + Send>,
+    ) {
         {
             let mut q = self.shared.queue.lock().expect("batcher lock");
             if !q.1 {
@@ -263,7 +297,7 @@ impl Batcher {
                     rows,
                     enqueued: Instant::now(),
                     reply,
-                    trace: hics_obs::trace::current(),
+                    trace,
                 });
                 drop(q);
                 self.shared.ready.notify_one();
@@ -273,12 +307,13 @@ impl Batcher {
         reply(None);
     }
 
-    /// Enqueues one request's rows and blocks until its scores are ready.
-    /// Returns `None` if the batcher is shutting down.
+    /// Enqueues one untraced request's rows and blocks until its scores are
+    /// ready. Returns `None` if the batcher is shutting down.
     pub fn score(&self, rows: Vec<Vec<f64>>) -> BatchReply {
         let (tx, rx) = mpsc::channel();
         self.submit(
             rows,
+            None,
             Box::new(move |reply| {
                 let _ = tx.send(reply);
             }),
@@ -416,14 +451,25 @@ fn worker_loop(
         // A coalesced batch carries several requests' trace contexts but
         // scores in one engine call; attribute the fan-out to the first
         // traced job (best effort — the alternative is splitting the batch).
+        // The thread-local slot is how a remote engine sees it: the
+        // `RemoteEngine::score_rows` signature carries no context.
         let trace = jobs.iter().find_map(|j| j.trace);
         hics_obs::trace::set_current(trace);
-        let (results, partial) = engine.score_batch_partial(&all_rows, threads);
+        let batch = engine.score_batch_partial(&all_rows, threads);
         hics_obs::trace::set_current(None);
-        let mut results = results.into_iter();
         stats
             .score_time
             .record(score_start.elapsed().as_nanos() as u64);
+        for (shard, &nanos) in batch.shard_nanos.iter().enumerate() {
+            stats.shard_scored(shard, all_rows.len(), nanos);
+        }
+        if !engine.is_remote() {
+            stats
+                .index_queries
+                .add((all_rows.len() * engine.subspace_count()) as u64);
+        }
+        let partial = batch.partial;
+        let mut results = batch.results.into_iter();
         stats.batches.inc();
         stats.requests.add(jobs.len() as u64);
         stats.rows.add(all_rows.len() as u64);
@@ -591,6 +637,7 @@ mod tests {
         let rows = vec![vec![0.3, 0.1, 0.7, 0.2]];
         batcher.submit(
             rows.clone(),
+            None,
             Box::new(move |reply| {
                 let _ = tx.send(reply);
             }),
@@ -611,11 +658,39 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         batcher.submit(
             vec![vec![0.0; 4]],
+            None,
             Box::new(move |reply| {
                 let _ = tx.send(reply);
             }),
         );
         assert_eq!(rx.recv().expect("callback ran"), None);
+    }
+
+    /// The worker records what the engine hands back into the batcher's
+    /// own registry: one shard-0 timing and row count per batch, and one
+    /// index query per subspace per row.
+    #[test]
+    fn worker_records_shard_rows_and_index_queries() {
+        let engine = engine();
+        let batcher = Batcher::start(handle_for(&engine), 1, 64, 1);
+        batcher
+            .score((0..3).map(|i| vec![i as f64 * 0.2; 4]).collect())
+            .unwrap();
+        let stats = batcher.stats();
+        assert_eq!(
+            stats.index_queries.get(),
+            3 * engine.subspace_count() as u64
+        );
+        let text = stats.registry.render_prometheus();
+        assert!(
+            text.contains("hics_shard_rows_total{shard=\"0\"} 3\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("hics_shard_score_seconds_count{shard=\"0\"} 1\n"),
+            "{text}"
+        );
+        batcher.shutdown();
     }
 
     #[test]
@@ -652,6 +727,7 @@ mod tests {
             let tx = tx.clone();
             batcher.submit(
                 vec![vec![0.4, 0.6, 0.2, 0.8]],
+                None,
                 Box::new(move |reply| {
                     let _ = tx.send(reply);
                 }),

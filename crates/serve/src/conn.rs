@@ -422,8 +422,10 @@ fn submit_stream_row(
 ) {
     let notifier = Arc::clone(notifier);
     let stats = Arc::clone(&ctx.stream_stats);
+    // Streams are not traced (see `Conn::route`).
     ctx.batcher.submit(
         vec![row],
+        None,
         Box::new(move |reply| {
             let result = match reply {
                 None => Err("server is shutting down".to_string()),
@@ -815,7 +817,7 @@ impl Conn {
                                                 }
                                             } else {
                                                 let reply = stream_line(
-                                                    score_stream_line(&line, ctx),
+                                                    score_stream_line(&line, &engine),
                                                     *line_no,
                                                     &ctx.stream_stats,
                                                 );
@@ -994,18 +996,16 @@ impl Conn {
                 Err((status, rendered)) => self.respond(ctx, status, &rendered, head.close),
                 Ok((rows, single)) => {
                     let notifier = Arc::clone(notifier);
-                    // Plant the request's trace context for the batcher to
-                    // capture at enqueue — a remote engine's fan-out spans
-                    // parent under this request.
-                    hics_obs::trace::set_current(self.trace.as_ref().map(ReqTrace::context));
+                    // The request's trace context rides with the job, so a
+                    // remote engine's fan-out spans parent under it.
                     ctx.batcher.submit(
                         rows,
+                        self.trace.as_ref().map(ReqTrace::context),
                         Box::new(move |reply| {
                             let (status, body) = format_score_reply(reply, single);
                             notifier.complete(token, epoch, status, body);
                         }),
                     );
-                    hics_obs::trace::set_current(None);
                     self.timeline.mark(Stage::Enqueue);
                     self.state = State::AwaitBatch;
                     self.deadline = None;

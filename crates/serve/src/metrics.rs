@@ -2,9 +2,9 @@
 //!
 //! One [`ServeMetrics`] per [`crate::server::Server`] owns the
 //! [`Registry`] every subsystem records into: the batcher's counters and
-//! size/latency histograms, the stream and connection counters, per-stage
-//! request latency, per-reactor I/O counters, the scoring-path shard
-//! recorder and the fit-pipeline counter family. `/stats` and `/metrics`
+//! size/latency histograms and per-shard scoring instruments, the stream
+//! and connection counters, per-stage request latency, per-reactor I/O
+//! counters and the fit-pipeline counter family. `/stats` and `/metrics`
 //! are two renderings of this one registry — there is no other
 //! bookkeeping.
 
@@ -234,52 +234,6 @@ fn log_slow_query(
                 stages.join(" ")
             );
         }
-    }
-}
-
-/// The [`hics_outlier::ScoreRecorder`] wired into a server's registry:
-/// per-shard score latency plus the neighbour-index query counter.
-#[derive(Debug)]
-pub(crate) struct EngineRecorder {
-    registry: Arc<Registry>,
-    index_queries: Arc<Counter>,
-}
-
-impl EngineRecorder {
-    pub(crate) fn new(registry: &Arc<Registry>) -> Self {
-        Self {
-            registry: Arc::clone(registry),
-            index_queries: registry.counter(
-                "hics_index_queries_total",
-                "Neighbour-index point queries (one per subspace per scored row).",
-            ),
-        }
-    }
-}
-
-impl hics_outlier::ScoreRecorder for EngineRecorder {
-    fn shard_scored(&self, shard: usize, rows: usize, nanos: u64) {
-        self.registry
-            .histogram_with(
-                "hics_shard_score_seconds",
-                "Batch score latency per shard.",
-                vec![("shard", shard.to_string())],
-                LATENCY_SUB_BITS,
-                LATENCY_MAX_NS,
-                NANOS_TO_SECONDS,
-            )
-            .record(nanos);
-        self.registry
-            .counter_with(
-                "hics_shard_rows_total",
-                "Rows scored per shard.",
-                vec![("shard", shard.to_string())],
-            )
-            .add(rows as u64);
-    }
-
-    fn index_queries(&self, n: u64) {
-        self.index_queries.add(n);
     }
 }
 

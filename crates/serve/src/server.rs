@@ -42,7 +42,7 @@
 use crate::batch::{BatchReply, BatchStats, Batcher};
 use crate::http::{error_body, RequestHead};
 use crate::json::{self, Json};
-use crate::metrics::{EngineRecorder, ServeMetrics};
+use crate::metrics::ServeMetrics;
 use hics_obs::{Counter, Gauge, Registry, Span, SpanStatus, Timeline, Tracer, STAGES};
 use hics_outlier::{Engine, EngineHandle, IndexKind};
 use std::net::{TcpListener, TcpStream};
@@ -326,9 +326,6 @@ impl Server {
             config.batch_max_wait,
             Arc::new(BatchStats::registered(&metrics.registry)),
         ));
-        // Route the scoring path's per-shard timings and index-query
-        // counts into this server's registry.
-        hics_outlier::install_recorder(Arc::new(EngineRecorder::new(&metrics.registry)));
         Ok(Self {
             listener,
             ctx: Ctx {
@@ -771,17 +768,16 @@ pub(crate) fn parse_stream_row(raw: &[u8], d: usize) -> Result<Vec<f64>, String>
     parse_row(value, d)
 }
 
-/// Parses and scores one NDJSON line. The engine is resolved **per
-/// line**, so a hot reload mid-stream takes effect on the very next line
-/// without disturbing the connection. Returns the score plus the remote
-/// degraded-fold flag.
-pub(crate) fn score_stream_line(raw: &[u8], ctx: &Ctx) -> Result<(f64, bool), String> {
-    let engine = ctx.handle.load();
+/// Parses and scores one NDJSON line against `engine`, the in-process
+/// engine the stream loaded for this line (so a hot reload mid-stream
+/// takes effect on the very next line). In-process scoring is never
+/// partial.
+pub(crate) fn score_stream_line(raw: &[u8], engine: &Engine) -> Result<(f64, bool), String> {
     let row = parse_stream_row(raw, engine.d())?;
-    match engine.score_partial(&row) {
-        (Ok(score), partial) => Ok((score, partial)),
-        (Err(e), _) => Err(e.to_string()),
-    }
+    engine
+        .score(&row)
+        .map(|score| (score, false))
+        .map_err(|e| e.to_string())
 }
 
 /// Extracts one numeric row of the model's arity.

@@ -181,8 +181,8 @@ fn metrics_reconcile_with_traffic_and_match_stats() {
     assert_eq!(metric_value(&text, "hics_stream_errors_total"), 1);
     assert_eq!(metric_value(&text, "hics_batch_size_count"), N);
     assert!(metric_value(&text, "hics_connections_accepted_total") > N);
-    // The engine recorder is a process-global hook (last server wins), so
-    // with other tests' servers alive only its presence is asserted here.
+    // The index-query counter is registered when the server binds; its
+    // per-server value is pinned by the `per_server_metrics` suite.
     assert!(text.contains("# TYPE hics_index_queries_total counter"));
 
     // The stage histograms carry quantile lines for every lifecycle stage.
