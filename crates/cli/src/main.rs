@@ -78,10 +78,12 @@ use hics_data::model::{normalize_dataset, NormKind, ScorerKind, ScorerSpec};
 use hics_data::{DatasetSource, HicsError, RouteTable, SyntheticConfig};
 use hics_eval::report::{Stopwatch, TextTable};
 use hics_eval::roc::roc_auc;
+use hics_obs::ProcessSample;
 use hics_outlier::{Engine, EngineHandle, IndexKind, RemoteEngine};
 use hics_route::{Router, RouterConfig};
 use hics_serve::{json, Json, LogFormat, Pool, ServeConfig, Server};
 use hics_store::{DatasetStore, FileKind, StoreWriter, DEFAULT_CHUNK_ROWS};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -466,10 +468,17 @@ fn cmd_import(args: &Args) -> Result<(), CliError> {
 /// ticker is throttled to about one line per second (the hook fires from
 /// every search worker thread, so the counters are atomic and the throttle
 /// clock is taken with `try_lock` — a contended tick is simply skipped).
+/// On Linux every phase's time line is followed by its resource line: the
+/// process's CPU seconds from the phase's start to its end (every thread,
+/// so concurrent shards' phases overlap), and `RssAnon` and `VmHWM` at its
+/// end.
 struct ProgressObserver {
     evals: AtomicU64,
     draws: AtomicU64,
     last: Mutex<Instant>,
+    /// The process CPU seconds at each running phase's start, oldest
+    /// first (a sharded fit runs one phase in several shards at once).
+    phase_cpu: Mutex<HashMap<String, Vec<f64>>>,
 }
 
 impl ProgressObserver {
@@ -478,6 +487,7 @@ impl ProgressObserver {
             evals: AtomicU64::new(0),
             draws: AtomicU64::new(0),
             last: Mutex::new(Instant::now()),
+            phase_cpu: Mutex::new(HashMap::new()),
         }
     }
 }
@@ -485,10 +495,33 @@ impl ProgressObserver {
 impl FitObserver for ProgressObserver {
     fn phase_started(&self, phase: &str) {
         eprintln!("# phase {phase}: started");
+        if let Some(now) = ProcessSample::read() {
+            let mut starts = self.phase_cpu.lock().expect("progress lock");
+            starts
+                .entry(phase.to_string())
+                .or_default()
+                .push(now.cpu_seconds);
+        }
     }
 
     fn phase_finished(&self, phase: &str, nanos: u64) {
         eprintln!("# phase {phase}: {:.2}s", nanos as f64 / 1e9);
+        let start = self
+            .phase_cpu
+            .lock()
+            .expect("progress lock")
+            .get_mut(phase)
+            .filter(|starts| !starts.is_empty())
+            .map(|starts| starts.remove(0));
+        if let (Some(now), Some(start)) = (ProcessSample::read(), start) {
+            const MB: f64 = 1024.0 * 1024.0;
+            eprintln!(
+                "# phase {phase}: cpu {:.2}s, rss_anon {:.1} MB, vm_hwm {:.1} MB",
+                now.cpu_seconds - start,
+                now.rss_anon_bytes as f64 / MB,
+                now.vm_hwm_bytes as f64 / MB
+            );
+        }
     }
 
     fn contrast_evaluated(&self, slice_draws: u64) {

@@ -201,13 +201,15 @@ impl FitBuilder {
     }
 
     /// The `"index"` and `"precompute"` phases over the searched
-    /// subspaces: builds the VP-trees (when configured), then — with
-    /// precompute on — each subspace's hoods from the trees still in
-    /// memory and the same borrowed column view the trees were built from,
-    /// through the one [`subspace_hoods`] computation an open would
-    /// otherwise run (the engine's owned layout gives bit-identical
-    /// distances). Returns the index, the hoods and the precompute
-    /// phase's nanoseconds.
+    /// subspaces: builds the VP-trees (when configured; the workers claim
+    /// one subspace at a time), then — with precompute on — each
+    /// subspace's hoods from the trees still in memory and the same
+    /// borrowed column view the trees were built from, through the one
+    /// [`subspace_hoods`] computation an open would otherwise run (the
+    /// engine's owned layout gives bit-identical distances). The hoods
+    /// run subspace after subspace, each on every worker, so only one
+    /// subspace's neighbourhoods are in flight. Returns the index, the
+    /// hoods and the precompute phase's nanoseconds.
     fn index_and_hoods(
         &self,
         view: &ColumnsView<'_>,

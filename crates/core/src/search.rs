@@ -139,6 +139,7 @@ impl SubspaceSearch {
             p.alpha,
             p.sizing,
             p.test.as_deviation(),
+            p.max_threads,
         );
 
         // Level 2: all attribute pairs.

@@ -1,7 +1,7 @@
 //! Observability primitives for the HiCS serving stack — in the repo's
 //! no-external-deps idiom (no `prometheus`, no `metrics`, no `tracing`).
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! * **Instruments** ([`Counter`], [`Gauge`], [`Histogram`]): plain atomics,
 //!   designed for zero allocation and no locking on hot paths. The
@@ -19,15 +19,19 @@
 //!   a lock-light [`Tracer`] on the same monotonic-clock discipline as
 //!   [`Timeline`], and a bounded trace store with tail-based retention
 //!   (slow, errored, hedged or 1-in-N sampled traces are kept).
+//! * **[`ProcessSample`]**: the process's own CPU time and memory, read
+//!   from procfs when asked.
 
 #![warn(missing_docs)]
 
 mod histogram;
+mod process;
 mod registry;
 mod timeline;
 pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot};
+pub use process::ProcessSample;
 pub use registry::{Counter, Gauge, Registry};
 pub use timeline::{Stage, Timeline, STAGES, STAGE_COUNT};
 pub use trace::{Span, SpanStatus, StoredTrace, TraceConfig, TraceContext, Tracer};

@@ -166,7 +166,7 @@ pub(crate) struct FlatNeighborhoods {
     parts: Vec<FlatPart>,
 }
 
-/// A run of neighbourhoods in the order they were computed. The `j`-th
+/// Neighbourhoods in the order one worker computed them. The `j`-th
 /// belongs to object `ids[j]` and has k-distance `k_distance[j]`. Its
 /// neighbours are `neighbors[offsets[j]..offsets[j+1]]`, with their
 /// distances at the same positions of `distances`.
@@ -192,6 +192,11 @@ impl FlatPart {
             neighbors: Vec::with_capacity(n * k),
             distances: Vec::with_capacity(n * k),
         }
+    }
+
+    /// How many more neighbourhoods fit without reallocating.
+    pub fn room(&self) -> usize {
+        self.ids.capacity() - self.ids.len()
     }
 
     /// Appends object `id`'s neighbourhood, finalised from its tied member

@@ -475,20 +475,25 @@ fn held_tree<'a>(
 /// Computes one subspace's neighbourhood state over its trained points
 /// (any [`Points`]: the fit passes a borrowed [`crate::SubspaceView`], the
 /// engine its in-place column pages; the distances are bit-identical):
-/// the all-points kNN pass through `index` (up to `max_threads` workers),
-/// every object's k-distance, the LOF reachability densities (LOF only)
-/// and the non-finite clamp — the largest finite training score.
+/// the all-points kNN pass through `index`, every object's k-distance,
+/// the LOF reachability densities (LOF only) and the non-finite clamp —
+/// the largest finite training score.
 ///
-/// The pass returns every neighbourhood in one flat (CSR) result — with
-/// the VP-tree, from the tree-order self-join — and the densities, scores
-/// and clamp are computed straight from it; no per-object
-/// [`crate::Neighborhood`] is built. Every value equals, bit for bit, what
-/// [`crate::knn_all_indexed`] plus [`crate::lrd_from_neighborhoods`] /
-/// [`crate::lof_from_neighborhoods`] or [`KnnScoreKind::score`] give.
+/// The kNN pass runs on up to `max_threads` workers that claim short runs
+/// of queries as they go (with the VP-tree, of the tree-order self-join),
+/// so they finish within about one run of each other. It returns every
+/// neighbourhood in one flat (CSR) result, and the densities, scores and
+/// clamp are computed straight from it on the calling thread; no
+/// per-object [`crate::Neighborhood`] is built. Every value equals, bit
+/// for bit, what [`crate::knn_all_indexed`] plus
+/// [`crate::lrd_from_neighborhoods`] / [`crate::lof_from_neighborhoods`] or
+/// [`KnnScoreKind::score`] give.
 ///
 /// This is the one computation behind both the fit's hoods section and
 /// the engine's fallback for artifacts without one, so a stored section
-/// holds exactly what an open would otherwise compute.
+/// holds exactly what an open would otherwise compute. Both callers run it
+/// one subspace at a time, so one subspace's neighbourhoods are alive at
+/// once.
 pub fn subspace_hoods<P: Points>(
     points: &P,
     index: &SubspaceIndex,

@@ -3,28 +3,51 @@
 //! Used by the Spearman correlation and the Mann–Whitney U test, and by the
 //! dataset sorted-index machinery (argsort).
 
-/// Returns the indices that would sort `values` ascending (a stable argsort).
+/// Returns the indices that would sort `values` ascending (a stable argsort:
+/// equal values keep their index order, and `-0.0` equals `+0.0`).
 ///
-/// NaN values sort last (after all finite values), preserving their relative
-/// order, so callers that pre-filter NaN see the natural ordering.
+/// NaN values sort last (after all finite values and `+∞`), preserving
+/// their relative order, so callers that pre-filter NaN see the natural
+/// ordering.
 pub fn argsort(values: &[f64]) -> Vec<u32> {
+    let mut idx = Vec::new();
+    argsort_into(values, &mut idx);
+    idx
+}
+
+/// [`argsort`] into a caller-held buffer (overwritten), so a caller that
+/// sorts on worker threads can keep every buffer on its own heap.
+///
+/// An unstable sort of the indices by `(sort_key, index)`: the pairs are
+/// distinct, so it yields exactly the stable order, at about half the cost
+/// of a stable sort under a float comparator. The keys are computed in the
+/// comparison rather than stored beside the indices: a `(u64, u32)` pair
+/// array is four times the output's size, and on a `2·10⁴ × 16` fit that
+/// transient alone raised the peak RSS by about 0.7 MB.
+pub fn argsort_into(values: &[f64], idx: &mut Vec<u32>) {
     assert!(
         values.len() <= u32::MAX as usize,
         "argsort index type is u32; dataset too large"
     );
-    let mut idx: Vec<u32> = (0..values.len() as u32).collect();
-    idx.sort_by(|&a, &b| {
-        let (va, vb) = (values[a as usize], values[b as usize]);
-        va.partial_cmp(&vb).unwrap_or_else(|| {
-            // Order NaN after everything else; NaN vs NaN keeps index order.
-            match (va.is_nan(), vb.is_nan()) {
-                (true, false) => std::cmp::Ordering::Greater,
-                (false, true) => std::cmp::Ordering::Less,
-                _ => a.cmp(&b),
-            }
-        })
-    });
-    idx
+    idx.clear();
+    idx.extend(0..values.len() as u32);
+    idx.sort_unstable_by_key(|&i| (sort_key(values[i as usize]), i));
+}
+
+/// An order-preserving `u64` image of `v`: `a < b` exactly when
+/// `sort_key(a) < sort_key(b)`, with `-0.0` and `+0.0` sharing one key (as
+/// `partial_cmp` ties them) and every NaN mapped above `+∞`.
+fn sort_key(v: f64) -> u64 {
+    if v.is_nan() {
+        return u64::MAX;
+    }
+    // `v + 0.0` folds −0.0 onto +0.0 and leaves every other value alone.
+    let bits = (v + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 /// Assigns 1-based midranks to `values`: tied observations all receive the
@@ -94,6 +117,20 @@ mod tests {
     fn argsort_nan_last() {
         let idx = argsort(&[f64::NAN, 1.0, 0.5]);
         assert_eq!(idx, vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn argsort_ties_signed_zeros_and_orders_infinities() {
+        let v = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+        ];
+        assert_eq!(argsort(&v), vec![4, 0, 1, 5, 6, 2, 3]);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use hics_stats::dist::{ChiSquared, Normal, StudentsT};
 use hics_stats::ecdf::Ecdf;
 use hics_stats::moments::Moments;
+use hics_stats::rank::argsort;
 use hics_stats::special::{betai, erf, erfc, gammap, gammaq, ln_gamma};
 use hics_stats::two_sample::{ks_test, mann_whitney_u, welch_t_test};
 use proptest::prelude::*;
@@ -12,8 +13,79 @@ fn finite_sample(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e4..1e4f64, 3..max_len)
 }
 
+/// The stable comparator argsort `rank::argsort` replaced, kept as the
+/// oracle of its keyed sort: `partial_cmp` order, NaN after everything,
+/// ties in index order.
+fn comparator_argsort(values: &[f64]) -> Vec<u32> {
+    let mut idx: Vec<u32> = (0..values.len() as u32).collect();
+    idx.sort_by(|&a, &b| {
+        let (va, vb) = (values[a as usize], values[b as usize]);
+        va.partial_cmp(&vb)
+            .unwrap_or_else(|| match (va.is_nan(), vb.is_nan()) {
+                (true, false) => std::cmp::Ordering::Greater,
+                (false, true) => std::cmp::Ordering::Less,
+                _ => a.cmp(&b),
+            })
+    });
+    idx
+}
+
+/// Values the keyed argsort must order like the comparator: signed zeros,
+/// NaNs of both signs, infinities, subnormals and the finite extremes.
+const SPECIALS: [f64; 12] = [
+    0.0,
+    -0.0,
+    f64::NAN,
+    -f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    5e-324,
+    -5e-324,
+    f64::MIN_POSITIVE / 4.0,
+    -f64::MIN_POSITIVE / 3.0,
+    f64::MAX,
+    f64::MIN,
+];
+
+/// A column of `codes` read through a small palette (so values repeat
+/// often) followed by [`SPECIALS`]: code `c` is `palette[c]` while it is in
+/// range, a special value otherwise.
+fn keyed_column(codes: &[usize], palette: &[f64]) -> Vec<f64> {
+    codes
+        .iter()
+        .map(|&c| {
+            palette
+                .get(c)
+                .copied()
+                .unwrap_or_else(|| SPECIALS[(c - palette.len()) % SPECIALS.len()])
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn keyed_argsort_matches_the_comparator(
+        codes in prop::collection::vec(0usize..24, 0..300),
+        palette in prop::collection::vec(-3.0..3.0f64, 1..12),
+    ) {
+        // Palette codes repeat (many duplicates); the rest are specials at
+        // arbitrary positions, several NaNs and both zeros among them.
+        let column = keyed_column(&codes, &palette);
+        let oracle = comparator_argsort(&column);
+        prop_assert_eq!(argsort(&column), oracle.clone());
+        // The same values sorted, reversed and constant.
+        let sorted: Vec<f64> = oracle.iter().map(|&i| column[i as usize]).collect();
+        let reversed: Vec<f64> = sorted.iter().rev().copied().collect();
+        for shaped in [sorted, reversed] {
+            prop_assert_eq!(argsort(&shaped), comparator_argsort(&shaped));
+        }
+        for &v in SPECIALS.iter().chain(&palette) {
+            let constant = vec![v; codes.len()];
+            prop_assert_eq!(argsort(&constant), comparator_argsort(&constant));
+        }
+    }
 
     #[test]
     fn ln_gamma_recurrence(x in 0.1..50.0f64) {
