@@ -210,7 +210,9 @@ fn print_usage() {
     println!("  memory-map it and adopt them (fit --no-precompute leaves them out)");
     println!("  --reactors sets serve's event-loop thread count (0 = auto, Linux epoll);");
     println!("  --batch-wait-us lets batch workers linger that long for deeper batches");
-    println!("  fit --progress narrates phases/levels/shards on stderr as they finish");
+    println!("  fit --progress narrates phases/levels/shards on stderr as they finish;");
+    println!("  the artifact is written as it is computed, so save is the sum of its");
+    println!("  lines and precompute's time excludes the hoods writes");
     println!("  serve exposes Prometheus text on GET /metrics; --slow-query-us N logs");
     println!("  requests slower than N microseconds (--log-format json for one JSON");
     println!("  object per line); --no-instrument drops per-stage request timelines");
@@ -463,6 +465,9 @@ fn cmd_import(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Bytes per megabyte of `fit --progress`'s memory figures.
+const MB: f64 = 1024.0 * 1024.0;
+
 /// `fit --progress`: narrates the pipeline on stderr as it runs. Phase,
 /// level and shard lines print as each completes; the contrast-evaluation
 /// ticker is throttled to about one line per second (the hook fires from
@@ -471,7 +476,12 @@ fn cmd_import(args: &Args) -> Result<(), CliError> {
 /// On Linux every phase's time line is followed by its resource line: the
 /// process's CPU seconds from the phase's start to its end (every thread,
 /// so concurrent shards' phases overlap), and `RssAnon` and `VmHWM` at its
-/// end.
+/// end; after each start line comes `RssAnon` at the start. The artifact
+/// is written as it is computed, so `save` prints up to
+/// three times (after the search, after the index, at the end) and its
+/// time is the sum of those lines; `precompute`'s time excludes the hoods
+/// writes interleaved with it (the last `save` carries them), while its
+/// CPU line, taken from the phase's start to its end, includes them.
 struct ProgressObserver {
     evals: AtomicU64,
     draws: AtomicU64,
@@ -496,6 +506,10 @@ impl FitObserver for ProgressObserver {
     fn phase_started(&self, phase: &str) {
         eprintln!("# phase {phase}: started");
         if let Some(now) = ProcessSample::read() {
+            eprintln!(
+                "# phase {phase}: rss_anon {:.1} MB at start",
+                now.rss_anon_bytes as f64 / MB
+            );
             let mut starts = self.phase_cpu.lock().expect("progress lock");
             starts
                 .entry(phase.to_string())
@@ -514,7 +528,6 @@ impl FitObserver for ProgressObserver {
             .filter(|starts| !starts.is_empty())
             .map(|starts| starts.remove(0));
         if let (Some(now), Some(start)) = (ProcessSample::read(), start) {
-            const MB: f64 = 1024.0 * 1024.0;
             eprintln!(
                 "# phase {phase}: cpu {:.2}s, rss_anon {:.1} MB, vm_hwm {:.1} MB",
                 now.cpu_seconds - start,

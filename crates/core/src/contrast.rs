@@ -20,7 +20,6 @@ use crate::slice::{RankWindows, SliceBatch, SliceSampler, SliceSizing, SliceView
 use crate::subspace::Subspace;
 use hics_data::{ColumnsView, Dataset, RankIndex};
 use hics_outlier::parallel::{available_threads, par_map};
-use hics_stats::ecdf::Ecdf;
 use hics_stats::masked::{
     masked_ks_distance, masked_ks_test, masked_mann_whitney, masked_mean_variance_lanes,
     MaskedLane, LANES,
@@ -39,8 +38,9 @@ use std::sync::Mutex;
 pub struct MarginalStats {
     /// Welford moments of the full column.
     pub moments: Moments,
-    /// ECDF of the full column (owns the values in sorted order).
-    pub ecdf: Ecdf,
+    /// The column's values in ascending order, built only for the tests
+    /// that walk them ([`DeviationTest::reads_sorted_values`]).
+    sorted: Option<Vec<f64>>,
 }
 
 impl MarginalStats {
@@ -49,16 +49,28 @@ impl MarginalStats {
     /// gathered through it, so no column is sorted twice).
     pub fn from_order(col: &[f64], order: &[u32]) -> Self {
         debug_assert_eq!(col.len(), order.len());
-        let sorted: Vec<f64> = order.iter().map(|&i| col[i as usize]).collect();
         Self {
             moments: Moments::from_slice(col),
-            ecdf: Ecdf::from_sorted(sorted),
+            sorted: Some(order.iter().map(|&i| col[i as usize]).collect()),
+        }
+    }
+
+    /// The moments alone — all Welch's test reads.
+    pub fn moments_only(col: &[f64]) -> Self {
+        Self {
+            moments: Moments::from_slice(col),
+            sorted: None,
         }
     }
 
     /// The column's values in ascending order.
+    ///
+    /// # Panics
+    /// Panics on statistics built by [`MarginalStats::moments_only`].
     pub fn sorted_values(&self) -> &[f64] {
-        self.ecdf.sorted_values()
+        self.sorted
+            .as_deref()
+            .expect("sorted values are built only for tests that read them")
     }
 }
 
@@ -83,6 +95,12 @@ pub trait DeviationTest: Sync {
                 *o = self.deviation(&marginals[slice.ref_attr], &slice);
             }
         }
+    }
+
+    /// Whether the test reads [`MarginalStats::sorted_values`]: the
+    /// estimator builds a sorted copy of every column only when it does.
+    fn reads_sorted_values(&self) -> bool {
+        true
     }
 
     /// Test name for experiment output.
@@ -113,6 +131,10 @@ impl DeviationTest for WelchDeviation {
                 *o = 1.0 - welch_t_test_from_moments(marginal, cond).p_value;
             }
         }
+    }
+
+    fn reads_sorted_values(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -289,7 +311,13 @@ impl<'a> ContrastEstimator<'a> {
         let marginals = view
             .iter_cols()
             .enumerate()
-            .map(|(j, col)| MarginalStats::from_order(col, indices.order(j)))
+            .map(|(j, col)| {
+                if test.reads_sorted_values() {
+                    MarginalStats::from_order(col, indices.order(j))
+                } else {
+                    MarginalStats::moments_only(col)
+                }
+            })
             .collect();
         Self {
             view,

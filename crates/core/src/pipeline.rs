@@ -4,19 +4,21 @@
 use crate::progress::{FitObserver, NoopObserver};
 use crate::search::{ScoredSubspace, SearchParams, SubspaceSearch};
 use hics_data::manifest::{PartitionKind, ShardAggregation, ShardEntry, ShardManifest};
+use hics_data::mmap::write_atomic_with;
 use hics_data::model::{
-    apply_normalization, check_object_count, save_model_streaming, AggregationKind, HicsModel,
-    ModelHoods, ModelIndex, ModelParts, ModelSubspace, NormKind, NormParam, ScorerKind, ScorerSpec,
+    apply_normalization, check_object_count, AggregationKind, HicsModel, ModelHead, ModelSubspace,
+    ModelWriter, NormKind, NormParam, ScorerKind, ScorerSpec, VpTreeData,
 };
 use hics_data::{ColumnsView, Dataset, DatasetSource, HicsError, RankIndex};
 use hics_outlier::aggregate::{aggregate_scores, Aggregation};
-use hics_outlier::index::{IndexKind, SubspaceIndex};
+use hics_outlier::index::{IndexKind, SubspaceIndex, VpTree};
 use hics_outlier::lof::Lof;
-use hics_outlier::parallel::par_map;
+use hics_outlier::parallel::{par_map, release_free_heap};
 use hics_outlier::scorer::{score_subspaces, SubspaceScorer};
 use hics_outlier::{subspace_hoods, SubspaceView};
+use std::io::{BufWriter, Cursor, Seek, Write};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Parameters of the full HiCS pipeline.
@@ -159,33 +161,31 @@ impl FitBuilder {
 
     /// Runs the subspace search on the (normalised) data and packages the
     /// result — columns, rank index, subspaces, scorer config and optional
-    /// prebuilt index — into an in-memory [`HicsModel`], for library
-    /// callers and tests. File outputs never build one: they stream from
-    /// [`FitBuilder::fit_source_to`] and [`FitBuilder::fit_sharded_to`],
-    /// which write exactly `self.fit(..).to_bytes()`.
+    /// prebuilt index and hoods — into an in-memory [`HicsModel`], for
+    /// library callers and tests. It streams the artifact into memory
+    /// through the very stages [`FitBuilder::fit_source_to`] and
+    /// [`FitBuilder::fit_sharded_to`] stream to their files, and decodes it,
+    /// so `self.fit(..).to_bytes()` is exactly what they write.
     ///
     /// The stored columns are the *normalised* ones, so a query engine
     /// built from the model scores in-sample points bit-for-bit like
     /// [`Hics::run`] on the normalised dataset.
+    ///
+    /// # Panics
+    /// Panics if the data holds fewer than two objects (no servable model
+    /// exists for it).
     pub fn fit(&self, data: &Dataset) -> HicsModel {
         let (trained, norm_params) = apply_normalization(data, self.norm);
-        let (subspaces, index, hoods) = {
-            let view = ColumnsView::from_dataset(&trained);
-            let (subspaces, _rank) = self.search(&view);
-            let (index, hoods, _) = self.index_and_hoods(&view, &subspaces);
-            (subspaces, index, hoods)
-        };
-        let mut model = HicsModel::new(
-            trained,
-            self.norm,
-            norm_params,
-            subspaces,
-            self.scorer,
-            self.aggregation_kind(),
-        );
-        model.set_index(index);
-        model.set_hoods(hoods);
-        model
+        let view = ColumnsView::from_dataset(&trained);
+        let model = check_object_count(view.n()).and_then(|()| {
+            let sink = Cursor::new(Vec::new());
+            let streamed =
+                self.stream_fit(&view, self.norm, &norm_params, sink, Path::new("memory"))?;
+            let bytes = self.save_slice(streamed.hoods_writes, || streamed.writer.finish())?;
+            HicsModel::from_bytes(bytes.get_ref())
+        });
+        release_free_heap();
+        model.unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The `"search"` phase: the subspace search over `view`, returning
@@ -200,66 +200,125 @@ impl FitBuilder {
         (to_model_subspaces(&report.result), rank)
     }
 
-    /// The `"index"` and `"precompute"` phases over the searched
-    /// subspaces: builds the VP-trees (when configured; the workers claim
-    /// one subspace at a time), then — with precompute on — each
-    /// subspace's hoods from the trees still in memory and the same
-    /// borrowed column view the trees were built from, through the one
-    /// [`subspace_hoods`] computation an open would otherwise run (the
-    /// engine's owned layout gives bit-identical distances). The hoods
-    /// run subspace after subspace, each on every worker, so only one
-    /// subspace's neighbourhoods are in flight. Returns the index, the
-    /// hoods and the precompute phase's nanoseconds.
-    fn index_and_hoods(
+    /// The `"index"` phase: one VP-tree per subspace (brute indexes, and
+    /// no phase, without the VP-tree backend). The workers claim one
+    /// subspace at a time and build into arrays allocated here, on the
+    /// calling thread, sized by [`VpTree::shape`]: the trees outlive the
+    /// phase, and built in a worker's own arena they would leave it grown
+    /// after the fit. Trees are a deterministic function of their points,
+    /// so building them in parallel never changes a byte.
+    fn build_index(
         &self,
         view: &ColumnsView<'_>,
         subspaces: &[ModelSubspace],
-    ) -> (Option<ModelIndex>, Option<ModelHoods>, u64) {
-        let indexes: Vec<SubspaceIndex> = match self.index {
-            IndexKind::Brute => vec![SubspaceIndex::Brute; subspaces.len()],
-            IndexKind::VpTree => {
-                self.observer.phase_started("index");
-                let start = Instant::now();
-                // Trees are a deterministic function of their points, so
-                // building them in parallel never changes a byte.
-                let indexes = par_map(subspaces.len(), self.params.search.max_threads, |s| {
-                    let sub = SubspaceView::from_columns_view(view, &subspaces[s].dims);
-                    SubspaceIndex::build(&sub, IndexKind::VpTree)
-                });
-                self.observer
-                    .phase_finished("index", start.elapsed().as_nanos() as u64);
-                indexes
-            }
+    ) -> Vec<SubspaceIndex> {
+        if self.index == IndexKind::Brute {
+            return vec![SubspaceIndex::Brute; subspaces.len()];
+        }
+        self.observer.phase_started("index");
+        let start = Instant::now();
+        let shape = VpTree::shape(view.n());
+        let arrays: Vec<Mutex<VpTreeData>> = subspaces
+            .iter()
+            .map(|_| Mutex::new(VpTreeData::with_shape(shape)))
+            .collect();
+        let indexes = par_map(subspaces.len(), self.params.search.max_threads, |s| {
+            let sub = SubspaceView::from_columns_view(view, &subspaces[s].dims);
+            let data = std::mem::take(&mut *arrays[s].lock().expect("claimed once"));
+            SubspaceIndex::VpTree(VpTree::build_into(&sub, data))
+        });
+        self.observer
+            .phase_finished("index", start.elapsed().as_nanos() as u64);
+        indexes
+    }
+
+    /// One `"save"` slice: `write`, reported with `carried` nanoseconds
+    /// of earlier writes that had no phase of their own.
+    fn save_slice<T>(&self, carried: u64, write: impl FnOnce() -> T) -> T {
+        self.observer.phase_started("save");
+        let start = Instant::now();
+        let out = write();
+        self.observer
+            .phase_finished("save", carried + start.elapsed().as_nanos() as u64);
+        out
+    }
+
+    /// The one fit: the search, then the artifact streamed into `sink` in
+    /// file order as each piece is computed. The head (columns, order
+    /// permutations, subspaces) goes out as soon as the search ends, and
+    /// the search's rank index is dropped; the trees follow the index
+    /// phase; each subspace's hoods are written as soon as
+    /// [`subspace_hoods`] returns them, and dropped with the subspace's
+    /// tree. The hoods run subspace after subspace, each on every worker,
+    /// from the trees and the same borrowed column view the trees were
+    /// built from (the engine's owned layout gives bit-identical
+    /// distances), so only one subspace's neighbourhoods are ever in
+    /// flight.
+    ///
+    /// Reports `"search"`, a `"save"` for the head, `"index"`, a `"save"`
+    /// for the trees and `"precompute"`, whose nanoseconds exclude the
+    /// hoods writes: those are left in [`Streamed::hoods_writes`] for the
+    /// caller's last `"save"`, around [`ModelWriter::finish`].
+    fn stream_fit<W: Write + Seek>(
+        &self,
+        view: &ColumnsView<'_>,
+        norm_kind: NormKind,
+        norm: &[NormParam],
+        sink: W,
+        dest: &Path,
+    ) -> Result<Streamed<W>, HicsError> {
+        let (subspaces, rank) = self.search(view);
+        let trees = (self.index == IndexKind::VpTree)
+            .then(|| vec![VpTree::shape(view.n()); subspaces.len()]);
+        let head = ModelHead {
+            view,
+            norm_kind,
+            norm,
+            subspaces: &subspaces,
+            scorer: self.scorer,
+            aggregation: self.aggregation_kind(),
+            order: &rank,
+            trees: trees.as_deref(),
+            hoods: self.precompute,
         };
-        let mut precompute_nanos = 0;
-        let hoods = self.precompute.then(|| {
-            self.observer.phase_started("precompute");
-            let start = Instant::now();
-            let threads = self.params.search.max_threads.max(1);
-            let hoods = ModelHoods {
-                subspaces: subspaces
-                    .iter()
-                    .zip(&indexes)
-                    .map(|(s, index)| {
-                        let sub = SubspaceView::from_columns_view(view, &s.dims);
-                        subspace_hoods(&sub, index, self.scorer, threads)
-                    })
-                    .collect(),
-            };
-            precompute_nanos = start.elapsed().as_nanos() as u64;
-            self.observer.phase_finished("precompute", precompute_nanos);
-            hoods
-        });
-        let index = (self.index == IndexKind::VpTree).then(|| ModelIndex {
-            trees: indexes
-                .into_iter()
-                .filter_map(|i| match i {
-                    SubspaceIndex::VpTree(tree) => Some(tree.into_data()),
-                    SubspaceIndex::Brute => None,
+        let summary = FitSummary {
+            n: view.n(),
+            d: view.d(),
+            subspaces: subspaces.len(),
+            version: head.version(),
+        };
+        let mut writer = self.save_slice(0, || ModelWriter::begin(sink, dest, &head))?;
+        drop(rank);
+        let indexes = self.build_index(view, &subspaces);
+        if trees.is_some() {
+            self.save_slice(0, || {
+                indexes.iter().try_for_each(|index| match index {
+                    SubspaceIndex::VpTree(tree) => writer.put_tree(&tree.as_data().view()),
+                    SubspaceIndex::Brute => unreachable!("the VP-tree backend builds trees"),
                 })
-                .collect(),
-        });
-        (index, hoods, precompute_nanos)
+            })?;
+        }
+        let (mut precompute_nanos, mut hoods_writes) = (0, 0);
+        if self.precompute {
+            self.observer.phase_started("precompute");
+            let threads = self.params.search.max_threads.max(1);
+            for (s, index) in subspaces.iter().zip(indexes) {
+                let start = Instant::now();
+                let sub = SubspaceView::from_columns_view(view, &s.dims);
+                let hoods = subspace_hoods(&sub, &index, self.scorer, threads);
+                let computed = Instant::now();
+                writer.put_hoods(&hoods.view())?;
+                precompute_nanos += (computed - start).as_nanos() as u64;
+                hoods_writes += computed.elapsed().as_nanos() as u64;
+            }
+            self.observer.phase_finished("precompute", precompute_nanos);
+        }
+        Ok(Streamed {
+            writer,
+            summary,
+            precompute_nanos,
+            hoods_writes,
+        })
     }
 
     /// The artifact aggregation for the pipeline's configuration.
@@ -284,12 +343,13 @@ impl FitBuilder {
         Ok(())
     }
 
-    /// The one fit-to-file writer: the `"search"`, `"index"`,
-    /// `"precompute"` and `"save"` phases over `view`, streaming the
-    /// artifact to `out` with `norm` stamped in as its transform. The
-    /// search's rank index becomes the order-permutation section, so no
-    /// column is argsorted twice and no artifact-sized buffer is built.
-    /// Returns the summary and the precompute phase's nanoseconds.
+    /// The one fit-to-file writer: [`FitBuilder::stream_fit`] into a temp
+    /// file beside `out` with `norm` stamped in as the artifact's
+    /// transform, renamed into place once complete (a failed or panicking
+    /// fit leaves neither `out` changed nor a temp file). The last
+    /// `"save"` covers the hoods writes, the checksum patch, the sync, the
+    /// rename and handing the fit's freed heap back to the system. Returns
+    /// the summary and the precompute's pure compute nanoseconds.
     fn write_fit(
         &self,
         view: &ColumnsView<'_>,
@@ -300,39 +360,32 @@ impl FitBuilder {
         // The artifact's own limits, checked before any phase runs (the
         // kNN pass cannot run on a single object).
         check_object_count(view.n())?;
-        let (model_subspaces, rank) = self.search(view);
-        let (index, hoods, precompute_nanos) = self.index_and_hoods(view, &model_subspaces);
-        let parts = ModelParts {
-            view,
-            norm_kind,
-            norm,
-            subspaces: &model_subspaces,
-            scorer: self.scorer,
-            aggregation: self.aggregation_kind(),
-            index: index.as_ref(),
-            hoods: hoods.as_ref(),
-            order: Some(&rank),
-        };
-        self.observer.phase_started("save");
-        let save_start = Instant::now();
-        save_model_streaming(out, &parts)?;
+        let mut closing = (Instant::now(), 0);
+        let fitted = write_atomic_with(out, |file, tmp| {
+            let streamed = self.stream_fit(view, norm_kind, norm, BufWriter::new(file), tmp)?;
+            self.observer.phase_started("save");
+            closing = (Instant::now(), streamed.hoods_writes);
+            streamed.writer.finish()?;
+            Ok((streamed.summary, streamed.precompute_nanos))
+        });
+        // Whatever the fit freed goes back to the system before the last
+        // save is reported, so its memory line shows what the fit retains.
+        release_free_heap();
+        let fitted = fitted?;
+        let (start, hoods_writes) = closing;
         self.observer
-            .phase_finished("save", save_start.elapsed().as_nanos() as u64);
-        let summary = FitSummary {
-            n: view.n(),
-            d: view.d(),
-            subspaces: model_subspaces.len(),
-            version: parts.version(),
-        };
-        Ok((summary, precompute_nanos))
+            .phase_finished("save", hoods_writes + start.elapsed().as_nanos() as u64);
+        Ok(fitted)
     }
 
     /// Fits a model **directly from a column source** and streams the
     /// artifact to `out`. For an mmap-backed dataset store the training
     /// matrix is read zero-copy out of the map and is never materialised on
-    /// the heap (the search's index structures and one transient argsort
-    /// column are the only O(N) allocations). The artifact is
-    /// byte-identical to `self.fit(&materialised).to_bytes()`.
+    /// the heap (the search's rank index and samplers, then the trees and
+    /// one subspace's neighbourhoods at a time, are its O(N) allocations).
+    /// The artifact is byte-identical to
+    /// `self.fit(&materialised).to_bytes()`. The phases arrive as
+    /// [`FitObserver::phase_finished`] lists them.
     ///
     /// The source's stored normalisation is stamped into the artifact;
     /// normalise before the fit (at import time for a store), not on the
@@ -357,10 +410,11 @@ impl FitBuilder {
     /// the manifest score queries against every shard and combine with
     /// `spec.aggregation`.
     ///
-    /// Every shard reports the `"search"`, `"index"`, `"precompute"` and
-    /// `"save"` phases through [`FitObserver::phase_finished`], then one
+    /// Every shard reports the phases of [`FitBuilder::fit_source_to`]
+    /// (`"search"`, `"index"`, `"precompute"` and the `"save"` slices)
+    /// through [`FitObserver::phase_finished`], then one
     /// [`FitObserver::shard_phase`] `"fit"`: the shard's wall time minus
-    /// its precompute, not counting the row gather.
+    /// its precompute's compute time, not counting the row gather.
     ///
     /// Shards fit `spec.parallel` at a time (0 = one worker per shard, up
     /// to the thread budget); peak memory is the largest `parallel`
@@ -429,8 +483,8 @@ impl FitBuilder {
                     &norm,
                     &dir.join(&files[k]),
                 )?;
-                // The shard's "fit" covers search, index and save; its
-                // hoods are reported as the "precompute" phase.
+                // The shard's "fit" covers search, index and every save
+                // slice; its hoods' compute is the "precompute" phase.
                 let fit_nanos = fit_start.elapsed().as_nanos() as u64;
                 self.observer
                     .shard_phase(k, "fit", fit_nanos.saturating_sub(precompute_nanos));
@@ -440,6 +494,7 @@ impl FitBuilder {
                 })
             },
         );
+        release_free_heap();
         let mut shards = Vec::with_capacity(spec.shards);
         for r in results {
             shards.push(r?);
@@ -480,6 +535,17 @@ impl Default for ShardFitSpec {
             parallel: 0,
         }
     }
+}
+
+/// A fit streamed up to its last stage (see [`FitBuilder::stream_fit`]).
+struct Streamed<W: Write + Seek> {
+    /// The writer, with every tree and hoods entry written.
+    writer: ModelWriter<W>,
+    summary: FitSummary,
+    /// The precompute's compute nanoseconds, without the hoods writes.
+    precompute_nanos: u64,
+    /// The hoods writes' nanoseconds, reported with the last `"save"`.
+    hoods_writes: u64,
 }
 
 /// Summary of a completed source-backed fit.

@@ -21,15 +21,24 @@ use std::sync::Arc;
 /// so implementations override only what they care about.
 pub trait FitObserver: Send + Sync {
     /// A named pipeline phase (`"search"`, `"index"`, `"save"`,
-    /// `"precompute"`) began.
+    /// `"precompute"`) began; see [`FitObserver::phase_finished`] for the
+    /// order.
     fn phase_started(&self, phase: &str) {
         let _ = phase;
     }
 
     /// A named pipeline phase finished after `nanos` wall nanoseconds.
-    /// Every fit-to-file path reports the same phases: `"search"`, then
-    /// `"index"` (VP-tree fits), `"precompute"` (with stored hoods) and
-    /// `"save"`. A sharded fit reports them once per shard.
+    /// Every fit reports the same phases, in this order: `"search"`; a
+    /// `"save"` of the artifact's head (columns, order permutations,
+    /// subspaces); `"index"` and a `"save"` of the trees (VP-tree fits);
+    /// `"precompute"` (with stored hoods); and a last `"save"`. The fit
+    /// streams its artifact as each piece is computed, so `"save"` repeats:
+    /// its time is the sum of its slices. Each subspace's hoods are written
+    /// as soon as they are computed; `"precompute"` reports the compute
+    /// alone, and the last `"save"` carries those writes plus the checksum
+    /// patch, sync and rename. So the phases' sums add up to the fit's
+    /// wall time without overlap. A sharded fit reports them once per
+    /// shard.
     fn phase_finished(&self, phase: &str, nanos: u64) {
         let _ = (phase, nanos);
     }
@@ -47,9 +56,11 @@ pub trait FitObserver: Send + Sync {
     }
 
     /// One shard of a sharded fit finished a named phase in `nanos` wall
-    /// nanoseconds: `"fit"`, the shard's search, index and save (its wall
-    /// time minus the precompute). The shard's own phases — `"search"`,
-    /// `"index"`, `"precompute"` and `"save"` — also arrive through
+    /// nanoseconds: `"fit"`, the shard's search, index and every save
+    /// slice (its wall time minus the precompute's compute nanoseconds, so
+    /// `fit − search − index` is the shard's save time and never
+    /// negative). The shard's own phases — `"search"`, `"index"`,
+    /// `"precompute"` and the `"save"` slices — also arrive through
     /// [`FitObserver::phase_finished`], before its `"fit"`.
     fn shard_phase(&self, shard: usize, phase: &str, nanos: u64) {
         let _ = (shard, phase, nanos);

@@ -202,27 +202,56 @@ fn version_4_open_adopts_and_scores_like_a_computed_open() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Records phase names in completion order, shard phases as
-/// `"shard {k} {phase}"`.
+/// Records phase names and nanoseconds in completion order, shard phases
+/// as `"shard {k} {phase}"`.
 #[derive(Default)]
-struct Phases(Mutex<Vec<String>>);
+struct Phases(Mutex<Vec<(String, u64)>>);
 
-impl FitObserver for Phases {
-    fn phase_finished(&self, phase: &str, _nanos: u64) {
-        self.0.lock().unwrap().push(phase.to_string());
-    }
-
-    fn shard_phase(&self, shard: usize, phase: &str, _nanos: u64) {
+impl Phases {
+    fn names(&self) -> Vec<String> {
         self.0
             .lock()
             .unwrap()
-            .push(format!("shard {shard} {phase}"));
+            .iter()
+            .map(|(p, _)| p.clone())
+            .collect()
+    }
+
+    /// Nanoseconds of every finished phase named `name`.
+    fn nanos(&self, name: &str) -> u64 {
+        let phases = self.0.lock().unwrap();
+        phases
+            .iter()
+            .filter(|(p, _)| p == name)
+            .map(|(_, ns)| ns)
+            .sum()
     }
 }
 
-/// The fused fit still reports index, precompute and save as separate
-/// phases, in that order, so per-layer timings keep adding up — and every
-/// shard of a sharded fit reports the same four, then its one `"fit"`.
+impl FitObserver for Phases {
+    fn phase_finished(&self, phase: &str, nanos: u64) {
+        self.0.lock().unwrap().push((phase.to_string(), nanos));
+    }
+
+    fn shard_phase(&self, shard: usize, phase: &str, nanos: u64) {
+        self.0
+            .lock()
+            .unwrap()
+            .push((format!("shard {shard} {phase}"), nanos));
+    }
+}
+
+/// The phases a streamed VP-tree fit with hoods reports, in order: the
+/// artifact's head is saved after the search, the trees after the index,
+/// and the last save carries the hoods writes, so `"save"` repeats.
+const STREAMED: [&str; 6] = ["search", "save", "index", "save", "precompute", "save"];
+
+/// The streamed fit reports index, precompute and the save slices as
+/// separate phases, in file order, whose sums add up to no more than the
+/// fit's wall time — and every shard of a sharded fit reports the same
+/// phases, then its one `"fit"`, which covers everything but the
+/// precompute, so `fit − search − index` (its save time) is never
+/// negative.
 #[test]
 fn fused_fit_reports_separate_phases() {
     let dir = temp_dir("hics-hoods-equivalence-phases");
@@ -231,13 +260,20 @@ fn fused_fit_reports_separate_phases() {
     hics_store::write_dataset_store(&store_path, &data, 64, NormKind::None).expect("store");
     let store = hics_store::DatasetStore::open_mmap(&store_path).expect("open store");
     let phases = Arc::new(Phases::default());
+    let start = std::time::Instant::now();
     builder(ScorerKind::Lof, IndexKind::VpTree)
         .observe(Arc::clone(&phases) as Arc<dyn FitObserver>)
         .fit_source_to(&store, &dir.join("m.hics"))
         .expect("fit");
-    assert_eq!(
-        *phases.0.lock().unwrap(),
-        ["search", "index", "precompute", "save"]
+    let wall = start.elapsed().as_nanos() as u64;
+    assert_eq!(phases.names(), STREAMED);
+    let attributed: u64 = ["search", "index", "precompute", "save"]
+        .iter()
+        .map(|p| phases.nanos(p))
+        .sum();
+    assert!(
+        attributed <= wall,
+        "phases {attributed} ns > wall {wall} ns"
     );
 
     // S = 2, one shard at a time so the two shards' events do not
@@ -253,14 +289,17 @@ fn fused_fit_reports_separate_phases() {
         .fit_sharded_to(&store, &spec, &dir.join("sharded.hics"))
         .expect("sharded fit");
     let shard = |k: usize| {
-        ["search", "index", "precompute", "save"]
+        STREAMED
             .map(String::from)
             .into_iter()
             .chain([format!("shard {k} fit")])
     };
-    assert_eq!(
-        *phases.0.lock().unwrap(),
-        shard(0).chain(shard(1)).collect::<Vec<_>>()
+    assert_eq!(phases.names(), shard(0).chain(shard(1)).collect::<Vec<_>>());
+    let shard_fits = phases.nanos("shard 0 fit") + phases.nanos("shard 1 fit");
+    let (search, index) = (phases.nanos("search"), phases.nanos("index"));
+    assert!(
+        shard_fits >= search + index + phases.nanos("save"),
+        "shard fits {shard_fits} ns < search {search} + index {index} + save"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

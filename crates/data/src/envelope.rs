@@ -190,7 +190,8 @@ pub struct HashingWriter<W: Write> {
 }
 
 impl<W: Write> HashingWriter<W> {
-    fn new(mut inner: W, header: &[u8; HEADER_LEN]) -> std::io::Result<Self> {
+    /// Writes `header` (checksum field zero) to `inner` and starts hashing.
+    pub(crate) fn new(mut inner: W, header: &[u8; HEADER_LEN]) -> std::io::Result<Self> {
         inner.write_all(header)?;
         Ok(Self {
             inner,
@@ -244,6 +245,18 @@ impl<W: Write> HashingWriter<W> {
     }
 }
 
+impl<W: Write + Seek> HashingWriter<W> {
+    /// [`HashingWriter::finish`], then patches the checksum into the
+    /// header in place and flushes again.
+    pub(crate) fn finish_in_place(self) -> std::io::Result<W> {
+        let (mut inner, checksum) = self.finish()?;
+        inner.seek(SeekFrom::Start(64))?;
+        inner.write_all(&checksum.to_le_bytes())?;
+        inner.flush()?;
+        Ok(inner)
+    }
+}
+
 /// Bytes the names and norm-params sections of `names` take, padding
 /// included.
 pub fn attributes_len(names: &[String]) -> usize {
@@ -281,13 +294,10 @@ pub fn save_streaming(
 ) -> Result<(), HicsError> {
     write_atomic_with(path, |file, tmp| {
         let io = |e| HicsError::io_path("writing", tmp, e);
-        let mut w = HashingWriter::new(BufWriter::new(&mut *file), &header).map_err(io)?;
+        let mut w = HashingWriter::new(BufWriter::new(file), &header).map_err(io)?;
         body(&mut w, tmp)?;
-        let (_, checksum) = w.finish().map_err(io)?;
-        file.seek(SeekFrom::Start(64))
-            .map_err(|e| HicsError::io_path("seeking in", tmp, e))?;
-        file.write_all(&checksum.to_le_bytes())
-            .map_err(|e| HicsError::io_path("patching checksum in", tmp, e))
+        w.finish_in_place().map_err(io)?;
+        Ok(())
     })
 }
 

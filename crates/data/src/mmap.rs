@@ -36,9 +36,10 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), HicsError> {
 /// Replaces the file at `path` atomically: `write` fills a temporary file
 /// in the same directory (`<name>.tmp.<pid>`, handed over with its path for
 /// error messages), which is then synced and renamed over `path`, and the
-/// directory synced so the rename survives a crash. A failed write removes
-/// the temporary file and leaves `path` as it was, so a crash can never
-/// leave a torn file behind. The destination is never truncated in place
+/// directory synced so the rename survives a crash. A failed or panicking
+/// write removes the temporary file and leaves `path` as it was, so a crash
+/// can never leave a torn file behind — which matters because a whole fit
+/// runs inside `write`. The destination is never truncated in place
 /// either: a serving process may have the old file memory-mapped, and
 /// truncating a mapped file turns its next page fault into a fatal
 /// `SIGBUS`; after the rename the old inode lives on until every map of it
@@ -49,30 +50,36 @@ pub fn write_atomic_with<T>(
 ) -> Result<T, HicsError> {
     let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
     tmp_name.push(format!(".tmp.{}", std::process::id()));
-    let tmp = path.with_file_name(tmp_name);
-    let result = (|| {
-        let mut file = File::create(&tmp).map_err(|e| HicsError::io_path("creating", &tmp, e))?;
-        let out = write(&mut file, &tmp)?;
-        file.sync_all()
-            .map_err(|e| HicsError::io_path("syncing", &tmp, e))?;
-        std::fs::rename(&tmp, path).map_err(|e| HicsError::io_path("renaming into", path, e))?;
-        // The rename itself is durable only once the directory is synced.
-        #[cfg(unix)]
-        {
-            let dir = match path.parent() {
-                Some(dir) if !dir.as_os_str().is_empty() => dir,
-                _ => Path::new("."),
-            };
-            File::open(dir)
-                .and_then(|d| d.sync_all())
-                .map_err(|e| HicsError::io_path("syncing", dir, e))?;
-        }
-        Ok(out)
-    })();
-    if result.is_err() {
-        std::fs::remove_file(&tmp).ok();
+    let tmp = TempFile(path.with_file_name(tmp_name));
+    let tmp = &tmp.0;
+    let mut file = File::create(tmp).map_err(|e| HicsError::io_path("creating", tmp, e))?;
+    let out = write(&mut file, tmp)?;
+    file.sync_all()
+        .map_err(|e| HicsError::io_path("syncing", tmp, e))?;
+    std::fs::rename(tmp, path).map_err(|e| HicsError::io_path("renaming into", path, e))?;
+    // The rename itself is durable only once the directory is synced.
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| HicsError::io_path("syncing", dir, e))?;
     }
-    result
+    Ok(out)
+}
+
+/// A temporary file's path, removed on drop: on every early return and
+/// every unwind out of [`write_atomic_with`]. After the rename nothing is
+/// left at the path, and the removal is a no-op.
+struct TempFile(std::path::PathBuf);
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
 }
 
 /// Read-only bytes from either a live memory map or an 8-aligned owned
@@ -290,6 +297,29 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(names, ["f.bin"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_atomic_removes_the_temp_file_when_the_write_panics() {
+        let dir = std::env::temp_dir().join("hics-write-atomic-panic-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("f.bin");
+        write_atomic(&path, b"first").unwrap();
+        let panicked = std::panic::catch_unwind(|| {
+            write_atomic_with(&path, |file, _| -> Result<(), HicsError> {
+                file.write_all(b"half a fi").unwrap();
+                panic!("a worker panicked halfway through the write");
+            })
+        });
+        assert!(panicked.is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"first");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["f.bin"], "the panic left a temp file behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

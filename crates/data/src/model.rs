@@ -67,6 +67,16 @@
 //! from the order permutations in `O(D·N)` at load time (and validating the
 //! permutations requires that pass anyway).
 //!
+//! # Encoding
+//!
+//! One encoder, [`ModelWriter`], writes every artifact in file order: the
+//! [`ModelHead`] (header, attributes, columns, order permutations,
+//! subspaces), then each VP-tree, then each subspace's hoods, then the
+//! checksum. The head announces the trees' shapes, so the header's payload
+//! length is exact before any tree exists. A fit streams through it as
+//! each piece is computed; [`HicsModel::to_bytes`] runs the same stages in
+//! memory.
+//!
 //! # Decoding paths
 //!
 //! All validation lives in one place, `ArtifactLayout::parse`, which walks
@@ -91,7 +101,7 @@ use crate::error::{ArtifactSection, HicsError};
 use crate::index::RankIndex;
 use crate::source::ColumnsView;
 use std::borrow::Cow;
-use std::io::{Read, Write};
+use std::io::{Cursor, Read, Seek, Write};
 use std::path::Path;
 
 pub use crate::envelope::{artifact_checksum, fnv1a, FNV_OFFSET};
@@ -402,7 +412,28 @@ pub struct VpTreeData {
     pub ids: Vec<u32>,
 }
 
+/// The size of one stored VP-tree: its node count and the length of its
+/// leaf-id array — all a [`ModelHead`] needs of a tree before it exists.
+/// A tree `hics-outlier` builds over `n` points has a shape that depends
+/// on `n` alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TreeShape {
+    /// Node records.
+    pub nodes: usize,
+    /// Leaf ids.
+    pub ids: usize,
+}
+
 impl VpTreeData {
+    /// An empty tree with room for exactly `shape`'s arrays, for a builder
+    /// to fill.
+    pub fn with_shape(shape: TreeShape) -> Self {
+        Self {
+            nodes: Vec::with_capacity(shape.nodes),
+            ids: Vec::with_capacity(shape.ids),
+        }
+    }
+
     /// The tree as a borrowed view.
     pub fn view(&self) -> VpTreeView<'_> {
         VpTreeView {
@@ -425,6 +456,14 @@ pub struct VpTreeView<'a> {
 }
 
 impl VpTreeView<'_> {
+    /// The tree's array lengths.
+    pub fn shape(&self) -> TreeShape {
+        TreeShape {
+            nodes: self.nodes.len(),
+            ids: self.ids.len(),
+        }
+    }
+
     /// Whether both arrays are borrowed rather than copied.
     pub fn is_borrowed(&self) -> bool {
         matches!(
@@ -540,38 +579,29 @@ fn check_hood_values(hoods: &HoodsView<'_>) -> Result<(), String> {
     Ok(())
 }
 
-/// Validates in-memory hoods against the model shape: one entry per
-/// subspace, `n` k-distances each, `n` LRDs exactly when the scorer is LOF,
-/// and every value inside [`check_hood_values`]'s domain.
-fn validate_hoods(
-    hoods: &ModelHoods,
+/// Validates subspace `s`'s hoods against the model shape: `n`
+/// k-distances, `n` LRDs exactly when the scorer is LOF, and every value
+/// inside [`check_hood_values`]'s domain.
+fn validate_hood(
+    hoods: &HoodsView<'_>,
     n: usize,
     kind: ScorerKind,
-    subspaces: usize,
+    s: usize,
 ) -> Result<(), HicsError> {
     let fail = |msg: String| HicsError::InvalidModel {
         section: ArtifactSection::Hoods,
         offset: 0,
-        msg,
+        msg: format!("subspace {s}: {msg}"),
     };
-    if hoods.subspaces.len() != subspaces {
+    let lrd_len = if kind == ScorerKind::Lof { n } else { 0 };
+    if hoods.k_distance.len() != n || hoods.lrd.len() != lrd_len {
         return Err(fail(format!(
-            "{} hoods for {subspaces} subspaces",
-            hoods.subspaces.len()
+            "holds {} k-distances and {} LRDs, expected {n} and {lrd_len}",
+            hoods.k_distance.len(),
+            hoods.lrd.len()
         )));
     }
-    let lrd_len = if kind == ScorerKind::Lof { n } else { 0 };
-    for (s, h) in hoods.subspaces.iter().enumerate() {
-        if h.k_distance.len() != n || h.lrd.len() != lrd_len {
-            return Err(fail(format!(
-                "subspace {s} holds {} k-distances and {} LRDs, expected {n} and {lrd_len}",
-                h.k_distance.len(),
-                h.lrd.len()
-            )));
-        }
-        check_hood_values(&h.view()).map_err(|msg| fail(format!("subspace {s}: {msg}")))?;
-    }
-    Ok(())
+    check_hood_values(hoods).map_err(fail)
 }
 
 /// Structural validation of one serialized VP-tree over `n` objects: every
@@ -1172,27 +1202,46 @@ impl HicsModel {
 
     /// Encodes the model into its binary format: version 1 without a
     /// neighbor index or hoods, version 2 with an index only, version 4
-    /// with hoods. The bytes come from the one artifact encoder
-    /// [`save_model_streaming`] also writes through.
+    /// with hoods. The bytes come from the one artifact encoder,
+    /// [`ModelWriter`], through the stages a fit streams to its file.
     pub fn to_bytes(&self) -> Vec<u8> {
+        const VALID: &str = "a constructed model encodes";
         let view = ColumnsView::from_dataset(&self.dataset);
-        let parts = self.parts(&view);
-        crate::envelope::encode_to_vec(parts.header(), |w| parts.encode(w))
+        let shapes = self.tree_shapes();
+        let head = self.head(&view, shapes.as_deref());
+        let sink = Cursor::new(Vec::with_capacity(head.byte_len()));
+        let mut w = ModelWriter::begin(sink, Path::new("memory"), &head).expect(VALID);
+        for tree in self.index.iter().flat_map(|i| &i.trees) {
+            w.put_tree(&tree.view()).expect(VALID);
+        }
+        for hoods in self.hoods.iter().flat_map(|h| &h.subspaces) {
+            w.put_hoods(&hoods.view()).expect(VALID);
+        }
+        w.finish().expect(VALID).into_inner()
     }
 
-    /// The model as input of the artifact encoder, over `view` (a view of
-    /// its own dataset).
-    fn parts<'a>(&'a self, view: &'a ColumnsView<'a>) -> ModelParts<'a> {
-        ModelParts {
+    /// The shapes of the model's stored trees, if it has any.
+    fn tree_shapes(&self) -> Option<Vec<TreeShape>> {
+        let index = self.index.as_ref()?;
+        Some(index.trees.iter().map(|t| t.view().shape()).collect())
+    }
+
+    /// The model's head over `view` (a view of its own dataset).
+    fn head<'a>(
+        &'a self,
+        view: &'a ColumnsView<'a>,
+        trees: Option<&'a [TreeShape]>,
+    ) -> ModelHead<'a> {
+        ModelHead {
             view,
             norm_kind: self.norm_kind,
             norm: &self.norm,
             subspaces: &self.subspaces,
             scorer: self.scorer,
             aggregation: self.aggregation,
-            index: self.index.as_ref(),
-            hoods: self.hoods.as_ref(),
-            order: Some(&self.rank),
+            order: &self.rank,
+            trees,
+            hoods: self.hoods.is_some(),
         }
     }
 
@@ -1200,10 +1249,30 @@ impl HicsModel {
     /// in-memory form of what [`HicsModel::from_bytes`] rejects with
     /// errors.
     fn assert_valid(&self) {
-        if let Err(e) = self
-            .parts(&ColumnsView::from_dataset(&self.dataset))
-            .validate()
-        {
+        let check = || -> Result<(), HicsError> {
+            let view = ColumnsView::from_dataset(&self.dataset);
+            let shapes = self.tree_shapes();
+            self.head(&view, shapes.as_deref()).validate()?;
+            let n = self.n();
+            for (s, tree) in self.index.iter().flat_map(|i| &i.trees).enumerate() {
+                validate_tree(&tree.view(), n, s, 0)?;
+            }
+            if let Some(hoods) = &self.hoods {
+                let count = hoods.subspaces.len();
+                if count != self.subspaces.len() {
+                    return Err(HicsError::InvalidModel {
+                        section: ArtifactSection::Hoods,
+                        offset: 0,
+                        msg: format!("{count} hoods for {} subspaces", self.subspaces.len()),
+                    });
+                }
+                for (s, h) in hoods.subspaces.iter().enumerate() {
+                    validate_hood(&h.view(), n, self.scorer.kind, s)?;
+                }
+            }
+            Ok(())
+        };
+        if let Err(e) = check() {
             panic!("{e}");
         }
     }
@@ -1288,12 +1357,13 @@ pub fn peek_artifact_version(path: &Path) -> Result<u32, HicsError> {
     Ok(version)
 }
 
-/// Everything one model artifact holds, borrowed from wherever it lives —
-/// the single input of the artifact encoder behind both
-/// [`HicsModel::to_bytes`] and [`save_model_streaming`], so the section
-/// list, the payload-length arithmetic and the checksum exist once.
+/// Everything an artifact's header and its first sections hold — what a
+/// fit knows once the subspace search has run. The trees and the hoods
+/// follow through [`ModelWriter::put_tree`] and
+/// [`ModelWriter::put_hoods`]; the head announces only their sizes, so the
+/// header's payload length is exact before either exists.
 #[derive(Debug, Clone, Copy)]
-pub struct ModelParts<'a> {
+pub struct ModelHead<'a> {
     /// The trained (normalised) columns and attribute names.
     pub view: &'a ColumnsView<'a>,
     /// The normalisation kind applied at fit time.
@@ -1306,20 +1376,20 @@ pub struct ModelParts<'a> {
     pub scorer: ScorerSpec,
     /// The score aggregation.
     pub aggregation: AggregationKind,
-    /// Per-subspace VP-trees, written as the index section.
-    pub index: Option<&'a ModelIndex>,
-    /// Per-subspace neighbourhood state, written as the hoods section.
-    pub hoods: Option<&'a ModelHoods>,
-    /// The argsort permutations, when the caller already holds them (the
-    /// subspace search builds them); `None` argsorts one column at a time
-    /// while writing.
-    pub order: Option<&'a RankIndex>,
+    /// The argsort permutations, written as the order section (the
+    /// subspace search builds them, so no column is sorted twice).
+    pub order: &'a RankIndex,
+    /// The shape of each VP-tree the index section will hold, one per
+    /// subspace; `None` writes no trees.
+    pub trees: Option<&'a [TreeShape]>,
+    /// Whether the hoods section follows (format version 4).
+    pub hoods: bool,
 }
 
 /// The object-count limits of a written artifact: at least two reference
 /// objects (every scorer works on kNN neighbourhoods) and at most
 /// `u32::MAX` (object ids are stored as `u32`). A fit checks them before it
-/// runs any phase; [`save_model_streaming`] checks them again.
+/// runs any phase; [`ModelWriter::begin`] checks them again.
 pub fn check_object_count(n: usize) -> Result<(), HicsError> {
     if n < 2 {
         return Err(HicsError::InvalidInput(format!(
@@ -1334,30 +1404,28 @@ pub fn check_object_count(n: usize) -> Result<(), HicsError> {
     Ok(())
 }
 
-impl ModelParts<'_> {
-    /// The format version the parts encode as: 4 with hoods, 2 with an
-    /// index only, 1 otherwise.
+impl ModelHead<'_> {
+    /// The format version the artifact encodes as: 4 with hoods, 2 with
+    /// trees only, 1 otherwise.
     pub fn version(&self) -> u32 {
-        match (self.index, self.hoods) {
-            (_, Some(_)) => FORMAT_VERSION,
-            (Some(_), None) => 2,
-            (None, None) => 1,
+        match (self.trees, self.hoods) {
+            (_, true) => FORMAT_VERSION,
+            (Some(_), false) => 2,
+            (None, false) => 1,
         }
     }
 
-    /// Checks the parts against everything [`ArtifactLayout::parse`]
-    /// enforces on the content, so a written artifact always re-opens.
+    /// Checks the head against everything [`ArtifactLayout::parse`]
+    /// enforces on its sections, so a written artifact always re-opens.
     fn validate(&self) -> Result<(), HicsError> {
         let (n, d) = (self.view.n(), self.view.d());
         let invalid = |msg: String| HicsError::InvalidInput(msg);
-        if let Some(rank) = self.order {
-            if rank.n() != n || rank.d() != d {
-                return Err(invalid(format!(
-                    "rank index is {} x {}, view is {n} x {d}",
-                    rank.n(),
-                    rank.d()
-                )));
-            }
+        if self.order.n() != n || self.order.d() != d {
+            return Err(invalid(format!(
+                "rank index is {} x {}, view is {n} x {d}",
+                self.order.n(),
+                self.order.d()
+            )));
         }
         check_object_count(n)?;
         if self.norm.len() != d {
@@ -1386,20 +1454,14 @@ impl ModelParts<'_> {
                 return Err(invalid(format!("non-finite contrast for subspace {s}")));
             }
         }
-        if let Some(idx) = self.index {
-            if idx.trees.len() != self.subspaces.len() {
+        if let Some(trees) = self.trees {
+            if trees.len() != self.subspaces.len() {
                 return Err(invalid(format!(
                     "{} index trees for {} subspaces",
-                    idx.trees.len(),
+                    trees.len(),
                     self.subspaces.len()
                 )));
             }
-            for (s, tree) in idx.trees.iter().enumerate() {
-                validate_tree(&tree.view(), n, s, 0)?;
-            }
-        }
-        if let Some(hoods) = self.hoods {
-            validate_hoods(hoods, n, self.scorer.kind, self.subspaces.len())?;
         }
         Ok(())
     }
@@ -1414,11 +1476,18 @@ impl ModelParts<'_> {
             &self.norm_kind.code().to_le_bytes(),
         ];
         let (n, d) = (self.view.n() as u64, self.view.d());
-        crate::envelope::header(&MAGIC, self.version(), n, d, &words, self.payload_len())
+        crate::envelope::header(
+            &MAGIC,
+            self.version(),
+            n,
+            d,
+            &words,
+            self.byte_len() - HEADER_LEN,
+        )
     }
 
-    /// The exact payload length in bytes (everything after the header).
-    fn payload_len(&self) -> usize {
+    /// The exact artifact length in bytes, header included.
+    fn byte_len(&self) -> usize {
         let (n, d) = (self.view.n(), self.view.d());
         let pad = |o: usize| o.next_multiple_of(8);
         let mut off = HEADER_LEN + crate::envelope::attributes_len(self.view.names());
@@ -1436,109 +1505,179 @@ impl ModelParts<'_> {
         off += self.subspaces.len() * 8; // contrasts
         if self.version() >= 2 {
             off += 8; // index kind + reserved
-            for tree in self.index.iter().flat_map(|i| &i.trees) {
-                off = pad(off + 8 + tree.nodes.len() * 32 + tree.ids.len() * 4);
+            for tree in self.trees.into_iter().flatten() {
+                off = pad(off + 8 + tree.nodes * 32 + tree.ids * 4);
             }
         }
-        for h in self.hoods.iter().flat_map(|h| &h.subspaces) {
-            off += 8 * (1 + h.k_distance.len() + h.lrd.len());
+        if self.hoods {
+            let lof = self.scorer.kind == ScorerKind::Lof;
+            off += self.subspaces.len() * ArtifactLayout::hoods_stride(n, lof);
         }
-        off - HEADER_LEN
-    }
-
-    /// Writes the artifact's payload to `w`.
-    fn encode<W: Write>(&self, w: &mut HashingWriter<W>) -> Result<(), std::io::Error> {
-        let d = self.view.d();
-        w.put_attributes(self.view.names(), self.norm)?;
-        // Columns, one at a time straight from the view.
-        for j in 0..d {
-            w.put_f64s(self.view.col(j))?;
-        }
-        // Order permutations: reused from the caller's rank index when
-        // available, one transient argsort per column otherwise.
-        for j in 0..d {
-            match self.order {
-                Some(rank) => w.put(&u32_slice_le_bytes(rank.order(j)))?,
-                None => {
-                    let order = hics_stats::rank::argsort(self.view.col(j));
-                    w.put(&u32_slice_le_bytes(&order))?;
-                }
-            }
-        }
-        // d·n·4 order bytes follow 8-aligned sections, so realign.
-        w.pad8()?;
-        // Subspaces: lens, flattened dims, contrasts.
-        for s in self.subspaces {
-            w.put(&(s.dims.len() as u32).to_le_bytes())?;
-        }
-        w.pad8()?;
-        for s in self.subspaces {
-            for &dim in &s.dims {
-                w.put(&(dim as u32).to_le_bytes())?;
-            }
-        }
-        w.pad8()?;
-        for s in self.subspaces {
-            w.put(&s.contrast.to_le_bytes())?;
-        }
-        // Versions 2 and 4: the neighbor-index section (kind 0, no trees,
-        // when a version-4 artifact has no index).
-        if self.version() >= 2 {
-            w.put(&u32::from(self.index.is_some()).to_le_bytes())?;
-            w.put(&0u32.to_le_bytes())?; // reserved
-            for tree in self.index.iter().flat_map(|i| &i.trees) {
-                w.put(&(tree.nodes.len() as u32).to_le_bytes())?;
-                w.put(&(tree.ids.len() as u32).to_le_bytes())?;
-                for node in &tree.nodes {
-                    w.put(&node.vantage.to_le_bytes())?;
-                    w.put(&node.inner.to_le_bytes())?;
-                    w.put(&node.outer.to_le_bytes())?;
-                    w.put(&node.start.to_le_bytes())?;
-                    w.put(&node.len.to_le_bytes())?;
-                    w.put(&0u32.to_le_bytes())?; // reserved
-                    w.put(&node.mu.to_le_bytes())?;
-                }
-                w.put(&u32_slice_le_bytes(&tree.ids))?;
-                w.pad8()?;
-            }
-        }
-        // Version 4: the hoods section.
-        for h in self.hoods.iter().flat_map(|h| &h.subspaces) {
-            w.put(&h.clamp.to_le_bytes())?;
-            w.put_f64s(&h.k_distance)?;
-            w.put_f64s(&h.lrd)?;
-        }
-        Ok(())
+        off
     }
 }
 
-/// Streams a model artifact to `path` without ever materialising the full
-/// training matrix: columns are written (and checksummed) one at a time
-/// straight from the source view, and the per-attribute argsort is either
-/// reused from [`ModelParts::order`] (a caller that already built the rank
-/// index — the subspace search does — should pass it rather than pay the
-/// `O(D · N log N)` sorts twice) or computed transiently per column. The
-/// encoder is the one behind [`HicsModel::to_bytes`], so the file is
-/// **byte-identical** to [`HicsModel::save`] of the equivalent in-memory
-/// model, and both load paths treat the two interchangeably.
+/// The one artifact encoder, in file order: [`ModelWriter::begin`] writes
+/// the header and every section of the [`ModelHead`], then each subspace's
+/// VP-tree ([`ModelWriter::put_tree`]) and hoods
+/// ([`ModelWriter::put_hoods`]) go out as they are computed, and
+/// [`ModelWriter::finish`] patches the checksum into the header. So a fit
+/// holds one subspace's hoods at a time, never the whole artifact, and
+/// [`HicsModel::to_bytes`] writes the same bytes through the same stages.
 ///
-/// Peak heap usage is `O(N)` per in-flight column (the argsort scratch)
-/// plus the small sections — never `O(N·D)` — which is what lets `hics fit`
-/// run over an mmap-backed dataset store larger than RAM.
-///
-/// The parts are validated first (an invalid model is an
-/// [`HicsError::InvalidInput`] and writes nothing). Like
-/// [`HicsModel::save`], the bytes go to a temp file in the same directory,
-/// are synced, then renamed over `path` (the checksum is patched in before
-/// the rename), so a serving process with the old artifact mapped never
-/// sees a torn file.
-pub fn save_model_streaming(path: &Path, parts: &ModelParts<'_>) -> Result<(), HicsError> {
-    parts.validate()?;
-    crate::envelope::save_streaming(path, parts.header(), |w, tmp| {
-        parts
-            .encode(w)
-            .map_err(|e| HicsError::io_path("writing", tmp, e))
-    })
+/// Every stage validates what it is given, so a finished artifact always
+/// re-opens; a stage out of order, a tree whose shape differs from the
+/// announced one, or a missing stage at [`ModelWriter::finish`] is an
+/// [`HicsError::InvalidInput`].
+pub struct ModelWriter<W: Write + Seek> {
+    w: HashingWriter<W>,
+    /// Where the bytes go, for error messages.
+    dest: std::path::PathBuf,
+    n: usize,
+    scorer: ScorerKind,
+    subspaces: usize,
+    /// The announced tree shapes (empty without an index section).
+    trees: Vec<TreeShape>,
+    trees_written: usize,
+    hoods: bool,
+    hoods_written: usize,
+}
+
+impl<W: Write + Seek> ModelWriter<W> {
+    /// Validates `head` and writes the header (with a zero checksum) and
+    /// the head's sections — attributes, columns, order permutations,
+    /// subspaces and, from version 2, the index section's kind word — to
+    /// `sink`. `dest` names the destination in error messages.
+    pub fn begin(sink: W, dest: &Path, head: &ModelHead<'_>) -> Result<Self, HicsError> {
+        head.validate()?;
+        let io = |e| HicsError::io_path("writing", dest, e);
+        let mut w = HashingWriter::new(sink, &head.header()).map_err(io)?;
+        (|| {
+            let view = head.view;
+            w.put_attributes(view.names(), head.norm)?;
+            for col in view.iter_cols() {
+                w.put_f64s(col)?;
+            }
+            for j in 0..view.d() {
+                w.put(&u32_slice_le_bytes(head.order.order(j)))?;
+            }
+            // d·n·4 order bytes follow 8-aligned sections, so realign.
+            w.pad8()?;
+            // Subspaces: lens, flattened dims, contrasts.
+            for s in head.subspaces {
+                w.put(&(s.dims.len() as u32).to_le_bytes())?;
+            }
+            w.pad8()?;
+            for s in head.subspaces {
+                for &dim in &s.dims {
+                    w.put(&(dim as u32).to_le_bytes())?;
+                }
+            }
+            w.pad8()?;
+            for s in head.subspaces {
+                w.put(&s.contrast.to_le_bytes())?;
+            }
+            // Versions 2 and 4: the neighbor-index section's kind word (0,
+            // no trees, when a version-4 artifact has no index).
+            if head.version() >= 2 {
+                w.put(&u32::from(head.trees.is_some()).to_le_bytes())?;
+                w.put(&0u32.to_le_bytes())?; // reserved
+            }
+            Ok(())
+        })()
+        .map_err(io)?;
+        Ok(Self {
+            w,
+            dest: dest.to_path_buf(),
+            n: head.view.n(),
+            scorer: head.scorer.kind,
+            subspaces: head.subspaces.len(),
+            trees: head.trees.map(<[_]>::to_vec).unwrap_or_default(),
+            trees_written: 0,
+            hoods: head.hoods,
+            hoods_written: 0,
+        })
+    }
+
+    /// Writes the next subspace's VP-tree, which must have the shape the
+    /// head announced for it and pass the structural validation of a
+    /// stored tree.
+    pub fn put_tree(&mut self, tree: &VpTreeView<'_>) -> Result<(), HicsError> {
+        let s = self.trees_written;
+        let Some(&expected) = self.trees.get(s) else {
+            return Err(HicsError::InvalidInput(format!(
+                "tree {s} was not announced by the artifact head"
+            )));
+        };
+        let shape = tree.shape();
+        if shape != expected {
+            return Err(HicsError::InvalidInput(format!(
+                "tree {s} has {} nodes and {} ids, the artifact head announced {} and {}",
+                shape.nodes, shape.ids, expected.nodes, expected.ids
+            )));
+        }
+        validate_tree(tree, self.n, s, 0)?;
+        let w = &mut self.w;
+        (|| {
+            w.put(&(shape.nodes as u32).to_le_bytes())?;
+            w.put(&(shape.ids as u32).to_le_bytes())?;
+            for node in tree.nodes.iter() {
+                w.put(&node.vantage.to_le_bytes())?;
+                w.put(&node.inner.to_le_bytes())?;
+                w.put(&node.outer.to_le_bytes())?;
+                w.put(&node.start.to_le_bytes())?;
+                w.put(&node.len.to_le_bytes())?;
+                w.put(&0u32.to_le_bytes())?; // reserved
+                w.put(&node.mu.to_le_bytes())?;
+            }
+            w.put(&u32_slice_le_bytes(&tree.ids))?;
+            w.pad8()
+        })()
+        .map_err(|e| HicsError::io_path("writing", &self.dest, e))?;
+        self.trees_written += 1;
+        Ok(())
+    }
+
+    /// Writes the next subspace's hoods, after every tree: `n`
+    /// k-distances, `n` LRDs exactly when the scorer is LOF, and every
+    /// value inside the section's domain.
+    pub fn put_hoods(&mut self, hoods: &HoodsView<'_>) -> Result<(), HicsError> {
+        let s = self.hoods_written;
+        if !self.hoods || s == self.subspaces || self.trees_written < self.trees.len() {
+            return Err(HicsError::InvalidInput(format!(
+                "hoods {s} do not follow the artifact head and its {} trees",
+                self.trees.len()
+            )));
+        }
+        validate_hood(hoods, self.n, self.scorer, s)?;
+        let w = &mut self.w;
+        (|| {
+            w.put(&hoods.clamp.to_le_bytes())?;
+            w.put_f64s(&hoods.k_distance)?;
+            w.put_f64s(&hoods.lrd)
+        })()
+        .map_err(|e| HicsError::io_path("writing", &self.dest, e))?;
+        self.hoods_written += 1;
+        Ok(())
+    }
+
+    /// Checks that every announced tree and hoods entry was written, then
+    /// flushes the bytes, patches the checksum into the header and returns
+    /// the sink.
+    pub fn finish(self) -> Result<W, HicsError> {
+        let hoods_due = if self.hoods { self.subspaces } else { 0 };
+        if self.trees_written != self.trees.len() || self.hoods_written != hoods_due {
+            return Err(HicsError::InvalidInput(format!(
+                "artifact ended after {} of {} trees and {} of {hoods_due} hoods",
+                self.trees_written,
+                self.trees.len(),
+                self.hoods_written
+            )));
+        }
+        self.w
+            .finish_in_place()
+            .map_err(|e| HicsError::io_path("writing", &self.dest, e))
+    }
 }
 
 /// Reads the little-endian `u32` at `off`.
@@ -1618,60 +1757,87 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The streaming writer must emit the exact bytes `HicsModel::save`
-    /// emits for the same content — the invariant that lets the
-    /// out-of-core fit path and the in-memory pipeline produce
-    /// interchangeable (bit-identical) artifacts.
+    /// Streams `m` to `path` through the staged writer, as a fit does.
+    fn save_staged(m: &HicsModel, path: &Path) -> Result<(), HicsError> {
+        let view = crate::source::ColumnsView::from_dataset(m.dataset());
+        let shapes = m.tree_shapes();
+        let head = m.head(&view, shapes.as_deref());
+        crate::mmap::write_atomic_with(path, |file, tmp| {
+            let mut w = ModelWriter::begin(std::io::BufWriter::new(file), tmp, &head)?;
+            for tree in m.index().iter().flat_map(|i| &i.trees) {
+                w.put_tree(&tree.view())?;
+            }
+            for hoods in m.hoods().iter().flat_map(|h| &h.subspaces) {
+                w.put_hoods(&hoods.view())?;
+            }
+            w.finish().map(drop)
+        })
+    }
+
+    /// A single-leaf tree over all `n` objects: the smallest structurally
+    /// valid index.
+    fn leaf_tree(n: usize) -> VpTreeData {
+        VpTreeData {
+            nodes: vec![VpNodeData {
+                vantage: VP_NONE,
+                inner: VP_NONE,
+                outer: VP_NONE,
+                start: 0,
+                len: n as u32,
+                mu: 0.0,
+            }],
+            ids: (0..n as u32).collect(),
+        }
+    }
+
+    /// Hoods of the right shape for `m`'s scorer, with every value legal.
+    fn flat_hoods(m: &HicsModel) -> ModelHoods {
+        let lrd = if m.scorer().kind == ScorerKind::Lof {
+            vec![1.0; m.n()]
+        } else {
+            Vec::new()
+        };
+        ModelHoods {
+            subspaces: vec![
+                HoodsData {
+                    clamp: 2.5,
+                    k_distance: vec![0.5; m.n()],
+                    lrd,
+                };
+                m.subspaces().len()
+            ],
+        }
+    }
+
+    /// The staged file writer must emit the exact bytes
+    /// `HicsModel::save` emits for the same content — the invariant that
+    /// lets the out-of-core fit path and the in-memory pipeline produce
+    /// interchangeable (bit-identical) artifacts — for every version.
     #[test]
     fn streaming_writer_is_byte_identical_to_save() {
         let dir = std::env::temp_dir().join("hics-model-test");
         std::fs::create_dir_all(&dir).unwrap();
-        for (tag, with_index) in [("v1", false), ("v2", true)] {
+        for (tag, with_index, with_hoods) in [
+            ("v1", false, false),
+            ("v2", true, false),
+            ("v4", false, true),
+            ("v4-trees", true, true),
+        ] {
             for norm_kind in [NormKind::None, NormKind::ZScore] {
                 let mut m = sample_model(norm_kind);
                 if with_index {
-                    // A single-leaf tree per subspace is the smallest
-                    // structurally valid index.
-                    let leaf = VpTreeData {
-                        nodes: vec![VpNodeData {
-                            vantage: VP_NONE,
-                            inner: VP_NONE,
-                            outer: VP_NONE,
-                            start: 0,
-                            len: m.n() as u32,
-                            mu: 0.0,
-                        }],
-                        ids: (0..m.n() as u32).collect(),
-                    };
                     m.set_index(Some(ModelIndex {
-                        trees: vec![leaf.clone(), leaf],
+                        trees: vec![leaf_tree(m.n()); 2],
                     }));
                 }
+                if with_hoods {
+                    m.set_hoods(Some(flat_hoods(&m)));
+                }
                 let path = dir.join(format!("stream-{tag}-{}.hicsmodel", norm_kind.name()));
-                let view = crate::source::ColumnsView::from_dataset(m.dataset());
-                save_model_streaming(
-                    &path,
-                    &ModelParts {
-                        view: &view,
-                        norm_kind: m.norm_kind(),
-                        norm: m.norm_params(),
-                        subspaces: m.subspaces(),
-                        scorer: m.scorer(),
-                        aggregation: m.aggregation(),
-                        index: m.index(),
-                        hoods: None,
-                        // Alternate between the transient-argsort path and a
-                        // caller-supplied rank index; both must be canonical.
-                        order: if with_index {
-                            Some(m.rank_index())
-                        } else {
-                            None
-                        },
-                    },
-                )
-                .expect("streaming save");
+                save_staged(&m, &path).expect("staged save");
                 let streamed = std::fs::read(&path).expect("read back");
                 assert_eq!(streamed, m.to_bytes(), "{tag}/{}", norm_kind.name());
+                assert_eq!(HicsModel::from_bytes(&streamed).expect("reopens"), m);
                 std::fs::remove_file(&path).ok();
             }
         }
@@ -1679,41 +1845,67 @@ mod tests {
 
     #[test]
     fn streaming_writer_rejects_invalid_content() {
-        let m = sample_model(NormKind::None);
+        let mut m = sample_model(NormKind::None);
+        m.set_index(Some(ModelIndex {
+            trees: vec![leaf_tree(m.n()); 2],
+        }));
         let view = crate::source::ColumnsView::from_dataset(m.dataset());
-        let path = std::env::temp_dir().join("hics-model-test-reject.hicsmodel");
-        let parts = ModelParts {
-            view: &view,
-            norm_kind: NormKind::None,
-            norm: m.norm_params(),
-            subspaces: m.subspaces(),
-            scorer: m.scorer(),
-            aggregation: m.aggregation(),
-            index: None,
-            hoods: None,
-            order: None,
+        let shapes = m.tree_shapes();
+        let head = m.head(&view, shapes.as_deref());
+        let begin = |head: &ModelHead<'_>| {
+            ModelWriter::begin(Cursor::new(Vec::new()), Path::new("memory"), head)
         };
         // No subspaces.
-        assert!(save_model_streaming(
-            &path,
-            &ModelParts {
-                subspaces: &[],
-                ..parts
-            }
-        )
+        assert!(begin(&ModelHead {
+            subspaces: &[],
+            ..head
+        })
         .is_err());
         // Out-of-range subspace.
-        assert!(save_model_streaming(
-            &path,
-            &ModelParts {
-                subspaces: &[ModelSubspace {
-                    dims: vec![0, 99],
-                    contrast: 0.5
-                }],
-                ..parts
-            }
-        )
+        assert!(begin(&ModelHead {
+            subspaces: &[ModelSubspace {
+                dims: vec![0, 99],
+                contrast: 0.5
+            }],
+            ..head
+        })
         .is_err());
+        // A tree of another shape than the announced one.
+        let mut w = begin(&head).expect("valid head");
+        let mut odd = leaf_tree(m.n());
+        odd.nodes.push(odd.nodes[0]);
+        assert!(matches!(
+            w.put_tree(&odd.view()),
+            Err(HicsError::InvalidInput(_))
+        ));
+        // Hoods before the trees, and a finish before every stage.
+        let hoods = flat_hoods(&m);
+        assert!(w.put_hoods(&hoods.subspaces[0].view()).is_err());
+        w.put_tree(&leaf_tree(m.n()).view())
+            .expect("announced tree");
+        assert!(w.finish().is_err());
+        // A structurally broken tree of the announced shape.
+        let mut w = begin(&head).expect("valid head");
+        let mut broken = leaf_tree(m.n());
+        broken.ids[1] = broken.ids[0];
+        assert!(w.put_tree(&broken.view()).is_err());
+        // Hoods with a value outside the section's domain.
+        let mut w = begin(&ModelHead {
+            trees: None,
+            hoods: true,
+            ..head
+        })
+        .expect("valid head");
+        let mut bad = hoods.subspaces[0].clone();
+        bad.k_distance[3] = -1.0;
+        assert!(w.put_hoods(&bad.view()).is_err());
+        // A failed file save leaves no file.
+        let path = std::env::temp_dir().join("hics-model-test-reject.hicsmodel");
+        let result = crate::mmap::write_atomic_with(&path, |file, tmp| {
+            let mut w = ModelWriter::begin(std::io::BufWriter::new(file), tmp, &head)?;
+            w.put_tree(&odd.view())
+        });
+        assert!(result.is_err());
         assert!(!path.exists(), "failed save must not leave a file");
     }
 

@@ -44,7 +44,7 @@ use crate::knn::{
     Neighborhood,
 };
 use crate::parallel::par_blocks;
-use hics_data::model::{VpNodeData, VpTreeData, VpTreeView, VP_NONE};
+use hics_data::model::{TreeShape, VpNodeData, VpTreeData, VpTreeView, VP_NONE};
 
 /// Which neighbour-search backend to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,6 +102,16 @@ impl VpTree {
     /// # Panics
     /// Panics if the point set is empty.
     pub fn build<P: Points>(points: &P) -> Self {
+        Self::build_into(points, VpTreeData::with_shape(Self::shape(points.n())))
+    }
+
+    /// [`VpTree::build`] into `data`'s arrays (cleared first): a caller
+    /// that allocates them with [`VpTreeData::with_shape`] on its own
+    /// thread keeps a tree built on a worker out of that worker's heap.
+    ///
+    /// # Panics
+    /// Panics if the point set is empty.
+    pub fn build_into<P: Points>(points: &P, mut data: VpTreeData) -> Self {
         let n = points.n();
         assert!(n >= 1, "VP-tree needs at least one point");
         assert!(
@@ -109,12 +119,36 @@ impl VpTree {
             "VP-tree ids cap at u32::MAX points"
         );
         let mut work: Vec<u32> = (0..n as u32).collect();
-        let mut nodes = Vec::with_capacity(2 * n / LEAF_SIZE + 1);
-        let mut ids = Vec::with_capacity(n);
         let mut buf: Vec<(f64, u32)> = Vec::with_capacity(n);
-        build_rec(points, &mut work, &mut buf, &mut nodes, &mut ids, 0, n);
-        Self {
-            data: VpTreeData { nodes, ids },
+        data.nodes.clear();
+        data.ids.clear();
+        build_rec(
+            points,
+            &mut work,
+            &mut buf,
+            &mut data.nodes,
+            &mut data.ids,
+            0,
+            n,
+        );
+        debug_assert_eq!(data.view().shape(), Self::shape(n));
+        Self { data }
+    }
+
+    /// The array lengths of every tree over `n` points: the median split
+    /// depends on the points only through which ids go where, never on how
+    /// many, so the node count and the leaf-id count are functions of `n`
+    /// alone — which lets an artifact announce its trees' sizes before
+    /// they are built.
+    pub fn shape(n: usize) -> TreeShape {
+        if n <= LEAF_SIZE {
+            return TreeShape { nodes: 1, ids: n };
+        }
+        let inner_count = (n - 1).div_ceil(2);
+        let (inner, outer) = (Self::shape(inner_count), Self::shape(n - 1 - inner_count));
+        TreeShape {
+            nodes: 1 + inner.nodes + outer.nodes,
+            ids: inner.ids + outer.ids,
         }
     }
 
@@ -816,6 +850,24 @@ mod tests {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(x, y, "object {i}");
+        }
+    }
+
+    #[test]
+    fn tree_shape_is_a_function_of_n_alone() {
+        for n in [1, 2, 12, 13, 14, 25, 26, 100, 257, 1000] {
+            // Coarse values, so duplicates and distance ties occur.
+            let col = |salt: usize| -> Vec<f64> {
+                (0..n).map(|i| ((i * 7919 + salt) % 13) as f64).collect()
+            };
+            let data = Dataset::from_columns(vec![col(1), col(5)]);
+            let view = SubspaceView::new(&data, &[0, 1]);
+            let tree = VpTree::build(&view);
+            assert_eq!(tree.as_data().view().shape(), VpTree::shape(n), "n = {n}");
+            // Every point is a vantage or a leaf entry.
+            let shape = VpTree::shape(n);
+            let vantages = tree.as_data().nodes.iter().filter(|v| v.vantage != VP_NONE);
+            assert_eq!(vantages.count() + shape.ids, n);
         }
     }
 

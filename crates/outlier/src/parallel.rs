@@ -134,6 +134,28 @@ pub fn available_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Hands the heap's free pages back to the operating system, once a
+/// bulk computation's transient allocations are gone. glibc keeps freed
+/// heap resident: in the main arena, whose dynamic mmap threshold turns
+/// large freed buffers into reusable heap rather than unmapping them, and
+/// in the arena of every worker thread that allocated. A long-lived
+/// process that just fitted a model, or computed an artifact's hoods at
+/// open, would otherwise carry that peak as resident memory. A no-op off
+/// glibc on Linux.
+pub fn release_free_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::ffi::c_int;
+        }
+        // SAFETY: malloc_trim takes no pointers and only returns free pages
+        // of glibc's own arenas to the kernel; it is thread-safe.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,6 +36,7 @@ use crate::distance::{ColumnPages, Points};
 use crate::index::{knn_all_flat, knn_point, IndexKind, SubspaceIndex, VpTree};
 use crate::knn_score::KnnScoreKind;
 use crate::lof::{lof_from_flat, lof_of_query, lrd_from_flat, lrd_of};
+use crate::parallel::release_free_heap;
 use hics_data::model::{
     AggregationKind, HicsModel, HoodsData, HoodsView, NormParam, ScorerKind, ScorerSpec,
     VpTreeData, VpTreeView,
@@ -299,6 +300,10 @@ impl QueryEngine {
             coincident.entry(float_key(v)).or_default().push(i as u32);
         }
         drop(pages);
+        if !artifact.has_hoods() {
+            // The all-points kNN passes are done; give their heap back.
+            release_free_heap();
+        }
         Self {
             norm: artifact.norm_params().to_vec(),
             aggregation: match artifact.aggregation() {
