@@ -24,10 +24,14 @@
 //! legacy power-of-two `/stats` buckets re-bin exactly), how long its jobs
 //! waited in the queue, and how long scoring itself took — the queue-wait
 //! vs score-time split that tells a deployment whether `--batch-wait-us`
-//! is buying depth or just adding latency. The worker also records each
-//! shard's scoring time and rows, as the engine hands them back, and an
-//! in-process engine's index queries — into the registry of the server
-//! that scored the batch, the one place a batch is scored and measured.
+//! is buying depth or just adding latency. Those request-side families
+//! count [`JobKind::Score`] jobs only; a [`JobKind::Stream`] job (the
+//! lines of one `/v2/score` read) reports through the stream counters
+//! instead. The worker also records each shard's scoring time and rows,
+//! as the engine hands them back, and an in-process engine's index
+//! queries — for every row of the batch, of either kind, into the
+//! registry of the server that scored it: the batcher is the one place a
+//! server calls its engine.
 //!
 //! Workers resolve the engine through a shared [`EngineHandle`] **once per
 //! batch**, so a hot reload takes effect at the next batch boundary while
@@ -57,10 +61,24 @@ pub struct BatchScores {
 /// down before the job was scored.
 pub type BatchReply = Option<BatchScores>;
 
-/// One enqueued scoring job: the rows of a single HTTP request plus the
-/// completion invoked with its scores (exactly once, possibly on a worker
-/// thread — or with `None` on shutdown).
+/// Where a job's rows came from, which decides the request-side
+/// instruments that count them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobKind {
+    /// The rows of one `POST /score` request: counted by the requests,
+    /// rows, batch and queue-wait families.
+    Score,
+    /// The lines of one `/v2/score` socket read: counted by the engine-side
+    /// families (index queries, per-shard) only; the connection counts the
+    /// lines it renders.
+    Stream,
+}
+
+/// One enqueued scoring job: the rows of a single HTTP request (or stream
+/// read) plus the completion invoked with its scores (exactly once,
+/// possibly on a worker thread — or with `None` on shutdown).
 struct Job {
+    kind: JobKind,
     rows: Vec<Vec<f64>>,
     enqueued: Instant,
     reply: Box<dyn FnOnce(BatchReply) + Send>,
@@ -278,14 +296,15 @@ impl Batcher {
         }
     }
 
-    /// Enqueues one request's rows without blocking; `reply` is invoked
+    /// Enqueues one job's rows without blocking; `reply` is invoked
     /// exactly once — with the scores when the batch executes (on a worker
     /// thread), or with `None` if the batcher shuts down first (immediately,
-    /// on the caller's thread, when it is already down). `trace` is the
-    /// request's trace context: a remote engine parents its fan-out spans
-    /// under it.
+    /// on the caller's thread, when it is already down). `kind` picks the
+    /// instruments the rows count in. `trace` is the request's trace
+    /// context: a remote engine parents its fan-out spans under it.
     pub fn submit(
         &self,
+        kind: JobKind,
         rows: Vec<Vec<f64>>,
         trace: Option<TraceContext>,
         reply: Box<dyn FnOnce(BatchReply) + Send>,
@@ -294,6 +313,7 @@ impl Batcher {
             let mut q = self.shared.queue.lock().expect("batcher lock");
             if !q.1 {
                 q.0.push_back(Job {
+                    kind,
                     rows,
                     enqueued: Instant::now(),
                     reply,
@@ -307,11 +327,12 @@ impl Batcher {
         reply(None);
     }
 
-    /// Enqueues one untraced request's rows and blocks until its scores are
-    /// ready. Returns `None` if the batcher is shutting down.
+    /// Enqueues one untraced `/score`-kind job and blocks until its scores
+    /// are ready. Returns `None` if the batcher is shutting down.
     pub fn score(&self, rows: Vec<Vec<f64>>) -> BatchReply {
         let (tx, rx) = mpsc::channel();
         self.submit(
+            JobKind::Score,
             rows,
             None,
             Box::new(move |reply| {
@@ -441,12 +462,19 @@ fn worker_loop(
         // the same model, and a reload lands at the next batch boundary.
         let engine = handle.load();
         let score_start = Instant::now();
-        for job in &jobs {
-            stats.queue_wait.record(
-                score_start
-                    .saturating_duration_since(job.enqueued)
-                    .as_nanos() as u64,
-            );
+        // The request-side families see the `/score` jobs only, exactly as
+        // if the stream rows were not in the batch.
+        let (mut requests, mut request_rows) = (0, 0);
+        for (job, &len) in jobs.iter().zip(&lens) {
+            if job.kind == JobKind::Score {
+                requests += 1;
+                request_rows += len as u64;
+                stats.queue_wait.record(
+                    score_start
+                        .saturating_duration_since(job.enqueued)
+                        .as_nanos() as u64,
+                );
+            }
         }
         // A coalesced batch carries several requests' trace contexts but
         // scores in one engine call; attribute the fan-out to the first
@@ -457,9 +485,7 @@ fn worker_loop(
         hics_obs::trace::set_current(trace);
         let batch = engine.score_batch_partial(&all_rows, threads);
         hics_obs::trace::set_current(None);
-        stats
-            .score_time
-            .record(score_start.elapsed().as_nanos() as u64);
+        let score_nanos = score_start.elapsed().as_nanos() as u64;
         for (shard, &nanos) in batch.shard_nanos.iter().enumerate() {
             stats.shard_scored(shard, all_rows.len(), nanos);
         }
@@ -468,15 +494,18 @@ fn worker_loop(
                 .index_queries
                 .add((all_rows.len() * engine.subspace_count()) as u64);
         }
+        if requests > 0 {
+            stats.score_time.record(score_nanos);
+            stats.batches.inc();
+            stats.requests.add(requests);
+            stats.rows.add(request_rows);
+            if requests > 1 {
+                stats.coalesced_batches.inc();
+            }
+            stats.batch_size.record(request_rows);
+        }
         let partial = batch.partial;
         let mut results = batch.results.into_iter();
-        stats.batches.inc();
-        stats.requests.add(jobs.len() as u64);
-        stats.rows.add(all_rows.len() as u64);
-        if jobs.len() > 1 {
-            stats.coalesced_batches.inc();
-        }
-        stats.batch_size.record(all_rows.len() as u64);
         for (job, take) in jobs.into_iter().zip(lens) {
             let reply: Vec<_> = results.by_ref().take(take).collect();
             (job.reply)(Some(BatchScores {
@@ -636,6 +665,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let rows = vec![vec![0.3, 0.1, 0.7, 0.2]];
         batcher.submit(
+            JobKind::Score,
             rows.clone(),
             None,
             Box::new(move |reply| {
@@ -657,6 +687,7 @@ mod tests {
         batcher.shutdown();
         let (tx, rx) = mpsc::channel();
         batcher.submit(
+            JobKind::Score,
             vec![vec![0.0; 4]],
             None,
             Box::new(move |reply| {
@@ -726,6 +757,7 @@ mod tests {
         for _ in 0..4 {
             let tx = tx.clone();
             batcher.submit(
+                JobKind::Score,
                 vec![vec![0.4, 0.6, 0.2, 0.8]],
                 None,
                 Box::new(move |reply| {

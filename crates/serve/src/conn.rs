@@ -3,9 +3,10 @@
 //! Each connection owns a non-blocking socket and advances through one
 //! state machine per HTTP exchange: accumulate a request head, pull a sized
 //! body or push bytes through the incremental NDJSON [`StreamDecoder`],
-//! hand `/score` rows to the shared batcher (parking the connection until
-//! the completion fires back through the reactor), and drain responses from
-//! a per-connection [`OutBuf`] via vectored non-blocking writes.
+//! hand `/score` rows — and each stream read's lines — to the shared
+//! batcher (parking the connection until the completion fires back through
+//! the reactor), and drain responses from a per-connection [`OutBuf`] via
+//! vectored non-blocking writes. A reactor thread never scores.
 //!
 //! This is the only request path: heads go through
 //! [`crate::http::parse_head_bytes`], classic bodies are collected here by
@@ -18,6 +19,7 @@
 //! `EPOLLOUT`) until the buffer drains — no thread is pinned, nothing is
 //! dropped.
 
+use crate::batch::JobKind;
 use crate::http::{
     error_body, finish_chunked, parse_head_bytes, write_chunk, write_chunked_head,
     write_response_traced, BodyError, RequestError, RequestHead, MAX_BODY_BYTES, MAX_HEAD_BYTES,
@@ -26,7 +28,7 @@ use crate::metrics::{content_type_for, ReactorMetrics};
 use crate::reactor::{Notifier, EPOLLIN, EPOLLOUT};
 use crate::server::{
     begin_req_trace, dispatch, finish_req_trace, format_score_reply, parse_score_request,
-    parse_stream_row, reload_endpoint, score_stream_line, stream_line, Ctx, ReqTrace,
+    parse_stream_row, reload_endpoint, stream_line, Ctx, ReqTrace, StreamStats,
 };
 use hics_obs::{Stage, Timeline};
 use std::collections::VecDeque;
@@ -378,14 +380,15 @@ enum State {
         /// 1-based number of the last non-blank line.
         line_no: u64,
     },
-    /// One stream line handed to the batcher (remote engines score over
-    /// the wire, which must never run on a reactor thread); parked until
-    /// its rendered chunk comes back, then the stream resumes.
+    /// One read's lines handed to the batcher as one job; parked until
+    /// their rendered chunk comes back, then `exit` applies.
     StreamAwait {
         /// The suspended body decoder (picks the stream back up).
         decoder: StreamDecoder,
         /// 1-based number of the last non-blank line.
         line_no: u64,
+        /// How the read's decode pass ended.
+        exit: StreamExit,
     },
     /// Rows handed to the batcher (or a reload thread); parked until the
     /// completion comes back through the reactor.
@@ -396,49 +399,40 @@ enum State {
     Closed,
 }
 
-/// How a stream left its decode loop.
+/// How one decode pass over a stream's buffered input ended.
 enum StreamExit {
-    /// Clean end of body; keep-alive iff the decoder finished.
-    Done { finished: bool },
-    /// Unrecoverable decode/framing error, reported in-stream at the given
+    /// The buffered input is used up, or the pass reached `--max-batch`
+    /// rows: keep decoding.
+    More,
+    /// Clean end of body.
+    Done,
+    /// Unrecoverable decode/framing error, reported in-stream at the last
     /// line number before closing.
-    Fail { msg: String, line_no: u64 },
-    /// One line submitted to the batcher (remote scoring); park in
-    /// [`State::StreamAwait`] until the rendered chunk comes back.
-    Park,
+    Fail(String),
 }
 
-/// Hands one remote stream line to the batcher; the completion carries
-/// the fully rendered NDJSON chunk back through the reactor's notifier.
-/// Cross-connection coalescing still applies: parked lines from many
-/// streams ride one upstream fan-out.
-fn submit_stream_row(
-    ctx: &Ctx,
-    notifier: &Arc<Notifier>,
-    token: usize,
-    epoch: u64,
-    row: Vec<f64>,
-    line_no: u64,
-) {
-    let notifier = Arc::clone(notifier);
-    let stats = Arc::clone(&ctx.stream_stats);
-    // Streams are not traced (see `Conn::route`).
-    ctx.batcher.submit(
-        vec![row],
-        None,
-        Box::new(move |reply| {
-            let result = match reply {
-                None => Err("server is shutting down".to_string()),
-                Some(mut batch) => match batch.results.pop() {
-                    Some(Ok(score)) => Ok((score, batch.partial)),
-                    Some(Err(e)) => Err(e.to_string()),
-                    None => Err("upstream scoring failed: router returned no result".to_string()),
-                },
-            };
-            let chunk = stream_line(result, line_no, &stats);
-            notifier.complete(token, epoch, 200, chunk);
-        }),
-    );
+/// One non-blank line of a stream read: its 1-based number, and the error
+/// it already failed with (`None` for a row handed to the batcher).
+type StreamItem = (u64, Option<String>);
+
+/// Renders a stream read's lines in line order: each failed item as its
+/// error line, each scorable one with the next of `scores`.
+fn render_stream_lines(
+    items: &[StreamItem],
+    mut scores: impl Iterator<Item = Result<(f64, bool), String>>,
+    stats: &StreamStats,
+) -> String {
+    let mut out = String::new();
+    for (line_no, failed) in items {
+        let result = match failed {
+            Some(msg) => Err(msg.clone()),
+            None => scores.next().unwrap_or_else(|| {
+                Err("upstream scoring failed: router returned no result".to_string())
+            }),
+        };
+        out.push_str(&stream_line(result, *line_no, stats));
+    }
+    out
 }
 
 /// One live connection owned by a reactor.
@@ -752,142 +746,11 @@ impl Conn {
                         break;
                     }
                 }
-                State::Stream { decoder, line_no } => {
-                    let mut exit: Option<StreamExit> = None;
-                    let mut stalled = false;
-                    loop {
-                        match decoder.next(&self.inbuf[self.inpos..], ctx.config.max_line_bytes) {
-                            Ok((used, ev)) => {
-                                self.inpos += used;
-                                if used > 0 {
-                                    did = true;
-                                }
-                                match ev {
-                                    None => {
-                                        if self.eof {
-                                            // Mid-body EOF: a Protocol
-                                            // error, reported in-stream.
-                                            exit = Some(StreamExit::Fail {
-                                                msg: BodyError::Protocol(
-                                                    "connection closed mid-body".into(),
-                                                )
-                                                .to_string(),
-                                                line_no: *line_no,
-                                            });
-                                        } else {
-                                            stalled = true;
-                                        }
-                                        break;
-                                    }
-                                    Some(StreamEvent::Line(line))
-                                    | Some(StreamEvent::End(line)) => {
-                                        let end = decoder.finished();
-                                        if !line.iter().all(u8::is_ascii_whitespace) {
-                                            *line_no += 1;
-                                            let engine = ctx.handle.load();
-                                            if engine.is_remote() {
-                                                // Remote scoring blocks on
-                                                // upstream sockets — park the
-                                                // stream on the batcher like a
-                                                // `/score` request instead of
-                                                // stalling the event loop.
-                                                // (Parse failures never leave
-                                                // this thread.)
-                                                match parse_stream_row(&line, engine.d()) {
-                                                    Ok(row) => {
-                                                        submit_stream_row(
-                                                            ctx, notifier, token, epoch, row,
-                                                            *line_no,
-                                                        );
-                                                        exit = Some(StreamExit::Park);
-                                                        break;
-                                                    }
-                                                    Err(msg) => {
-                                                        let reply = stream_line(
-                                                            Err(msg),
-                                                            *line_no,
-                                                            &ctx.stream_stats,
-                                                        );
-                                                        let _ = write_chunk(
-                                                            &mut self.out,
-                                                            reply.as_bytes(),
-                                                        );
-                                                        did = true;
-                                                    }
-                                                }
-                                            } else {
-                                                let reply = stream_line(
-                                                    score_stream_line(&line, &engine),
-                                                    *line_no,
-                                                    &ctx.stream_stats,
-                                                );
-                                                let _ =
-                                                    write_chunk(&mut self.out, reply.as_bytes());
-                                                did = true;
-                                            }
-                                        }
-                                        if end {
-                                            exit = Some(StreamExit::Done { finished: true });
-                                            break;
-                                        }
-                                    }
-                                    Some(StreamEvent::TooLong) => {
-                                        *line_no += 1;
-                                        let msg = format!(
-                                            "line exceeds {} bytes and was discarded",
-                                            ctx.config.max_line_bytes
-                                        );
-                                        let reply =
-                                            stream_line(Err(msg), *line_no, &ctx.stream_stats);
-                                        let _ = write_chunk(&mut self.out, reply.as_bytes());
-                                        did = true;
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                exit = Some(StreamExit::Fail {
-                                    msg: e.to_string(),
-                                    line_no: *line_no,
-                                });
-                                break;
-                            }
-                        }
+                State::Stream { .. } => {
+                    if !self.stream_pass(ctx, notifier, token, epoch) {
+                        break;
                     }
-                    self.compact_inbuf();
-                    match exit {
-                        Some(StreamExit::Done { finished }) => {
-                            did = true;
-                            let _ = finish_chunked(&mut self.out);
-                            if !finished {
-                                self.close_after = true;
-                            }
-                            self.state = State::Flush;
-                            self.deadline = Some(Instant::now() + ctx.config.keep_alive);
-                        }
-                        Some(StreamExit::Fail { msg, line_no }) => {
-                            did = true;
-                            let reply = stream_line(Err(msg), line_no, &ctx.stream_stats);
-                            let _ = write_chunk(&mut self.out, reply.as_bytes());
-                            let _ = finish_chunked(&mut self.out);
-                            self.close_after = true;
-                            self.state = State::Flush;
-                            self.deadline = Some(Instant::now() + ctx.config.keep_alive);
-                        }
-                        Some(StreamExit::Park) => {
-                            did = true;
-                            let State::Stream { decoder, line_no } =
-                                std::mem::replace(&mut self.state, State::Closed)
-                            else {
-                                unreachable!("Park only leaves State::Stream");
-                            };
-                            self.state = State::StreamAwait { decoder, line_no };
-                            self.deadline = None;
-                        }
-                        None => {
-                            debug_assert!(stalled);
-                            break;
-                        }
-                    }
+                    did = true;
                 }
                 State::StreamAwait { .. } | State::AwaitBatch => break,
                 State::Flush => {
@@ -920,6 +783,152 @@ impl Conn {
             }
         }
         did
+    }
+
+    /// Decodes the stream's buffered input up to `--max-batch` rows. Every
+    /// non-blank line becomes an item in line order; parse failures and
+    /// over-long lines are items too. The scorable rows go to the batcher
+    /// as one job and the stream parks until their chunk comes back; a
+    /// read with no scorable row renders at once. Returns whether the
+    /// stream advanced (`false`: it waits for the socket).
+    fn stream_pass(
+        &mut self,
+        ctx: &Ctx,
+        notifier: &Arc<Notifier>,
+        token: usize,
+        epoch: u64,
+    ) -> bool {
+        let State::Stream {
+            mut decoder,
+            mut line_no,
+        } = std::mem::replace(&mut self.state, State::Closed)
+        else {
+            unreachable!("stream_pass runs in State::Stream");
+        };
+        let d = ctx.handle.load().d();
+        let mut items: Vec<StreamItem> = Vec::new();
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut consumed = false;
+        let exit = loop {
+            if rows.len() >= ctx.config.max_batch {
+                break StreamExit::More;
+            }
+            let (used, ev) =
+                match decoder.next(&self.inbuf[self.inpos..], ctx.config.max_line_bytes) {
+                    Ok(step) => step,
+                    Err(e) => break StreamExit::Fail(e.to_string()),
+                };
+            self.inpos += used;
+            consumed |= used > 0;
+            match ev {
+                // Mid-body EOF: a Protocol error, reported in-stream.
+                None if self.eof => {
+                    break StreamExit::Fail(
+                        BodyError::Protocol("connection closed mid-body".into()).to_string(),
+                    )
+                }
+                None => break StreamExit::More,
+                Some(StreamEvent::TooLong) => {
+                    line_no += 1;
+                    let msg = format!(
+                        "line exceeds {} bytes and was discarded",
+                        ctx.config.max_line_bytes
+                    );
+                    items.push((line_no, Some(msg)));
+                }
+                Some(StreamEvent::Line(line) | StreamEvent::End(line)) => {
+                    if !line.iter().all(u8::is_ascii_whitespace) {
+                        line_no += 1;
+                        match parse_stream_row(&line, d) {
+                            Ok(row) => {
+                                rows.push(row);
+                                items.push((line_no, None));
+                            }
+                            Err(msg) => items.push((line_no, Some(msg))),
+                        }
+                    }
+                    if decoder.finished() {
+                        break StreamExit::Done;
+                    }
+                }
+            }
+        };
+        self.compact_inbuf();
+        if items.is_empty() && matches!(exit, StreamExit::More) {
+            self.state = State::Stream { decoder, line_no };
+            return consumed;
+        }
+        if rows.is_empty() {
+            let lines = render_stream_lines(&items, std::iter::empty(), &ctx.stream_stats);
+            self.end_read(ctx, decoder, line_no, exit, &lines);
+            return true;
+        }
+        let notifier = Arc::clone(notifier);
+        let stats = Arc::clone(&ctx.stream_stats);
+        let count = rows.len();
+        // Streams are not traced (see `Conn::route`).
+        ctx.batcher.submit(
+            JobKind::Stream,
+            rows,
+            None,
+            Box::new(move |reply| {
+                let scores: Vec<Result<(f64, bool), String>> = match reply {
+                    None => vec![Err("server is shutting down".to_string()); count],
+                    Some(batch) => {
+                        let partial = batch.partial;
+                        let results = batch.results.into_iter();
+                        results
+                            .map(|r| r.map(|s| (s, partial)).map_err(|e| e.to_string()))
+                            .collect()
+                    }
+                };
+                let lines = render_stream_lines(&items, scores.into_iter(), &stats);
+                notifier.complete(token, epoch, 200, lines);
+            }),
+        );
+        self.state = State::StreamAwait {
+            decoder,
+            line_no,
+            exit,
+        };
+        self.deadline = None;
+        true
+    }
+
+    /// Ends one stream read: writes its rendered lines as one chunk, then
+    /// decodes on, finishes the body, or reports the failure and closes.
+    fn end_read(
+        &mut self,
+        ctx: &Ctx,
+        decoder: StreamDecoder,
+        line_no: u64,
+        exit: StreamExit,
+        lines: &str,
+    ) {
+        if !lines.is_empty() {
+            let _ = write_chunk(&mut self.out, lines.as_bytes());
+        }
+        match exit {
+            StreamExit::More => {
+                self.state = State::Stream { decoder, line_no };
+                self.deadline = Some(Instant::now() + ctx.config.stream_idle);
+            }
+            StreamExit::Done => self.finish_stream(ctx, None),
+            StreamExit::Fail(msg) => self.finish_stream(ctx, Some((msg, line_no))),
+        }
+    }
+
+    /// Terminates the stream's chunked body, after an in-stream error line
+    /// (then close) when one is given, and starts draining.
+    fn finish_stream(&mut self, ctx: &Ctx, error: Option<(String, u64)>) {
+        if let Some((msg, line_no)) = error {
+            let reply = stream_line(Err(msg), line_no, &ctx.stream_stats);
+            let _ = write_chunk(&mut self.out, reply.as_bytes());
+            self.close_after = true;
+        }
+        let _ = finish_chunked(&mut self.out);
+        self.state = State::Flush;
+        self.deadline = Some(Instant::now() + ctx.config.keep_alive);
     }
 
     /// Routes a parsed head: streaming requests start immediately, classic
@@ -999,6 +1008,7 @@ impl Conn {
                     // The request's trace context rides with the job, so a
                     // remote engine's fan-out spans parent under it.
                     ctx.batcher.submit(
+                        JobKind::Score,
                         rows,
                         self.trace.as_ref().map(ReqTrace::context),
                         Box::new(move |reply| {
@@ -1039,10 +1049,10 @@ impl Conn {
     }
 
     /// Delivers a batcher / reload completion. A classic request renders
-    /// its response and starts draining; a parked stream line appends its
+    /// its response and starts draining; a parked stream read appends its
     /// pre-rendered chunk and the stream picks back up (the reactor
     /// re-drives this connection, so buffered input continues decoding
-    /// without waiting for the socket).
+    /// without waiting for the socket) or ends.
     pub(crate) fn on_completion(&mut self, ctx: &Ctx, status: u16, body: String) {
         match &mut self.state {
             State::AwaitBatch => {
@@ -1062,21 +1072,16 @@ impl Conn {
                 self.state = State::Flush;
                 self.deadline = Some(Instant::now() + ctx.config.keep_alive);
             }
-            State::StreamAwait { decoder, .. } => {
-                let _ = write_chunk(&mut self.out, body.as_bytes());
-                if decoder.finished() {
-                    let _ = finish_chunked(&mut self.out);
-                    self.state = State::Flush;
-                    self.deadline = Some(Instant::now() + ctx.config.keep_alive);
-                } else {
-                    let State::StreamAwait { decoder, line_no } =
-                        std::mem::replace(&mut self.state, State::Closed)
-                    else {
-                        unreachable!("matched StreamAwait above");
-                    };
-                    self.state = State::Stream { decoder, line_no };
-                    self.deadline = Some(Instant::now() + ctx.config.stream_idle);
-                }
+            State::StreamAwait { .. } => {
+                let State::StreamAwait {
+                    decoder,
+                    line_no,
+                    exit,
+                } = std::mem::replace(&mut self.state, State::Closed)
+                else {
+                    unreachable!("matched StreamAwait above");
+                };
+                self.end_read(ctx, decoder, line_no, exit, &body);
             }
             _ => {}
         }
@@ -1114,12 +1119,7 @@ impl Conn {
                     "stream idle for more than {:?}; closing",
                     ctx.config.stream_idle
                 );
-                let reply = stream_line(Err(msg), line_no, &ctx.stream_stats);
-                let _ = write_chunk(&mut self.out, reply.as_bytes());
-                let _ = finish_chunked(&mut self.out);
-                self.close_after = true;
-                self.state = State::Flush;
-                self.deadline = Some(Instant::now() + ctx.config.keep_alive);
+                self.finish_stream(ctx, Some((msg, line_no)));
             }
         }
     }

@@ -56,7 +56,7 @@ mod metrics;
 mod reactor;
 pub mod server;
 
-pub use batch::{BatchScores, BatchStats, Batcher};
+pub use batch::{BatchScores, BatchStats, Batcher, JobKind};
 pub use client::{format_points_body, ClientConn, Pool, Response};
 pub use json::Json;
 pub use server::{ConnStats, LogFormat, ServeConfig, Server, ShutdownHandle, StreamStats};

@@ -768,18 +768,6 @@ pub(crate) fn parse_stream_row(raw: &[u8], d: usize) -> Result<Vec<f64>, String>
     parse_row(value, d)
 }
 
-/// Parses and scores one NDJSON line against `engine`, the in-process
-/// engine the stream loaded for this line (so a hot reload mid-stream
-/// takes effect on the very next line). In-process scoring is never
-/// partial.
-pub(crate) fn score_stream_line(raw: &[u8], engine: &Engine) -> Result<(f64, bool), String> {
-    let row = parse_stream_row(raw, engine.d())?;
-    engine
-        .score(&row)
-        .map(|score| (score, false))
-        .map_err(|e| e.to_string())
-}
-
 /// Extracts one numeric row of the model's arity.
 fn parse_row(v: &Json, d: usize) -> Result<Vec<f64>, String> {
     let Some(arr) = v.as_array() else {
