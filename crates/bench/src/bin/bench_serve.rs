@@ -434,7 +434,9 @@ fn bench_stream_pingpong(
 }
 
 /// Streaming `/v2/score`, pipelined: a writer thread streams every line
-/// while the main thread drains scores — the throughput mode.
+/// while the main thread drains scores — the throughput mode. A chunk
+/// carries the scores of one server-side read, so lines are counted
+/// inside the chunks.
 fn bench_stream_pipelined(addr: std::net::SocketAddr, queries: &[Vec<f64>], lines: usize) -> f64 {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
@@ -459,8 +461,10 @@ fn bench_stream_pipelined(addr: std::net::SocketAddr, queries: &[Vec<f64>], line
     read_chunked_head(&mut reader);
     let mut scored = 0usize;
     while let Some(reply) = read_one_chunk(&mut reader) {
-        assert!(reply.contains("\"score\""), "{reply}");
-        scored += 1;
+        for line in reply.lines() {
+            assert!(line.contains("\"score\""), "{line}");
+            scored += 1;
+        }
     }
     sender.join().expect("sender thread");
     let secs = t.elapsed().as_secs_f64();

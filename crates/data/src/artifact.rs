@@ -179,6 +179,18 @@ impl ModelArtifact {
         envelope::column(self.bytes(), self.layout.columns_offset, self.layout.n, j)
     }
 
+    /// Attribute `j`'s stored order: the object ids sorted by their value
+    /// in column `j`, ties in ascending id (`ArtifactLayout::parse` checks
+    /// it), borrowed like [`ModelArtifact::column`].
+    ///
+    /// # Panics
+    /// Panics if `j >= d`.
+    pub fn order(&self, j: usize) -> Cow<'_, [u32]> {
+        assert!(j < self.d(), "order {j} out of range");
+        let n = self.layout.n;
+        envelope::cast(self.bytes(), self.layout.order_offset + j * n * 4, n)
+    }
+
     /// Value of object `i` in attribute `j`, read in place.
     ///
     /// # Panics

@@ -808,12 +808,17 @@ impl ArtifactLayout {
         let (names, norm) = crate::envelope::read_attributes(&mut r, d)?;
         // Columns: validated in place, not materialised.
         let columns_offset = crate::envelope::read_columns(&mut r, n, d, ArtifactSection::Columns)?;
-        // Order permutations: validated in place, not materialised.
+        // Order permutations: validated in place, not materialised. Each
+        // must sort its column as `rank::argsort` does (values
+        // non-decreasing, −0.0 equal to +0.0, ties in ascending id): the
+        // engine's in-sample lookup binary-searches attribute 0's.
         r.section = ArtifactSection::Order;
         let order_offset = r.offset;
         let mut seen = vec![false; n];
         for j in 0..d {
             seen.iter_mut().for_each(|s| *s = false);
+            let value = |id: u32| crate::envelope::value(bytes, columns_offset, n, id as usize, j);
+            let mut prev: Option<u32> = None;
             for _ in 0..n {
                 let id = r.u32()?;
                 if (id as usize) >= n || std::mem::replace(&mut seen[id as usize], true) {
@@ -821,6 +826,15 @@ impl ArtifactLayout {
                         "order of attribute {j} is not a permutation of 0..{n}"
                     )));
                 }
+                if let Some(p) = prev {
+                    let (a, b) = (value(p), value(id));
+                    if a > b || (a == b && p > id) {
+                        return Err(r.invalid(format!(
+                            "order of attribute {j} does not sort its column at object {id}"
+                        )));
+                    }
+                }
+                prev = Some(id);
             }
         }
         r.align8()?;
@@ -1997,6 +2011,44 @@ mod tests {
             }
             other => panic!("expected InvalidModel in order section, got {other:?}"),
         }
+    }
+
+    /// Each stored order must sort its column, ties in ascending id: the
+    /// serving engine's in-sample lookup binary-searches it. A permutation
+    /// that does not, under a re-stamped checksum, is rejected in the order
+    /// section by the heap decoder and the map opener alike.
+    #[test]
+    fn rejects_an_order_that_does_not_sort_its_column() {
+        let m = sample_model(NormKind::None);
+        let good = m.to_bytes();
+        let order_start = ArtifactLayout::parse(&good).expect("parse").order_offset;
+        let path =
+            std::env::temp_dir().join(format!("hics-unsorted-order-{}.hics", std::process::id()));
+        // Swap two neighbours of attribute 0's order: still a permutation.
+        for at in [0, m.n() / 2] {
+            let mut bad = good.clone();
+            let (a, b) = (order_start + 4 * at, order_start + 4 * at + 4);
+            let first = bad[a..b].to_vec();
+            bad.copy_within(b..b + 4, a);
+            bad[b..b + 4].copy_from_slice(&first);
+            let fixed = artifact_checksum(&bad);
+            bad[64..72].copy_from_slice(&fixed.to_le_bytes());
+            match HicsModel::from_bytes(&bad) {
+                Err(HicsError::InvalidModel { section, msg, .. }) => {
+                    assert_eq!(section, ArtifactSection::Order);
+                    assert!(msg.contains("does not sort its column"), "{msg}");
+                }
+                other => panic!("expected InvalidModel in order section, got {other:?}"),
+            }
+            std::fs::write(&path, &bad).unwrap();
+            match crate::artifact::ModelArtifact::open_mmap(&path) {
+                Err(HicsError::InvalidModel { section, .. }) => {
+                    assert_eq!(section, ArtifactSection::Order)
+                }
+                other => panic!("expected InvalidModel in order section, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     /// Astronomically large header counts (with a freshly stamped checksum,

@@ -43,7 +43,6 @@ use hics_data::model::{
 };
 use hics_data::{HicsError, ModelArtifact};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,6 +69,10 @@ pub enum QueryError {
         /// What failed, suitable for an error response body.
         String,
     ),
+    /// The engine panicked while scoring the batch that held the row. The
+    /// server contains the panic at its batch boundary, so only that
+    /// batch's rows fail.
+    Panicked,
 }
 
 impl std::fmt::Display for QueryError {
@@ -85,6 +88,7 @@ impl std::fmt::Display for QueryError {
                 write!(f, "query attribute {column} is not a finite number")
             }
             QueryError::Upstream(msg) => write!(f, "upstream scoring failed: {msg}"),
+            QueryError::Panicked => write!(f, "scoring failed: the engine panicked"),
         }
     }
 }
@@ -159,10 +163,6 @@ pub struct QueryEngine {
     k: usize,
     aggregation: Aggregation,
     subspaces: Vec<TrainedSubspace>,
-    /// First trained column keyed by bit pattern (−0.0 canonicalised to
-    /// +0.0 so `==`-equal values share a slot) → ascending object ids; makes
-    /// in-sample detection `O(1)` instead of an `O(N)` column scan.
-    coincident: HashMap<u64, Vec<u32>>,
     index_stats: IndexStats,
 }
 
@@ -295,10 +295,6 @@ impl QueryEngine {
             build_micros,
             precomputed: artifact.has_hoods(),
         };
-        let mut coincident: HashMap<u64, Vec<u32>> = HashMap::with_capacity(n);
-        for (i, &v) in pages[..n].iter().enumerate() {
-            coincident.entry(float_key(v)).or_default().push(i as u32);
-        }
         drop(pages);
         if !artifact.has_hoods() {
             // The all-points kNN passes are done; give their heap back.
@@ -314,7 +310,6 @@ impl QueryEngine {
             k: spec.k as usize,
             columns,
             subspaces,
-            coincident,
             index_stats,
             artifact,
         }
@@ -434,33 +429,19 @@ impl QueryEngine {
     /// Finds a training object whose full (normalised) row equals the query
     /// (under `f64` equality, exactly like the column scan it replaced) —
     /// the object to leave out of the query's neighbourhoods so in-sample
-    /// queries reproduce batch scores. The first-column hash narrows the
-    /// scan to the handful of objects sharing `q[0]`; candidates are checked
-    /// in ascending id order, so the returned id matches the old scan's.
+    /// queries reproduce batch scores. A binary search over attribute 0's
+    /// stored order finds the run of objects whose first value equals
+    /// `q[0]`; the run is in ascending id order, so the returned id matches
+    /// the old scan's.
     fn find_coincident(&self, q: &[f64]) -> Option<usize> {
-        let candidates = self.coincident.get(&float_key(q[0]))?;
-        'outer: for &i in candidates {
-            let i = i as usize;
-            for (j, &qj) in q.iter().enumerate().skip(1) {
-                if self.artifact.value(i, j) != qj {
-                    continue 'outer;
-                }
-            }
-            return Some(i);
-        }
-        None
-    }
-}
-
-/// Hash key of one trained value: the bit pattern, with `−0.0`
-/// canonicalised to `+0.0` so the map agrees with `==` (the only values in
-/// a model are finite, so no NaN can reach here).
-#[inline]
-fn float_key(v: f64) -> u64 {
-    if v == 0.0 {
-        0
-    } else {
-        v.to_bits()
+        let order = self.artifact.order(0);
+        let first = |i: u32| self.artifact.value(i as usize, 0);
+        let start = order.partition_point(|&i| first(i) < q[0]);
+        order[start..]
+            .iter()
+            .take_while(|&&i| first(i) == q[0])
+            .map(|&i| i as usize)
+            .find(|&i| (1..q.len()).all(|j| self.artifact.value(i, j) == q[j]))
     }
 }
 
@@ -863,6 +844,48 @@ mod tests {
         assert!(stored.lrd.contains(&0.0));
         let back = HicsModel::from_bytes(&model.to_bytes()).expect("reloads");
         assert_eq!(back.hoods(), model.hoods());
+    }
+
+    /// The in-sample lookup binary-searches attribute 0's stored order:
+    /// with duplicate and ±0.0 first values it finds the same object a
+    /// full-row linear scan in id order finds, and nothing for a row the
+    /// model does not hold.
+    #[test]
+    fn coincident_lookup_matches_a_linear_scan() {
+        let firsts = [0.0, -0.0, 0.5, 0.5, -0.0, 0.0, 0.25, 0.5, -0.0, 0.25];
+        let seconds = [1.0, 2.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 1.0, 3.0];
+        let data = hics_data::Dataset::from_columns(vec![firsts.to_vec(), seconds.to_vec()]);
+        let (data, norm) = apply_normalization(&data, NormKind::None);
+        let model = HicsModel::new(
+            data,
+            NormKind::None,
+            norm,
+            vec![ModelSubspace {
+                dims: vec![0, 1],
+                contrast: 0.5,
+            }],
+            ScorerSpec {
+                kind: ScorerKind::KnnMean,
+                k: 2,
+            },
+            AggregationKind::Average,
+        );
+        let engine = QueryEngine::from_model(&model, 1);
+        let scan = |q: &[f64]| (0..firsts.len()).find(|&i| firsts[i] == q[0] && seconds[i] == q[1]);
+        let mut queries: Vec<[f64; 2]> = firsts.iter().zip(seconds).map(|(&a, b)| [a, b]).collect();
+        queries.extend([
+            [-0.0, 1.0],
+            [0.0, 3.0],
+            [0.5, 2.0],
+            [0.75, 1.0],
+            [-1.0, 1.0],
+        ]);
+        for q in queries {
+            assert_eq!(engine.find_coincident(&q), scan(&q), "query {q:?}");
+        }
+        assert_eq!(engine.find_coincident(&[-0.0, 2.0]), Some(1));
+        assert_eq!(engine.find_coincident(&[0.0, 1.0]), Some(0));
+        assert_eq!(engine.find_coincident(&[0.5, 4.0]), Some(7));
     }
 
     /// Whether `part` lies inside `whole`'s memory.

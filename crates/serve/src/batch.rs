@@ -39,8 +39,9 @@
 //! with.
 
 use hics_obs::{Counter, Histogram, Registry, TraceContext};
-use hics_outlier::{EngineHandle, QueryError};
+use hics_outlier::{EngineHandle, QueryError, ScoredBatch};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -125,6 +126,8 @@ pub struct BatchStats {
     /// Neighbour-index point queries: one per subspace per row an
     /// in-process engine scored.
     pub index_queries: Arc<Counter>,
+    /// Batches whose engine call panicked (their rows failed).
+    pub panics: Arc<Counter>,
     /// The registry the per-shard families are created in on first use.
     registry: Arc<Registry>,
 }
@@ -173,6 +176,11 @@ impl BatchStats {
             index_queries: registry.counter(
                 "hics_index_queries_total",
                 "Neighbour-index point queries (one per subspace per scored row).",
+            ),
+            panics: registry.counter_with(
+                "hics_panics_total",
+                "Panics contained, by the boundary that caught them.",
+                vec![("site", "batch".to_string())],
             ),
             registry: Arc::clone(registry),
         }
@@ -483,8 +491,21 @@ fn worker_loop(
         // `RemoteEngine::score_rows` signature carries no context.
         let trace = jobs.iter().find_map(|j| j.trace);
         hics_obs::trace::set_current(trace);
-        let batch = engine.score_batch_partial(&all_rows, threads);
+        // The one place the server calls an engine, so the one boundary a
+        // scoring panic must not cross: the batch's rows fail, the worker
+        // and every other batch carry on.
+        let scored = catch_unwind(AssertUnwindSafe(|| {
+            engine.score_batch_partial(&all_rows, threads)
+        }));
         hics_obs::trace::set_current(None);
+        let batch = scored.unwrap_or_else(|_| {
+            stats.panics.inc();
+            ScoredBatch {
+                results: vec![Err(QueryError::Panicked); all_rows.len()],
+                partial: false,
+                shard_nanos: Vec::new(),
+            }
+        });
         let score_nanos = score_start.elapsed().as_nanos() as u64;
         for (shard, &nanos) in batch.shard_nanos.iter().enumerate() {
             stats.shard_scored(shard, all_rows.len(), nanos);

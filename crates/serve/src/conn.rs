@@ -720,22 +720,16 @@ impl Conn {
                         _ => break,
                     }
                 }
-                State::Body { head, need } => {
+                State::Body { need, .. } => {
                     let need = *need;
                     if self.inbuf.len() - self.inpos >= need {
                         let body = self.inbuf[self.inpos..self.inpos + need].to_vec();
                         self.inpos += need;
-                        let head = std::mem::replace(
-                            head,
-                            RequestHead {
-                                method: String::new(),
-                                path: String::new(),
-                                content_length: None,
-                                chunked: false,
-                                close: false,
-                                trace: None,
-                            },
-                        );
+                        let State::Body { head, .. } =
+                            std::mem::replace(&mut self.state, State::Closed)
+                        else {
+                            unreachable!("matched Body above");
+                        };
                         self.compact_inbuf();
                         did = true;
                         self.finish_request(ctx, notifier, token, epoch, head, body);
@@ -874,13 +868,9 @@ impl Conn {
             Box::new(move |reply| {
                 let scores: Vec<Result<(f64, bool), String>> = match reply {
                     None => vec![Err("server is shutting down".to_string()); count],
-                    Some(batch) => {
-                        let partial = batch.partial;
-                        let results = batch.results.into_iter();
-                        results
-                            .map(|r| r.map(|s| (s, partial)).map_err(|e| e.to_string()))
-                            .collect()
-                    }
+                    Some(batch) => (batch.results.into_iter())
+                        .map(|r| r.map(|s| (s, batch.partial)).map_err(|e| e.to_string()))
+                        .collect(),
                 };
                 let lines = render_stream_lines(&items, scores.into_iter(), &stats);
                 notifier.complete(token, epoch, 200, lines);

@@ -10,6 +10,14 @@
 //! backpressure. This is the only serving path, so the crate builds on
 //! Linux only.
 //!
+//! There is one scoring path: a reactor thread never scores. Each socket
+//! read of a `/v2/score` stream goes to the batcher as one job, so stream
+//! rows reach the engine-side metrics (`hics_index_queries_total`,
+//! `hics_shard_*`; the request and row families count `/score` only), a
+//! slow stream cannot stall its reactor, and a hot reload lands between
+//! two reads. The batch worker contains a scoring panic: only that
+//! batch's rows fail.
+//!
 //! The engine is resolved through an atomically swappable
 //! [`EngineHandle`] so a model can be hot-reloaded under live traffic.
 //!
@@ -612,6 +620,9 @@ pub(crate) fn format_score_reply(reply: BatchReply, single: bool) -> (u16, Strin
             Ok(s) => scores.push(s),
             Err(e @ hics_outlier::QueryError::Upstream(_)) => {
                 return (502, error_body(&format!("row {i}: {e}")))
+            }
+            Err(e @ hics_outlier::QueryError::Panicked) => {
+                return (500, error_body(&e.to_string()))
             }
             Err(e) => return (400, error_body(&format!("row {i}: {e}"))),
         }
