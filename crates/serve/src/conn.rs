@@ -720,16 +720,22 @@ impl Conn {
                         _ => break,
                     }
                 }
-                State::Body { need, .. } => {
+                State::Body { head, need } => {
                     let need = *need;
                     if self.inbuf.len() - self.inpos >= need {
                         let body = self.inbuf[self.inpos..self.inpos + need].to_vec();
                         self.inpos += need;
-                        let State::Body { head, .. } =
-                            std::mem::replace(&mut self.state, State::Closed)
-                        else {
-                            unreachable!("matched Body above");
-                        };
+                        let head = std::mem::replace(
+                            head,
+                            RequestHead {
+                                method: String::new(),
+                                path: String::new(),
+                                content_length: None,
+                                chunked: false,
+                                close: false,
+                                trace: None,
+                            },
+                        );
                         self.compact_inbuf();
                         did = true;
                         self.finish_request(ctx, notifier, token, epoch, head, body);
@@ -868,7 +874,9 @@ impl Conn {
             Box::new(move |reply| {
                 let scores: Vec<Result<(f64, bool), String>> = match reply {
                     None => vec![Err("server is shutting down".to_string()); count],
-                    Some(batch) => (batch.results.into_iter())
+                    Some(batch) => batch
+                        .results
+                        .into_iter()
                         .map(|r| r.map(|s| (s, batch.partial)).map_err(|e| e.to_string()))
                         .collect(),
                 };

@@ -258,6 +258,7 @@ fn a_slow_stream_does_not_stall_the_reactor() {
     );
     let body = line.repeat(lines);
     let addr = server.addr;
+    let (started_tx, started_rx) = std::sync::mpsc::channel();
     let streamer = std::thread::spawn(move || {
         let mut stream = connect(addr);
         stream.write_all(
@@ -271,14 +272,18 @@ fn a_slow_stream_does_not_stall_the_reactor() {
         let mut reader = BufReader::new(stream);
         let status = read_chunked_head(&mut reader);
         assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        started_tx.send(()).expect("signal the probe");
         let mut scored = 0;
         while let Some(chunk) = read_chunk(&mut reader) {
             scored += chunk.matches("{\"score\":").count();
         }
         (Instant::now(), scored)
     });
-    // Let the server take the stream's body in before probing.
-    std::thread::sleep(Duration::from_millis(200));
+    // Probe once the stream's response has started: its lines are being
+    // scored from here on.
+    started_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("stream response started");
     let (status, reply) = exchange(
         addr,
         "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
