@@ -31,11 +31,12 @@
 
 use crate::envelope;
 use crate::error::HicsError;
-use crate::mmap::ByteStorage;
+use crate::mmap::{AlignedBytes, ByteStorage};
 use crate::model::{
     AggregationKind, ArtifactLayout, HoodsData, HoodsView, ModelSubspace, NormKind, NormParam,
     ScorerSpec, VpTreeView,
 };
+use crate::source::DatasetSource;
 use std::borrow::Cow;
 use std::path::Path;
 
@@ -60,8 +61,18 @@ impl ModelArtifact {
     /// Validates an artifact from in-memory bytes, copying them into an
     /// 8-aligned heap buffer so column views still borrow.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, HicsError> {
-        let (storage, layout) = envelope::from_bytes(bytes, ArtifactLayout::parse)?;
-        Ok(Self { storage, layout })
+        Self::from_aligned(AlignedBytes::copy_from(bytes))
+    }
+
+    /// Validates an artifact encoded straight into an 8-aligned heap buffer
+    /// (see [`crate::model::ModelHead::byte_len`]), and keeps the buffer
+    /// without copying it.
+    pub fn from_aligned(bytes: AlignedBytes) -> Result<Self, HicsError> {
+        let layout = ArtifactLayout::parse(bytes.as_slice())?;
+        Ok(Self {
+            storage: ByteStorage::Heap(bytes),
+            layout,
+        })
     }
 
     /// Whether the bytes are a live memory map of the artifact file (as
@@ -208,6 +219,34 @@ impl ModelArtifact {
     }
 }
 
+/// The trained columns as a fit source: read in place, with the
+/// normalisation they already carry.
+impl DatasetSource for ModelArtifact {
+    fn n(&self) -> usize {
+        self.layout.n
+    }
+
+    fn d(&self) -> usize {
+        self.layout.d
+    }
+
+    fn names(&self) -> &[String] {
+        &self.layout.names
+    }
+
+    fn column(&self, j: usize) -> Cow<'_, [f64]> {
+        ModelArtifact::column(self, j)
+    }
+
+    fn norm_kind(&self) -> NormKind {
+        self.layout.norm_kind
+    }
+
+    fn norm_params(&self) -> Cow<'_, [NormParam]> {
+        Cow::Borrowed(&self.layout.norm)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,7 +375,6 @@ mod tests {
                     "tree {s} nodes copied"
                 );
                 assert!(matches!(tree.ids, Cow::Borrowed(_)), "tree {s} ids copied");
-                assert!(tree.is_borrowed());
                 assert_eq!(tree.into_owned(), model.index().unwrap().trees[s]);
                 let hoods = artifact.hoods_view(s).expect("stored hoods");
                 assert!(
@@ -344,7 +382,6 @@ mod tests {
                     "hoods {s} copied"
                 );
                 assert!(matches!(hoods.lrd, Cow::Borrowed(_)), "hoods {s} copied");
-                assert!(hoods.is_borrowed());
                 let want = &model.hoods().unwrap().subspaces[s];
                 assert_eq!(&hoods.into_owned(), want);
                 assert_eq!(artifact.hoods(s).as_ref(), Some(want));

@@ -146,20 +146,20 @@ pub struct AlignedBytes {
 }
 
 impl AlignedBytes {
+    /// A fresh 8-aligned buffer of `len` zero bytes, for a writer to fill
+    /// in place ([`AlignedBytes::as_mut_slice`]).
+    pub fn zeroed(len: usize) -> Self {
+        Self {
+            words: vec![0u64; len.div_ceil(8)].into_boxed_slice(),
+            len,
+        }
+    }
+
     /// Copies `bytes` into a fresh 8-aligned buffer.
     pub fn copy_from(bytes: &[u8]) -> Self {
-        let mut words = vec![0u64; bytes.len().div_ceil(8)].into_boxed_slice();
-        for (w, chunk) in words.iter_mut().zip(bytes.chunks(8)) {
-            let mut b = [0u8; 8];
-            b[..chunk.len()].copy_from_slice(chunk);
-            // Native order: the word array is only a container; reading it
-            // back as bytes reproduces the input exactly.
-            *w = u64::from_ne_bytes(b);
-        }
-        Self {
-            words,
-            len: bytes.len(),
-        }
+        let mut aligned = Self::zeroed(bytes.len());
+        aligned.as_mut_slice().copy_from_slice(bytes);
+        aligned
     }
 
     /// The stored bytes.
@@ -167,6 +167,13 @@ impl AlignedBytes {
         // SAFETY: the words own `len.div_ceil(8) * 8 >= len` initialised
         // bytes, and u8 has no alignment requirement.
         unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
+    }
+
+    /// The stored bytes, writable.
+    pub fn as_mut_slice(&mut self) -> &mut [u8] {
+        // SAFETY: as in `as_slice`; the exclusive borrow of the words makes
+        // the bytes exclusively borrowed too.
+        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr() as *mut u8, self.len) }
     }
 }
 

@@ -464,14 +464,6 @@ impl VpTreeView<'_> {
         }
     }
 
-    /// Whether both arrays are borrowed rather than copied.
-    pub fn is_borrowed(&self) -> bool {
-        matches!(
-            (&self.nodes, &self.ids),
-            (Cow::Borrowed(_), Cow::Borrowed(_))
-        )
-    }
-
     /// The tree in owned form.
     pub fn into_owned(self) -> VpTreeData {
         VpTreeData {
@@ -531,14 +523,6 @@ pub struct HoodsView<'a> {
 }
 
 impl HoodsView<'_> {
-    /// Whether both arrays are borrowed rather than copied.
-    pub fn is_borrowed(&self) -> bool {
-        matches!(
-            (&self.k_distance, &self.lrd),
-            (Cow::Borrowed(_), Cow::Borrowed(_))
-        )
-    }
-
     /// The state in owned form.
     pub fn into_owned(self) -> HoodsData {
         HoodsData {
@@ -665,7 +649,9 @@ fn validate_tree(
                     node.vantage
                 )));
             }
-            if !node.mu.is_finite() || node.mu < 0.0 {
+            // `+∞` is a radius the builder makes: a distance between
+            // extreme (finite) coordinates can overflow.
+            if node.mu.is_nan() || node.mu < 0.0 {
                 return Err(fail(format!("node {idx} has invalid radius {}", node.mu)));
             }
             if node.len != 0 {
@@ -1500,8 +1486,9 @@ impl ModelHead<'_> {
         )
     }
 
-    /// The exact artifact length in bytes, header included.
-    fn byte_len(&self) -> usize {
+    /// The exact artifact length in bytes, header included: the size of
+    /// the buffer an in-memory encoding fills.
+    pub fn byte_len(&self) -> usize {
         let (n, d) = (self.view.n(), self.view.d());
         let pad = |o: usize| o.next_multiple_of(8);
         let mut off = HEADER_LEN + crate::envelope::attributes_len(self.view.names());

@@ -19,9 +19,10 @@
 //! state.
 //!
 //! Opening is cheap for a version-4 artifact: its neighbourhood state (the
-//! hoods) was computed at fit time and rides in the artifact, so the open
-//! copies it instead of running the all-points kNN pass that older
-//! artifacts still pay.
+//! hoods) was computed at fit time and rides in the artifact, so the
+//! engine reads it in place. An older artifact pays the all-points kNN
+//! pass once at open, where [`QueryEngine::from_artifact`] upgrades it to
+//! a version-4 encoding in memory; every engine then reads one way.
 
 use crate::index::IndexKind;
 use crate::query::{IndexStats, QueryEngine, QueryError};

@@ -168,11 +168,6 @@ impl VpTree {
         self.data
     }
 
-    /// Number of tree nodes.
-    pub fn node_count(&self) -> usize {
-        self.data.nodes.len()
-    }
-
     /// The k-distance neighbourhood of `point` among the indexed points,
     /// excluding object `exclude` — same contract, same result, bit for
     /// bit, as [`crate::knn::knn_query_point`]. `k` must already be clamped
@@ -206,7 +201,8 @@ fn tree_knn<P: Points>(
     let mut scratch = KnnScratch::new(k);
     scratch.point.extend_from_slice(point);
     let k_sq = scratch.search(tree, &PointRows(points), exclude);
-    debug_assert!(k_sq.is_finite() || point.iter().any(|v| !v.is_finite()));
+    // `+∞` when distances overflow, never NaN for a finite point.
+    debug_assert!(!k_sq.is_nan() || point.iter().any(|v| !v.is_finite()));
     neighborhood_from_members(&mut scratch.cands, k_sq)
 }
 
@@ -588,19 +584,23 @@ impl<R: QueryRows> Search<'_, R> {
         // prune a subtree whose true lower bound could still tie the current
         // k-distance. ~1e-12 relative is ≫ the ~1e-15 worst-case error.
         let eps = (d + nd.mu) * 1e-12;
+        // A NaN gap (`∞ − ∞` once distances overflow) is unordered and
+        // prunes nothing; this compiles to the one comparison `<=` does.
+        let near =
+            |gap: f64, reach: f64| gap.partial_cmp(&reach) != Some(std::cmp::Ordering::Greater);
         if d < nd.mu {
             // Query inside the ball: the inner child is the nearer side.
-            if d - nd.mu <= self.heap.bound_dist + eps {
+            if near(d - nd.mu, self.heap.bound_dist + eps) {
                 self.visit(nd.inner);
             }
-            if nd.mu - d <= self.heap.bound_dist + eps {
+            if near(nd.mu - d, self.heap.bound_dist + eps) {
                 self.visit(nd.outer);
             }
         } else {
-            if nd.mu - d <= self.heap.bound_dist + eps {
+            if near(nd.mu - d, self.heap.bound_dist + eps) {
                 self.visit(nd.outer);
             }
-            if d - nd.mu <= self.heap.bound_dist + eps {
+            if near(d - nd.mu, self.heap.bound_dist + eps) {
                 self.visit(nd.inner);
             }
         }
@@ -725,14 +725,6 @@ impl SubspaceIndex {
         match self {
             SubspaceIndex::Brute => IndexKind::Brute,
             SubspaceIndex::VpTree(_) => IndexKind::VpTree,
-        }
-    }
-
-    /// Number of index nodes (0 for brute).
-    pub fn node_count(&self) -> usize {
-        match self {
-            SubspaceIndex::Brute => 0,
-            SubspaceIndex::VpTree(t) => t.node_count(),
         }
     }
 
@@ -1112,6 +1104,20 @@ mod tests {
                 &format!("grid dims={dims}"),
             );
         }
+    }
+
+    /// Distances between extreme (finite) coordinates overflow to `+∞`,
+    /// so radii are `∞` and a gap `∞ − ∞` is NaN: the traversal must prune
+    /// nothing on it and still match the brute scan.
+    #[test]
+    fn self_join_matches_brute_when_distances_overflow() {
+        let extreme = |salt: usize| -> Vec<f64> {
+            (0..40)
+                .map(|i| ((i * salt) % 11) as f64 * 1e199 - 3e199)
+                .collect()
+        };
+        let layout = SubspaceLayout::from_cols(vec![extreme(7), extreme(3)]);
+        check_self_join(&layout, "overflowing distances");
     }
 
     #[test]

@@ -12,16 +12,18 @@
 //! non-finite clamp of a version-4 artifact). With the VP-tree a query costs
 //! `O(log N)` expected per subspace instead of the brute `O(N · |S|)` scan.
 //!
-//! There is one storage: the engine always serves out of an
-//! [`hics_data::ModelArtifact`] — a memory map of the file for every engine
-//! opened from disk ([`QueryEngine::open_mmap`]), the in-memory encoding of
-//! the model for one built from a [`HicsModel`] — and borrows its views on
-//! every query instead of copying them at open. Only what the bytes do not
-//! hold is private: trees built at open for a version-1 artifact, hoods
-//! computed at open (by [`subspace_hoods`]'s computation) for versions 1
-//! and 2, and a hash of the first trained column for `O(1)` in-sample
-//! detection. Both kinds of artifact run the same code on the same
-//! bytes.
+//! There is one storage and one read path: the engine always serves out of
+//! an [`hics_data::ModelArtifact`] that holds every piece a query reads —
+//! a memory map of the file for every engine opened from disk
+//! ([`QueryEngine::open_mmap`]), the in-memory encoding of the model for
+//! one built from a [`HicsModel`] — and borrows its views on every query
+//! instead of copying them at open. An artifact that lacks a piece (the
+//! hoods of a version-1 or version-2 file, the VP-trees when they are
+//! chosen and not stored) is upgraded once at open: the pieces are built
+//! with the fit's own code and the engine serves out of a current-version
+//! encoding in memory. In-sample detection binary-searches attribute 0's
+//! stored order permutation, so the engine's own state is each subspace's
+//! column offsets and whether queries go through the trees.
 //!
 //! **In-sample fidelity:** a query row that coincides bitwise with a
 //! training row is detected and scored with that object excluded from its
@@ -31,18 +33,18 @@
 //! the batch pipeline's aggregated score *bit-for-bit* (asserted by
 //! `crates/core/tests/serve_equivalence.rs`).
 
-use crate::aggregate::Aggregation;
-use crate::distance::{ColumnPages, Points};
+use crate::distance::{ColumnPages, Points, SubspaceView};
 use crate::index::{knn_all_flat, knn_point, IndexKind, SubspaceIndex, VpTree};
 use crate::knn_score::KnnScoreKind;
 use crate::lof::{lof_from_flat, lof_of_query, lrd_from_flat, lrd_of};
 use crate::parallel::release_free_heap;
+use hics_data::mmap::AlignedBytes;
 use hics_data::model::{
-    AggregationKind, HicsModel, HoodsData, HoodsView, NormParam, ScorerKind, ScorerSpec,
-    VpTreeData, VpTreeView,
+    AggregationKind, HicsModel, HoodsData, HoodsView, ModelHead, ModelWriter, ScorerKind,
+    ScorerSpec, TreeShape, VpTreeData, VpTreeView,
 };
-use hics_data::{HicsError, ModelArtifact};
-use std::borrow::Cow;
+use hics_data::{ColumnsView, HicsError, ModelArtifact, RankIndex};
+use std::io::Cursor;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
@@ -101,35 +103,9 @@ impl From<QueryError> for HicsError {
     }
 }
 
-/// A piece of trained state: read in place from the artifact on every
-/// query, or held privately — because the artifact does not hold it (built
-/// or computed at open) or cannot lend it (bytes the in-place cast cannot
-/// read, which never happens on a little-endian host).
-#[derive(Debug, Clone)]
-enum Held<T> {
-    InPlace,
-    Owned(T),
-}
-
-/// Where one subspace's state lives.
-#[derive(Debug, Clone)]
-struct TrainedSubspace {
-    /// Attribute indices of the subspace, ascending.
-    dims: Vec<usize>,
-    /// Where each axis's column starts in the columns section
-    /// (`dims[t] · n`).
-    starts: Vec<usize>,
-    /// The VP-tree every query in this subspace goes through; `None` scans
-    /// brute force.
-    tree: Option<Held<VpTreeData>>,
-    /// The training objects' k-distances and LOF densities, and the clamp
-    /// applied to a non-finite query score (matching
-    /// [`crate::aggregate_scores`]).
-    hoods: Held<HoodsData>,
-}
-
 /// How the engine's neighbour index came to be — surfaced on the serving
-/// layer's `/model` and `/stats` endpoints.
+/// layer's `/model` and `/stats` endpoints. It describes the artifact as it
+/// was opened, before any upgrade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexStats {
     /// The backend in use.
@@ -138,9 +114,9 @@ pub struct IndexStats {
     pub from_artifact: bool,
     /// Total index nodes across subspaces (0 for brute).
     pub nodes: usize,
-    /// Wall-clock microseconds spent on the indexes at open: building
-    /// trees the artifact does not carry, or locating the stored ones,
-    /// which are read in place (excludes the neighbourhood
+    /// Wall-clock microseconds the open spent building VP-trees the
+    /// artifact did not carry, during its upgrade (0 when the trees are
+    /// stored or the brute scan is used; excludes the neighbourhood
     /// precomputation).
     pub build_micros: u64,
     /// Whether the per-subspace neighbourhood state (k-distances, LOF
@@ -150,19 +126,21 @@ pub struct IndexStats {
 }
 
 /// Scores query points against a trained model, always served out of a
-/// [`ModelArtifact`]: a memory-mapped file, or the in-memory encoding of a
-/// [`HicsModel`].
+/// [`ModelArtifact`] that carries every piece a query reads: a
+/// memory-mapped file, the in-memory encoding of a [`HicsModel`], or the
+/// in-memory upgrade of an older artifact.
 #[derive(Debug, Clone)]
 pub struct QueryEngine {
     artifact: Arc<ModelArtifact>,
-    /// The trained columns, one after another (see
-    /// [`ModelArtifact::columns`]).
-    columns: Held<Vec<f64>>,
-    norm: Vec<NormParam>,
-    kind: ScorerKind,
-    k: usize,
-    aggregation: Aggregation,
-    subspaces: Vec<TrainedSubspace>,
+    /// Whether queries go through the artifact's VP-trees; `false` scans
+    /// brute force.
+    trees: bool,
+    /// Whether the artifact was opened from a memory map (an upgrade moves
+    /// it into memory).
+    mapped: bool,
+    /// Where each subspace's axes start in the columns section
+    /// (`dims[t] · n`).
+    starts: Vec<Vec<usize>>,
     index_stats: IndexStats,
 }
 
@@ -203,114 +181,61 @@ impl QueryEngine {
     }
 
     /// Builds the engine over an artifact **without** copying its trained
-    /// state: the columns, the stored VP-trees and the stored hoods are
-    /// read in place on every query, through
-    /// [`ModelArtifact::columns`], [`ModelArtifact::tree`] and
-    /// [`ModelArtifact::hoods_view`]; the order permutations and rank index
-    /// are never touched. `index` behaves exactly as in
-    /// [`QueryEngine::from_model_with_index`].
+    /// state: the columns, the VP-trees and the hoods are read in place on
+    /// every query, through [`ModelArtifact::columns`],
+    /// [`ModelArtifact::tree`] and [`ModelArtifact::hoods_view`]. `index`
+    /// behaves exactly as in [`QueryEngine::from_model_with_index`].
     ///
-    /// What the artifact does not hold is computed here and held privately:
-    /// the VP-trees of a version-1 artifact opened with
-    /// `Some(IndexKind::VpTree)`, and the hoods of a version-1 or version-2
-    /// artifact (the computation behind [`subspace_hoods`], with up to
-    /// `max_threads` workers, so a stored section holds exactly these
-    /// values). [`IndexStats::precomputed`] says whether the hoods were
-    /// stored.
+    /// An artifact that lacks a piece the engine will read — the hoods of
+    /// a version-1 or version-2 artifact or a `--no-precompute` fit, or
+    /// the VP-trees when they are chosen and not stored — is upgraded once
+    /// here: the missing pieces are built with the fit's own code
+    /// ([`VpTree::build`], and the computation behind [`subspace_hoods`]
+    /// with up to `max_threads` workers, so a stored section holds exactly
+    /// these values), a current-version artifact is encoded through
+    /// [`ModelWriter`] into an owned, aligned buffer, and the engine serves
+    /// out of that instead of `artifact`. [`IndexStats`] and
+    /// [`QueryEngine::is_mapped`] describe the artifact as it was opened.
     pub fn from_artifact(
         artifact: Arc<ModelArtifact>,
         index: Option<IndexKind>,
         max_threads: usize,
     ) -> Self {
-        let spec = artifact.scorer();
-        let n = artifact.n();
-        let chosen = index.unwrap_or(if artifact.has_index() {
+        let kind = index.unwrap_or(if artifact.has_index() {
             IndexKind::VpTree
         } else {
             IndexKind::Brute
         });
-        let columns = match artifact.columns() {
-            Cow::Borrowed(_) => Held::InPlace,
-            Cow::Owned(copy) => Held::Owned(copy),
+        let trees = kind == IndexKind::VpTree;
+        let mapped = artifact.is_mmap();
+        let (from_artifact, precomputed) = (trees && artifact.has_index(), artifact.has_hoods());
+        // Missing the hoods, or the trees the queries go through: upgrade.
+        let (artifact, build_micros) = if !precomputed || (trees && !from_artifact) {
+            let (upgraded, build_micros) = upgrade(&artifact, trees, max_threads);
+            (Arc::new(upgraded), build_micros)
+        } else {
+            (artifact, 0)
         };
-        let pages = match &columns {
-            Held::InPlace => artifact.columns(),
-            Held::Owned(copy) => Cow::Borrowed(&copy[..]),
-        };
-        let starts: Vec<Vec<usize>> = artifact
-            .subspaces()
-            .iter()
-            .map(|sub| sub.dims.iter().map(|&j| j * n).collect())
-            .collect();
-        let build_start = Instant::now();
-        let trees: Vec<Option<Held<VpTreeData>>> = starts
-            .iter()
-            .enumerate()
-            .map(|(s, starts)| match (chosen, artifact.tree(s)) {
-                (IndexKind::Brute, _) => None,
-                // The stored tree is the deterministic build over these very
-                // columns; reading it skips the O(N log N) construction.
-                (IndexKind::VpTree, Some(stored)) if stored.is_borrowed() => Some(Held::InPlace),
-                (IndexKind::VpTree, Some(stored)) => Some(Held::Owned(stored.into_owned())),
-                (IndexKind::VpTree, None) => {
-                    let points = ColumnPages::new(&pages, n, starts);
-                    Some(Held::Owned(VpTree::build(&points).into_data()))
-                }
-            })
-            .collect();
-        let build_micros = build_start.elapsed().as_micros() as u64;
-        let subspaces: Vec<TrainedSubspace> = artifact
-            .subspaces()
-            .iter()
-            .zip(starts)
-            .zip(trees)
-            .enumerate()
-            .map(|(s, ((sub, starts), tree))| {
-                let hoods = match artifact.hoods_view(s) {
-                    Some(stored) if stored.is_borrowed() => Held::InPlace,
-                    Some(stored) => Held::Owned(stored.into_owned()),
-                    None => {
-                        let points = ColumnPages::new(&pages, n, &starts);
-                        let tree = tree.as_ref().map(|t| held_tree(&artifact, s, t));
-                        Held::Owned(hoods_through(&points, tree.as_ref(), spec, max_threads))
-                    }
-                };
-                TrainedSubspace {
-                    dims: sub.dims.clone(),
-                    starts,
-                    tree,
-                    hoods,
-                }
-            })
-            .collect();
-        let index_stats = IndexStats {
-            kind: chosen,
-            from_artifact: chosen == IndexKind::VpTree && artifact.has_index(),
-            nodes: subspaces
-                .iter()
-                .enumerate()
-                .filter_map(|(s, sub)| Some(held_tree(&artifact, s, sub.tree.as_ref()?)))
-                .map(|tree| tree.nodes.len())
-                .sum(),
-            build_micros,
-            precomputed: artifact.has_hoods(),
-        };
-        drop(pages);
-        if !artifact.has_hoods() {
-            // The all-points kNN passes are done; give their heap back.
-            release_free_heap();
-        }
+        let n = artifact.n();
+        let subspaces = artifact.subspaces();
+        let nodes = (0..subspaces.len())
+            .filter_map(|s| artifact.tree(s).filter(|_| trees))
+            .map(|tree| tree.nodes.len())
+            .sum();
         Self {
-            norm: artifact.norm_params().to_vec(),
-            aggregation: match artifact.aggregation() {
-                AggregationKind::Average => Aggregation::Average,
-                AggregationKind::Max => Aggregation::Max,
+            trees,
+            mapped,
+            starts: subspaces
+                .iter()
+                .map(|sub| sub.dims.iter().map(|&j| j * n).collect())
+                .collect(),
+            index_stats: IndexStats {
+                kind,
+                from_artifact,
+                nodes,
+                build_micros,
+                precomputed,
             },
-            kind: spec.kind,
-            k: spec.k as usize,
-            columns,
-            subspaces,
-            index_stats,
             artifact,
         }
     }
@@ -330,15 +255,15 @@ impl QueryEngine {
         self.artifact.d()
     }
 
-    /// Whether the artifact behind the engine is a live memory map of its
-    /// file (as opposed to in-memory bytes, e.g. an encoded [`HicsModel`]).
+    /// Whether the engine was opened from a live memory map of its file
+    /// (as opposed to in-memory bytes, e.g. an encoded [`HicsModel`]).
     pub fn is_mapped(&self) -> bool {
-        self.artifact.is_mmap()
+        self.mapped
     }
 
     /// Number of subspaces every query is scored in.
     pub fn subspace_count(&self) -> usize {
-        self.subspaces.len()
+        self.starts.len()
     }
 
     /// Scores one **raw** query row (the engine applies the model's
@@ -355,51 +280,46 @@ impl QueryEngine {
         }
         let q: Vec<f64> = raw
             .iter()
-            .zip(&self.norm)
+            .zip(self.artifact.norm_params())
             .map(|(&v, p)| p.apply(v))
             .collect();
         let exclude = self.find_coincident(&q);
 
         // Aggregate with the same accumulation order as `aggregate_scores`:
         // subspace by subspace, clamping non-finite scores per subspace.
-        let mut acc = match self.aggregation {
-            Aggregation::Average => 0.0,
-            Aggregation::Max => f64::NEG_INFINITY,
+        let aggregation = self.artifact.aggregation();
+        let mut acc = match aggregation {
+            AggregationKind::Average => 0.0,
+            AggregationKind::Max => f64::NEG_INFINITY,
         };
-        let pages = self.pages();
+        let pages = self.artifact.columns();
         let mut q_sub: Vec<f64> = Vec::new();
-        for (s, sub) in self.subspaces.iter().enumerate() {
+        for (s, starts) in self.starts.iter().enumerate() {
             q_sub.clear();
-            q_sub.extend(sub.dims.iter().map(|&j| q[j]));
-            let points = ColumnPages::new(&pages, self.n(), &sub.starts);
+            q_sub.extend(self.artifact.subspaces()[s].dims.iter().map(|&j| q[j]));
+            let points = ColumnPages::new(&pages, self.n(), starts);
             let hoods = self.hoods(s);
             let s = self.score_in_subspace(s, &points, &hoods, &q_sub, exclude);
             let s = if s.is_finite() { s } else { hoods.clamp };
-            match self.aggregation {
-                Aggregation::Average => acc += s,
-                Aggregation::Max => acc = acc.max(s),
+            match aggregation {
+                AggregationKind::Average => acc += s,
+                AggregationKind::Max => acc = acc.max(s),
             }
         }
-        if self.aggregation == Aggregation::Average {
-            acc /= self.subspaces.len() as f64;
+        if aggregation == AggregationKind::Average {
+            acc /= self.starts.len() as f64;
         }
         Ok(acc)
     }
 
-    /// The trained columns (see [`ModelArtifact::columns`]).
-    fn pages(&self) -> Cow<'_, [f64]> {
-        match &self.columns {
-            Held::InPlace => self.artifact.columns(),
-            Held::Owned(copy) => Cow::Borrowed(copy),
-        }
+    /// Subspace `s`'s VP-tree, when queries go through the trees.
+    fn tree(&self, s: usize) -> Option<VpTreeView<'_>> {
+        self.trees.then(|| self.artifact.tree(s)).flatten()
     }
 
     /// Subspace `s`'s hoods.
     fn hoods(&self, s: usize) -> HoodsView<'_> {
-        match &self.subspaces[s].hoods {
-            Held::InPlace => self.artifact.hoods_view(s).expect("checked at open"),
-            Held::Owned(hoods) => hoods.view(),
-        }
+        self.artifact.hoods_view(s).expect("upgraded at open")
     }
 
     /// The density score of the (already normalised) query in subspace `s`,
@@ -412,17 +332,14 @@ impl QueryEngine {
         q_sub: &[f64],
         exclude: Option<usize>,
     ) -> f64 {
-        let tree = self.subspaces[s]
-            .tree
-            .as_ref()
-            .map(|t| held_tree(&self.artifact, s, t));
-        let h = knn_point(tree.as_ref(), points, q_sub, self.k, exclude);
-        match self.kind {
+        let ScorerSpec { kind, k } = self.artifact.scorer();
+        let h = knn_point(self.tree(s).as_ref(), points, q_sub, k as usize, exclude);
+        match kind {
             ScorerKind::Lof => {
                 let lrd_q = lrd_of(&h.neighbors, &h.distances, |o| hoods.k_distance[o]);
                 lof_of_query(&hoods.lrd, &h.neighbors, lrd_q)
             }
-            ScorerKind::KnnMean | ScorerKind::KnnKth => knn_stat(self.kind).score(&h),
+            ScorerKind::KnnMean | ScorerKind::KnnKth => knn_stat(kind).score(&h),
         }
     }
 
@@ -445,22 +362,73 @@ impl QueryEngine {
     }
 }
 
-/// Subspace `s`'s VP-tree: read in place from `artifact`, or lent by the
-/// engine's own copy.
-fn held_tree<'a>(
-    artifact: &'a ModelArtifact,
-    s: usize,
-    tree: &'a Held<VpTreeData>,
-) -> VpTreeView<'a> {
-    match tree {
-        Held::InPlace => artifact.tree(s).expect("checked at open"),
-        Held::Owned(tree) => tree.view(),
+/// Re-encodes `old` as a current-version artifact in an owned, aligned
+/// buffer, building what it lacks with the fit's code over its in-place
+/// columns: the VP-trees when `trees` asks for them and `old` stores none,
+/// and the hoods (through the trees the new artifact carries, or the brute
+/// scan) when it stores none. Returns the artifact and the microseconds the
+/// tree builds took.
+fn upgrade(old: &ModelArtifact, trees: bool, max_threads: usize) -> (ModelArtifact, u64) {
+    const VALID: &str = "a parsed artifact re-encodes";
+    let view = ColumnsView::from_source(old);
+    let subspace = |s: usize| SubspaceView::from_columns_view(&view, &old.subspaces()[s].dims);
+    let count = old.subspaces().len();
+    let start = Instant::now();
+    let build = trees && !old.has_index();
+    let built: Vec<VpTreeData> = (0..count)
+        .filter(|_| build)
+        .map(|s| VpTree::build(&subspace(s)).into_data())
+        .collect();
+    let build_micros = if build {
+        start.elapsed().as_micros() as u64
+    } else {
+        0
+    };
+    let tree = |s: usize| old.tree(s).or_else(|| Some(built.get(s)?.view()));
+    let shapes: Option<Vec<TreeShape>> = (0..count).map(|s| Some(tree(s)?.shape())).collect();
+    let order = RankIndex::from_order((0..old.d()).map(|j| old.order(j).into_owned()).collect());
+    let head = ModelHead {
+        view: &view,
+        norm_kind: old.norm_kind(),
+        norm: old.norm_params(),
+        subspaces: old.subspaces(),
+        scorer: old.scorer(),
+        aggregation: old.aggregation(),
+        order: &order,
+        trees: shapes.as_deref(),
+        hoods: true,
+    };
+    let mut bytes = AlignedBytes::zeroed(head.byte_len());
+    let sink = Cursor::new(bytes.as_mut_slice());
+    let mut w = ModelWriter::begin(sink, Path::new("memory"), &head).expect(VALID);
+    drop(order);
+    for t in (0..count).filter_map(tree) {
+        w.put_tree(&t).expect(VALID);
     }
+    for s in 0..count {
+        match old.hoods_view(s) {
+            Some(stored) => w.put_hoods(&stored),
+            None => {
+                let computed =
+                    hoods_through(&subspace(s), tree(s).as_ref(), old.scorer(), max_threads);
+                w.put_hoods(&computed.view())
+            }
+        }
+        .expect(VALID);
+    }
+    w.finish().expect(VALID);
+    drop(built);
+    // The tree builds and all-points kNN passes are done; give their heap
+    // back.
+    release_free_heap();
+    let upgraded = ModelArtifact::from_aligned(bytes).expect(VALID);
+    (upgraded, build_micros)
 }
 
 /// Computes one subspace's neighbourhood state over its trained points
-/// (any [`Points`]: the fit passes a borrowed [`crate::SubspaceView`], the
-/// engine its in-place column pages; the distances are bit-identical):
+/// (any [`Points`]: the fit and the open-time upgrade pass a borrowed
+/// [`crate::SubspaceView`], tests an owned layout; the distances are
+/// bit-identical):
 /// the all-points kNN pass through `index`, every object's k-distance,
 /// the LOF reachability densities (LOF only) and the non-finite clamp —
 /// the largest finite training score.
@@ -476,7 +444,7 @@ fn held_tree<'a>(
 /// [`KnnScoreKind::score`] give.
 ///
 /// This is the one computation behind both the fit's hoods section and
-/// the engine's fallback for artifacts without one, so a stored section
+/// the open-time upgrade of artifacts without one, so a stored section
 /// holds exactly what an open would otherwise compute. Both callers run it
 /// one subspace at a time, so one subspace's neighbourhoods are alive at
 /// once.
@@ -545,7 +513,7 @@ fn finite_clamp(scores: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::aggregate_scores;
+    use crate::aggregate::{aggregate_scores, Aggregation};
     use crate::distance::SubspaceLayout;
     use crate::lof::Lof;
     use crate::scorer::score_subspaces;
@@ -898,38 +866,49 @@ mod tests {
         start >= range.start as usize && end <= range.end as usize
     }
 
-    /// Over a version-4 artifact with trees, every column, tree node, leaf
-    /// id and hoods value a query reads lies inside the artifact's bytes:
-    /// the engine holds no copy of them.
+    /// Every column, tree node, leaf id and hoods value `engine` reads lies
+    /// inside its artifact's bytes, and its artifact is the current
+    /// version: the engine holds no copy of them.
+    fn assert_reads_in_place(engine: &QueryEngine, scorer: ScorerKind) {
+        let bytes = engine.artifact.bytes();
+        assert_eq!(engine.artifact.version(), 4);
+        assert!(lies_in(&engine.artifact.columns(), bytes));
+        for s in 0..engine.subspace_count() {
+            if let Some(tree) = engine.tree(s) {
+                assert!(lies_in(&tree.nodes, bytes) && lies_in(&tree.ids, bytes));
+            }
+            let hoods = engine.hoods(s);
+            assert!(lies_in(&hoods.k_distance, bytes) && lies_in(&hoods.lrd, bytes));
+            assert_eq!(hoods.lrd.is_empty(), scorer != ScorerKind::Lof);
+        }
+    }
+
+    /// `model`'s VP-trees, as a fit builds them.
+    fn built_trees(model: &HicsModel) -> Vec<VpTreeData> {
+        model
+            .subspaces()
+            .iter()
+            .map(|s| VpTree::build(&SubspaceLayout::gather(model.dataset(), &s.dims)).into_data())
+            .collect()
+    }
+
+    /// Over a version-4 artifact with trees, the engine reads the artifact
+    /// it was given, in place, and scores like the model.
     #[test]
     fn v4_engine_reads_every_trained_value_in_place() {
         for kind in [ScorerKind::Lof, ScorerKind::KnnMean] {
             let (model, g) = model_with(kind, NormKind::MinMax, AggregationKind::Average);
             let mut model = with_hoods(model, IndexKind::VpTree);
-            let trees = model
-                .subspaces()
-                .iter()
-                .map(|s| {
-                    VpTree::build(&SubspaceLayout::gather(model.dataset(), &s.dims)).into_data()
-                })
-                .collect();
+            let trees = built_trees(&model);
             model.set_index(Some(hics_data::model::ModelIndex { trees }));
-            let engine = QueryEngine::from_model(&model, 2);
-            let bytes = engine.artifact.bytes();
-            assert_eq!(engine.artifact.version(), 4);
-            assert!(matches!(engine.columns, Held::InPlace));
-            assert!(lies_in(&engine.pages(), bytes));
-            for (s, sub) in engine.subspaces.iter().enumerate() {
-                let Some(held @ Held::InPlace) = &sub.tree else {
-                    panic!("{kind:?} subspace {s}: tree not read in place");
-                };
-                let tree = held_tree(&engine.artifact, s, held);
-                assert!(lies_in(&tree.nodes, bytes) && lies_in(&tree.ids, bytes));
-                assert!(matches!(sub.hoods, Held::InPlace), "{kind:?} subspace {s}");
-                let hoods = engine.hoods(s);
-                assert!(lies_in(&hoods.k_distance, bytes) && lies_in(&hoods.lrd, bytes));
-                assert_eq!(hoods.lrd.is_empty(), kind != ScorerKind::Lof);
-            }
+            let artifact = Arc::new(ModelArtifact::from_bytes(&model.to_bytes()).expect("valid"));
+            let engine = QueryEngine::from_artifact(Arc::clone(&artifact), None, 2);
+            assert!(
+                Arc::ptr_eq(&engine.artifact, &artifact),
+                "{kind:?}: upgraded"
+            );
+            assert!((0..engine.subspace_count()).all(|s| engine.tree(s).is_some()));
+            assert_reads_in_place(&engine, kind);
             let reference = QueryEngine::from_model(&model, 2);
             for i in (0..g.dataset.n()).step_by(17) {
                 let row = g.dataset.row(i);
@@ -938,24 +917,80 @@ mod tests {
         }
     }
 
-    /// A version-1 artifact opened with the VP-tree holds the trees it
-    /// built and the hoods it computed; only the columns stay in place.
+    /// An artifact without hoods, or without the trees the engine will
+    /// read, is upgraded at open: the engine serves out of a version-4
+    /// encoding in its own buffer that carries the trees a fit builds and
+    /// the hoods a precomputing fit stores, the original artifact is let
+    /// go, and the index stats still describe the artifact as opened.
     #[test]
-    fn v1_engine_holds_what_it_built() {
-        let (model, _) = model_with(ScorerKind::Lof, NormKind::None, AggregationKind::Average);
-        let artifact = Arc::new(ModelArtifact::from_bytes(&model.to_bytes()).expect("valid"));
-        assert_eq!(artifact.version(), 1);
-        let engine = QueryEngine::from_artifact(artifact, Some(IndexKind::VpTree), 2);
-        assert!(matches!(engine.columns, Held::InPlace));
-        for (s, sub) in engine.subspaces.iter().enumerate() {
-            let Some(Held::Owned(tree)) = &sub.tree else {
-                panic!("subspace {s}: the built tree is not held");
+    fn older_artifacts_are_upgraded_at_open() {
+        let (model, g) = model_with(ScorerKind::Lof, NormKind::None, AggregationKind::Average);
+        let trees = built_trees(&model);
+        let nodes: usize = trees.iter().map(|t| t.nodes.len()).sum();
+        let mut v2 = model.clone();
+        v2.set_index(Some(hics_data::model::ModelIndex {
+            trees: trees.clone(),
+        }));
+        let v4_bare = with_hoods(model.clone(), IndexKind::Brute);
+        let stored = v4_bare.hoods().expect("hoods").subspaces.clone();
+        let reference = QueryEngine::from_model(&v4_bare, 2);
+        let stats = |kind, from_artifact, nodes, precomputed| IndexStats {
+            kind,
+            from_artifact,
+            nodes,
+            build_micros: 0,
+            precomputed,
+        };
+        let cases = [
+            (&model, 1, None, stats(IndexKind::Brute, false, 0, false)),
+            (
+                &model,
+                1,
+                Some(IndexKind::VpTree),
+                stats(IndexKind::VpTree, false, nodes, false),
+            ),
+            (&v2, 2, None, stats(IndexKind::VpTree, true, nodes, false)),
+            (
+                &v4_bare,
+                4,
+                Some(IndexKind::VpTree),
+                stats(IndexKind::VpTree, false, nodes, true),
+            ),
+        ];
+        for (m, version, index, want) in cases {
+            let artifact = Arc::new(ModelArtifact::from_bytes(&m.to_bytes()).expect("valid"));
+            assert_eq!(artifact.version(), version);
+            let engine = QueryEngine::from_artifact(Arc::clone(&artifact), index, 2);
+            let case = format!("v{version} opened with {index:?}");
+            assert_eq!(
+                Arc::strong_count(&artifact),
+                1,
+                "{case}: original still held"
+            );
+            assert_reads_in_place(&engine, ScorerKind::Lof);
+            let vptree = want.kind == IndexKind::VpTree;
+            for (s, built) in trees.iter().enumerate() {
+                let tree = engine.tree(s).map(VpTreeView::into_owned);
+                assert_eq!(
+                    tree.as_ref(),
+                    vptree.then_some(built),
+                    "{case} subspace {s}"
+                );
+            }
+            assert_eq!(engine_hoods(&engine), stored, "{case}");
+            if !vptree || want.from_artifact {
+                assert_eq!(engine.index_stats().build_micros, 0, "{case}");
+            }
+            let got = IndexStats {
+                build_micros: 0,
+                ..engine.index_stats()
             };
-            let want = VpTree::build(&SubspaceLayout::gather(model.dataset(), &sub.dims));
-            assert_eq!(tree, want.as_data(), "subspace {s}");
-            assert!(matches!(sub.hoods, Held::Owned(_)), "subspace {s}");
+            assert_eq!(got, want, "{case}");
+            for i in (0..g.dataset.n()).step_by(7) {
+                let row = g.dataset.row(i);
+                assert_eq!(engine.score(&row), reference.score(&row), "{case} row {i}");
+            }
         }
-        assert!(!engine.index_stats().from_artifact && !engine.index_stats().precomputed);
     }
 
     #[test]
