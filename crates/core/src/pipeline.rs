@@ -6,8 +6,8 @@ use crate::search::{ScoredSubspace, SearchParams, SubspaceSearch};
 use hics_data::manifest::{PartitionKind, ShardAggregation, ShardEntry, ShardManifest};
 use hics_data::mmap::write_atomic_with;
 use hics_data::model::{
-    apply_normalization, check_object_count, AggregationKind, HicsModel, ModelHead, ModelSubspace,
-    ModelWriter, NormKind, NormParam, ScorerKind, ScorerSpec, VpTreeData,
+    apply_normalization, check_object_count, HicsModel, ModelHead, ModelSubspace, ModelWriter,
+    NormKind, NormParam, ScorerKind, ScorerSpec, VpTreeData,
 };
 use hics_data::{ColumnsView, Dataset, DatasetSource, HicsError, RankIndex};
 use hics_outlier::aggregate::{aggregate_scores, Aggregation};
@@ -276,7 +276,7 @@ impl FitBuilder {
             norm,
             subspaces: &subspaces,
             scorer: self.scorer,
-            aggregation: self.aggregation_kind(),
+            aggregation: self.params.aggregation,
             order: &rank,
             trees: trees.as_deref(),
             hoods: self.precompute,
@@ -319,14 +319,6 @@ impl FitBuilder {
             precompute_nanos,
             hoods_writes,
         })
-    }
-
-    /// The artifact aggregation for the pipeline's configuration.
-    fn aggregation_kind(&self) -> AggregationKind {
-        match self.params.aggregation {
-            Aggregation::Average => AggregationKind::Average,
-            Aggregation::Max => AggregationKind::Max,
-        }
     }
 
     /// Rejects builder configurations a source-backed fit cannot honour:

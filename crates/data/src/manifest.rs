@@ -67,6 +67,17 @@ impl ShardAggregation {
     }
 }
 
+/// The shard fold is the model's mean|max fold: `Mean` folds as
+/// `Average`.
+impl From<ShardAggregation> for crate::model::AggregationKind {
+    fn from(a: ShardAggregation) -> Self {
+        match a {
+            ShardAggregation::Mean => Self::Average,
+            ShardAggregation::Max => Self::Max,
+        }
+    }
+}
+
 impl std::str::FromStr for ShardAggregation {
     type Err = String;
 

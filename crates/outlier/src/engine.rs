@@ -12,11 +12,12 @@
 //! `/v2/score`, `/admin/reload` — without those layers knowing how many
 //! artifacts sit behind a query.
 //!
-//! A batch has one scoring path: [`Engine::score_batch_partial`] hands
-//! back a [`ScoredBatch`] — the per-row scores plus each in-process
-//! shard's wall-clock scoring time — so the caller that scored the batch
-//! is the one that measures it; nothing here reports to process-wide
-//! state.
+//! A batch has one scoring path and one record:
+//! [`Engine::score_batch_partial`] and [`RemoteEngine::score_rows`] both
+//! hand back a [`ScoredBatch`] — the per-row scores, the remote tier's
+//! degraded-fold flag and each in-process shard's wall-clock scoring time
+//! — so the caller that scored the batch is the one that measures it;
+//! nothing here reports to process-wide state.
 //!
 //! Opening is cheap for a version-4 artifact: its neighbourhood state (the
 //! hoods) was computed at fit time and rides in the artifact, so the
@@ -32,17 +33,6 @@ use hics_data::model::peek_artifact_version;
 use hics_data::HicsError;
 use std::path::Path;
 use std::sync::Arc;
-
-/// A batch scored by a [`RemoteEngine`]: per-row results plus whether
-/// the ensemble was folded over a degraded (partial) shard set.
-#[derive(Debug, Clone)]
-pub struct RemoteBatch {
-    /// One result per input row, in input order.
-    pub results: Vec<Result<f64, QueryError>>,
-    /// True when at least one shard was skipped (evicted or failing)
-    /// and the fold ran over the survivors only.
-    pub partial: bool,
-}
 
 /// One batch scored by an [`Engine`]: per-row results, the degraded-fold
 /// flag of a remote engine, and each in-process shard's scoring time.
@@ -68,7 +58,8 @@ pub struct ScoredBatch {
 pub trait RemoteEngine: Send + Sync + std::fmt::Debug {
     /// Scores a batch of pre-validated rows (arity and finiteness are
     /// checked by the caller against [`RemoteEngine::d`]).
-    fn score_rows(&self, rows: &[Vec<f64>]) -> RemoteBatch;
+    /// The batch carries no shard timings (`shard_nanos` is empty).
+    fn score_rows(&self, rows: &[Vec<f64>]) -> ScoredBatch;
     /// Total trained objects across all shards (from the manifest).
     fn n(&self) -> usize;
     /// Number of attributes a query row must carry.
@@ -153,14 +144,7 @@ impl Engine {
     pub fn score_batch_partial(&self, rows: &[Vec<f64>], max_threads: usize) -> ScoredBatch {
         match self {
             Engine::Sharded(e) => e.score_batch(rows, max_threads),
-            Engine::Remote(r) => {
-                let batch = r.score_rows(rows);
-                ScoredBatch {
-                    results: batch.results,
-                    partial: batch.partial,
-                    shard_nanos: Vec::new(),
-                }
-            }
+            Engine::Remote(r) => r.score_rows(rows),
         }
     }
 

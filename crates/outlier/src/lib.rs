@@ -8,9 +8,10 @@
 //! * [`knn`] — brute-force k-distance neighbourhoods with LOF tie handling.
 //! * [`lof`] — the Local Outlier Factor (Breunig et al. 2000), from scratch.
 //! * [`knn_score`] — kNN-distance scores (ORCA-flavoured future-work scorer).
-//! * [`aggregate`] — Definition 1 score aggregation (average / max).
-//! * [`ensemble`] — the pinned mean|max ensemble fold shared bit-for-bit
-//!   by the in-process [`ShardedEngine`] and the `hics route` tier.
+//! * [`aggregate`] — the one mean|max [`Fold`] and non-finite clamp:
+//!   Definition 1 over subspaces, and the shard ensemble over shards,
+//!   shared bit-for-bit by the batch path, [`QueryEngine`],
+//!   [`ShardedEngine`] and the `hics route` tier.
 //! * [`scorer`] — the pluggable [`scorer::SubspaceScorer`] seam and parallel
 //!   multi-subspace driving.
 //! * [`query`] — query-point scoring against a trained model (the serving
@@ -36,7 +37,6 @@
 pub mod aggregate;
 pub mod distance;
 pub mod engine;
-pub mod ensemble;
 pub mod handle;
 pub mod index;
 pub mod knn;
@@ -47,10 +47,9 @@ pub mod query;
 pub mod scorer;
 pub mod sharded;
 
-pub use aggregate::{aggregate_scores, Aggregation};
+pub use aggregate::{aggregate_scores, Aggregation, Fold};
 pub use distance::{Points, SubspaceLayout, SubspaceView};
-pub use engine::{Engine, RemoteBatch, RemoteEngine, ScoredBatch};
-pub use ensemble::{fold, Fold};
+pub use engine::{Engine, RemoteEngine, ScoredBatch};
 pub use handle::EngineHandle;
 pub use index::{knn_all_indexed, IndexKind, SubspaceIndex, VpTree};
 pub use knn::{knn_all, knn_query_point, Neighborhood};

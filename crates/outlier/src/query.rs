@@ -33,6 +33,7 @@
 //! the batch pipeline's aggregated score *bit-for-bit* (asserted by
 //! `crates/core/tests/serve_equivalence.rs`).
 
+use crate::aggregate::{score_clamp, Fold};
 use crate::distance::{ColumnPages, Points, SubspaceView};
 use crate::index::{knn_all_flat, knn_point, IndexKind, SubspaceIndex, VpTree};
 use crate::knn_score::KnnScoreKind;
@@ -40,8 +41,8 @@ use crate::lof::{lof_from_flat, lof_of_query, lrd_from_flat, lrd_of};
 use crate::parallel::release_free_heap;
 use hics_data::mmap::AlignedBytes;
 use hics_data::model::{
-    AggregationKind, HicsModel, HoodsData, HoodsView, ModelHead, ModelWriter, ScorerKind,
-    ScorerSpec, TreeShape, VpTreeData, VpTreeView,
+    HicsModel, HoodsData, HoodsView, ModelHead, ModelWriter, ScorerKind, ScorerSpec, TreeShape,
+    VpTreeData, VpTreeView,
 };
 use hics_data::{ColumnsView, HicsError, ModelArtifact, RankIndex};
 use std::io::Cursor;
@@ -285,13 +286,9 @@ impl QueryEngine {
             .collect();
         let exclude = self.find_coincident(&q);
 
-        // Aggregate with the same accumulation order as `aggregate_scores`:
-        // subspace by subspace, clamping non-finite scores per subspace.
-        let aggregation = self.artifact.aggregation();
-        let mut acc = match aggregation {
-            AggregationKind::Average => 0.0,
-            AggregationKind::Max => f64::NEG_INFINITY,
-        };
+        // Fold subspace by subspace in model order, clamping non-finite
+        // scores per subspace, exactly as `aggregate_scores` does.
+        let mut fold = Fold::new(self.artifact.aggregation());
         let pages = self.artifact.columns();
         let mut q_sub: Vec<f64> = Vec::new();
         for (s, starts) in self.starts.iter().enumerate() {
@@ -300,16 +297,9 @@ impl QueryEngine {
             let points = ColumnPages::new(&pages, self.n(), starts);
             let hoods = self.hoods(s);
             let s = self.score_in_subspace(s, &points, &hoods, &q_sub, exclude);
-            let s = if s.is_finite() { s } else { hoods.clamp };
-            match aggregation {
-                AggregationKind::Average => acc += s,
-                AggregationKind::Max => acc = acc.max(s),
-            }
+            fold.push(if s.is_finite() { s } else { hoods.clamp });
         }
-        if aggregation == AggregationKind::Average {
-            acc /= self.starts.len() as f64;
-        }
-        Ok(acc)
+        Ok(fold.finish())
     }
 
     /// Subspace `s`'s VP-tree, when queries go through the trees.
@@ -365,8 +355,10 @@ impl QueryEngine {
 /// Re-encodes `old` as a current-version artifact in an owned, aligned
 /// buffer, building what it lacks with the fit's code over its in-place
 /// columns: the VP-trees when `trees` asks for them and `old` stores none,
-/// and the hoods (through the trees the new artifact carries, or the brute
-/// scan) when it stores none. Returns the artifact and the microseconds the
+/// and the hoods when it stores none — through the trees the new artifact
+/// carries or, when it carries none, through a VP-tree built for one
+/// subspace's pass and dropped before the next (the brute scan's bits, at
+/// the tree's cost). Returns the artifact and the microseconds the stored
 /// tree builds took.
 fn upgrade(old: &ModelArtifact, trees: bool, max_threads: usize) -> (ModelArtifact, u64) {
     const VALID: &str = "a parsed artifact re-encodes";
@@ -409,8 +401,19 @@ fn upgrade(old: &ModelArtifact, trees: bool, max_threads: usize) -> (ModelArtifa
         match old.hoods_view(s) {
             Some(stored) => w.put_hoods(&stored),
             None => {
-                let computed =
-                    hoods_through(&subspace(s), tree(s).as_ref(), old.scorer(), max_threads);
+                // With no tree to carry, build one for this pass only: the
+                // self-join through it gives the brute scan's bits, far
+                // faster.
+                let points = subspace(s);
+                let pass;
+                let through = match tree(s) {
+                    Some(t) => t,
+                    None => {
+                        pass = VpTree::build(&points);
+                        pass.as_data().view()
+                    }
+                };
+                let computed = hoods_through(&points, Some(&through), old.scorer(), max_threads);
                 w.put_hoods(&computed.view())
             }
         }
@@ -480,7 +483,7 @@ fn hoods_through<P: Points>(
         }
     };
     HoodsData {
-        clamp: finite_clamp(&batch_scores),
+        clamp: score_clamp(&batch_scores),
         k_distance,
         lrd,
     }
@@ -495,29 +498,16 @@ fn knn_stat(kind: ScorerKind) -> KnnScoreKind {
     }
 }
 
-/// The largest finite score, or `0.0` if none is finite — the same fold as
-/// [`crate::aggregate_scores`]'s per-subspace clamp.
-fn finite_clamp(scores: &[f64]) -> f64 {
-    let finite_max = scores
-        .iter()
-        .copied()
-        .filter(|s| s.is_finite())
-        .fold(f64::NEG_INFINITY, f64::max);
-    if finite_max.is_finite() {
-        finite_max
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{aggregate_scores, Aggregation};
+    use crate::aggregate::aggregate_scores;
     use crate::distance::SubspaceLayout;
     use crate::lof::Lof;
     use crate::scorer::score_subspaces;
-    use hics_data::model::{apply_normalization, ModelSubspace, NormKind, ScorerSpec};
+    use hics_data::model::{
+        apply_normalization, AggregationKind, ModelSubspace, NormKind, ScorerSpec,
+    };
     use hics_data::SyntheticConfig;
 
     fn model_with(
@@ -577,11 +567,7 @@ mod tests {
                     2,
                 ),
             };
-            let how = match agg {
-                AggregationKind::Average => Aggregation::Average,
-                AggregationKind::Max => Aggregation::Max,
-            };
-            let batch = aggregate_scores(&per, how);
+            let batch = aggregate_scores(&per, agg);
             for (i, want) in batch.iter().enumerate() {
                 let raw = g.dataset.row(i);
                 let got = engine.score(&raw).expect("valid row");

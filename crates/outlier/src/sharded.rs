@@ -26,8 +26,8 @@
 //! the two coincide exactly (one shard holds every row — asserted by the
 //! shard-equivalence tests in `hics-core`).
 
+use crate::aggregate::Fold;
 use crate::engine::ScoredBatch;
-use crate::ensemble::Fold;
 use crate::index::IndexKind;
 use crate::parallel::par_map;
 use crate::query::{IndexStats, QueryEngine, QueryError};
@@ -153,7 +153,7 @@ impl ShardedEngine {
     /// per-shard scores with the manifest's aggregation. Higher is more
     /// outlying.
     pub fn score(&self, raw: &[f64]) -> Result<f64, QueryError> {
-        let mut acc = Fold::new(self.aggregation);
+        let mut acc = Fold::new(self.aggregation.into());
         for shard in &self.shards {
             acc.push(shard.score(raw)?);
         }
@@ -180,7 +180,7 @@ impl ShardedEngine {
             .collect();
         let results = (0..rows.len())
             .map(|i| {
-                let mut acc = Fold::new(self.aggregation);
+                let mut acc = Fold::new(self.aggregation.into());
                 for scores in &per_shard {
                     acc.push(scores[i].clone()?);
                 }

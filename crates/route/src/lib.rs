@@ -4,8 +4,8 @@
 //! the in-process ensemble maps every shard artifact into one address
 //! space, the [`Router`] fans a query out to one `hics serve` backend per
 //! shard over persistent keep-alive [`hics_serve::Pool`]s, folds the
-//! per-shard scores with the **same** pinned [`hics_outlier::ensemble`]
-//! recipe, and returns the ensemble score — bit for bit what the
+//! per-shard scores through the **same** pinned [`hics_outlier::Fold`],
+//! and returns the ensemble score — bit for bit what the
 //! in-process fold produces, because scores cross the wire in shortest
 //! round-trip form and the fold is literally shared code.
 //!
@@ -46,8 +46,7 @@ use hics_data::manifest::{ShardAggregation, ShardManifest};
 use hics_data::route::RouteTable;
 use hics_obs::trace::{self, TraceContext};
 use hics_obs::{Counter, Gauge, Histogram, Registry, SpanStatus, Tracer};
-use hics_outlier::ensemble::Fold;
-use hics_outlier::{QueryError, RemoteBatch, RemoteEngine};
+use hics_outlier::{Fold, QueryError, RemoteEngine, ScoredBatch};
 use hics_serve::client::{format_points_body, Pool};
 use hics_serve::{json, LogFormat};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -696,9 +695,9 @@ impl RemoteEngine for Router {
     /// The scatter-gather fan-out: validate rows locally (so dimension
     /// and finiteness failures render exactly as the in-process engines
     /// do), send the finite rows to every healthy shard concurrently,
-    /// fold the answers per row in shard order with the shared
-    /// [`hics_outlier::ensemble`] recipe.
-    fn score_rows(&self, rows: &[Vec<f64>]) -> RemoteBatch {
+    /// fold the answers per row in shard order through the shared
+    /// [`hics_outlier::Fold`].
+    fn score_rows(&self, rows: &[Vec<f64>]) -> ScoredBatch {
         self.requests.inc();
         let started = Instant::now();
         let trace_id = trace::current().map(|c| c.trace_id);
@@ -764,7 +763,7 @@ impl Router {
         &self,
         rows: &[Vec<f64>],
         ctx: Option<TraceContext>,
-    ) -> (RemoteBatch, Vec<(usize, Duration)>) {
+    ) -> (ScoredBatch, Vec<(usize, Duration)>) {
         // Local validation mirrors the in-process scoring path: those
         // errors are the client's fault and must not become 502s.
         let valid: Vec<Option<usize>> = {
@@ -792,12 +791,13 @@ impl Router {
             .collect();
         let fail_all = |msg: String| {
             self.failures.inc();
-            RemoteBatch {
+            ScoredBatch {
                 results: rows
                     .iter()
                     .map(|_| Err(QueryError::Upstream(msg.clone())))
                     .collect(),
                 partial: false,
+                shard_nanos: Vec::new(),
             }
         };
         if healthy.is_empty() {
@@ -890,7 +890,7 @@ impl Router {
                     Err(QueryError::NonFinite { column })
                 }
                 Some(slot) => {
-                    let mut fold = Fold::new(self.aggregation);
+                    let mut fold = Fold::new(self.aggregation.into());
                     for (_, scores) in &answered {
                         fold.push(scores[*slot]);
                     }
@@ -899,9 +899,10 @@ impl Router {
             })
             .collect();
         (
-            RemoteBatch {
+            ScoredBatch {
                 results,
                 partial: degraded,
+                shard_nanos: Vec::new(),
             },
             shard_elapsed,
         )

@@ -9,7 +9,7 @@ use hics_data::model::{
     NormKind, ScorerKind, ScorerSpec,
 };
 use hics_data::SyntheticConfig;
-use hics_outlier::{Engine, QueryEngine, RemoteBatch, RemoteEngine};
+use hics_outlier::{Engine, QueryEngine, RemoteEngine, ScoredBatch};
 use hics_serve::{ServeConfig, Server, ShutdownHandle};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -309,14 +309,15 @@ const SENTINEL: f64 = 666.0;
 struct Sentinel;
 
 impl RemoteEngine for Sentinel {
-    fn score_rows(&self, rows: &[Vec<f64>]) -> RemoteBatch {
+    fn score_rows(&self, rows: &[Vec<f64>]) -> ScoredBatch {
         assert!(
             rows.iter().all(|r| r[0] != SENTINEL),
             "sentinel row reached the engine"
         );
-        RemoteBatch {
+        ScoredBatch {
             results: rows.iter().map(|r| Ok(r.iter().sum())).collect(),
             partial: false,
+            shard_nanos: Vec::new(),
         }
     }
     fn n(&self) -> usize {
