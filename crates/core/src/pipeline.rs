@@ -277,7 +277,7 @@ impl FitBuilder {
             subspaces: &subspaces,
             scorer: self.scorer,
             aggregation: self.params.aggregation,
-            order: &rank,
+            order: &rank.orders(),
             trees: trees.as_deref(),
             hoods: self.precompute,
         };

@@ -229,7 +229,7 @@ fn a_fit_that_stops_halfway_leaves_no_file() {
         subspaces: model.subspaces(),
         scorer: model.scorer(),
         aggregation: model.aggregation(),
-        order: model.rank_index(),
+        order: &model.rank_index().orders(),
         trees: Some(&shapes),
         hoods: false,
     };

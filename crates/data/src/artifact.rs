@@ -9,7 +9,10 @@
 //! multi-gigabyte artifact costs one `mmap` plus one validation pass, and
 //! the trained payload — columns, VP-trees and hoods — is shared page cache
 //! instead of private heap: across processes, and across the generations a
-//! hot-reloading server keeps mapped. `QueryEngine::from_artifact` in
+//! hot-reloading server keeps mapped. The validation pass releases each
+//! window and section of the map once it has checked it, so the open
+//! leaves none of the file resident and each generation is resident only
+//! where its queries read. `QueryEngine::from_artifact` in
 //! `hics-outlier` reads all three through the views below on every query.
 //!
 //! The artifact format was designed for this from day one: every section
@@ -68,7 +71,7 @@ impl ModelArtifact {
     /// (see [`crate::model::ModelHead::byte_len`]), and keeps the buffer
     /// without copying it.
     pub fn from_aligned(bytes: AlignedBytes) -> Result<Self, HicsError> {
-        let layout = ArtifactLayout::parse(bytes.as_slice())?;
+        let layout = ArtifactLayout::parse(bytes.as_slice().into())?;
         Ok(Self {
             storage: ByteStorage::Heap(bytes),
             layout,

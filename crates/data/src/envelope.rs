@@ -45,17 +45,35 @@
 //! bytes are read the kind cross-checks its counts; then the payload length
 //! is checked against the byte stream ([`HicsError::Truncated`]) and the
 //! checksum against the bytes ([`HicsError::ChecksumMismatch`]).
+//!
+//! # Validation in windows
+//!
+//! A parser reads [`Pages`]: the bytes, and the map they lie in when the
+//! file is memory-mapped. Validation releases what it has checked as it
+//! goes ([`Reader::release`], a no-op for heap bytes): the checksum pass
+//! runs over [`WINDOW`]-byte windows and releases each one, the column
+//! pages ([`read_columns`]) are released a window at a time, and each kind
+//! releases its own bulk sections once they are checked. [`open_mmap`]
+//! then releases the whole map, so an open costs page cache, not resident
+//! memory: about one window at a time while it validates, nothing once it
+//! returns, and afterwards only the pages the queries read.
 
 use crate::error::{ArtifactSection, HicsError};
-use crate::mmap::{write_atomic_with, AlignedBytes, ByteStorage};
+use crate::mmap::{write_atomic_with, AlignedBytes, ByteStorage, Pages};
 use crate::model::NormParam;
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// Length of the shared header in bytes.
 pub const HEADER_LEN: usize = 72;
+
+/// Bytes a streaming validation pass (the checksum, the column pages)
+/// checks before it releases them: the bound on what an open of a mapped
+/// file holds resident at once, beyond the one section it is checking.
+pub const WINDOW: usize = 256 * 1024;
 
 /// FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf29ce484222325;
@@ -127,19 +145,21 @@ pub struct Header<W> {
 }
 
 /// Parses the header of a file with `magic` (see the module docs for the
-/// order) and checks its payload length and checksum. The kind supplies
-/// the name of its `n` for errors, its version rule (`r` sits just after
-/// the version), the reader of its words and the cross-check of its counts
-/// against them. Returns the header and a reader at the payload.
+/// order) and checks its payload length and checksum, window by window,
+/// releasing each window once it is hashed. The kind supplies the name of
+/// its `n` for errors, its version rule (`r` sits just after the version),
+/// the reader of its words and the cross-check of its counts against them.
+/// Returns the header and a reader at the payload.
 pub fn parse_header<'a, W>(
-    bytes: &'a [u8],
+    pages: Pages<'a>,
     magic: &[u8; 8],
     n_label: &str,
     check_version: impl FnOnce(&Reader<'a>, u32) -> Result<(), HicsError>,
     read_words: impl FnOnce(&mut Reader<'a>) -> Result<W, HicsError>,
     check_counts: impl FnOnce(&W, u64, usize) -> Result<(), String>,
 ) -> Result<(Header<W>, Reader<'a>), HicsError> {
-    let mut r = Reader::new(bytes);
+    let mut r = Reader::new(pages);
+    let bytes = r.bytes;
     if r.take(8)? != magic {
         return Err(HicsError::BadMagic);
     }
@@ -166,7 +186,14 @@ pub fn parse_header<'a, W>(
             available: bytes.len().saturating_sub(HEADER_LEN),
         });
     }
-    let computed = artifact_checksum(bytes);
+    let mut computed = fnv1a(FNV_OFFSET, &bytes[..64]);
+    let mut at = HEADER_LEN;
+    while at < bytes.len() {
+        let end = ((at / WINDOW + 1) * WINDOW).min(bytes.len());
+        computed = fnv1a(computed, &bytes[at..end]);
+        r.release(at..end);
+        at = end;
+    }
     if computed != stored {
         return Err(HicsError::ChecksumMismatch { stored, computed });
     }
@@ -338,7 +365,8 @@ pub fn read_attributes(
 }
 
 /// Validates `d` column pages of `n` finite `f64`s in place, attributing
-/// errors to `section`, and returns the byte offset they start at.
+/// errors to `section`, releasing them a [`WINDOW`] at a time, and returns
+/// the byte offset they start at.
 pub fn read_columns(
     r: &mut Reader<'_>,
     n: usize,
@@ -347,13 +375,19 @@ pub fn read_columns(
 ) -> Result<usize, HicsError> {
     r.section = section;
     let offset = r.offset;
+    let mut checked = offset;
     for j in 0..d {
         for _ in 0..n {
             if !r.f64()?.is_finite() {
                 return Err(r.invalid(format!("non-finite value in column {j}")));
             }
+            if r.offset - checked >= WINDOW {
+                r.release(checked..r.offset);
+                checked = r.offset;
+            }
         }
     }
+    r.release(checked..r.offset);
     Ok(offset)
 }
 
@@ -423,11 +457,12 @@ pub fn value(bytes: &[u8], offset: usize, n: usize, i: usize, j: usize) -> f64 {
 }
 
 /// Memory-maps the file at `path` and parses it — the opener of every
-/// mmap-able kind. On platforms without `mmap` the bytes are read into an
-/// aligned heap buffer with the same semantics.
+/// mmap-able kind — then releases the whole map, so the open leaves none
+/// of the file resident (see the module docs). On platforms without `mmap`
+/// the bytes are read into an aligned heap buffer with the same semantics.
 pub fn open_mmap<L>(
     path: &Path,
-    parse: impl Fn(&[u8]) -> Result<L, HicsError>,
+    parse: impl Fn(Pages<'_>) -> Result<L, HicsError>,
 ) -> Result<(ByteStorage, L), HicsError> {
     let file = File::open(path).map_err(|e| HicsError::io_path("opening", path, e))?;
     let len = file
@@ -440,11 +475,17 @@ pub fn open_mmap<L>(
     if len == 0 {
         // mmap(2) rejects zero-length maps; an empty file is just a
         // truncated one.
-        return Err(parse(&[]).err().expect("an empty file never parses"));
+        let empty = Pages::from(&[][..]);
+        return Err(parse(empty).err().expect("an empty file never parses"));
     }
     let storage = ByteStorage::map_file(&file, len)
         .map_err(|e| HicsError::io_path("memory-mapping", path, e))?;
-    let layout = parse(storage.as_slice())?;
+    let pages = Pages::from(&storage);
+    let layout = parse(pages)?;
+    // The parser released each window and section it checked; this drops
+    // the small sections it read last, and the neighbouring pages their
+    // faults mapped along with them.
+    pages.release(0..len);
     Ok((storage, layout))
 }
 
@@ -452,10 +493,10 @@ pub fn open_mmap<L>(
 /// still borrow.
 pub fn from_bytes<L>(
     bytes: &[u8],
-    parse: impl Fn(&[u8]) -> Result<L, HicsError>,
+    parse: impl Fn(Pages<'_>) -> Result<L, HicsError>,
 ) -> Result<(ByteStorage, L), HicsError> {
     let aligned = AlignedBytes::copy_from(bytes);
-    let layout = parse(aligned.as_slice())?;
+    let layout = parse(aligned.as_slice().into())?;
     Ok((ByteStorage::Heap(aligned), layout))
 }
 
@@ -538,16 +579,26 @@ pub struct Reader<'a> {
     pub offset: usize,
     /// The section errors are attributed to.
     pub section: ArtifactSection,
+    /// The bytes with their map, for [`Reader::release`].
+    pages: Pages<'a>,
 }
 
 impl<'a> Reader<'a> {
     /// Starts a reader at offset 0, inside the header section.
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub fn new(pages: Pages<'a>) -> Self {
         Self {
-            bytes,
+            bytes: pages.bytes(),
             offset: 0,
             section: ArtifactSection::Header,
+            pages,
         }
+    }
+
+    /// Releases `range` of a mapped stream once it is checked
+    /// ([`Pages::release`]; a no-op for heap bytes). Later reads of it
+    /// fault the pages in again.
+    pub fn release(&self, range: Range<usize>) {
+        self.pages.release(range);
     }
 
     /// An [`HicsError::InvalidModel`] at the current section and offset.
@@ -648,7 +699,7 @@ mod tests {
         let mut bytes = header(b"HICSTEST", 1, 2, 1, &[&[0; 24]], 0).to_vec();
         bytes[56..64].copy_from_slice(&u64::MAX.to_le_bytes());
         let parsed = parse_header(
-            bytes.as_slice(),
+            bytes.as_slice().into(),
             b"HICSTEST",
             "n",
             |_, _| Ok(()),

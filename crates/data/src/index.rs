@@ -102,6 +102,12 @@ impl RankIndex {
         &self.order[j]
     }
 
+    /// Every attribute's ascending-order object ids, attribute by attribute
+    /// (the order section [`crate::model::ModelHead::order`] borrows).
+    pub fn orders(&self) -> Vec<&[u32]> {
+        self.order.iter().map(Vec::as_slice).collect()
+    }
+
     /// The inverse permutation of attribute `j`: `rank(j)[id]` is the sorted
     /// position of object `id`.
     pub fn rank(&self, j: usize) -> &[u32] {

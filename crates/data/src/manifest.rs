@@ -216,7 +216,7 @@ impl ShardManifest {
     /// Decodes and validates a manifest.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, HicsError> {
         let (header, mut r) = parse_header(
-            bytes,
+            bytes.into(),
             &MAGIC,
             "total row count",
             |r, version| {

@@ -14,6 +14,10 @@
 //!
 //! [`ByteStorage`] unifies the two behind one `as_slice`, so format parsers
 //! validate identical bytes whether they came from a map or a heap read.
+//! A parser reads them as [`Pages`], whose one hook,
+//! [`Pages::release`], hands a checked range of a map back to the kernel
+//! and leaves heap bytes alone: validation walks a file window by window,
+//! and the open keeps none of it resident.
 //!
 //! The write side is [`write_atomic_with`] (and its whole-buffer form
 //! [`write_atomic`]): every file in the workspace that a reader may have
@@ -23,6 +27,7 @@
 use crate::error::HicsError;
 use std::fs::File;
 use std::io::Write;
+use std::ops::Range;
 use std::path::Path;
 
 /// Writes `bytes` to `path` atomically (see [`write_atomic_with`]).
@@ -137,6 +142,62 @@ impl ByteStorage {
     }
 }
 
+/// The bytes a format parser validates, with the map they lie in, if any.
+/// A parser releases each range it has checked ([`Pages::release`]), so a
+/// map's validation holds about one window resident at a time and a query
+/// later faults in only the pages it reads. Plain memory (a heap buffer, a
+/// byte slice) is never released.
+#[derive(Debug, Clone, Copy)]
+pub struct Pages<'a> {
+    bytes: &'a [u8],
+    #[cfg(unix)]
+    map: Option<&'a MmapRegion>,
+}
+
+impl<'a> Pages<'a> {
+    /// The bytes.
+    pub fn bytes(self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// Hands the pages overlapping `range` back to the kernel when the
+    /// bytes are a memory map; a no-op for plain memory. The bytes stay
+    /// valid: a released page of the map is read from the file again on
+    /// its next access.
+    pub fn release(self, range: Range<usize>) {
+        #[cfg(unix)]
+        if let Some(map) = self.map {
+            map.release(range);
+        }
+    }
+}
+
+impl<'a> From<&'a [u8]> for Pages<'a> {
+    /// Plain memory, which [`Pages::release`] leaves alone.
+    fn from(bytes: &'a [u8]) -> Self {
+        Self {
+            bytes,
+            #[cfg(unix)]
+            map: None,
+        }
+    }
+}
+
+impl<'a> From<&'a ByteStorage> for Pages<'a> {
+    /// A map's bytes are released as they are checked; a heap buffer's
+    /// never are (dropping anonymous pages would zero them).
+    fn from(storage: &'a ByteStorage) -> Self {
+        match storage {
+            #[cfg(unix)]
+            ByteStorage::Mmap(map) => Self {
+                bytes: map.as_slice(),
+                map: Some(map),
+            },
+            ByteStorage::Heap(heap) => heap.as_slice().into(),
+        }
+    }
+}
+
 /// An owned byte buffer backed by `u64` words, so its base address is
 /// 8-aligned and column casts behave exactly like the mapped case.
 #[derive(Debug)]
@@ -236,8 +297,54 @@ impl MmapRegion {
         // drop. A concurrent truncation of the underlying file could fault
         // reads; every writer in this workspace writes a temp file and
         // renames it over the path, so a live map's inode stays intact
-        // however often the file is re-saved.
+        // however often the file is re-saved. Released pages
+        // ([`MmapRegion::release`]) are read from that same inode on their
+        // next access, and the kernel may already drop any clean page of
+        // this map under memory pressure, so releasing them changes no
+        // byte a reader sees.
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+
+    /// Drops the resident pages overlapping `range` (byte offsets into the
+    /// map, clipped to it) with `MADV_DONTNEED`. The map is private and
+    /// never written, so it holds no anonymous copy of any page: the next
+    /// access reads the file again and sees the same bytes. Elsewhere than
+    /// Linux this is a no-op.
+    pub fn release(&self, range: Range<usize>) {
+        #[cfg(target_os = "linux")]
+        {
+            const MADV_DONTNEED: i32 = 4;
+            const SC_PAGESIZE: i32 = 30;
+            extern "C" {
+                fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+                fn sysconf(name: i32) -> std::ffi::c_long;
+            }
+            // SAFETY: sysconf reads a constant of the C library.
+            let page = usize::try_from(unsafe { sysconf(SC_PAGESIZE) }).unwrap_or(0);
+            if page == 0 {
+                return;
+            }
+            let start = range.start.min(self.len) / page * page;
+            let end = range.end.min(self.len).next_multiple_of(page);
+            if start >= end {
+                return;
+            }
+            // SAFETY: `start` is page-aligned (the map's base is) and
+            // `start..end` lies inside the map, rounded up to its last
+            // page. A read-only private file map has no dirty pages, so
+            // MADV_DONTNEED only unmaps page-cache pages that the next
+            // fault maps again; no byte changes. A failure leaves the pages
+            // resident, which is harmless, so the result is ignored.
+            unsafe {
+                madvise(
+                    self.ptr.as_ptr().add(start).cast(),
+                    end - start,
+                    MADV_DONTNEED,
+                );
+            }
+        }
+        #[cfg(not(target_os = "linux"))]
+        let _ = range;
     }
 }
 

@@ -82,6 +82,13 @@
 //! All validation lives in one place, `ArtifactLayout::parse`, which walks
 //! the byte stream once, validating the bulk sections (columns, order
 //! permutations, VP-trees, hoods) in place, and records where they start.
+//! Over a memory map it releases what it has checked as it goes: the
+//! checksum and column windows ([`crate::envelope`]), each attribute's
+//! order permutation together with the column it sorts, each VP-tree once
+//! its structure is checked and each subspace's hoods once their values
+//! are. So an open holds about one window or one section resident at a
+//! time, and the engine afterwards faults in only the pages its queries
+//! read. Over heap bytes nothing is released; the parser is the same.
 //! Two consumers share it, and read the trees and hoods through the same
 //! in-place views ([`VpTreeView`], [`HoodsView`]):
 //!
@@ -99,6 +106,7 @@ use crate::envelope::{
 };
 use crate::error::{ArtifactSection, HicsError};
 use crate::index::RankIndex;
+use crate::mmap::Pages;
 use crate::source::ColumnsView;
 use std::borrow::Cow;
 use std::io::{Cursor, Read, Seek, Write};
@@ -723,10 +731,12 @@ pub(crate) struct ArtifactLayout {
 }
 
 impl ArtifactLayout {
-    /// Walks and validates one artifact byte stream. See the type docs.
-    pub(crate) fn parse(bytes: &[u8]) -> Result<Self, HicsError> {
+    /// Walks and validates one artifact byte stream, releasing each bulk
+    /// section of a mapped stream once it is checked. See the type docs.
+    pub(crate) fn parse(pages: Pages<'_>) -> Result<Self, HicsError> {
+        let bytes = pages.bytes();
         let (header, mut r) = parse_header(
-            bytes,
+            pages,
             &MAGIC,
             "object count",
             // Version 3 is the sharded manifest's envelope (same magic):
@@ -797,11 +807,13 @@ impl ArtifactLayout {
         // Order permutations: validated in place, not materialised. Each
         // must sort its column as `rank::argsort` does (values
         // non-decreasing, −0.0 equal to +0.0, ties in ascending id): the
-        // engine's in-sample lookup binary-searches attribute 0's.
+        // engine's in-sample lookup binary-searches attribute 0's. Each
+        // permutation is released with the column it sorts once checked.
         r.section = ArtifactSection::Order;
         let order_offset = r.offset;
         let mut seen = vec![false; n];
         for j in 0..d {
+            let start = r.offset;
             seen.iter_mut().for_each(|s| *s = false);
             let value = |id: u32| crate::envelope::value(bytes, columns_offset, n, id as usize, j);
             let mut prev: Option<u32> = None;
@@ -822,6 +834,9 @@ impl ArtifactLayout {
                 }
                 prev = Some(id);
             }
+            let column = columns_offset + j * n * 8;
+            r.release(column..column + n * 8);
+            r.release(start..r.offset);
         }
         r.align8()?;
         // Subspaces.
@@ -918,6 +933,7 @@ impl ArtifactLayout {
                         msg: format!("subspace {s}: {msg}"),
                     }
                 })?;
+                r.release(at..r.offset);
             }
             Some(start)
         } else {
@@ -983,6 +999,7 @@ impl ArtifactLayout {
                 ids_len,
             };
             validate_tree(&at.view(r.bytes), n, s, tree_offset)?;
+            r.release(tree_offset..r.offset);
             trees.push(at);
         }
         Ok(trees)
@@ -1208,7 +1225,8 @@ impl HicsModel {
         const VALID: &str = "a constructed model encodes";
         let view = ColumnsView::from_dataset(&self.dataset);
         let shapes = self.tree_shapes();
-        let head = self.head(&view, shapes.as_deref());
+        let order = self.rank.orders();
+        let head = self.head(&view, &order, shapes.as_deref());
         let sink = Cursor::new(Vec::with_capacity(head.byte_len()));
         let mut w = ModelWriter::begin(sink, Path::new("memory"), &head).expect(VALID);
         for tree in self.index.iter().flat_map(|i| &i.trees) {
@@ -1226,10 +1244,12 @@ impl HicsModel {
         Some(index.trees.iter().map(|t| t.view().shape()).collect())
     }
 
-    /// The model's head over `view` (a view of its own dataset).
+    /// The model's head over `view` (a view of its own dataset) and
+    /// `order` (its rank index's [`RankIndex::orders`]).
     fn head<'a>(
         &'a self,
         view: &'a ColumnsView<'a>,
+        order: &'a [&'a [u32]],
         trees: Option<&'a [TreeShape]>,
     ) -> ModelHead<'a> {
         ModelHead {
@@ -1239,7 +1259,7 @@ impl HicsModel {
             subspaces: &self.subspaces,
             scorer: self.scorer,
             aggregation: self.aggregation,
-            order: &self.rank,
+            order,
             trees,
             hoods: self.hoods.is_some(),
         }
@@ -1252,7 +1272,8 @@ impl HicsModel {
         let check = || -> Result<(), HicsError> {
             let view = ColumnsView::from_dataset(&self.dataset);
             let shapes = self.tree_shapes();
-            self.head(&view, shapes.as_deref()).validate()?;
+            let order = self.rank.orders();
+            self.head(&view, &order, shapes.as_deref()).validate()?;
             let n = self.n();
             for (s, tree) in self.index.iter().flat_map(|i| &i.trees).enumerate() {
                 validate_tree(&tree.view(), n, s, 0)?;
@@ -1281,7 +1302,7 @@ impl HicsModel {
     /// every section into owned storage (columns, rank index and all). For
     /// the zero-copy alternative see [`crate::artifact::ModelArtifact`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, HicsError> {
-        let layout = ArtifactLayout::parse(bytes)?;
+        let layout = ArtifactLayout::parse(bytes.into())?;
         let (n, d) = (layout.n, layout.d);
         let cols = (0..d)
             .map(|j| crate::envelope::column(bytes, layout.columns_offset, n, j).into_owned())
@@ -1376,9 +1397,12 @@ pub struct ModelHead<'a> {
     pub scorer: ScorerSpec,
     /// The score aggregation.
     pub aggregation: AggregationKind,
-    /// The argsort permutations, written as the order section (the
-    /// subspace search builds them, so no column is sorted twice).
-    pub order: &'a RankIndex,
+    /// The argsort permutation of each attribute, written as the order
+    /// section: the search's ([`RankIndex::orders`], so no column is
+    /// sorted twice), or a parsed artifact's own, borrowed in place. Each
+    /// must sort its column as the search's argsort does; only the shape
+    /// is checked here.
+    pub order: &'a [&'a [u32]],
     /// The shape of each VP-tree the index section will hold, one per
     /// subspace; `None` writes no trees.
     pub trees: Option<&'a [TreeShape]>,
@@ -1420,11 +1444,9 @@ impl ModelHead<'_> {
     fn validate(&self) -> Result<(), HicsError> {
         let (n, d) = (self.view.n(), self.view.d());
         let invalid = |msg: String| HicsError::InvalidInput(msg);
-        if self.order.n() != n || self.order.d() != d {
+        if self.order.len() != d || self.order.iter().any(|o| o.len() != n) {
             return Err(invalid(format!(
-                "rank index is {} x {}, view is {n} x {d}",
-                self.order.n(),
-                self.order.d()
+                "the order permutations do not fit the {n} x {d} view"
             )));
         }
         check_object_count(n)?;
@@ -1559,8 +1581,8 @@ impl<W: Write + Seek> ModelWriter<W> {
             for col in view.iter_cols() {
                 w.put_f64s(col)?;
             }
-            for j in 0..view.d() {
-                w.put(&u32_slice_le_bytes(head.order.order(j)))?;
+            for order in head.order {
+                w.put(&u32_slice_le_bytes(order))?;
             }
             // d·n·4 order bytes follow 8-aligned sections, so realign.
             w.pad8()?;
@@ -1741,7 +1763,7 @@ mod tests {
         assert_eq!(&bytes[..8], &MAGIC);
         // The layout's bulk-section offsets are 8-aligned — the invariant
         // the zero-copy column views stand on.
-        let layout = ArtifactLayout::parse(&bytes).expect("parse");
+        let layout = ArtifactLayout::parse(bytes.as_slice().into()).expect("parse");
         assert_eq!(layout.columns_offset % 8, 0);
         assert_eq!(layout.order_offset % 8, 0);
     }
@@ -1762,7 +1784,8 @@ mod tests {
     fn save_staged(m: &HicsModel, path: &Path) -> Result<(), HicsError> {
         let view = crate::source::ColumnsView::from_dataset(m.dataset());
         let shapes = m.tree_shapes();
-        let head = m.head(&view, shapes.as_deref());
+        let order = m.rank.orders();
+        let head = m.head(&view, &order, shapes.as_deref());
         crate::mmap::write_atomic_with(path, |file, tmp| {
             let mut w = ModelWriter::begin(std::io::BufWriter::new(file), tmp, &head)?;
             for tree in m.index().iter().flat_map(|i| &i.trees) {
@@ -1852,7 +1875,8 @@ mod tests {
         }));
         let view = crate::source::ColumnsView::from_dataset(m.dataset());
         let shapes = m.tree_shapes();
-        let head = m.head(&view, shapes.as_deref());
+        let order = m.rank.orders();
+        let head = m.head(&view, &order, shapes.as_deref());
         let begin = |head: &ModelHead<'_>| {
             ModelWriter::begin(Cursor::new(Vec::new()), Path::new("memory"), head)
         };
@@ -1978,7 +2002,9 @@ mod tests {
         let mut bytes = m.to_bytes();
         // The order section starts after names (aligned), norm params and
         // columns; corrupt its first entry to a duplicate of the second.
-        let order_start = ArtifactLayout::parse(&bytes).expect("parse").order_offset;
+        let order_start = ArtifactLayout::parse(bytes.as_slice().into())
+            .expect("parse")
+            .order_offset;
         let second = bytes[order_start + 4..order_start + 8].to_vec();
         bytes[order_start..order_start + 4].copy_from_slice(&second);
         // The checksum catches the corruption before section parsing; with
@@ -2008,7 +2034,9 @@ mod tests {
     fn rejects_an_order_that_does_not_sort_its_column() {
         let m = sample_model(NormKind::None);
         let good = m.to_bytes();
-        let order_start = ArtifactLayout::parse(&good).expect("parse").order_offset;
+        let order_start = ArtifactLayout::parse(good.as_slice().into())
+            .expect("parse")
+            .order_offset;
         let path =
             std::env::temp_dir().join(format!("hics-unsorted-order-{}.hics", std::process::id()));
         // Swap two neighbours of attribute 0's order: still a permutation.
@@ -2061,7 +2089,7 @@ mod tests {
         }
         // An oversized per-subspace dim count is rejected the same way.
         let mut bad = good.clone();
-        let layout = ArtifactLayout::parse(&good).expect("parse");
+        let layout = ArtifactLayout::parse(good.as_slice().into()).expect("parse");
         // The sub-lens section follows the order section (aligned).
         let order_end = layout.order_offset + m.d() * m.n() * 4;
         let lens_offset = order_end.div_ceil(8) * 8;

@@ -1,8 +1,10 @@
 //! The process's own resource use, read from procfs on demand: CPU time
-//! from `/proc/self/stat`, resident anonymous memory and the resident
-//! high-water mark from `/proc/self/status`. Nothing runs in the
-//! background; every [`ProcessSample::read`] is one pair of file reads.
-//! Off Linux there is no procfs, and every read is `None`.
+//! from `/proc/self/stat`; the thread count, resident anonymous and
+//! file-backed memory and the resident high-water mark from
+//! `/proc/self/status`; the open descriptors from `/proc/self/fd`. Nothing
+//! runs in the background; every [`ProcessSample::read`] is two file reads
+//! and one directory listing. Off Linux there is no procfs, and every read
+//! is `None`.
 
 /// One reading of the process's resource use.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -13,8 +15,16 @@ pub struct ProcessSample {
     /// Resident anonymous memory (`RssAnon`), in bytes: the heap and
     /// stacks, not file-backed maps.
     pub rss_anon_bytes: u64,
+    /// Resident file-backed memory (`RssFile`), in bytes: the pages of
+    /// mapped files (model artifacts, dataset stores) and of the binary.
+    pub rss_file_bytes: u64,
     /// Peak resident set size so far (`VmHWM`), in bytes.
     pub vm_hwm_bytes: u64,
+    /// Live threads (`Threads`).
+    pub threads: u64,
+    /// Open file descriptors: the entries of `/proc/self/fd`, less the one
+    /// the listing itself holds open.
+    pub open_fds: u64,
 }
 
 impl ProcessSample {
@@ -26,10 +36,14 @@ impl ProcessSample {
         }
         let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
         let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let fds = std::fs::read_dir("/proc/self/fd").ok()?.count() as u64;
         Some(Self {
             cpu_seconds: cpu_ticks(&stat)? as f64 / clock_ticks_per_second()? as f64,
             rss_anon_bytes: status_kib(&status, "RssAnon:")? * 1024,
+            rss_file_bytes: status_kib(&status, "RssFile:")? * 1024,
             vm_hwm_bytes: status_kib(&status, "VmHWM:")? * 1024,
+            threads: status_kib(&status, "Threads:")?,
+            open_fds: fds.saturating_sub(1),
         })
     }
 }
@@ -45,7 +59,8 @@ fn cpu_ticks(stat: &str) -> Option<u64> {
     Some(utime + stime)
 }
 
-/// The kibibyte value of the `/proc/<pid>/status` line starting `key`.
+/// The value of the `/proc/<pid>/status` line starting `key`: kibibytes
+/// for the memory lines, a plain count for `Threads:`.
 fn status_kib(status: &str, key: &str) -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with(key))?;
     line[key.len()..]
@@ -86,9 +101,10 @@ mod tests {
 
     #[test]
     fn status_lines_read_in_kib() {
-        let status = "Name:\thics\nVmHWM:\t    1780 kB\nRssAnon:\t     136 kB\n";
+        let status = "Name:\thics\nVmHWM:\t    1780 kB\nRssAnon:\t     136 kB\nThreads:\t3\n";
         assert_eq!(status_kib(status, "VmHWM:"), Some(1780));
         assert_eq!(status_kib(status, "RssAnon:"), Some(136));
+        assert_eq!(status_kib(status, "Threads:"), Some(3));
         assert_eq!(status_kib(status, "RssFile:"), None);
     }
 
@@ -105,6 +121,31 @@ mod tests {
         let after = ProcessSample::read().unwrap();
         assert!(after.cpu_seconds >= before.cpu_seconds);
         assert!(after.rss_anon_bytes > 0);
+        assert!(after.rss_file_bytes > 0, "the test binary's own pages");
         assert!(after.vm_hwm_bytes >= after.rss_anon_bytes);
+        assert!(after.threads >= 1);
+        // stdin, stdout and stderr, at the least.
+        assert!(after.open_fds >= 3, "{after:?}");
+    }
+
+    /// The descriptor count follows the process's files: one more open
+    /// file counts one more.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn open_fds_count_a_new_descriptor() {
+        let probe = std::env::temp_dir().join(format!("hics-fd-probe-{}", std::process::id()));
+        std::fs::write(&probe, b"x").unwrap();
+        // Other tests of this binary open files too: retry until a pair of
+        // readings straddles only this test's open.
+        let counted = (0..50).any(|_| {
+            let before = ProcessSample::read().unwrap().open_fds;
+            let file = std::fs::File::open(&probe).unwrap();
+            let during = ProcessSample::read().unwrap().open_fds;
+            drop(file);
+            let after = ProcessSample::read().unwrap().open_fds;
+            during == before + 1 && after == before
+        });
+        std::fs::remove_file(&probe).ok();
+        assert!(counted, "an open file never showed in open_fds");
     }
 }

@@ -44,7 +44,7 @@ use hics_data::model::{
     HicsModel, HoodsData, HoodsView, ModelHead, ModelWriter, ScorerKind, ScorerSpec, TreeShape,
     VpTreeData, VpTreeView,
 };
-use hics_data::{ColumnsView, HicsError, ModelArtifact, RankIndex};
+use hics_data::{ColumnsView, HicsError, ModelArtifact};
 use std::io::Cursor;
 use std::path::Path;
 use std::sync::Arc;
@@ -378,7 +378,8 @@ fn upgrade(old: &ModelArtifact, trees: bool, max_threads: usize) -> (ModelArtifa
     };
     let tree = |s: usize| old.tree(s).or_else(|| Some(built.get(s)?.view()));
     let shapes: Option<Vec<TreeShape>> = (0..count).map(|s| Some(tree(s)?.shape())).collect();
-    let order = RankIndex::from_order((0..old.d()).map(|j| old.order(j).into_owned()).collect());
+    let orders: Vec<_> = (0..old.d()).map(|j| old.order(j)).collect();
+    let order: Vec<&[u32]> = orders.iter().map(|o| &o[..]).collect();
     let head = ModelHead {
         view: &view,
         norm_kind: old.norm_kind(),
@@ -393,7 +394,6 @@ fn upgrade(old: &ModelArtifact, trees: bool, max_threads: usize) -> (ModelArtifa
     let mut bytes = AlignedBytes::zeroed(head.byte_len());
     let sink = Cursor::new(bytes.as_mut_slice());
     let mut w = ModelWriter::begin(sink, Path::new("memory"), &head).expect(VALID);
-    drop(order);
     for t in (0..count).filter_map(tree) {
         w.put_tree(&t).expect(VALID);
     }

@@ -4,12 +4,13 @@
 //! [`Registry`] every subsystem records into: the batcher's counters and
 //! size/latency histograms and per-shard scoring instruments, the stream
 //! and connection counters, per-stage request latency, per-reactor I/O
-//! counters and the fit-pipeline counter family. `/stats` and `/metrics`
-//! are two renderings of this one registry — there is no other
-//! bookkeeping.
+//! counters, the fit-pipeline counter family and the process's own
+//! resources (`hics_process_*`, read from procfs when `/metrics` is
+//! scraped). `/stats` and `/metrics` are two renderings of this one
+//! registry — there is no other bookkeeping.
 
 use crate::server::{LogFormat, ServeConfig};
-use hics_obs::{Counter, Histogram, Registry, Timeline, STAGES, STAGE_COUNT};
+use hics_obs::{Counter, Gauge, Histogram, ProcessSample, Registry, Timeline, STAGES, STAGE_COUNT};
 use std::sync::Arc;
 
 /// Latency histograms resolve nanoseconds up to ~68 s with `2^-5`
@@ -42,7 +43,40 @@ pub(crate) struct ServeMetrics {
     pub(crate) request_seconds: Arc<Histogram>,
     /// Writes paused because a connection hit the output high-water mark.
     pub(crate) backpressure_stalls: Arc<Counter>,
+    /// The process's own resources ([`PROCESS_GAUGES`]), set at each
+    /// scrape.
+    process: Vec<(Arc<Gauge>, ProcessReading)>,
 }
+
+/// The field of a [`ProcessSample`] one `hics_process_*` gauge shows.
+type ProcessReading = fn(&ProcessSample) -> u64;
+
+/// The `hics_process_*` gauges, each with the reading it shows.
+/// [`ServeMetrics::scrape`] sets them all from one sample: no thread
+/// samples them in the background.
+const PROCESS_GAUGES: [(&str, &str, ProcessReading); 5] = [
+    ("hics_process_threads", "Live threads of this process.", |p| p.threads),
+    (
+        "hics_process_resident_anon_bytes",
+        "Resident anonymous memory (RssAnon): heap and stacks.",
+        |p| p.rss_anon_bytes,
+    ),
+    (
+        "hics_process_resident_file_bytes",
+        "Resident file-backed memory (RssFile): the pages of mapped artifacts and stores that queries have read.",
+        |p| p.rss_file_bytes,
+    ),
+    (
+        "hics_process_peak_resident_bytes",
+        "Peak resident set size so far (VmHWM).",
+        |p| p.vm_hwm_bytes,
+    ),
+    (
+        "hics_process_open_fds",
+        "Open file descriptors.",
+        |p| p.open_fds,
+    ),
+];
 
 /// Per-reactor I/O counters (labeled `reactor="<id>"`).
 #[derive(Debug)]
@@ -116,12 +150,29 @@ impl ServeMetrics {
         // The fit counter family is registered (zero-valued while purely
         // serving) so one scrape config covers fits driven in-process.
         let _ = hics_core::FitMetrics::register(&registry);
+        let process = PROCESS_GAUGES
+            .iter()
+            .map(|&(name, help, read)| (registry.gauge(name, help), read))
+            .collect();
         Self {
             registry,
             stage,
             request_seconds,
             backpressure_stalls,
+            process,
         }
+    }
+
+    /// The `/metrics` body: the process gauges read now, then the whole
+    /// registry in Prometheus text.
+    pub(crate) fn scrape(&self) -> String {
+        // Off Linux there is no reading, and the gauges stay 0.
+        if let Some(now) = ProcessSample::read() {
+            for (gauge, read) in &self.process {
+                gauge.set(i64::try_from(read(&now)).unwrap_or(i64::MAX));
+            }
+        }
+        self.registry.render_prometheus()
     }
 
     /// The labeled counter set for reactor `id` (0 = the thread that

@@ -439,7 +439,7 @@ pub(crate) fn dispatch(method: &str, path: &str, ctx: &Ctx) -> (u16, String) {
         ("GET", "/healthz") => (200, "{\"status\":\"ok\"}".to_string()),
         ("GET", "/model") => (200, model_body(&ctx.handle.load(), ctx.handle.generation())),
         ("GET", "/stats") => (200, stats_body(ctx)),
-        ("GET", "/metrics") => (200, ctx.metrics.registry.render_prometheus()),
+        ("GET", "/metrics") => (200, ctx.metrics.scrape()),
         ("GET", "/trace") => (200, ctx.tracer.index_json()),
         ("GET", path) if path.starts_with("/trace/") => {
             match hics_obs::trace::parse_id(&path["/trace/".len()..]) {

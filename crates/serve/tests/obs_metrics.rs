@@ -265,3 +265,46 @@ fn instrumentation_off_leaves_wire_responses_identical() {
     on.stop();
     off.stop();
 }
+
+/// The `Threads:` line of this process's `/proc/self/status`.
+fn status_threads() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .expect("a Threads: line");
+    line.trim().parse().expect("numeric thread count")
+}
+
+/// `/metrics` carries the process's own resources, read from procfs at
+/// the scrape: the thread gauge is the `Threads:` line of the process the
+/// server runs in.
+#[test]
+fn process_gauges_are_read_at_scrape() {
+    let server = start_server(test_config());
+    let (status, _, text) = get(server.addr, "/metrics");
+    assert_eq!(status, 200);
+    let anon = metric_value(&text, "hics_process_resident_anon_bytes");
+    assert!(anon > 0, "{text}");
+    assert!(metric_value(&text, "hics_process_resident_file_bytes") > 0);
+    assert!(metric_value(&text, "hics_process_peak_resident_bytes") >= anon);
+    // The listening socket and the reactor's epoll and event fds, at the
+    // least.
+    assert!(metric_value(&text, "hics_process_open_fds") >= 3);
+    for name in ["hics_process_threads", "hics_process_open_fds"] {
+        assert!(text.contains(&format!("# TYPE {name} gauge")), "{text}");
+    }
+    // Other tests of this binary start and stop threads: retry until the
+    // count holds still across one scrape.
+    let matched = (0..50).any(|_| {
+        let before = status_threads();
+        let (_, _, text) = get(server.addr, "/metrics");
+        let after = status_threads();
+        before == after && metric_value(&text, "hics_process_threads") == before
+    });
+    assert!(
+        matched,
+        "hics_process_threads never equalled the Threads: line"
+    );
+    server.stop();
+}

@@ -50,7 +50,7 @@
 #![warn(missing_docs)]
 
 use hics_data::envelope::{self, f64_slice_le_bytes, Peek, WordCode, HEADER_LEN};
-use hics_data::mmap::ByteStorage;
+use hics_data::mmap::{ByteStorage, Pages};
 use hics_data::model::{NormAcc, MAGIC as MODEL_MAGIC};
 use hics_data::{
     ArtifactSection, ColumnsView, Dataset, DatasetSource, HicsError, NormKind, NormParam,
@@ -326,9 +326,10 @@ struct StoreLayout {
 }
 
 impl StoreLayout {
-    fn parse(bytes: &[u8]) -> Result<Self, HicsError> {
+    fn parse(pages: Pages<'_>) -> Result<Self, HicsError> {
+        let bytes = pages.bytes();
         let (header, mut r) = envelope::parse_header(
-            bytes,
+            pages,
             &STORE_MAGIC,
             "row count",
             |_, version| match version {
